@@ -53,6 +53,12 @@ cargo run --release -p realistic-pe --example pe-explain -- --prof > /dev/null
 # or >5% growth in the deterministic size metrics fail the run.
 cargo run --release -p pe-bench -- --quick --check BENCH_baseline.json
 
+# The repository benchmark under perfbench/ is a workspace of its own,
+# so the root build and tests above never compile it.  Build and test
+# it here, so a public-API change in a crate it links (pe-vm, pe-interp,
+# …) cannot break the benchmark unnoticed.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # pe-siege robustness harness.  First the corpus gate: every minimal
 # reproducer ever banked under crates/siege/corpus must stay clean
 # (differential agreement across all eight engines plus a crash-free

@@ -87,6 +87,23 @@ impl S0Simple {
         }
     }
 
+    /// Recognizes a §5.1 closure-dispatch test
+    /// `(eq?/eqv?/equal? ℓ (closure-label c))`, in either operand order,
+    /// with a non-negative integer literal ℓ; returns the subject `c`
+    /// and ℓ.
+    #[must_use]
+    pub fn dispatch_test(&self) -> Option<(&S0Simple, u32)> {
+        let S0Simple::Prim(Prim::EqP | Prim::EqvP | Prim::EqualP, args) = self else {
+            return None;
+        };
+        let (k, subject) = match args.as_slice() {
+            [S0Simple::Const(Constant::Int(k)), S0Simple::ClosureLabel(s)]
+            | [S0Simple::ClosureLabel(s), S0Simple::Const(Constant::Int(k))] => (*k, &**s),
+            _ => return None,
+        };
+        u32::try_from(k).ok().map(|k| (subject, k))
+    }
+
     /// Collects free variable names.
     pub fn vars(&self, out: &mut HashSet<String>) {
         match self {

@@ -29,8 +29,6 @@
 
 use crate::opt::is_effect_free;
 use crate::s0::{S0Program, S0Simple, S0Tail};
-use pe_frontend::ast::Constant;
-use pe_frontend::Prim;
 use pe_governor::{Fuel, Trap};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -70,22 +68,6 @@ impl AbsVal {
     }
 }
 
-/// Recognizes a dispatch test: `(eq?/eqv?/equal? ℓ (closure-label c))`
-/// in either operand order, with a non-negative integer literal ℓ.
-#[must_use]
-pub fn parse_dispatch(c: &S0Simple) -> Option<(&S0Simple, u32)> {
-    let S0Simple::Prim(op, args) = c else { return None };
-    if !matches!(op, Prim::EqP | Prim::EqvP | Prim::EqualP) || args.len() != 2 {
-        return None;
-    }
-    fn pick<'a>(a: &S0Simple, b: &'a S0Simple) -> Option<(&'a S0Simple, u32)> {
-        let S0Simple::Const(Constant::Int(k)) = a else { return None };
-        let S0Simple::ClosureLabel(subj) = b else { return None };
-        u32::try_from(*k).ok().map(|k| (&**subj, k))
-    }
-    pick(&args[0], &args[1]).or_else(|| pick(&args[1], &args[0]))
-}
-
 type Env<'a> = HashMap<&'a str, AbsVal>;
 type Refinements = Vec<(S0Simple, AbsVal)>;
 
@@ -111,7 +93,7 @@ fn walk_refined<'p>(
 ) {
     f(t, refines);
     if let S0Tail::If(c, a, b) = t {
-        if let Some((subj, k)) = parse_dispatch(c) {
+        if let Some((subj, k)) = c.dispatch_test() {
             let sv = eval(subj, env, refines);
             refines.push((subj.clone(), AbsVal::of_label(k)));
             walk_refined(a, env, refines, f);
@@ -446,7 +428,7 @@ fn rw_tail(t: &S0Tail, env: &Env<'_>, refines: &mut Refinements, sa: &SlotAnalys
         ),
         S0Tail::If(c, a, b) => {
             let c2 = rw_simple(c, env, refines, sa);
-            if let Some((subj, k)) = parse_dispatch(c) {
+            if let Some((subj, k)) = c.dispatch_test() {
                 let sv = eval(subj, env, refines);
                 refines.push((subj.clone(), AbsVal::of_label(k)));
                 let a2 = rw_tail(a, env, refines, sa);
@@ -536,7 +518,7 @@ fn fold_tail(
     match t {
         S0Tail::Return(_) | S0Tail::Fail(_) | S0Tail::TailCall(_, _) => t.clone(),
         S0Tail::If(c, a, b) => {
-            if let Some((subj, k)) = parse_dispatch(c) {
+            if let Some((subj, k)) = c.dispatch_test() {
                 let sv = eval(subj, env, refines);
                 let definite = matches!(subj, S0Simple::Var(_))
                     && !sv.other
@@ -586,6 +568,7 @@ fn fold_tail(
 mod tests {
     use super::*;
     use crate::s0::S0Proc;
+    use pe_frontend::ast::{Constant, Prim};
     use pe_governor::Limits;
 
     fn var(v: &str) -> S0Simple {

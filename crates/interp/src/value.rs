@@ -207,7 +207,45 @@ impl std::error::Error for PrimError {}
 fn int<C: fmt::Debug>(p: Prim, v: &Value<C>) -> Result<i64, PrimError> {
     match v {
         Value::Int(n) => Ok(*n),
-        v => Err(PrimError::TypeError { prim: p, expected: "number", got: v.to_string() }),
+        v => Err(type_error(p, "number", v)),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn type_error<C: fmt::Debug>(prim: Prim, expected: &'static str, v: &Value<C>) -> PrimError {
+    PrimError::TypeError { prim, expected, got: v.to_string() }
+}
+
+#[cold]
+#[inline(never)]
+fn arity_error(prim: Prim, got: usize) -> PrimError {
+    PrimError::Arity { prim, expected: prim.arity(), got }
+}
+
+impl<C: fmt::Debug> Value<C> {
+    /// `(car v)` by reference: the pair's first field.
+    ///
+    /// # Errors
+    ///
+    /// The `car` type error when `v` is not a pair.
+    pub fn car(&self) -> Result<&Value<C>, PrimError> {
+        match self {
+            Value::Pair(p) => Ok(&p.0),
+            v => Err(type_error(Prim::Car, "pair", v)),
+        }
+    }
+
+    /// `(cdr v)` by reference: the pair's second field.
+    ///
+    /// # Errors
+    ///
+    /// The `cdr` type error when `v` is not a pair.
+    pub fn cdr(&self) -> Result<&Value<C>, PrimError> {
+        match self {
+            Value::Pair(p) => Ok(&p.1),
+            v => Err(type_error(Prim::Cdr, "pair", v)),
+        }
     }
 }
 
@@ -241,71 +279,78 @@ pub fn apply_prim<C: Clone + PartialEq + fmt::Debug>(
     p: Prim,
     args: &[Value<C>],
 ) -> Result<Value<C>, PrimError> {
-    use Prim::*;
-    if args.len() != p.arity() {
-        return Err(PrimError::Arity { prim: p, expected: p.arity(), got: args.len() });
+    match (p.arity(), args) {
+        (1, [a]) => apply_prim1(p, a),
+        (2, [a, b]) => apply_prim2(p, a, b),
+        _ => Err(arity_error(p, args.len())),
     }
+}
+
+/// Applies a unary primitive to a borrowed operand.
+///
+/// # Errors
+///
+/// As [`apply_prim`]; a binary `p` is an arity error.
+pub fn apply_prim1<C: Clone + PartialEq + fmt::Debug>(
+    p: Prim,
+    a: &Value<C>,
+) -> Result<Value<C>, PrimError> {
+    use Prim::*;
     Ok(match p {
-        Cons => Value::Pair(Rc::new((args[0].clone(), args[1].clone()))),
-        Car => match &args[0] {
-            Value::Pair(p) => p.0.clone(),
-            v => {
-                return Err(PrimError::TypeError {
-                    prim: Car,
-                    expected: "pair",
-                    got: v.to_string(),
-                })
-            }
-        },
-        Cdr => match &args[0] {
-            Value::Pair(p) => p.1.clone(),
-            v => {
-                return Err(PrimError::TypeError {
-                    prim: Cdr,
-                    expected: "pair",
-                    got: v.to_string(),
-                })
-            }
-        },
-        NullP => Value::Bool(matches!(args[0], Value::Nil)),
-        PairP => Value::Bool(matches!(args[0], Value::Pair(_))),
-        Not => Value::Bool(!args[0].is_truthy()),
-        EqP | EqvP => Value::Bool(eq_identity(&args[0], &args[1])),
-        EqualP => Value::Bool(equal(&args[0], &args[1])),
-        Add => Value::Int(
-            int(p, &args[0])?.checked_add(int(p, &args[1])?).ok_or(PrimError::Overflow(p))?,
-        ),
-        Sub => Value::Int(
-            int(p, &args[0])?.checked_sub(int(p, &args[1])?).ok_or(PrimError::Overflow(p))?,
-        ),
-        Mul => Value::Int(
-            int(p, &args[0])?.checked_mul(int(p, &args[1])?).ok_or(PrimError::Overflow(p))?,
-        ),
+        Car => a.car()?.clone(),
+        Cdr => a.cdr()?.clone(),
+        NullP => Value::Bool(matches!(a, Value::Nil)),
+        PairP => Value::Bool(matches!(a, Value::Pair(_))),
+        Not => Value::Bool(!a.is_truthy()),
+        ZeroP => Value::Bool(int(p, a)? == 0),
+        Add1 => Value::Int(int(p, a)?.checked_add(1).ok_or(PrimError::Overflow(p))?),
+        Sub1 => Value::Int(int(p, a)?.checked_sub(1).ok_or(PrimError::Overflow(p))?),
+        SymbolP => Value::Bool(matches!(a, Value::Sym(_))),
+        NumberP => Value::Bool(matches!(a, Value::Int(_))),
+        BooleanP => Value::Bool(matches!(a, Value::Bool(_))),
+        _ => return Err(arity_error(p, 1)),
+    })
+}
+
+/// Applies a binary primitive to borrowed operands; only `cons` clones
+/// them, into the new pair.
+///
+/// # Errors
+///
+/// As [`apply_prim`]; a unary `p` is an arity error.
+pub fn apply_prim2<C: Clone + PartialEq + fmt::Debug>(
+    p: Prim,
+    a: &Value<C>,
+    b: &Value<C>,
+) -> Result<Value<C>, PrimError> {
+    use Prim::*;
+    Ok(match p {
+        Cons => Value::Pair(Rc::new((a.clone(), b.clone()))),
+        EqP | EqvP => Value::Bool(eq_identity(a, b)),
+        EqualP => Value::Bool(equal(a, b)),
+        Add => Value::Int(int(p, a)?.checked_add(int(p, b)?).ok_or(PrimError::Overflow(p))?),
+        Sub => Value::Int(int(p, a)?.checked_sub(int(p, b)?).ok_or(PrimError::Overflow(p))?),
+        Mul => Value::Int(int(p, a)?.checked_mul(int(p, b)?).ok_or(PrimError::Overflow(p))?),
         Quotient => {
-            let (a, b) = (int(p, &args[0])?, int(p, &args[1])?);
+            let (a, b) = (int(p, a)?, int(p, b)?);
             if b == 0 {
                 return Err(PrimError::DivisionByZero(p));
             }
             Value::Int(a.checked_div(b).ok_or(PrimError::Overflow(p))?)
         }
         Remainder => {
-            let (a, b) = (int(p, &args[0])?, int(p, &args[1])?);
+            let (a, b) = (int(p, a)?, int(p, b)?);
             if b == 0 {
                 return Err(PrimError::DivisionByZero(p));
             }
             Value::Int(a.checked_rem(b).ok_or(PrimError::Overflow(p))?)
         }
-        NumEq => Value::Bool(int(p, &args[0])? == int(p, &args[1])?),
-        Lt => Value::Bool(int(p, &args[0])? < int(p, &args[1])?),
-        Gt => Value::Bool(int(p, &args[0])? > int(p, &args[1])?),
-        Le => Value::Bool(int(p, &args[0])? <= int(p, &args[1])?),
-        Ge => Value::Bool(int(p, &args[0])? >= int(p, &args[1])?),
-        ZeroP => Value::Bool(int(p, &args[0])? == 0),
-        Add1 => Value::Int(int(p, &args[0])?.checked_add(1).ok_or(PrimError::Overflow(p))?),
-        Sub1 => Value::Int(int(p, &args[0])?.checked_sub(1).ok_or(PrimError::Overflow(p))?),
-        SymbolP => Value::Bool(matches!(args[0], Value::Sym(_))),
-        NumberP => Value::Bool(matches!(args[0], Value::Int(_))),
-        BooleanP => Value::Bool(matches!(args[0], Value::Bool(_))),
+        NumEq => Value::Bool(int(p, a)? == int(p, b)?),
+        Lt => Value::Bool(int(p, a)? < int(p, b)?),
+        Gt => Value::Bool(int(p, a)? > int(p, b)?),
+        Le => Value::Bool(int(p, a)? <= int(p, b)?),
+        Ge => Value::Bool(int(p, a)? >= int(p, b)?),
+        _ => return Err(arity_error(p, 2)),
     })
 }
 

@@ -20,7 +20,6 @@
 
 use crate::report::{Diagnostic, Pass};
 use pe_core::{S0Program, S0Simple, S0Tail};
-use pe_frontend::ast::{Constant, Prim};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// An abstract value: the `make-closure` labels that may flow here.
@@ -167,22 +166,6 @@ fn eval(e: &S0Simple, env: &HashMap<&str, AbsVal>, refines: &Refinements) -> Abs
     }
 }
 
-/// Recognizes a sequential-dispatch test
-/// `(eq?/eqv?/equal? ℓ (closure-label subject))` (either operand
-/// order); returns the subject and the tested label.
-fn parse_dispatch(c: &S0Simple) -> Option<(&S0Simple, u32)> {
-    let S0Simple::Prim(op, args) = c else { return None };
-    if !matches!(op, Prim::EqP | Prim::EqvP | Prim::EqualP) || args.len() != 2 {
-        return None;
-    }
-    let (k, subj) = match (&args[0], &args[1]) {
-        (S0Simple::Const(Constant::Int(k)), S0Simple::ClosureLabel(s))
-        | (S0Simple::ClosureLabel(s), S0Simple::Const(Constant::Int(k))) => (*k, &**s),
-        _ => return None,
-    };
-    u32::try_from(k).ok().map(|k| (subj, k))
-}
-
 fn flow_tail(
     t: &S0Tail,
     env: &HashMap<&str, AbsVal>,
@@ -195,7 +178,7 @@ fn flow_tail(
             flows.push((p.clone(), args.iter().map(|a| eval(a, env, refines)).collect()));
         }
         S0Tail::If(c, a, b) => {
-            if let Some((subj, k)) = parse_dispatch(c) {
+            if let Some((subj, k)) = c.dispatch_test() {
                 let v = eval(subj, env, refines);
                 refines.push((subj.clone(), AbsVal::of_label(k)));
                 flow_tail(a, env, refines, flows);
@@ -249,7 +232,7 @@ fn check_tail(
         }
         S0Tail::If(c, a, b) => {
             check_simple(c, env, refines, shapes, owner, out);
-            if let Some((subj, k)) = parse_dispatch(c) {
+            if let Some((subj, k)) = c.dispatch_test() {
                 let v = eval(subj, env, refines);
                 if !shapes.min_captures.contains_key(&k) {
                     out.push(Diagnostic::warning(
@@ -346,6 +329,7 @@ fn check_simple(
 mod tests {
     use super::*;
     use pe_core::S0Proc;
+    use pe_frontend::ast::{Constant, Prim};
 
     fn var(v: &str) -> S0Simple {
         S0Simple::Var(v.into())

@@ -5,11 +5,30 @@
 //! procedures become labels, tail calls become assignments to global
 //! parameter variables followed by `goto`, and closures are flat
 //! vectors.  This crate implements exactly that execution model in Rust:
-//! one dispatch loop, a register frame for the current procedure's
-//! parameters, and resolved (index-based) operands — so benchmark
+//! one dispatch loop over resolved (index-based) code, so benchmark
 //! numbers measured here transfer to the C code's behaviour, and the
 //! instruction/allocation counters give deterministic, machine-
 //! independent cost figures for the evaluation tables.
+//!
+//! The loop allocates only what the program allocates (pairs and
+//! closures):
+//!
+//! * The global parameter variables are two register frames sized to
+//!   the widest procedure.  A `goto` assembles its arguments in the
+//!   spare frame and swaps the two.
+//! * Primitives are arity-specialized nodes over borrowed operands.
+//!   `car`, `cdr`, `closure-label` and `closure-freeval` read by
+//!   reference; a value is cloned only when it is stored in a frame, a
+//!   pair or a closure record.
+//! * Frame slots, constants and jump targets are checked once, when the
+//!   program is loaded ([`Vm::compile`]), so reading them cannot fail.
+//! * A chain of §5.1 closure-dispatch tests
+//!   `(if (eq? ℓ (closure-label c)) … (if (eq? ℓ′ (closure-label c)) …))`
+//!   on one non-allocating subject `c` is resolved at load time into a
+//!   single node: the loop evaluates `c` once and takes the first arm
+//!   whose label matches.  It still charges one step, one unit of fuel
+//!   and one [`VmProfile`] branch for every test the chain would have
+//!   run, so the counters remain a cost model of the emitted C.
 //!
 //! ```
 //! use pe_core::{compile, CompileOptions};
@@ -29,8 +48,9 @@ use pe_core::{S0Program, S0Simple, S0Tail};
 use pe_frontend::ast::{Constant, Prim};
 use pe_governor::Trap;
 use pe_intern::{Symbol, SymbolMap, SymbolTable};
-use pe_interp::value::{apply_prim, Value};
+use pe_interp::value::{apply_prim1, apply_prim2, Value};
 use pe_interp::{Datum, Fuel, InterpError, Limits};
+use std::borrow::Cow;
 use std::fmt;
 use std::rc::Rc;
 
@@ -64,6 +84,8 @@ pub enum VmError {
     UndefinedProc(String),
     /// A call has the wrong number of arguments.
     Arity { name: String, expected: usize, got: usize },
+    /// A primitive is applied to the wrong number of arguments.
+    PrimArity { proc_name: String, prim: Prim, expected: usize, got: usize },
     /// A variable is not a parameter of its procedure.
     UnboundVar { proc_name: String, var: String },
     /// The entry procedure is missing.
@@ -77,6 +99,10 @@ impl fmt::Display for VmError {
             VmError::Arity { name, expected, got } => {
                 write!(f, "vm: {name} expects {expected} argument(s), got {got}")
             }
+            VmError::PrimArity { proc_name, prim, expected, got } => write!(
+                f,
+                "vm: primitive {prim} in {proc_name} expects {expected} argument(s), got {got}"
+            ),
             VmError::UnboundVar { proc_name, var } => {
                 write!(f, "vm: unbound variable {var} in {proc_name}")
             }
@@ -87,28 +113,45 @@ impl fmt::Display for VmError {
 
 impl std::error::Error for VmError {}
 
-/// A resolved simple expression: variables are frame-slot indices.
-#[derive(Debug, Clone)]
+/// A resolved simple expression.  Slot and constant indices were
+/// checked against the procedure's arity and the constant table when
+/// the program was loaded.
+#[derive(Debug)]
 enum RSimple {
     Slot(usize),
     /// Index into the [`Vm`]'s constant table.  Constants are stored as
     /// [`Constant`] (which is `Send`, so the compiled `Vm` can cross
     /// threads) and materialized into runtime values once per run — the
-    /// dispatch loop then clones them shallowly from the run's pool.
-    Const(u32),
-    Prim(Prim, Vec<RSimple>),
-    MakeClosure(u32, Vec<RSimple>),
+    /// dispatch loop then reads them by reference from the run's pool.
+    Const(usize),
+    Prim1(Prim, Box<RSimple>),
+    Prim2(Prim, Box<(RSimple, RSimple)>),
+    MakeClosure(u32, Box<[RSimple]>),
     ClosureLabel(Box<RSimple>),
     ClosureFreeval(Box<RSimple>, usize),
 }
 
 /// A resolved tail expression: calls are block indices.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum RTail {
     Return(RSimple),
     If(RSimple, Box<RTail>, Box<RTail>),
-    Goto(usize, Vec<RSimple>),
+    Dispatch(Box<Dispatch>),
+    Goto(usize, Box<[RSimple]>),
     Fail(String),
+}
+
+/// A chain of closure-dispatch tests on one subject, resolved at load
+/// time: `(if (eq? ℓ₁ (closure-label c)) A₁ (if (eq? ℓ₂ …) A₂ … D))`.
+#[derive(Debug)]
+struct Dispatch {
+    /// `c`: its evaluation never allocates, so evaluating it once
+    /// observes exactly what evaluating it once per test would.
+    subject: RSimple,
+    /// `(ℓᵢ, Aᵢ)` in test order.
+    arms: Vec<(u32, RTail)>,
+    /// `D`, taken when no label matches.
+    default: RTail,
 }
 
 #[derive(Debug)]
@@ -127,10 +170,15 @@ pub struct Vm {
     consts: Vec<Constant>,
     entry: usize,
     entry_name: String,
+    /// The widest block's arity: the capacity of each register frame.
+    width: usize,
 }
 
 impl Vm {
-    /// Resolves names to indices, checking S₀ well-formedness.
+    /// Resolves names to indices, checking S₀ well-formedness: every
+    /// variable is a parameter of its procedure, every call names a
+    /// procedure with that many parameters, and every primitive gets
+    /// its arity.
     ///
     /// # Errors
     ///
@@ -150,20 +198,28 @@ impl Vm {
             .get(p.entry.as_str())
             .and_then(|s| index.get(s).copied())
             .ok_or_else(|| VmError::NoEntry(p.entry.clone()))?;
+        let mut r = Resolver {
+            program: p,
+            syms,
+            index,
+            slots: SlotFrame::default(),
+            consts: Vec::new(),
+            owner: "",
+        };
         let mut blocks = Vec::with_capacity(p.procs.len());
         let mut names = Vec::with_capacity(p.procs.len());
-        let mut slots = SlotFrame::default();
-        let mut consts = Vec::new();
         for q in &p.procs {
-            slots.begin();
+            r.slots.begin();
             for (i, v) in q.params.iter().enumerate() {
-                slots.set(syms.intern(v), i);
+                let sym = r.syms.intern(v);
+                r.slots.set(sym, i);
             }
-            let body = resolve_tail(&q.body, &q.name, &syms, &slots, &index, p, &mut consts)?;
-            blocks.push(Block { arity: q.params.len(), body });
+            r.owner = &q.name;
+            blocks.push(Block { arity: q.params.len(), body: r.tail(&q.body)? });
             names.push(q.name.clone());
         }
-        Ok(Vm { blocks, names, consts, entry, entry_name: p.entry.clone() })
+        let width = blocks.iter().map(|b| b.arity).max().unwrap_or(0);
+        Ok(Vm { blocks, names, consts: r.consts, entry, entry_name: p.entry.clone(), width })
     }
 
     /// The number of compiled blocks (procedures).
@@ -183,9 +239,9 @@ impl Vm {
     ///
     /// Returns an [`InterpError`] on dynamic faults, `%fail`, exhausted
     /// budgets ([`Limits::fuel`], [`Limits::max_heap`]) or a
-    /// closure-valued result.  Machine-invariant violations surface as
-    /// [`Trap::UnboundLabel`] / [`Trap::BadDispatch`] carrying the
-    /// program counter (block index) — never as a panic.
+    /// closure-valued result.  Closure misuse surfaces as
+    /// [`Trap::BadDispatch`] carrying the program counter (block
+    /// index) — never as a panic.
     pub fn run(&self, args: &[Datum], limits: Limits) -> Result<(Datum, VmStats), InterpError> {
         self.run_with(args, limits, &mut pe_trace::NullSink)
     }
@@ -277,9 +333,7 @@ impl Vm {
         prof: &mut P,
     ) -> Result<Datum, InterpError> {
         let mut pc = self.entry;
-        let entry = self.blocks.get(pc).ok_or_else(|| {
-            InterpError::Trap(Trap::UnboundLabel { label: self.entry_name.clone(), pc })
-        })?;
+        let entry = &self.blocks[pc];
         if entry.arity != args.len() {
             return Err(InterpError::EntryArity {
                 name: self.entry_name.clone(),
@@ -289,10 +343,13 @@ impl Vm {
         }
         // Materialize the constant pool for this run: one deep
         // conversion per constant, then every `RSimple::Const` in the
-        // loop below is a shallow clone.
+        // loop below is a borrow.
         let pool: Vec<V> = self.consts.iter().map(Value::from_constant).collect();
-        // The "global parameter variables" of the C translation.
-        let mut frame: Vec<V> = args.iter().map(Datum::embed).collect();
+        // The "global parameter variables" of the C translation, and
+        // the spare frame the next goto assembles its arguments in.
+        let mut frame: Vec<V> = Vec::with_capacity(self.width);
+        frame.extend(args.iter().map(Datum::embed));
+        let mut next: Vec<V> = Vec::with_capacity(self.width);
         let mut body = &entry.body;
         prof.enter(pc);
         // The machine is a flat goto loop: fuel and the heap budget
@@ -300,37 +357,47 @@ impl Vm {
         loop {
             fuel.step()?;
             stats.steps += 1;
+            let m = Machine { frame: &frame, pool: &pool, pc };
             match body {
                 RTail::Return(s) => {
-                    let v = eval(s, &frame, &pool, pc, stats, fuel)?;
+                    let v = m.eval(s, stats, fuel)?;
                     return v.to_datum().ok_or(InterpError::ResultNotFirstOrder);
                 }
                 RTail::If(c, t, e) => {
-                    let taken = eval(c, &frame, &pool, pc, stats, fuel)?.is_truthy();
+                    let taken = m.eval(c, stats, fuel)?.is_truthy();
                     prof.branch(pc, taken);
                     body = if taken { t } else { e };
+                }
+                RTail::Dispatch(d) => {
+                    let label = closure_label(&*m.eval(&d.subject, stats, fuel)?, pc)?;
+                    let hit = d.arms.iter().position(|&(l, _)| l == label);
+                    // Charge every test the sequential chain runs; this
+                    // iteration of the loop already paid for the first.
+                    let tests = hit.map_or(d.arms.len(), |i| i + 1);
+                    for i in 0..tests {
+                        if i > 0 {
+                            fuel.step()?;
+                            stats.steps += 1;
+                        }
+                        prof.branch(pc, hit == Some(i));
+                    }
+                    body = hit.map_or(&d.default, |i| &d.arms[i].1);
                 }
                 RTail::Goto(target, args) => {
                     stats.calls += 1;
                     // Arguments are simple expressions over the *current*
                     // frame; evaluate them all, then switch frames — the
                     // C translation's assign-then-goto discipline.
-                    let mut next = Vec::with_capacity(args.len());
-                    for a in args {
-                        next.push(eval(a, &frame, &pool, pc, stats, fuel)?);
+                    for a in args.iter() {
+                        next.push(m.eval(a, stats, fuel)?.into_owned());
                     }
-                    let block = self.blocks.get(*target).ok_or_else(|| {
-                        InterpError::Trap(Trap::UnboundLabel {
-                            label: format!("block {target}"),
-                            pc,
-                        })
-                    })?;
-                    frame = next;
-                    body = &block.body;
+                    std::mem::swap(&mut frame, &mut next);
+                    next.clear();
                     pc = *target;
+                    body = &self.blocks[pc].body;
                     prof.enter(pc);
                 }
-                RTail::Fail(m) => return Err(InterpError::NotAProcedure(m.clone())),
+                RTail::Fail(msg) => return Err(InterpError::NotAProcedure(msg.clone())),
             }
         }
     }
@@ -413,70 +480,112 @@ impl Profiler for VmProfile {
     }
 }
 
-fn eval(
-    s: &RSimple,
-    frame: &[V],
-    pool: &[V],
+/// What a simple expression reads: the current frame and the run's
+/// constant pool, at block `pc` (for trap diagnostics).
+struct Machine<'a> {
+    frame: &'a [V],
+    pool: &'a [V],
     pc: usize,
-    stats: &mut VmStats,
-    fuel: &mut Fuel,
-) -> Result<V, InterpError> {
-    match s {
-        RSimple::Slot(i) => frame.get(*i).cloned().ok_or_else(|| {
-            InterpError::Trap(Trap::BadDispatch {
-                pc,
-                detail: format!("frame slot {i} out of range ({} slots)", frame.len()),
-            })
-        }),
-        RSimple::Const(i) => pool.get(*i as usize).cloned().ok_or_else(|| {
-            InterpError::Trap(Trap::BadDispatch {
-                pc,
-                detail: format!("constant {i} out of range ({} constants)", pool.len()),
-            })
-        }),
-        RSimple::Prim(op, args) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(a, frame, pool, pc, stats, fuel)?);
+}
+
+impl<'a> Machine<'a> {
+    /// Evaluates `s`, borrowing from the frame and pool where the value
+    /// already exists there and producing it only where it is computed.
+    fn eval(
+        &self,
+        s: &RSimple,
+        stats: &mut VmStats,
+        fuel: &mut Fuel,
+    ) -> Result<Cow<'a, V>, InterpError> {
+        Ok(match s {
+            RSimple::Slot(i) => Cow::Borrowed(&self.frame[*i]),
+            RSimple::Const(i) => Cow::Borrowed(&self.pool[*i]),
+            RSimple::Prim1(Prim::Car, a) => project(self.eval(a, stats, fuel)?, Value::car)?,
+            RSimple::Prim1(Prim::Cdr, a) => project(self.eval(a, stats, fuel)?, Value::cdr)?,
+            RSimple::Prim1(op, a) => Cow::Owned(apply_prim1(*op, &*self.eval(a, stats, fuel)?)?),
+            RSimple::Prim2(op, ab) => {
+                let a = self.eval(&ab.0, stats, fuel)?;
+                let b = self.eval(&ab.1, stats, fuel)?;
+                if *op == Prim::Cons {
+                    charge_alloc(stats, fuel)?;
+                    Cow::Owned(Value::Pair(Rc::new((a.into_owned(), b.into_owned()))))
+                } else {
+                    Cow::Owned(apply_prim2(*op, &a, &b)?)
+                }
             }
-            if *op == Prim::Cons {
-                stats.allocs += 1;
-                fuel.alloc(1)?;
+            RSimple::MakeClosure(label, args) => {
+                // Collecting an exact-size iterator builds the `Rc<[V]>`
+                // in one allocation.  After a faulting argument the rest
+                // are skipped (so they charge nothing) and the record
+                // is dropped.
+                let mut fault = None;
+                let freevals: Rc<[V]> = args
+                    .iter()
+                    .map(|a| {
+                        if fault.is_none() {
+                            match self.eval(a, stats, fuel) {
+                                Ok(v) => return v.into_owned(),
+                                Err(e) => fault = Some(e),
+                            }
+                        }
+                        Value::Nil
+                    })
+                    .collect();
+                if let Some(e) = fault {
+                    return Err(e);
+                }
+                charge_alloc(stats, fuel)?;
+                Cow::Owned(Value::Closure(VmClosure { label: *label, freevals }))
             }
-            Ok(apply_prim(*op, &vals)?)
-        }
-        RSimple::MakeClosure(label, args) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(a, frame, pool, pc, stats, fuel)?);
+            RSimple::ClosureLabel(a) => Cow::Owned(Value::Int(i64::from(closure_label(
+                &*self.eval(a, stats, fuel)?,
+                self.pc,
+            )?))),
+            RSimple::ClosureFreeval(a, i) => {
+                project(self.eval(a, stats, fuel)?, |v| closure_freeval(v, *i, self.pc))?
             }
-            stats.allocs += 1;
-            fuel.alloc(1)?;
-            Ok(Value::Closure(VmClosure { label: *label, freevals: vals.into() }))
-        }
-        RSimple::ClosureLabel(a) => match eval(a, frame, pool, pc, stats, fuel)? {
-            Value::Closure(c) => Ok(Value::Int(i64::from(c.label))),
-            v => Err(InterpError::Trap(Trap::BadDispatch {
-                pc,
-                detail: format!("closure-label of non-closure {v}"),
-            })),
-        },
-        RSimple::ClosureFreeval(a, i) => match eval(a, frame, pool, pc, stats, fuel)? {
-            Value::Closure(c) => c.freevals.get(*i).cloned().ok_or_else(|| {
-                InterpError::Trap(Trap::BadDispatch {
-                    pc,
-                    detail: format!(
-                        "closure-freeval {i} out of range ({} captured)",
-                        c.freevals.len()
-                    ),
-                })
-            }),
-            v => Err(InterpError::Trap(Trap::BadDispatch {
-                pc,
-                detail: format!("closure-freeval of non-closure {v}"),
-            })),
-        },
+        })
     }
+}
+
+/// Applies a by-reference accessor to an operand: a borrowed operand
+/// yields a borrowed part; an owned one gives up a clone of the part.
+fn project<'a, E>(v: Cow<'a, V>, part: impl FnOnce(&V) -> Result<&V, E>) -> Result<Cow<'a, V>, E> {
+    match v {
+        Cow::Borrowed(v) => part(v).map(Cow::Borrowed),
+        Cow::Owned(v) => part(&v).map(|x| Cow::Owned(x.clone())),
+    }
+}
+
+fn charge_alloc(stats: &mut VmStats, fuel: &mut Fuel) -> Result<(), InterpError> {
+    stats.allocs += 1;
+    fuel.alloc(1)?;
+    Ok(())
+}
+
+fn closure_label(v: &V, pc: usize) -> Result<u32, InterpError> {
+    match v {
+        Value::Closure(c) => Ok(c.label),
+        v => Err(bad_dispatch(pc, format_args!("closure-label of non-closure {v}"))),
+    }
+}
+
+fn closure_freeval(v: &V, i: usize, pc: usize) -> Result<&V, InterpError> {
+    match v {
+        Value::Closure(c) => c.freevals.get(i).ok_or_else(|| {
+            let n = c.freevals.len();
+            bad_dispatch(pc, format_args!("closure-freeval {i} out of range ({n} captured)"))
+        }),
+        v => Err(bad_dispatch(pc, format_args!("closure-freeval of non-closure {v}"))),
+    }
+}
+
+/// Builds a [`Trap::BadDispatch`]; the detail is only formatted here,
+/// off the run loop's path.
+#[cold]
+#[inline(never)]
+fn bad_dispatch(pc: usize, detail: fmt::Arguments<'_>) -> InterpError {
+    InterpError::Trap(Trap::BadDispatch { pc, detail: detail.to_string() })
 }
 
 /// The parameter slots of the procedure currently being resolved, keyed
@@ -515,86 +624,107 @@ impl SlotFrame {
     }
 }
 
-fn resolve_simple(
-    s: &S0Simple,
-    owner: &str,
-    syms: &SymbolTable,
-    slots: &SlotFrame,
-    consts: &mut Vec<Constant>,
-) -> Result<RSimple, VmError> {
-    Ok(match s {
-        S0Simple::Var(v) => RSimple::Slot(
-            syms.get(v)
-                .and_then(|sym| slots.get(sym))
-                .ok_or_else(|| VmError::UnboundVar {
-                    proc_name: owner.to_string(),
-                    var: v.clone(),
-                })?,
-        ),
-        S0Simple::Const(k) => {
-            let i = u32::try_from(consts.len()).unwrap_or(u32::MAX);
-            consts.push(k.clone());
-            RSimple::Const(i)
-        }
-        S0Simple::Prim(op, args) => RSimple::Prim(
-            *op,
-            args.iter()
-                .map(|a| resolve_simple(a, owner, syms, slots, consts))
-                .collect::<Result<_, _>>()?,
-        ),
-        S0Simple::MakeClosure(l, args) => RSimple::MakeClosure(
-            *l,
-            args.iter()
-                .map(|a| resolve_simple(a, owner, syms, slots, consts))
-                .collect::<Result<_, _>>()?,
-        ),
-        S0Simple::ClosureLabel(a) => {
-            RSimple::ClosureLabel(Box::new(resolve_simple(a, owner, syms, slots, consts)?))
-        }
-        S0Simple::ClosureFreeval(a, i) => {
-            RSimple::ClosureFreeval(Box::new(resolve_simple(a, owner, syms, slots, consts)?), *i)
-        }
-    })
+/// Name resolution for one program: the procedure index, the current
+/// procedure's parameter slots, and the constant table being built.
+struct Resolver<'p> {
+    program: &'p S0Program,
+    syms: SymbolTable,
+    index: SymbolMap<usize>,
+    slots: SlotFrame,
+    consts: Vec<Constant>,
+    /// The procedure being resolved, for error messages.
+    owner: &'p str,
 }
 
-fn resolve_tail(
-    t: &S0Tail,
-    owner: &str,
-    syms: &SymbolTable,
-    slots: &SlotFrame,
-    index: &SymbolMap<usize>,
-    p: &S0Program,
-    consts: &mut Vec<Constant>,
-) -> Result<RTail, VmError> {
-    Ok(match t {
-        S0Tail::Return(s) => RTail::Return(resolve_simple(s, owner, syms, slots, consts)?),
-        S0Tail::If(c, a, b) => RTail::If(
-            resolve_simple(c, owner, syms, slots, consts)?,
-            Box::new(resolve_tail(a, owner, syms, slots, index, p, consts)?),
-            Box::new(resolve_tail(b, owner, syms, slots, index, p, consts)?),
-        ),
-        S0Tail::TailCall(callee, args) => {
-            let target = *syms
-                .get(callee)
-                .and_then(|sym| index.get(sym))
-                .ok_or_else(|| VmError::UndefinedProc(callee.clone()))?;
-            let expected = p.procs[target].params.len();
-            if expected != args.len() {
-                return Err(VmError::Arity {
-                    name: callee.clone(),
-                    expected,
-                    got: args.len(),
-                });
+impl Resolver<'_> {
+    fn simple(&mut self, s: &S0Simple) -> Result<RSimple, VmError> {
+        Ok(match s {
+            S0Simple::Var(v) => match self.syms.get(v).and_then(|sym| self.slots.get(sym)) {
+                Some(slot) => RSimple::Slot(slot),
+                None => {
+                    let proc_name = self.owner.to_string();
+                    return Err(VmError::UnboundVar { proc_name, var: v.clone() });
+                }
+            },
+            S0Simple::Const(k) => {
+                self.consts.push(k.clone());
+                RSimple::Const(self.consts.len() - 1)
             }
-            RTail::Goto(
-                target,
-                args.iter()
-                    .map(|a| resolve_simple(a, owner, syms, slots, consts))
-                    .collect::<Result<_, _>>()?,
-            )
+            S0Simple::Prim(op, args) => match (op.arity(), args.as_slice()) {
+                (1, [a]) => RSimple::Prim1(*op, Box::new(self.simple(a)?)),
+                (2, [a, b]) => RSimple::Prim2(*op, Box::new((self.simple(a)?, self.simple(b)?))),
+                (expected, _) => {
+                    return Err(VmError::PrimArity {
+                        proc_name: self.owner.to_string(),
+                        prim: *op,
+                        expected,
+                        got: args.len(),
+                    })
+                }
+            },
+            S0Simple::MakeClosure(l, args) => RSimple::MakeClosure(*l, self.simples(args)?),
+            S0Simple::ClosureLabel(a) => RSimple::ClosureLabel(Box::new(self.simple(a)?)),
+            S0Simple::ClosureFreeval(a, i) => {
+                RSimple::ClosureFreeval(Box::new(self.simple(a)?), *i)
+            }
+        })
+    }
+
+    fn simples(&mut self, args: &[S0Simple]) -> Result<Box<[RSimple]>, VmError> {
+        args.iter().map(|a| self.simple(a)).collect()
+    }
+
+    fn tail(&mut self, t: &S0Tail) -> Result<RTail, VmError> {
+        Ok(match t {
+            S0Tail::Return(s) => RTail::Return(self.simple(s)?),
+            S0Tail::If(c, a, b) => match c.dispatch_test() {
+                Some((subject, _)) if !allocates(subject) => self.dispatch(subject, t)?,
+                _ => RTail::If(self.simple(c)?, Box::new(self.tail(a)?), Box::new(self.tail(b)?)),
+            },
+            S0Tail::TailCall(callee, args) => {
+                let target = *self
+                    .syms
+                    .get(callee)
+                    .and_then(|sym| self.index.get(sym))
+                    .ok_or_else(|| VmError::UndefinedProc(callee.clone()))?;
+                let expected = self.program.procs[target].params.len();
+                if expected != args.len() {
+                    return Err(VmError::Arity { name: callee.clone(), expected, got: args.len() });
+                }
+                RTail::Goto(target, self.simples(args)?)
+            }
+            S0Tail::Fail(m) => RTail::Fail(m.clone()),
+        })
+    }
+
+    /// Folds the run of dispatch tests on `subject` that starts at `t`
+    /// into one [`Dispatch`] node; the first tail that is not such a
+    /// test becomes its default.
+    fn dispatch(&mut self, subject: &S0Simple, mut t: &S0Tail) -> Result<RTail, VmError> {
+        let resolved = self.simple(subject)?;
+        let mut arms = Vec::new();
+        while let S0Tail::If(c, then, other) = t {
+            match c.dispatch_test() {
+                Some((s, label)) if s == subject => arms.push((label, self.tail(then)?)),
+                _ => break,
+            }
+            t = other;
         }
-        S0Tail::Fail(m) => RTail::Fail(m.clone()),
-    })
+        let default = self.tail(t)?;
+        Ok(RTail::Dispatch(Box::new(Dispatch { subject: resolved, arms, default })))
+    }
+}
+
+/// True when evaluating `s` allocates (`cons` or `make-closure`): each
+/// test of a dispatch chain on `s` then charges its own allocation, so
+/// the chain stays a sequence of plain `If`s.
+fn allocates(s: &S0Simple) -> bool {
+    match s {
+        S0Simple::Var(_) | S0Simple::Const(_) => false,
+        S0Simple::Prim(op, args) => *op == Prim::Cons || args.iter().any(allocates),
+        S0Simple::MakeClosure(..) => true,
+        S0Simple::ClosureLabel(a) | S0Simple::ClosureFreeval(a, _) => allocates(a),
+    }
 }
 
 /// An error from [`run_s0`], keeping the two failure phases apart: a
@@ -791,6 +921,32 @@ mod tests {
         assert!(matches!(Vm::compile(&bad), Err(VmError::UnboundVar { .. })));
         let bad = S0Program { entry: "nope".into(), procs: vec![] };
         assert!(matches!(Vm::compile(&bad), Err(VmError::NoEntry(_))));
+        // A primitive's argument count is checked at load, not when the
+        // node first runs.
+        for (prim, args) in [(Prim::Car, vec![var("x"), var("x")]), (Prim::Add, vec![var("x")])] {
+            let got = args.len();
+            let bad = S0Program {
+                entry: "main".into(),
+                procs: vec![S0Proc {
+                    name: "main".into(),
+                    params: vec!["x".into()],
+                    body: S0Tail::If(
+                        var("x"),
+                        ret(1),
+                        Box::new(S0Tail::Return(S0Simple::Prim(prim, args))),
+                    ),
+                }],
+            };
+            assert_eq!(
+                Vm::compile(&bad).err(),
+                Some(VmError::PrimArity {
+                    proc_name: "main".into(),
+                    prim,
+                    expected: prim.arity(),
+                    got
+                })
+            );
+        }
     }
 
     #[test]
@@ -866,6 +1022,154 @@ mod tests {
             "got {r:?}"
         );
         assert_eq!(vm.block_name(0), Some("main"));
+        Ok(())
+    }
+
+    fn var(v: &str) -> S0Simple {
+        S0Simple::Var(v.into())
+    }
+
+    fn ret(n: i64) -> Box<S0Tail> {
+        Box::new(S0Tail::Return(S0Simple::Const(Constant::Int(n))))
+    }
+
+    /// `(if (eq? ℓ (closure-label subject)) then else)`.
+    fn on_label(l: i64, subject: &S0Simple, then: Box<S0Tail>, other: Box<S0Tail>) -> Box<S0Tail> {
+        let label = S0Simple::ClosureLabel(Box::new(subject.clone()));
+        let test = S0Simple::Prim(Prim::EqP, vec![S0Simple::Const(Constant::Int(l)), label]);
+        Box::new(S0Tail::If(test, then, other))
+    }
+
+    /// `main x` jumps to `go k x` with `k = (make-closure label x)`;
+    /// `go` (block 1) runs `body`.
+    fn with_closure(label: u32, body: S0Tail) -> S0Program {
+        use pe_core::S0Proc;
+        let k = S0Simple::MakeClosure(label, vec![var("x")]);
+        S0Program {
+            entry: "main".into(),
+            procs: vec![
+                S0Proc {
+                    name: "main".into(),
+                    params: vec!["x".into()],
+                    body: S0Tail::TailCall("go".into(), vec![k, var("x")]),
+                },
+                S0Proc { name: "go".into(), params: vec!["k".into(), "x".into()], body },
+            ],
+        }
+    }
+
+    fn dispatch_nodes(vm: &Vm) -> usize {
+        fn count(t: &RTail) -> usize {
+            match t {
+                RTail::If(_, a, b) => count(a) + count(b),
+                RTail::Dispatch(d) => {
+                    1 + d.arms.iter().map(|(_, a)| count(a)).sum::<usize>() + count(&d.default)
+                }
+                RTail::Return(_) | RTail::Goto(..) | RTail::Fail(_) => 0,
+            }
+        }
+        vm.blocks.iter().map(|b| count(&b.body)).sum()
+    }
+
+    /// Runs `main 5` profiled, checks the fuel budget traps at exactly
+    /// the step count, and returns the answer, the counters and `go`'s
+    /// `(true, false)` branch takes.
+    fn run_go(vm: &Vm) -> Result<(Datum, VmStats, (u64, u64)), InterpError> {
+        let args = [Datum::Int(5)];
+        let (d, stats, profile) =
+            vm.run_profiled_with(&args, Limits::default(), &mut pe_trace::NullSink)?;
+        assert_eq!(
+            vm.run(&args, Limits { fuel: stats.steps, ..Limits::default() })?,
+            (d.clone(), stats)
+        );
+        assert_eq!(
+            vm.run(&args, Limits { fuel: stats.steps - 1, ..Limits::default() }),
+            Err(InterpError::FuelExhausted)
+        );
+        Ok((d, stats, profile.branches[1]))
+    }
+
+    #[test]
+    fn dispatch_chain_charges_every_test_it_skips() -> R {
+        // Label 1 twice: the first arm wins, the third is dead.
+        let k = var("k");
+        let body =
+            on_label(1, &k, ret(10), on_label(2, &k, ret(20), on_label(1, &k, ret(30), ret(99))));
+        let chain = |l| with_closure(l, (*body).clone());
+        // (label, answer, tests run, arm taken)
+        for (l, answer, tests, taken) in [(1, 10, 1, 1), (2, 20, 2, 1), (3, 99, 3, 0)] {
+            let vm = Vm::compile(&chain(l))?;
+            assert_eq!(dispatch_nodes(&vm), 1);
+            let (d, stats, branches) = run_go(&vm)?;
+            assert_eq!(d, Datum::Int(answer), "label {l}");
+            // main's goto, one step per test, the return.
+            assert_eq!(stats, VmStats { steps: 1 + tests + 1, allocs: 1, calls: 1 }, "label {l}");
+            assert_eq!(branches, (taken, tests - taken), "label {l}");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn dispatch_on_a_non_closure_traps_as_the_first_test_would() -> R {
+        let k = var("k");
+        let mut p = with_closure(1, *on_label(1, &k, ret(10), on_label(2, &k, ret(20), ret(99))));
+        p.procs.swap(0, 1);
+        p.entry = "go".into();
+        let vm = Vm::compile(&p)?;
+        assert_eq!(dispatch_nodes(&vm), 1);
+        let r = vm.run(&[Datum::Int(7), Datum::Nil], Limits::default());
+        let detail = "closure-label of non-closure 7".to_string();
+        assert_eq!(r, Err(InterpError::Trap(Trap::BadDispatch { pc: 0, detail })));
+        // Fuel runs out before the subject is looked at.
+        let lim = Limits { fuel: 0, ..Limits::default() };
+        assert_eq!(vm.run(&[Datum::Int(7), Datum::Nil], lim), Err(InterpError::FuelExhausted));
+        Ok(())
+    }
+
+    #[test]
+    fn a_non_dispatch_test_ends_the_chain() -> R {
+        let k = var("k");
+        let null_x = S0Simple::Prim(Prim::NullP, vec![var("x")]);
+        let body = on_label(
+            1,
+            &k,
+            ret(10),
+            Box::new(S0Tail::If(null_x, ret(40), on_label(2, &k, ret(20), ret(99)))),
+        );
+        let vm = Vm::compile(&with_closure(2, *body))?;
+        assert_eq!(dispatch_nodes(&vm), 2, "one node each side of the (null? x) test");
+        let (d, stats, branches) = run_go(&vm)?;
+        assert_eq!(d, Datum::Int(20));
+        assert_eq!(stats, VmStats { steps: 5, allocs: 1, calls: 1 });
+        assert_eq!(branches, (1, 2));
+        // So does a test on another subject: here the int `x`, whose
+        // label test traps once `k`'s test has failed.
+        let body = on_label(1, &k, ret(10), on_label(2, &var("x"), ret(20), ret(99)));
+        let vm = Vm::compile(&with_closure(2, *body))?;
+        assert_eq!(dispatch_nodes(&vm), 2);
+        let detail = "closure-label of non-closure 5".to_string();
+        assert_eq!(
+            vm.run(&[Datum::Int(5)], Limits::default()),
+            Err(InterpError::Trap(Trap::BadDispatch { pc: 1, detail }))
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn an_allocating_subject_stays_a_chain_of_ifs() -> R {
+        let consed =
+            S0Simple::Prim(Prim::Car, vec![S0Simple::Prim(Prim::Cons, vec![var("k"), var("x")])]);
+        let made = S0Simple::MakeClosure(2, vec![var("x")]);
+        for subject in [consed, made] {
+            let body = on_label(1, &subject, ret(10), on_label(2, &subject, ret(20), ret(99)));
+            let vm = Vm::compile(&with_closure(2, *body))?;
+            assert_eq!(dispatch_nodes(&vm), 0, "{subject:?}");
+            let (d, stats, branches) = run_go(&vm)?;
+            assert_eq!(d, Datum::Int(20));
+            // Each test evaluates (and allocates) its subject afresh.
+            assert_eq!(stats, VmStats { steps: 4, allocs: 3, calls: 1 }, "{subject:?}");
+            assert_eq!(branches, (1, 1));
+        }
         Ok(())
     }
 }

@@ -150,8 +150,10 @@ pub fn check(p: &S0Program, fuel: &mut Fuel) -> Result<Vec<FlowDiag>, Trap> {
             }
         }
     }
-    // Dispatch arms decidable from label sets alone.
-    for f in crate::slots::arm_findings(p, fuel)? {
+    // Dispatch arms decidable from label sets alone, then capture slots
+    // never read at any definite site: one label analysis serves both.
+    let sa = crate::slots::analyze(p, fuel)?;
+    for f in crate::slots::arm_findings(p, &sa, fuel)? {
         let what = if f.always { "always" } else { "never" };
         diags.push(FlowDiag {
             severity: FlowSeverity::Warning,
@@ -159,8 +161,6 @@ pub fn check(p: &S0Program, fuel: &mut Fuel) -> Result<Vec<FlowDiag>, Trap> {
             message: format!("dispatch on closure label {} {what} matches", f.label),
         });
     }
-    // Capture slots never read at any definite site.
-    let sa = crate::slots::analyze(p, fuel)?;
     for (l, idxs) in &sa.prune {
         diags.push(FlowDiag {
             severity: FlowSeverity::Warning,

@@ -17,9 +17,10 @@
 //!   through a recursive call (`f` passing `x` back to `f`) is dead
 //!   here but syntactically "used".
 //!
-//! [`prune_dead_params`] rewrites the program by the analysis: dead,
-//! non-sticky parameters of non-entry procedures are dropped together
-//! with every (effect-free) argument.
+//! [`dead_params`] reads the analysis off a borrowed program and
+//! [`drop_params`] rewrites by it: dead, non-sticky parameters of
+//! non-entry procedures are dropped together with every (effect-free)
+//! argument.  [`prune_dead_params`] runs the two in turn.
 
 use crate::cfg::{Cfg, Node};
 use crate::opt::is_effect_free;
@@ -188,18 +189,14 @@ fn mark_sticky(t: &S0Tail, sticky: &mut HashMap<String, Vec<bool>>) {
     }
 }
 
-/// Drops dead, non-sticky parameters of non-entry procedures together
-/// with the corresponding arguments at every call site.  Returns the
-/// rewritten program and the number of parameter bindings eliminated.
+/// The dead, non-sticky parameters of each non-entry procedure, by
+/// position in ascending order; procedures with none are absent.
 ///
 /// # Errors
 ///
 /// [`Trap::OutOfFuel`] when the analysis budget is exhausted.
-pub fn prune_dead_params(
-    p: S0Program,
-    fuel: &mut Fuel,
-) -> Result<(S0Program, usize), Trap> {
-    let pl = param_liveness(&p, fuel)?;
+pub fn dead_params(p: &S0Program, fuel: &mut Fuel) -> Result<HashMap<String, Vec<usize>>, Trap> {
+    let pl = param_liveness(p, fuel)?;
     let mut drop: HashMap<String, Vec<usize>> = HashMap::new();
     for q in &p.procs {
         if q.name == p.entry {
@@ -212,18 +209,38 @@ pub fn prune_dead_params(
             drop.insert(q.name.clone(), idxs);
         }
     }
+    Ok(drop)
+}
+
+/// Drops the parameters `drop` names together with the corresponding
+/// arguments at every call site.
+pub fn drop_params(mut p: S0Program, drop: &HashMap<String, Vec<usize>>) -> S0Program {
     if drop.is_empty() {
-        return Ok((p, 0));
+        return p;
     }
-    let dropped: usize = drop.values().map(Vec::len).sum();
-    let mut p = p;
     for q in &mut p.procs {
         if let Some(idxs) = drop.get(&q.name) {
             q.params = keep_except(&q.params, idxs);
         }
-        q.body = rewrite_drop_args(&q.body, &drop);
+        q.body = rewrite_drop_args(&q.body, drop);
     }
-    Ok((p, dropped))
+    p
+}
+
+/// Drops dead, non-sticky parameters of non-entry procedures together
+/// with the corresponding arguments at every call site.  Returns the
+/// rewritten program and the number of parameter bindings eliminated.
+///
+/// # Errors
+///
+/// [`Trap::OutOfFuel`] when the analysis budget is exhausted.
+pub fn prune_dead_params(
+    p: S0Program,
+    fuel: &mut Fuel,
+) -> Result<(S0Program, usize), Trap> {
+    let drop = dead_params(&p, fuel)?;
+    let dropped: usize = drop.values().map(Vec::len).sum();
+    Ok((drop_params(p, &drop), dropped))
 }
 
 fn keep_except<T: Clone>(xs: &[T], idxs: &[usize]) -> Vec<T> {

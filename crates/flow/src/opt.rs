@@ -25,9 +25,9 @@
 //! changes evaluation order.
 
 use crate::cfg::ProgramCfg;
-use crate::s0::{S0Program, S0Simple, S0Tail};
+use crate::s0::{S0Proc, S0Program, S0Simple, S0Tail};
 use pe_governor::{Fuel, Limits, Trap};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Runs all syntactic post passes to a fixpoint.
 pub fn postprocess(mut p: S0Program) -> S0Program {
@@ -231,21 +231,21 @@ fn attribute_by_size(
 
 /// Inlines procedures whose whole body is a `Return` of a simple
 /// expression (return compression), with the usual duplication guard.
-pub fn compress_returns(mut p: S0Program) -> S0Program {
-    let returners: HashMap<String, (Vec<String>, S0Simple)> = p
+pub fn compress_returns(p: S0Program) -> S0Program {
+    let returners: HashMap<&str, (&[String], &S0Simple)> = p
         .procs
         .iter()
         .filter_map(|q| match &q.body {
-            S0Tail::Return(s) => Some((q.name.clone(), (q.params.clone(), s.clone()))),
+            S0Tail::Return(s) => Some((q.name.as_str(), (q.params.as_slice(), s))),
             _ => None,
         })
         .collect();
     if returners.is_empty() {
         return p;
     }
-    for q in &mut p.procs {
-        q.body = rewrite_calls(&q.body, &mut |callee, args| {
-            if let Some((params, body)) = returners.get(callee) {
+    let bodies = rewrite_reachable(&p, |body| {
+        rewrite_calls(body, &mut |callee, args| {
+            if let Some(&(params, body)) = returners.get(callee) {
                 let dup = params.iter().zip(args).any(|(pm, a)| {
                     !matches!(a, S0Simple::Var(_) | S0Simple::Const(_))
                         && occurrences(body, pm) > 1
@@ -257,9 +257,9 @@ pub fn compress_returns(mut p: S0Program) -> S0Program {
                 }
             }
             S0Tail::TailCall(callee.to_string(), args.to_vec())
-        });
-    }
-    drop_unreachable(p)
+        })
+    });
+    with_bodies(p, bodies)
 }
 
 /// When the entry is a pure trampoline — its body forwards its own
@@ -420,16 +420,59 @@ pub fn drop_unreachable(p: S0Program) -> S0Program {
     }
 }
 
+/// Rewrites, with `f`, the body of every procedure reachable from the
+/// entry in the *rewritten* program: the result of a whole-program
+/// rewrite followed by [`drop_unreachable`], without rewriting the
+/// procedures that would be dropped.  `None` marks a dropped procedure.
+fn rewrite_reachable(p: &S0Program, mut f: impl FnMut(&S0Tail) -> S0Tail) -> Vec<Option<S0Tail>> {
+    let mut index: HashMap<&str, usize> = HashMap::new();
+    for (i, q) in p.procs.iter().enumerate() {
+        index.entry(q.name.as_str()).or_insert(i);
+    }
+    let mut bodies: Vec<Option<S0Tail>> = vec![None; p.procs.len()];
+    let mut reached = vec![false; p.procs.len()];
+    let mut work: Vec<usize> = index.get(p.entry.as_str()).copied().into_iter().collect();
+    while let Some(i) = work.pop() {
+        if std::mem::replace(&mut reached[i], true) {
+            continue;
+        }
+        let body = f(&p.procs[i].body);
+        body.calls(&mut |callee| work.extend(index.get(callee).copied()));
+        bodies[i] = Some(body);
+    }
+    // A later procedure sharing a reached name is kept, as by name.
+    for (q, body) in p.procs.iter().zip(&mut bodies) {
+        if body.is_none() && reached[index[q.name.as_str()]] {
+            *body = Some(f(&q.body));
+        }
+    }
+    bodies
+}
+
+/// Replaces each procedure's body by its rewritten one from
+/// [`rewrite_reachable`], dropping the procedures it dropped.
+fn with_bodies(p: S0Program, bodies: Vec<Option<S0Tail>>) -> S0Program {
+    S0Program {
+        procs: p
+            .procs
+            .into_iter()
+            .zip(bodies)
+            .filter_map(|(q, body)| Some(S0Proc { body: body?, ..q }))
+            .collect(),
+        entry: p.entry,
+    }
+}
+
 /// Inlines procedures whose whole body is a single tail call.
-pub fn compress_transitions(mut p: S0Program) -> S0Program {
+pub fn compress_transitions(p: S0Program) -> S0Program {
     // name → (params, target call) for trivial trampolines, skipping
     // self-loops.
-    let trivial: HashMap<String, (Vec<String>, String, Vec<S0Simple>)> = p
+    let trivial: HashMap<&str, (&[String], &str, &[S0Simple])> = p
         .procs
         .iter()
         .filter_map(|q| match &q.body {
             S0Tail::TailCall(t, args) if *t != q.name => {
-                Some((q.name.clone(), (q.params.clone(), t.clone(), args.clone())))
+                Some((q.name.as_str(), (q.params.as_slice(), t.as_str(), args.as_slice())))
             }
             _ => None,
         })
@@ -437,14 +480,14 @@ pub fn compress_transitions(mut p: S0Program) -> S0Program {
     if trivial.is_empty() {
         return p;
     }
-    for q in &mut p.procs {
-        q.body = rewrite_calls(&q.body, &mut |callee, args| {
-            let mut callee = callee.to_string();
+    let bodies = rewrite_reachable(&p, |body| {
+        rewrite_calls(body, &mut |callee, args| {
+            let mut callee = callee;
             let mut args = args.to_vec();
             // Chase trampoline chains (cycles impossible: each step
             // strictly follows a non-self edge; bounded by table size).
             let mut steps = 0;
-            while let Some((params, target, targs)) = trivial.get(&callee) {
+            while let Some(&(params, target, targs)) = trivial.get(callee) {
                 // Duplication guard: do not substitute a non-trivial
                 // argument for a parameter the target call uses twice.
                 let dup = params.iter().zip(&args).any(|(pm, a)| {
@@ -457,74 +500,128 @@ pub fn compress_transitions(mut p: S0Program) -> S0Program {
                 let map: HashMap<String, S0Simple> =
                     params.iter().cloned().zip(args.iter().cloned()).collect();
                 args = targs.iter().map(|a| a.subst(&map)).collect();
-                callee = target.clone();
+                callee = target;
                 steps += 1;
                 if steps > trivial.len() {
                     break; // defensive: mutual trampoline cycle
                 }
             }
-            S0Tail::TailCall(callee, args)
-        });
-    }
+            S0Tail::TailCall(callee.to_string(), args)
+        })
+    });
     // Entry may itself be a trampoline; keep it (it is the public name).
-    drop_unreachable(p)
+    with_bodies(p, bodies)
 }
 
 /// Inlines non-recursive procedures called from exactly one site.
+///
+/// A worklist over procedure positions.  Inlining `v` into its caller
+/// `c` moves `v`'s call sites into `c`, so no call count changes; only
+/// `c` (its body, hence its self-recursion and parameter uses) and `v`'s
+/// callees (their one call site now lies in `c`, with substituted
+/// arguments) are re-checked, and only `c`'s body is rewritten.  The
+/// first eligible procedure in program order goes first, as a rescan of
+/// the whole program would pick it.
 pub fn inline_once(mut p: S0Program) -> S0Program {
-    loop {
-        let mut counts: HashMap<String, usize> = HashMap::new();
-        for q in &p.procs {
-            q.body.calls(&mut |c| *counts.entry(c.to_string()).or_insert(0) += 1);
-        }
-        let self_recursive: HashSet<String> = p
-            .procs
-            .iter()
-            .filter(|q| {
-                let mut rec = false;
-                q.body.calls(&mut |c| rec |= c == q.name);
-                rec
-            })
-            .map(|q| q.name.clone())
-            .collect();
-        // A victim is inlinable when substitution cannot duplicate a
-        // non-trivial argument: each parameter is used at most once, or
-        // the single call site passes only variables/constants there.
-        let mut call_args: HashMap<String, Vec<S0Simple>> = HashMap::new();
-        for q in &p.procs {
-            visit_calls(&q.body, &mut |callee, args| {
-                call_args.entry(callee.to_string()).or_insert_with(|| args.to_vec());
-            });
-        }
-        let candidate = p.procs.iter().find(|q| {
-            q.name != p.entry
-                && counts.get(&q.name).copied().unwrap_or(0) == 1
-                && !self_recursive.contains(&q.name)
-                && call_args.get(&q.name).is_some_and(|args| {
-                    q.params.iter().zip(args).all(|(pm, a)| {
-                        matches!(a, S0Simple::Var(_) | S0Simple::Const(_))
-                            || occurrences_tail(&q.body, pm) <= 1
-                    })
-                })
-        });
-        let Some(victim) = candidate else {
-            return p;
-        };
-        let vname = victim.name.clone();
-        let vparams = victim.params.clone();
-        let vbody = victim.body.clone();
-        p.procs.retain(|q| q.name != vname);
-        for q in &mut p.procs {
-            q.body = rewrite_calls(&q.body, &mut |callee, args| {
-                if callee == vname {
-                    let map: HashMap<String, S0Simple> =
-                        vparams.iter().cloned().zip(args.iter().cloned()).collect();
-                    vbody.subst(&map)
-                } else {
-                    S0Tail::TailCall(callee.to_string(), args.to_vec())
+    let n = p.procs.len();
+    let mut index: HashMap<String, usize> = HashMap::new();
+    for (i, q) in p.procs.iter().enumerate() {
+        index.entry(q.name.clone()).or_insert(i);
+    }
+    let mut st = Inliner {
+        counts: vec![0; n],
+        caller: vec![0; n],
+        self_rec: vec![false; n],
+        alive: vec![true; n],
+    };
+    for (i, q) in p.procs.iter().enumerate() {
+        q.body.calls(&mut |c| {
+            if let Some(&j) = index.get(c) {
+                if st.counts[j] == 0 {
+                    st.caller[j] = i;
                 }
-            });
+                st.counts[j] += 1;
+            }
+        });
+        st.self_rec[i] = calls_self(q);
+    }
+    let mut eligible: BTreeSet<usize> = (0..n).filter(|&v| st.eligible(&p, v)).collect();
+    while let Some(v) = eligible.pop_first() {
+        let c = st.caller[v];
+        st.alive[v] = false;
+        let vparams = std::mem::take(&mut p.procs[v].params);
+        let vbody = std::mem::replace(&mut p.procs[v].body, S0Tail::Fail(String::new()));
+        let vname = std::mem::take(&mut p.procs[v].name);
+        replace_calls(&mut p.procs[c].body, &mut |callee, args| {
+            (callee == vname).then(|| {
+                let map: HashMap<String, S0Simple> =
+                    vparams.iter().cloned().zip(args.iter().cloned()).collect();
+                vbody.subst(&map)
+            })
+        });
+        st.self_rec[c] = calls_self(&p.procs[c]);
+        let mut touched = vec![c];
+        vbody.calls(&mut |x| touched.extend(index.get(x).copied()));
+        for &x in &touched[1..] {
+            st.caller[x] = c;
         }
+        for x in touched {
+            if st.eligible(&p, x) {
+                eligible.insert(x);
+            } else {
+                eligible.remove(&x);
+            }
+        }
+    }
+    let mut alive = st.alive.into_iter();
+    p.procs.retain(|_| alive.next().unwrap_or(false));
+    p
+}
+
+/// [`inline_once`]'s per-procedure facts, by position.
+struct Inliner {
+    /// Call sites naming each procedure.
+    counts: Vec<usize>,
+    /// The procedure holding each procedure's first call site.
+    caller: Vec<usize>,
+    /// Does the procedure call itself?
+    self_rec: Vec<bool>,
+    /// Not yet inlined away.
+    alive: Vec<bool>,
+}
+
+impl Inliner {
+    /// `v` is inlinable when it is called from exactly one site, is not
+    /// the entry, does not call itself, and substitution cannot
+    /// duplicate a non-trivial argument: each parameter is used at most
+    /// once, or the call site passes only variables/constants there.
+    fn eligible(&self, p: &S0Program, v: usize) -> bool {
+        let q = &p.procs[v];
+        self.alive[v]
+            && self.counts[v] == 1
+            && q.name != p.entry
+            && !self.self_rec[v]
+            && call_args(&p.procs[self.caller[v]].body, &q.name).is_some_and(|args| {
+                q.params.iter().zip(args).all(|(pm, a)| {
+                    matches!(a, S0Simple::Var(_) | S0Simple::Const(_))
+                        || occurrences_tail(&q.body, pm) <= 1
+                })
+            })
+    }
+}
+
+fn calls_self(q: &S0Proc) -> bool {
+    let mut rec = false;
+    q.body.calls(&mut |c| rec |= c == q.name);
+    rec
+}
+
+/// The arguments of the first call to `callee` in `t`.
+fn call_args<'t>(t: &'t S0Tail, callee: &str) -> Option<&'t [S0Simple]> {
+    match t {
+        S0Tail::Return(_) | S0Tail::Fail(_) => None,
+        S0Tail::If(_, a, b) => call_args(a, callee).or_else(|| call_args(b, callee)),
+        S0Tail::TailCall(c, args) => (c == callee).then_some(args.as_slice()),
     }
 }
 
@@ -536,8 +633,8 @@ pub fn inline_once(mut p: S0Program) -> S0Program {
 /// trap the input program is returned unchanged.
 pub fn drop_dead_params(p: S0Program) -> S0Program {
     let mut fuel = Fuel::new(&Limits::default());
-    match crate::liveness::prune_dead_params(p.clone(), &mut fuel) {
-        Ok((q, _)) => q,
+    match crate::liveness::dead_params(&p, &mut fuel) {
+        Ok(dead) => crate::liveness::drop_params(p, &dead),
         Err(_) => p,
     }
 }
@@ -582,6 +679,22 @@ fn occurrences_tail(t: &S0Tail, v: &str) -> usize {
     }
 }
 
+/// Replaces, in place, every tail call for which `f` returns a body.
+fn replace_calls(t: &mut S0Tail, f: &mut impl FnMut(&str, &[S0Simple]) -> Option<S0Tail>) {
+    match t {
+        S0Tail::Return(_) | S0Tail::Fail(_) => {}
+        S0Tail::If(_, a, b) => {
+            replace_calls(a, f);
+            replace_calls(b, f);
+        }
+        S0Tail::TailCall(callee, args) => {
+            if let Some(body) = f(callee, args) {
+                *t = body;
+            }
+        }
+    }
+}
+
 fn rewrite_calls(t: &S0Tail, f: &mut impl FnMut(&str, &[S0Simple]) -> S0Tail) -> S0Tail {
     match t {
         S0Tail::Return(_) | S0Tail::Fail(_) => t.clone(),
@@ -594,22 +707,10 @@ fn rewrite_calls(t: &S0Tail, f: &mut impl FnMut(&str, &[S0Simple]) -> S0Tail) ->
     }
 }
 
-fn visit_calls(t: &S0Tail, f: &mut impl FnMut(&str, &[S0Simple])) {
-    match t {
-        S0Tail::Return(_) | S0Tail::Fail(_) => {}
-        S0Tail::If(_, a, b) => {
-            visit_calls(a, f);
-            visit_calls(b, f);
-        }
-        S0Tail::TailCall(p, args) => f(p, args),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::check::{check, FlowSeverity};
-    use crate::s0::S0Proc;
     use pe_frontend::ast::Constant;
     use pe_frontend::Prim;
 
@@ -757,6 +858,121 @@ mod tests {
             }
             other => panic!("expected inlined cons, got {other:?}"),
         }
+    }
+
+    fn proc_(name: &str, params: &[&str], body: S0Tail) -> S0Proc {
+        S0Proc { name: name.into(), params: params.iter().map(|&p| p.into()).collect(), body }
+    }
+
+    fn call(callee: &str, args: Vec<S0Simple>) -> S0Tail {
+        S0Tail::TailCall(callee.into(), args)
+    }
+
+    fn names(p: &S0Program) -> Vec<&str> {
+        p.procs.iter().map(|q| q.name.as_str()).collect()
+    }
+
+    #[test]
+    fn inlining_that_makes_the_caller_self_recursive_stops_there() {
+        // `c` and `v` call each other once each.  `v` comes first, so it
+        // is inlined into `c`, whose body then calls `c`: the caller is
+        // now self-recursive and must not be inlined next.
+        let p = S0Program {
+            entry: "main".into(),
+            procs: vec![
+                proc_("main", &["x"], S0Tail::Return(var("x"))),
+                proc_("v", &["a"], call("c", vec![var("a")])),
+                proc_(
+                    "c",
+                    &["b"],
+                    S0Tail::If(
+                        var("b"),
+                        Box::new(S0Tail::Return(var("b"))),
+                        Box::new(call("v", vec![var("b")])),
+                    ),
+                ),
+            ],
+        };
+        let q = inline_once(p);
+        assert_eq!(names(&q), ["main", "c"], "{q}");
+        let c = q.proc("c").unwrap();
+        assert_eq!(
+            c.body,
+            S0Tail::If(
+                var("b"),
+                Box::new(S0Tail::Return(var("b"))),
+                Box::new(call("c", vec![var("b")])),
+            )
+        );
+    }
+
+    #[test]
+    fn inlining_rechecks_the_callee_whose_argument_it_substituted() {
+        // `w` uses its parameter twice and is called once, from `v`, with
+        // the variable `y` — inlinable on its own.  `v` comes first and
+        // is inlined into `main`, which substitutes `(car x)` for `y`:
+        // inlining `w` now would duplicate the `car`, so `w` must stay.
+        let car_x = S0Simple::Prim(Prim::Car, vec![var("x")]);
+        let p = S0Program {
+            entry: "main".into(),
+            procs: vec![
+                proc_("main", &["x"], call("v", vec![car_x.clone()])),
+                proc_("v", &["y"], call("w", vec![var("y")])),
+                proc_(
+                    "w",
+                    &["z"],
+                    S0Tail::Return(S0Simple::Prim(Prim::Cons, vec![var("z"), var("z")])),
+                ),
+            ],
+        };
+        let q = inline_once(p);
+        assert_eq!(names(&q), ["main", "w"], "{q}");
+        assert_eq!(q.proc("main").unwrap().body, call("w", vec![car_x]));
+    }
+
+    #[test]
+    fn long_trampoline_chain_compresses_into_the_entry() {
+        // main → l0 → l1 → … → l1999 → end: every link is a trampoline.
+        let n = 2000;
+        let mut procs = vec![proc_("main", &["x"], call("l0", vec![var("x")]))];
+        for i in 0..n {
+            let next = if i + 1 < n { format!("l{}", i + 1) } else { "end".into() };
+            procs.push(proc_(&format!("l{i}"), &["y"], call(&next, vec![var("y")])));
+        }
+        procs.push(proc_("end", &["z"], S0Tail::Return(var("z"))));
+        let q = compress_transitions(S0Program { entry: "main".into(), procs });
+        assert_eq!(names(&q), ["main", "end"]);
+        assert_eq!(q.proc("main").unwrap().body, call("end", vec![var("x")]));
+    }
+
+    #[test]
+    fn duplication_guard_stops_a_chain_midway_and_the_rest_still_compresses() {
+        // main → a → b → c → end, all trampolines.  `a` hands `b` a cons
+        // that `b` would pass twice, so the chase from main stops at `b`;
+        // `b` is still reachable and its own call chases through `c`.
+        let cons_y = S0Simple::Prim(Prim::Cons, vec![var("y"), kint(1)]);
+        let p = S0Program {
+            entry: "main".into(),
+            procs: vec![
+                proc_("main", &["x"], call("a", vec![var("x")])),
+                proc_("a", &["y"], call("b", vec![cons_y])),
+                proc_("b", &["z"], call("c", vec![var("z"), var("z")])),
+                proc_("c", &["u", "w"], call("end", vec![var("w"), var("u")])),
+                proc_(
+                    "end",
+                    &["s", "t"],
+                    S0Tail::Return(S0Simple::Prim(Prim::Cons, vec![var("s"), var("t")])),
+                ),
+            ],
+        };
+        let q = compress_transitions(p);
+        assert_eq!(names(&q), ["main", "b", "end"], "{q}");
+        assert_eq!(
+            q.proc("main").unwrap().body,
+            call("b", vec![S0Simple::Prim(Prim::Cons, vec![var("x"), kint(1)])])
+        );
+        assert_eq!(q.proc("b").unwrap().body, call("end", vec![var("z"), var("z")]));
+        assert_wellformed(&q);
     }
 
     #[test]

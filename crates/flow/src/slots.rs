@@ -363,13 +363,7 @@ pub fn prune(p: S0Program, fuel: &mut Fuel) -> Result<(S0Program, usize), Trap> 
     let mut procs = Vec::with_capacity(p.procs.len());
     for q in &p.procs {
         fuel.step()?;
-        let env: Env<'_> = q
-            .params
-            .iter()
-            .enumerate()
-            .map(|(i, pm)| (pm.as_str(), sa.shapes[&q.name][i].clone()))
-            .collect();
-        let body = rw_tail(&q.body, &env, &mut Vec::new(), &sa);
+        let body = rw_tail(&q.body, &param_env(q, &sa), &mut Vec::new(), &sa);
         procs.push(crate::s0::S0Proc {
             name: q.name.clone(),
             params: q.params.clone(),
@@ -469,99 +463,109 @@ pub struct ArmFinding {
 ///
 /// [`Trap::OutOfFuel`] when the analysis budget is exhausted.
 pub fn fold_arms(p: S0Program, fuel: &mut Fuel) -> Result<(S0Program, usize), Trap> {
-    let (q, findings) = fold_arms_report(p, fuel)?;
-    Ok((q, findings.len()))
-}
-
-/// Reports statically decidable dispatch arms without rewriting.
-///
-/// # Errors
-///
-/// [`Trap::OutOfFuel`] when the analysis budget is exhausted.
-pub fn arm_findings(p: &S0Program, fuel: &mut Fuel) -> Result<Vec<ArmFinding>, Trap> {
-    let (_, findings) = fold_arms_report(p.clone(), fuel)?;
-    Ok(findings)
-}
-
-fn fold_arms_report(
-    p: S0Program,
-    fuel: &mut Fuel,
-) -> Result<(S0Program, Vec<ArmFinding>), Trap> {
     let sa = analyze(&p, fuel)?;
     let mut findings = Vec::new();
     let mut procs = Vec::with_capacity(p.procs.len());
     for q in &p.procs {
         fuel.step()?;
-        let env: Env<'_> = q
-            .params
-            .iter()
-            .enumerate()
-            .map(|(i, pm)| (pm.as_str(), sa.shapes[&q.name][i].clone()))
-            .collect();
-        let body = fold_tail(&q.body, &env, &mut Vec::new(), &q.name, &mut findings);
+        let body = fold_tail(
+            &q.body,
+            &param_env(q, &sa),
+            &mut Vec::new(),
+            &q.name,
+            &mut findings,
+            &mut |t| t.clone(),
+            &mut |c, a, b| S0Tail::If(c.clone(), Box::new(a), Box::new(b)),
+        );
         procs.push(crate::s0::S0Proc {
             name: q.name.clone(),
             params: q.params.clone(),
             body,
         });
     }
-    Ok((S0Program { procs, entry: p.entry }, findings))
+    Ok((S0Program { procs, entry: p.entry }, findings.len()))
 }
 
-fn fold_tail(
-    t: &S0Tail,
+/// Reports the dispatch arms [`fold_arms`] would fold, in its order,
+/// from the label analysis `sa` of `p`, without rewriting.
+///
+/// # Errors
+///
+/// [`Trap::OutOfFuel`] when the budget is exhausted.
+pub fn arm_findings(
+    p: &S0Program,
+    sa: &SlotAnalysis,
+    fuel: &mut Fuel,
+) -> Result<Vec<ArmFinding>, Trap> {
+    let mut findings = Vec::new();
+    for q in &p.procs {
+        fuel.step()?;
+        fold_tail(
+            &q.body,
+            &param_env(q, sa),
+            &mut Vec::new(),
+            &q.name,
+            &mut findings,
+            &mut |_| (),
+            &mut |_, (), ()| (),
+        );
+    }
+    Ok(findings)
+}
+
+/// The abstract parameter values of `q` as an environment.
+fn param_env<'q>(q: &'q crate::s0::S0Proc, sa: &SlotAnalysis) -> Env<'q> {
+    let shapes = &sa.shapes[&q.name];
+    q.params.iter().zip(shapes).map(|(pm, v)| (pm.as_str(), v.clone())).collect()
+}
+
+/// Walks `t` as arm folding does — a decidable dispatch keeps only its
+/// surviving branch — recording each decided arm in `findings` and
+/// folding the kept tree with `leaf` (tails other than `If`) and `node`
+/// (an `If` whose test stays).
+fn fold_tail<'t, R>(
+    t: &'t S0Tail,
     env: &Env<'_>,
     refines: &mut Refinements,
     owner: &str,
     findings: &mut Vec<ArmFinding>,
-) -> S0Tail {
-    match t {
-        S0Tail::Return(_) | S0Tail::Fail(_) | S0Tail::TailCall(_, _) => t.clone(),
-        S0Tail::If(c, a, b) => {
-            if let Some((subj, k)) = c.dispatch_test() {
-                let sv = eval(subj, env, refines);
-                let definite = matches!(subj, S0Simple::Var(_))
-                    && !sv.other
-                    && !sv.labels.is_empty();
-                if definite && !sv.labels.contains(&k) {
-                    findings.push(ArmFinding {
-                        proc: owner.to_string(),
-                        label: k,
-                        always: false,
-                    });
-                    refines.push((subj.clone(), sv.without(k)));
-                    let out = fold_tail(b, env, refines, owner, findings);
-                    refines.pop();
-                    return out;
-                }
-                if definite && sv.labels.len() == 1 && sv.labels.contains(&k) {
-                    findings.push(ArmFinding {
-                        proc: owner.to_string(),
-                        label: k,
-                        always: true,
-                    });
-                    refines.push((subj.clone(), AbsVal::of_label(k)));
-                    let out = fold_tail(a, env, refines, owner, findings);
-                    refines.pop();
-                    return out;
-                }
-                let sv2 = sv;
-                refines.push((subj.clone(), AbsVal::of_label(k)));
-                let a2 = fold_tail(a, env, refines, owner, findings);
-                refines.pop();
-                refines.push((subj.clone(), sv2.without(k)));
-                let b2 = fold_tail(b, env, refines, owner, findings);
-                refines.pop();
-                S0Tail::If(c.clone(), Box::new(a2), Box::new(b2))
-            } else {
-                S0Tail::If(
-                    c.clone(),
-                    Box::new(fold_tail(a, env, refines, owner, findings)),
-                    Box::new(fold_tail(b, env, refines, owner, findings)),
-                )
-            }
-        }
+    leaf: &mut impl FnMut(&'t S0Tail) -> R,
+    node: &mut impl FnMut(&'t S0Simple, R, R) -> R,
+) -> R {
+    let S0Tail::If(c, a, b) = t else {
+        return leaf(t);
+    };
+    let Some((subj, k)) = c.dispatch_test() else {
+        let a2 = fold_tail(a, env, refines, owner, findings, leaf, node);
+        let b2 = fold_tail(b, env, refines, owner, findings, leaf, node);
+        return node(c, a2, b2);
+    };
+    let sv = eval(subj, env, refines);
+    let definite = matches!(subj, S0Simple::Var(_)) && !sv.other && !sv.labels.is_empty();
+    let decided = if !definite {
+        None
+    } else if !sv.labels.contains(&k) {
+        Some(false)
+    } else if sv.labels.len() == 1 {
+        Some(true)
+    } else {
+        None
+    };
+    if let Some(always) = decided {
+        findings.push(ArmFinding { proc: owner.to_string(), label: k, always });
+        let (refined, kept) = if always { (AbsVal::of_label(k), a) } else { (sv.without(k), b) };
+        refines.push((subj.clone(), refined));
+        let out = fold_tail(kept, env, refines, owner, findings, leaf, node);
+        refines.pop();
+        return out;
     }
+    refines.push((subj.clone(), AbsVal::of_label(k)));
+    let a2 = fold_tail(a, env, refines, owner, findings, leaf, node);
+    refines.pop();
+    refines.push((subj.clone(), sv.without(k)));
+    let b2 = fold_tail(b, env, refines, owner, findings, leaf, node);
+    refines.pop();
+    node(c, a2, b2)
 }
 
 #[cfg(test)]

@@ -62,6 +62,9 @@ impl FromIterator<LamId> for LamSet {
 }
 
 /// An abstract value: which closures / pairs / other data may flow here.
+///
+/// This is the decoded, set-based view the accessors hand out; the
+/// solver itself keeps every fact as a bitset row (see [`FlowAnalysis`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AbsVal {
     /// Lambdas this value may be a closure of.
@@ -75,32 +78,29 @@ pub struct AbsVal {
     pub base: bool,
 }
 
-impl AbsVal {
-    fn base() -> AbsVal {
-        AbsVal { base: true, ..AbsVal::default() }
-    }
-
-    fn join(&mut self, other: &AbsVal) -> bool {
-        let n0 = self.lams.len();
-        let p0 = self.pairs.len();
-        let q0 = self.quoted;
-        let b0 = self.base;
-        self.lams.extend(other.lams.iter().copied());
-        self.pairs.extend(other.pairs.iter().copied());
-        self.quoted |= other.quoted;
-        self.base |= other.base;
-        self.lams.len() != n0 || self.pairs.len() != p0 || self.quoted != q0 || self.base != b0
-    }
-}
+/// Flag bits of a fact row's last word.
+const QUOTED: u64 = 1;
+const BASE: u64 = 2;
 
 /// The result of the flow analysis.
+///
+/// Every fact is a dense bitset row of `lam_words` words over [`LamId`]s,
+/// `pair_words` words over cons-site *slots* (the sites numbered in
+/// program order), and one flag word (`QUOTED`, `BASE`).  Rows are laid
+/// out back to back in one vector: the variables by [`VarId`], then one
+/// row per cons slot holding the join of both components, then the
+/// global return pool.  A join is a word-wise OR, and `car`/`cdr` read
+/// their components by slot.
 #[derive(Debug)]
 pub struct FlowAnalysis {
-    vars: Vec<AbsVal>,
-    /// Per `cons` site: the join of both component values.
-    cons_components: Vec<(u32, AbsVal)>,
-    /// The global return pool.
-    ret: AbsVal,
+    lam_words: usize,
+    pair_words: usize,
+    rows: Vec<u64>,
+    nvars: usize,
+    /// Cons-site label per slot, in program order.
+    sites: Vec<u32>,
+    /// Slot per cons-site label (`u32::MAX` for labels of no cons site).
+    slot_of: Vec<u32>,
     /// Lambdas that may occur in context position of a `PushApp` —
     /// everything a dynamic context stack may contain.
     context_lams: LamSet,
@@ -109,72 +109,168 @@ pub struct FlowAnalysis {
 impl FlowAnalysis {
     /// Runs the analysis to fixpoint.
     pub fn analyze(p: &DProgram) -> FlowAnalysis {
+        // Number cons sites up front so slots are stable; a label seen
+        // twice keeps its first slot.
+        let mut labels = Vec::new();
+        for body in bodies(p) {
+            collect_cons_sites_tail(body, &mut labels);
+        }
+        let mut slot_of = vec![u32::MAX; labels.iter().max().map_or(0, |&l| l as usize + 1)];
+        let mut sites = Vec::new();
+        for l in labels {
+            if slot_of[l as usize] == u32::MAX {
+                slot_of[l as usize] = sites.len() as u32;
+                sites.push(l);
+            }
+        }
         let nvars = p.var_names.len();
+        let lam_words = p.lambdas.len().div_ceil(64);
+        let pair_words = sites.len().div_ceil(64);
+        let stride = lam_words + pair_words + 1;
+        let nrows = nvars + sites.len() + 1;
         let mut st = Solver {
             p,
-            vars: vec![AbsVal::default(); nvars],
-            cons: Vec::new(),
-            ret: AbsVal::default(),
+            f: FlowAnalysis {
+                lam_words,
+                pair_words,
+                rows: vec![0; nrows * stride],
+                nvars,
+                sites,
+                slot_of,
+                context_lams: LamSet::new(),
+            },
+            buf: vec![0; stride],
             changed: true,
         };
-        // Collect cons sites up front so indices are stable.
-        for d in &p.defs {
-            collect_cons_sites_tail(&d.body, &mut st.cons);
-        }
-        for l in &p.lambdas {
-            collect_cons_sites_tail(&l.body, &mut st.cons);
-        }
         // Entry assumption: any procedure may be called from outside with
         // first-order data.
         for d in &p.defs {
             for &v in &d.params {
-                st.vars[v.0 as usize].join(&AbsVal::base());
+                st.f.rows[v.0 as usize * stride + stride - 1] |= BASE;
             }
         }
         while st.changed {
             st.changed = false;
-            for d in &p.defs {
-                st.tail(&d.body);
-            }
-            for l in &p.lambdas {
-                st.tail(&l.body);
+            for body in bodies(p) {
+                st.tail(body);
             }
         }
         // Context lambdas: those that may flow into ctx position.
-        let mut context_lams = BTreeSet::new();
-        for d in &p.defs {
-            collect_context_lams(&st, &d.body, &mut context_lams);
+        let mut context = vec![0; lam_words];
+        let mut buf = Vec::new();
+        for body in bodies(p) {
+            st.f.collect_context_lams(body, &mut context, &mut buf);
         }
-        for l in &p.lambdas {
-            collect_context_lams(&st, &l.body, &mut context_lams);
-        }
-        FlowAnalysis {
-            vars: st.vars,
-            cons_components: st.cons,
-            ret: st.ret,
-            context_lams: LamSet(context_lams),
+        st.f.context_lams = st.f.lam_set(&context);
+        st.f
+    }
+
+    fn stride(&self) -> usize {
+        self.lam_words + self.pair_words + 1
+    }
+
+    fn row(&self, r: usize) -> &[u64] {
+        let w = self.stride();
+        &self.rows[r * w..(r + 1) * w]
+    }
+
+    fn cons_row(&self, slot: usize) -> usize {
+        self.nvars + slot
+    }
+
+    fn ret_row(&self) -> usize {
+        self.nvars + self.sites.len()
+    }
+
+    fn slot(&self, site: u32) -> Option<usize> {
+        match self.slot_of.get(site as usize) {
+            Some(&s) if s != u32::MAX => Some(s as usize),
+            _ => None,
         }
     }
 
+    /// ORs the value of `se` into `buf[at..at + stride]`; nested
+    /// `car`/`cdr` arguments are evaluated in the rows of `buf` above
+    /// `at`, which grows as deep as the nesting once and is reused.
+    fn eval(&self, se: &SimpleExpr, buf: &mut Vec<u64>, at: usize) {
+        let w = self.stride();
+        match se {
+            SimpleExpr::Var(_, v) => or_words(&mut buf[at..at + w], self.row(v.0 as usize)),
+            SimpleExpr::Const(_, k) => {
+                let quoted = if matches!(k, crate::Constant::Pair(_, _)) { QUOTED } else { 0 };
+                buf[at + w - 1] |= BASE | quoted;
+            }
+            SimpleExpr::Lambda(_, id) => set_bit(&mut buf[at..at + self.lam_words], id.0 as usize),
+            SimpleExpr::Prim(l, Prim::Cons, _) => {
+                let slot = self.slot(l.0).expect("cons site numbered");
+                set_bit(&mut buf[at + self.lam_words..at + w - 1], slot);
+            }
+            SimpleExpr::Prim(_, Prim::Car | Prim::Cdr, args) => {
+                let x_at = at + w;
+                if buf.len() < x_at + w {
+                    buf.resize(x_at + w, 0);
+                }
+                buf[x_at..x_at + w].fill(0);
+                self.eval(&args[0], buf, x_at);
+                let (out, x) = buf.split_at_mut(x_at);
+                let (out, x) = (&mut out[at..at + w], &x[..w]);
+                // Components of quoted data are quoted data; base data is
+                // closure-free so its components are base.
+                let flags = x[w - 1];
+                out[w - 1] |= (flags & QUOTED) | if flags != 0 { BASE } else { 0 };
+                for slot in bits(&x[self.lam_words..w - 1]) {
+                    or_words(out, self.row(self.cons_row(slot)));
+                }
+            }
+            SimpleExpr::Prim(_, _, _) => buf[at + w - 1] |= BASE,
+        }
+    }
+
+    /// The bitset row of a simple expression's value.
+    fn value_row(&self, se: &SimpleExpr) -> Vec<u64> {
+        let mut buf = vec![0; self.stride()];
+        self.eval(se, &mut buf, 0);
+        buf.truncate(self.stride());
+        buf
+    }
+
+    fn decode(&self, row: &[u64]) -> AbsVal {
+        let w = self.stride();
+        AbsVal {
+            lams: bits(&row[..self.lam_words]).map(|i| LamId(i as u32)).collect(),
+            pairs: bits(&row[self.lam_words..w - 1]).map(|s| self.sites[s]).collect(),
+            quoted: row[w - 1] & QUOTED != 0,
+            base: row[w - 1] & BASE != 0,
+        }
+    }
+
+    fn lam_set(&self, row: &[u64]) -> LamSet {
+        LamSet(bits(&row[..self.lam_words]).map(|i| LamId(i as u32)).collect())
+    }
+
     /// The abstract value of a variable.
-    pub fn var(&self, v: VarId) -> &AbsVal {
-        &self.vars[v.0 as usize]
+    pub fn var(&self, v: VarId) -> AbsVal {
+        self.decode(self.row(v.0 as usize))
     }
 
     /// The abstract value of a simple expression.
     pub fn value_of(&self, se: &SimpleExpr) -> AbsVal {
-        eval_simple(&self.vars, &self.cons_components, se)
+        self.decode(&self.value_row(se))
     }
 
     /// The lambdas a simple expression may evaluate to — The Trick's
     /// dispatch candidates for this expression.
     pub fn lambdas_of(&self, se: &SimpleExpr) -> LamSet {
-        LamSet(self.value_of(se).lams.clone())
+        match se {
+            SimpleExpr::Var(_, v) => self.var_lambdas(*v),
+            SimpleExpr::Lambda(_, id) => LamSet(BTreeSet::from([*id])),
+            _ => self.lam_set(&self.value_row(se)),
+        }
     }
 
     /// The lambdas a variable may hold.
     pub fn var_lambdas(&self, v: VarId) -> LamSet {
-        LamSet(self.var(v).lams.clone())
+        self.lam_set(self.row(v.0 as usize))
     }
 
     /// Lambdas that may serve as evaluation contexts (may be pushed on
@@ -185,18 +281,71 @@ impl FlowAnalysis {
 
     /// Lambdas that may be returned through the global return pool.
     pub fn returned_lambdas(&self) -> LamSet {
-        LamSet(self.ret.lams.clone())
+        self.lam_set(self.row(self.ret_row()))
     }
 
     /// The joined components of a `cons` site, if the site exists.
-    pub fn cons_components(&self, site: u32) -> Option<&AbsVal> {
-        self.cons_components.iter().find(|(s, _)| *s == site).map(|(_, v)| v)
+    pub fn cons_components(&self, site: u32) -> Option<AbsVal> {
+        self.slot(site).map(|s| self.decode(self.row(self.cons_row(s))))
     }
 
-    /// All lambdas reachable *inside* an abstract value: its own closure
-    /// set plus, transitively, anything stored in pairs it may contain
-    /// and anything captured by closures it may be.
-    pub fn deep_lambdas(&self, p: &DProgram, v: &AbsVal) -> LamSet {
+    /// The §4.5 containment graph over lambdas (nodes `0..L`, by
+    /// [`LamId`]) and cons slots (nodes `L..L + S`): a lambda points at
+    /// everything its free variables may hold, a cons slot at everything
+    /// its components may hold.  A value reachable inside a closure of ℓ
+    /// or a pair from site `s` is exactly a node reachable from ℓ or `s`.
+    pub(crate) fn containment_graph(&self, p: &DProgram) -> Vec<Vec<u32>> {
+        let nlams = p.lambdas.len();
+        let succ_of = |row: &[u64]| -> Vec<u32> {
+            bits(&row[..self.lam_words])
+                .chain(bits(&row[self.lam_words..self.stride() - 1]).map(|s| nlams + s))
+                .map(|n| n as u32)
+                .collect()
+        };
+        let mut held = vec![0; self.stride()];
+        let mut succ = Vec::with_capacity(nlams + self.sites.len());
+        for lam in &p.lambdas {
+            held.fill(0);
+            for &fv in &lam.freevars {
+                or_words(&mut held, self.row(fv.0 as usize));
+            }
+            succ.push(succ_of(&held));
+        }
+        for slot in 0..self.sites.len() {
+            succ.push(succ_of(self.row(self.cons_row(slot))));
+        }
+        succ
+    }
+
+    /// The cons-site label of containment-graph slot `slot`.
+    pub(crate) fn cons_site(&self, slot: usize) -> u32 {
+        self.sites[slot]
+    }
+
+    fn collect_context_lams(&self, te: &TailExpr, out: &mut [u64], buf: &mut Vec<u64>) {
+        match te {
+            TailExpr::Simple(_) | TailExpr::CallProc(_, _, _) => {}
+            TailExpr::If(_, _, t, e) => {
+                self.collect_context_lams(t, out, buf);
+                self.collect_context_lams(e, out, buf);
+            }
+            TailExpr::PushApp(_, ctx, body) => {
+                buf.clear();
+                buf.resize(self.stride(), 0);
+                self.eval(ctx, buf, 0);
+                or_words(out, &buf[..self.lam_words]);
+                self.collect_context_lams(body, out, buf);
+            }
+        }
+    }
+
+    /// All lambdas and cons sites reachable *inside* an abstract value:
+    /// its own closure and pair sets plus, transitively, anything stored
+    /// in pairs it may contain and anything captured by closures it may
+    /// be.  The walk-based definition the containment graph replaces,
+    /// kept as the oracle its tests compare against.
+    #[cfg(test)]
+    pub(crate) fn deep_reach(&self, p: &DProgram, v: &AbsVal) -> (LamSet, BTreeSet<u32>) {
         let mut seen_lams: BTreeSet<LamId> = BTreeSet::new();
         let mut seen_pairs: BTreeSet<u32> = BTreeSet::new();
         let mut lam_work: Vec<LamId> = v.lams.iter().copied().collect();
@@ -222,50 +371,48 @@ impl FlowAnalysis {
                 }
             }
         }
-        LamSet(seen_lams)
+        (LamSet(seen_lams), seen_pairs)
     }
+}
 
-    /// All cons sites reachable inside an abstract value, transitively
-    /// through pair components and closure captures.
-    pub fn deep_pairs(&self, p: &DProgram, v: &AbsVal) -> BTreeSet<u32> {
-        let mut seen_lams: BTreeSet<LamId> = BTreeSet::new();
-        let mut seen_pairs: BTreeSet<u32> = BTreeSet::new();
-        let mut lam_work: Vec<LamId> = v.lams.iter().copied().collect();
-        let mut pair_work: Vec<u32> = v.pairs.iter().copied().collect();
-        while !lam_work.is_empty() || !pair_work.is_empty() {
-            while let Some(site) = pair_work.pop() {
-                if !seen_pairs.insert(site) {
-                    continue;
-                }
-                if let Some(c) = self.cons_components(site) {
-                    lam_work.extend(c.lams.iter().copied());
-                    pair_work.extend(c.pairs.iter().copied());
-                }
-            }
-            while let Some(lam) = lam_work.pop() {
-                if !seen_lams.insert(lam) {
-                    continue;
-                }
-                for &fv in &p.lambda(lam).freevars {
-                    let fvv = self.var(fv);
-                    lam_work.extend(fvv.lams.iter().copied());
-                    pair_work.extend(fvv.pairs.iter().copied());
-                }
-            }
-        }
-        seen_pairs
+/// Every body of the program: procedures, then the lambda table.
+fn bodies(p: &DProgram) -> impl Iterator<Item = &TailExpr> {
+    p.defs.iter().map(|d| &d.body).chain(p.lambdas.iter().map(|l| &l.body))
+}
+
+/// Indices of the set bits of `words`, ascending.
+fn bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(i, &w)| {
+        let mut w = w;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let b = w.trailing_zeros() as usize;
+                w &= w - 1;
+                i * 64 + b
+            })
+        })
+    })
+}
+
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+fn or_words(into: &mut [u64], from: &[u64]) {
+    for (a, b) in into.iter_mut().zip(from) {
+        *a |= b;
     }
 }
 
 struct Solver<'p> {
     p: &'p DProgram,
-    vars: Vec<AbsVal>,
-    cons: Vec<(u32, AbsVal)>,
-    ret: AbsVal,
+    f: FlowAnalysis,
+    /// Evaluation scratch rows.
+    buf: Vec<u64>,
     changed: bool,
 }
 
-fn collect_cons_sites_tail(te: &TailExpr, out: &mut Vec<(u32, AbsVal)>) {
+fn collect_cons_sites_tail(te: &TailExpr, out: &mut Vec<u32>) {
     match te {
         TailExpr::Simple(se) => collect_cons_sites_simple(se, out),
         TailExpr::If(_, c, t, e) => {
@@ -285,10 +432,10 @@ fn collect_cons_sites_tail(te: &TailExpr, out: &mut Vec<(u32, AbsVal)>) {
     }
 }
 
-fn collect_cons_sites_simple(se: &SimpleExpr, out: &mut Vec<(u32, AbsVal)>) {
+fn collect_cons_sites_simple(se: &SimpleExpr, out: &mut Vec<u32>) {
     if let SimpleExpr::Prim(l, op, args) = se {
         if *op == Prim::Cons {
-            out.push((l.0, AbsVal::default()));
+            out.push(l.0);
         }
         for a in args {
             collect_cons_sites_simple(a, out);
@@ -296,76 +443,47 @@ fn collect_cons_sites_simple(se: &SimpleExpr, out: &mut Vec<(u32, AbsVal)>) {
     }
 }
 
-fn eval_simple(vars: &[AbsVal], cons: &[(u32, AbsVal)], se: &SimpleExpr) -> AbsVal {
-    match se {
-        SimpleExpr::Var(_, v) => vars[v.0 as usize].clone(),
-        SimpleExpr::Const(_, k) => {
-            let mut a = AbsVal::base();
-            if matches!(k, crate::Constant::Pair(_, _)) {
-                a.quoted = true;
-            }
-            a
-        }
-        SimpleExpr::Lambda(_, id) => AbsVal { lams: BTreeSet::from([*id]), ..AbsVal::default() },
-        SimpleExpr::Prim(l, op, args) => {
-            let argvals: Vec<AbsVal> = args.iter().map(|a| eval_simple(vars, cons, a)).collect();
-            match op {
-                Prim::Cons => AbsVal { pairs: BTreeSet::from([l.0]), ..AbsVal::default() },
-                Prim::Car | Prim::Cdr => {
-                    let mut out = AbsVal::default();
-                    let x = &argvals[0];
-                    // Components of quoted data are quoted data; base
-                    // data is closure-free so its components are base.
-                    out.quoted |= x.quoted;
-                    out.base |= x.base || x.quoted;
-                    for site in &x.pairs {
-                        if let Some((_, c)) = cons.iter().find(|(s, _)| s == site) {
-                            let c = c.clone();
-                            out.join(&c);
-                        }
-                    }
-                    out
-                }
-                _ => AbsVal::base(),
-            }
-        }
-    }
-}
-
 impl Solver<'_> {
-    fn value_of(&self, se: &SimpleExpr) -> AbsVal {
-        eval_simple(&self.vars, &self.cons, se)
+    /// ORs row `src` into row `dst`.
+    fn join_rows(&mut self, dst: usize, src: usize) {
+        let w = self.f.stride();
+        for i in 0..w {
+            let (old, add) = (self.f.rows[dst * w + i], self.f.rows[src * w + i]);
+            if add & !old != 0 {
+                self.f.rows[dst * w + i] = old | add;
+                self.changed = true;
+            }
+        }
     }
 
-    fn flow_into_var(&mut self, v: VarId, val: &AbsVal) {
-        if self.vars[v.0 as usize].join(val) {
-            self.changed = true;
+    /// Joins the value of `se` into row `dst`.
+    fn flow(&mut self, dst: usize, se: &SimpleExpr) {
+        if let SimpleExpr::Var(_, v) = se {
+            return self.join_rows(dst, v.0 as usize);
+        }
+        let w = self.f.stride();
+        self.buf[..w].fill(0);
+        self.f.eval(se, &mut self.buf, 0);
+        for i in 0..w {
+            let (old, add) = (self.f.rows[dst * w + i], self.buf[i]);
+            if add & !old != 0 {
+                self.f.rows[dst * w + i] = old | add;
+                self.changed = true;
+            }
         }
     }
 
     /// Records component flows for every `cons` nested in `se`.
     fn record_cons_flows(&mut self, se: &SimpleExpr) {
-        match se {
-            SimpleExpr::Prim(l, op, args) => {
-                for a in args {
-                    self.record_cons_flows(a);
-                }
-                if *op == Prim::Cons {
-                    let a = self.value_of(&args[0]);
-                    let d = self.value_of(&args[1]);
-                    let entry = self
-                        .cons
-                        .iter_mut()
-                        .find(|(s, _)| *s == l.0)
-                        .expect("cons site collected");
-                    let mut ch = entry.1.join(&a);
-                    ch |= entry.1.join(&d);
-                    if ch {
-                        self.changed = true;
-                    }
-                }
+        if let SimpleExpr::Prim(l, op, args) = se {
+            for a in args {
+                self.record_cons_flows(a);
             }
-            SimpleExpr::Var(_, _) | SimpleExpr::Const(_, _) | SimpleExpr::Lambda(_, _) => {}
+            if *op == Prim::Cons {
+                let row = self.f.cons_row(self.f.slot(l.0).expect("cons site numbered"));
+                self.flow(row, &args[0]);
+                self.flow(row, &args[1]);
+            }
         }
     }
 
@@ -373,10 +491,7 @@ impl Solver<'_> {
         match te {
             TailExpr::Simple(se) => {
                 self.record_cons_flows(se);
-                let v = self.value_of(se);
-                if self.ret.join(&v) {
-                    self.changed = true;
-                }
+                self.flow(self.f.ret_row(), se);
             }
             TailExpr::If(_, c, t, e) => {
                 self.record_cons_flows(c);
@@ -384,11 +499,10 @@ impl Solver<'_> {
                 self.tail(e);
             }
             TailExpr::CallProc(_, pid, args) => {
-                let params = self.p.proc(*pid).params.clone();
+                let params = &self.p.proc(*pid).params;
                 for (param, arg) in params.iter().zip(args) {
                     self.record_cons_flows(arg);
-                    let v = self.value_of(arg);
-                    self.flow_into_var(*param, &v);
+                    self.flow(param.0 as usize, arg);
                 }
             }
             TailExpr::PushApp(_, ctx, body) => {
@@ -396,28 +510,24 @@ impl Solver<'_> {
                 // Whatever the body returns is delivered to the pushed
                 // context's parameter; with the global return pool that
                 // is RET.
-                let ctxv = self.value_of(ctx);
-                let ret = self.ret.clone();
-                for lam in ctxv.lams.iter().copied().collect::<Vec<_>>() {
-                    let param = self.p.lambda(lam).param;
-                    self.flow_into_var(param, &ret);
+                let ret = self.f.ret_row();
+                if let SimpleExpr::Lambda(_, lam) = ctx {
+                    self.join_rows(self.p.lambda(*lam).param.0 as usize, ret);
+                } else {
+                    let w = self.f.stride();
+                    self.buf[..w].fill(0);
+                    self.f.eval(ctx, &mut self.buf, 0);
+                    for i in 0..self.f.lam_words {
+                        let mut word = self.buf[i];
+                        while word != 0 {
+                            let lam = i * 64 + word.trailing_zeros() as usize;
+                            word &= word - 1;
+                            self.join_rows(self.p.lambdas[lam].param.0 as usize, ret);
+                        }
+                    }
                 }
                 self.tail(body);
             }
-        }
-    }
-}
-
-fn collect_context_lams(st: &Solver<'_>, te: &TailExpr, out: &mut BTreeSet<LamId>) {
-    match te {
-        TailExpr::Simple(_) | TailExpr::CallProc(_, _, _) => {}
-        TailExpr::If(_, _, t, e) => {
-            collect_context_lams(st, t, out);
-            collect_context_lams(st, e, out);
-        }
-        TailExpr::PushApp(_, ctx, body) => {
-            out.extend(st.value_of(ctx).lams.iter().copied());
-            collect_context_lams(st, body, out);
         }
     }
 }
@@ -477,7 +587,7 @@ mod tests {
         // p itself is a pair, not a closure…
         assert!(f.var_lambdas(pp).is_empty());
         // …but (car p) can be the stored lambda.
-        let deep = f.deep_lambdas(&p, f.var(pp));
+        let (deep, _) = f.deep_reach(&p, &f.var(pp));
         assert_eq!(deep.len(), 1);
     }
 
@@ -495,7 +605,7 @@ mod tests {
             analyze("(define (rev x acc) (if (null? x) acc (rev (cdr x) (cons (car x) acc))))");
         let rev = p.proc_id("rev").unwrap();
         let acc = p.proc(rev).params[1];
-        let deep = f.deep_pairs(&p, f.var(acc));
+        let (_, deep) = f.deep_reach(&p, &f.var(acc));
         assert_eq!(deep.len(), 1, "one cons site, cyclically reachable");
     }
 

@@ -16,7 +16,7 @@
 //! creation* (critical evaluation contexts "are merely closures already
 //! caught by the analysis", plus stack-recursion detection below).
 
-use crate::dast::{DProgram, LamId, ProcId, SimpleExpr, TailExpr};
+use crate::dast::{DProgram, LamId, SimpleExpr, TailExpr};
 use crate::flow::{FlowAnalysis, LamSet};
 use std::collections::BTreeSet;
 
@@ -42,27 +42,20 @@ impl GenAnalysis {
         let mut critical_lams = BTreeSet::new();
         let mut critical_cons = BTreeSet::new();
 
-        // Source 2: a closure of ℓ can reach a closure of ℓ through its
-        // free variables (via captured values and pair components).
-        for (i, lam) in p.lambdas.iter().enumerate() {
-            let id = LamId(i as u32);
-            for &fv in &lam.freevars {
-                if flow.deep_lambdas(p, flow.var(fv)).contains(id) {
-                    critical_lams.insert(id);
-                    break;
-                }
+        // Sources 2 and 3: a closure of ℓ can reach a closure of ℓ
+        // through its free variables (via captured values and pair
+        // components), and a cons site's components can reach a pair from
+        // the same site — both exactly when the lambda or site lies on a
+        // cycle of the containment graph.
+        let nlams = p.lambdas.len();
+        for (node, cyclic) in on_cycle(&flow.containment_graph(p)).into_iter().enumerate() {
+            if !cyclic {
+                continue;
             }
-        }
-
-        // Source 3: a cons site whose components can reach a pair from
-        // the same site.
-        let mut all_sites: BTreeSet<u32> = BTreeSet::new();
-        collect_sites(p, &mut all_sites);
-        for &site in &all_sites {
-            if let Some(c) = flow.cons_components(site) {
-                if flow.deep_pairs(p, c).contains(&site) {
-                    critical_cons.insert(site);
-                }
+            if node < nlams {
+                critical_lams.insert(LamId(node as u32));
+            } else {
+                critical_cons.insert(flow.cons_site(node - nlams));
             }
         }
 
@@ -73,34 +66,32 @@ impl GenAnalysis {
         // marks its context lambdas critical.  This is deliberately
         // conservative — the paper's offline strategy "necessarily
         // generalizes" more than the online one.
-        let recursive = recursive_procs(p);
-        for (pidx, d) in p.defs.iter().enumerate() {
-            if recursive.contains(&ProcId(pidx as u32)) {
-                mark_pushed_contexts(p, flow, &d.body, &mut critical_lams);
-            }
+        //
+        // The call graph has a node per procedure (`0..D`) and per lambda
+        // (`D..D + L`): a body points at the procedures it calls and the
+        // lambdas it creates, since a closure may be invoked later,
+        // transferring control back.  A procedure is recursive when it
+        // lies on a cycle.
+        let ndefs = p.defs.len();
+        let calls = call_graph(p);
+        let cyclic = on_cycle(&calls);
+        let recursive: Vec<usize> = (0..ndefs).filter(|&i| cyclic[i]).collect();
+        for &d in &recursive {
+            mark_pushed_contexts(flow, &p.defs[d].body, &mut critical_lams);
         }
         // Lambdas syntactically inside a recursive proc's body live in
         // the lambda table; their pushes count too when the lambda itself
         // can be invoked from a recursive context.  Conservatively mark
         // pushes inside any lambda that a recursive procedure can create.
-        for (pidx, d) in p.defs.iter().enumerate() {
-            if !recursive.contains(&ProcId(pidx as u32)) {
+        let mut seen = vec![false; nlams];
+        let created = |node: usize| calls[node].iter().filter_map(|&n| (n as usize).checked_sub(ndefs));
+        let mut work: Vec<usize> = recursive.iter().flat_map(|&d| created(d)).collect();
+        while let Some(l) = work.pop() {
+            if std::mem::replace(&mut seen[l], true) {
                 continue;
             }
-            let mut lams = BTreeSet::new();
-            lambdas_created_tail(&d.body, &mut lams);
-            let mut work: Vec<LamId> = lams.iter().copied().collect();
-            let mut seen = lams;
-            while let Some(l) = work.pop() {
-                mark_pushed_contexts(p, flow, &p.lambda(l).body, &mut critical_lams);
-                let mut inner = BTreeSet::new();
-                lambdas_created_tail(&p.lambda(l).body, &mut inner);
-                for i in inner {
-                    if seen.insert(i) {
-                        work.push(i);
-                    }
-                }
-            }
+            mark_pushed_contexts(flow, &p.lambdas[l].body, &mut critical_lams);
+            work.extend(created(ndefs + l));
         }
 
         GenAnalysis {
@@ -122,104 +113,96 @@ impl GenAnalysis {
     }
 }
 
-fn collect_sites(p: &DProgram, out: &mut BTreeSet<u32>) {
-    fn simple(se: &SimpleExpr, out: &mut BTreeSet<u32>) {
-        if let SimpleExpr::Prim(l, op, args) = se {
-            if *op == crate::Prim::Cons {
-                out.insert(l.0);
-            }
-            for a in args {
-                simple(a, out);
-            }
+/// The nodes of `succ` that lie on a cycle: members of a strongly
+/// connected component with more than one node, or with a self-loop.
+/// One iterative Tarjan pass, linear in nodes plus edges.
+fn on_cycle(succ: &[Vec<u32>]) -> Vec<bool> {
+    const UNSEEN: u32 = u32::MAX;
+    let n = succ.len();
+    let mut index = vec![UNSEEN; n];
+    let mut low = vec![0u32; n];
+    let mut on_stack = vec![false; n];
+    let mut cyclic = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    // The DFS path: each node with the position of its next edge.
+    let mut path: Vec<(usize, usize)> = Vec::new();
+    let mut next = 0u32;
+    for root in 0..n {
+        if index[root] != UNSEEN {
+            continue;
         }
-    }
-    fn tail(te: &TailExpr, out: &mut BTreeSet<u32>) {
-        match te {
-            TailExpr::Simple(se) => simple(se, out),
-            TailExpr::If(_, c, t, e) => {
-                simple(c, out);
-                tail(t, out);
-                tail(e, out);
+        let mut entering = Some(root);
+        loop {
+            if let Some(v) = entering.take() {
+                index[v] = next;
+                low[v] = next;
+                next += 1;
+                on_stack[v] = true;
+                stack.push(v);
+                path.push((v, 0));
             }
-            TailExpr::CallProc(_, _, args) => args.iter().for_each(|a| simple(a, out)),
-            TailExpr::PushApp(_, ctx, body) => {
-                simple(ctx, out);
-                tail(body, out);
+            let Some(top) = path.last_mut() else { break };
+            let (v, e) = *top;
+            if let Some(&w) = succ[v].get(e) {
+                top.1 += 1;
+                let w = w as usize;
+                cyclic[v] |= w == v;
+                if index[w] == UNSEEN {
+                    entering = Some(w);
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
             }
-        }
-    }
-    for d in &p.defs {
-        tail(&d.body, out);
-    }
-    for l in &p.lambdas {
-        tail(&l.body, out);
-    }
-}
-
-/// The set of procedures taking part in call-graph recursion, where the
-/// call graph includes calls made from lambdas created by a procedure
-/// (the closure may be invoked later, transferring control back).
-fn recursive_procs(p: &DProgram) -> BTreeSet<ProcId> {
-    let n = p.defs.len();
-    // edges[i] = procs callable from proc i (directly or via its lambdas).
-    let mut edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    for (i, d) in p.defs.iter().enumerate() {
-        let mut lams = BTreeSet::new();
-        lambdas_created_tail(&d.body, &mut lams);
-        let mut work: Vec<LamId> = lams.iter().copied().collect();
-        let mut seen = lams;
-        calls_in_tail(&d.body, &mut edges[i]);
-        while let Some(l) = work.pop() {
-            calls_in_tail(&p.lambda(l).body, &mut edges[i]);
-            let mut inner = BTreeSet::new();
-            lambdas_created_tail(&p.lambda(l).body, &mut inner);
-            for x in inner {
-                if seen.insert(x) {
-                    work.push(x);
+            path.pop();
+            if let Some(&(u, _)) = path.last() {
+                low[u] = low[u].min(low[v]);
+            }
+            if low[v] == index[v] {
+                let start = stack.iter().rposition(|&x| x == v).expect("v is on the stack");
+                let multi = stack.len() - start > 1;
+                for x in stack.drain(start..) {
+                    on_stack[x] = false;
+                    cyclic[x] |= multi;
                 }
             }
         }
     }
-    // Transitive closure (n is small).
-    let mut closed = edges.clone();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in 0..n {
-            let reach: Vec<usize> = closed[i].iter().copied().collect();
-            for j in reach {
-                let next: Vec<usize> = closed[j].iter().copied().collect();
-                for k in next {
-                    if closed[i].insert(k) {
-                        changed = true;
-                    }
-                }
-            }
-        }
-    }
-    (0..n).filter(|&i| closed[i].contains(&i)).map(|i| ProcId(i as u32)).collect()
+    cyclic
 }
 
-fn calls_in_tail(te: &TailExpr, out: &mut BTreeSet<usize>) {
+/// The call graph of [`GenAnalysis::analyze`]'s source 1: node `i <
+/// D` is procedure `i`, node `D + ℓ` is lambda ℓ; each body points at
+/// the procedures it calls and the lambdas it creates.
+fn call_graph(p: &DProgram) -> Vec<Vec<u32>> {
+    let ndefs = p.defs.len();
+    let bodies = p.defs.iter().map(|d| &d.body).chain(p.lambdas.iter().map(|l| &l.body));
+    bodies
+        .map(|body| {
+            let mut succ = Vec::new();
+            calls_in_tail(body, &mut succ);
+            lambdas_created_tail(body, &mut |l| succ.push((ndefs + l.0 as usize) as u32));
+            succ
+        })
+        .collect()
+}
+
+fn calls_in_tail(te: &TailExpr, out: &mut Vec<u32>) {
     match te {
         TailExpr::Simple(_) => {}
         TailExpr::If(_, _, t, e) => {
             calls_in_tail(t, out);
             calls_in_tail(e, out);
         }
-        TailExpr::CallProc(_, pid, _) => {
-            out.insert(pid.0 as usize);
-        }
+        TailExpr::CallProc(_, pid, _) => out.push(pid.0),
         TailExpr::PushApp(_, _, body) => calls_in_tail(body, out),
     }
 }
 
-fn lambdas_created_tail(te: &TailExpr, out: &mut BTreeSet<LamId>) {
-    fn simple(se: &SimpleExpr, out: &mut BTreeSet<LamId>) {
+fn lambdas_created_tail(te: &TailExpr, out: &mut impl FnMut(LamId)) {
+    fn simple(se: &SimpleExpr, out: &mut impl FnMut(LamId)) {
         match se {
-            SimpleExpr::Lambda(_, id) => {
-                out.insert(*id);
-            }
+            SimpleExpr::Lambda(_, id) => out(*id),
             SimpleExpr::Prim(_, _, args) => args.iter().for_each(|a| simple(a, out)),
             SimpleExpr::Var(_, _) | SimpleExpr::Const(_, _) => {}
         }
@@ -239,18 +222,12 @@ fn lambdas_created_tail(te: &TailExpr, out: &mut BTreeSet<LamId>) {
     }
 }
 
-fn mark_pushed_contexts(
-    p: &DProgram,
-    flow: &FlowAnalysis,
-    te: &TailExpr,
-    out: &mut BTreeSet<LamId>,
-) {
-    let _ = p;
+fn mark_pushed_contexts(flow: &FlowAnalysis, te: &TailExpr, out: &mut BTreeSet<LamId>) {
     match te {
         TailExpr::Simple(_) | TailExpr::CallProc(_, _, _) => {}
         TailExpr::If(_, _, t, e) => {
-            mark_pushed_contexts(p, flow, t, out);
-            mark_pushed_contexts(p, flow, e, out);
+            mark_pushed_contexts(flow, t, out);
+            mark_pushed_contexts(flow, e, out);
         }
         TailExpr::PushApp(_, ctx, body) => {
             // The pushed context can only pile up if a procedure call
@@ -260,7 +237,7 @@ fn mark_pushed_contexts(
             if tail_contains_call(body) {
                 out.extend(flow.lambdas_of(ctx).iter());
             }
-            mark_pushed_contexts(p, flow, body, out);
+            mark_pushed_contexts(flow, body, out);
         }
     }
 }
@@ -334,6 +311,142 @@ mod tests {
         // contexts may pile up on the stack, so they are critical.
         assert!(!g.critical_lams.is_empty());
         assert!(!g.stack_candidates.is_empty());
+    }
+
+    /// The containment graph's cycle members, by the walk-based
+    /// definition: a lambda whose free variables can reach a closure of
+    /// it, a cons site whose components can reach a pair from it.
+    fn oracle_cyclic(p: &DProgram, f: &FlowAnalysis) -> Vec<bool> {
+        let lams = (0..p.lambdas.len()).map(|l| {
+            p.lambdas[l].freevars.iter().any(|&fv| {
+                f.deep_reach(p, &f.var(fv)).0.contains(LamId(l as u32))
+            })
+        });
+        let mut sites = BTreeSet::new();
+        collect_sites(p, &mut sites);
+        let sites = (0..sites.len()).map(|slot| {
+            let site = f.cons_site(slot);
+            f.deep_reach(p, &f.cons_components(site).unwrap()).1.contains(&site)
+        });
+        lams.chain(sites).collect()
+    }
+
+    fn collect_sites(p: &DProgram, out: &mut BTreeSet<u32>) {
+        fn simple(se: &SimpleExpr, out: &mut BTreeSet<u32>) {
+            if let SimpleExpr::Prim(l, op, args) = se {
+                if *op == crate::Prim::Cons {
+                    out.insert(l.0);
+                }
+                args.iter().for_each(|a| simple(a, out));
+            }
+        }
+        fn tail(te: &TailExpr, out: &mut BTreeSet<u32>) {
+            match te {
+                TailExpr::Simple(se) => simple(se, out),
+                TailExpr::If(_, c, t, e) => {
+                    simple(c, out);
+                    tail(t, out);
+                    tail(e, out);
+                }
+                TailExpr::CallProc(_, _, args) => args.iter().for_each(|a| simple(a, out)),
+                TailExpr::PushApp(_, ctx, body) => {
+                    simple(ctx, out);
+                    tail(body, out);
+                }
+            }
+        }
+        p.defs.iter().for_each(|d| tail(&d.body, out));
+        p.lambdas.iter().for_each(|l| tail(&l.body, out));
+    }
+
+    /// Cycle membership in the containment graph, checked node by node
+    /// against the reachability walks it replaces.
+    fn assert_matches_oracle(src: &str) -> (DProgram, FlowAnalysis, Vec<bool>) {
+        let p = desugar(&parse_source(src).unwrap()).unwrap();
+        let f = FlowAnalysis::analyze(&p);
+        let cyclic = on_cycle(&f.containment_graph(&p));
+        assert_eq!(cyclic, oracle_cyclic(&p, &f), "{src}");
+        (p, f, cyclic)
+    }
+
+    #[test]
+    fn cycle_membership_needs_a_cycle_through_the_node() {
+        // A self-loop, a 2-cycle, and a node that only reaches a cycle.
+        let succ = vec![vec![0], vec![2], vec![1], vec![1, 4], vec![]];
+        assert_eq!(on_cycle(&succ), vec![true, true, true, false, false]);
+        // A long chain closing into one big cycle, deeper than any
+        // reasonable host stack would allow a recursive search.
+        let n = 200_000;
+        let ring: Vec<Vec<u32>> = (0..n).map(|i| vec![((i + 1) % n) as u32]).collect();
+        assert!(on_cycle(&ring).into_iter().all(|c| c));
+        let chain: Vec<Vec<u32>> =
+            (0..n).map(|i| if i + 1 < n { vec![(i + 1) as u32] } else { vec![] }).collect();
+        assert!(on_cycle(&chain).into_iter().all(|c| !c));
+    }
+
+    #[test]
+    fn self_embedding_closure_is_a_self_loop() {
+        // The inner continuation captures `c`, which may hold the inner
+        // continuation itself: a self-loop in the containment graph.
+        let (p, f, cyclic) = assert_matches_oracle(
+            "(define (cps-append x y c)
+               (if (null? x) (c y)
+                   (cps-append (cdr x) y (lambda (xy) (c (cons (car x) xy))))))",
+        );
+        let inner = p.lambdas.iter().position(|l| !l.freevars.is_empty()).unwrap();
+        assert!(f.containment_graph(&p)[inner].contains(&(inner as u32)));
+        assert!(cyclic[inner]);
+    }
+
+    #[test]
+    fn closure_and_cons_site_on_a_two_cycle_are_both_critical() {
+        // The closure captures `acc`, which holds pairs from the cons
+        // site; the site's car holds the closure: λ → site → λ.
+        let src = "(define (f x acc)
+                     (if (null? x) acc (f (cdr x) (cons (lambda (v) acc) '()))))";
+        let (p, f, cyclic) = assert_matches_oracle(src);
+        let nlams = p.lambdas.len();
+        let lam = p.lambdas.iter().position(|l| !l.freevars.is_empty()).unwrap();
+        let site = nlams..cyclic.len();
+        assert_eq!(site.len(), 1, "one cons site");
+        let graph = f.containment_graph(&p);
+        assert!(!graph[lam].contains(&(lam as u32)), "no self-loop on the closure");
+        assert!(cyclic[lam] && cyclic[nlams], "both on the 2-cycle");
+        let (_, g) = analyze(src);
+        assert!(g.lam_is_critical(LamId(lam as u32)));
+        assert!(g.cons_is_critical(f.cons_site(0)));
+    }
+
+    #[test]
+    fn closure_reaching_a_cycle_without_lying_on_it_is_not_critical() {
+        // `acc` grows by a self-embedding cons (a cycle on the site); the
+        // closure captures `acc` and so reaches that cycle, but nothing
+        // ever stores the closure back into `acc`.
+        let src = "(define (rev x acc)
+                     (if (null? x) (k (lambda (v) acc)) (rev (cdr x) (cons (car x) acc))))
+                   (define (k f) f)";
+        let (p, f, cyclic) = assert_matches_oracle(src);
+        let nlams = p.lambdas.len();
+        let lam = p.lambdas.iter().position(|l| !l.freevars.is_empty()).unwrap();
+        assert!(f.containment_graph(&p)[lam].contains(&(nlams as u32)), "λ reaches the site");
+        assert!(cyclic[nlams], "the accumulator's cons site is on a cycle");
+        assert!(!cyclic[lam], "the closure is not");
+        let (_, g) = analyze(src);
+        assert!(!g.lam_is_critical(LamId(lam as u32)));
+        assert!(g.cons_is_critical(f.cons_site(0)));
+    }
+
+    #[test]
+    fn recursion_through_a_created_lambda_marks_pushes() {
+        // `f` never calls itself directly, but the closure it creates
+        // does: the procedure is recursive through the lambda, so the
+        // context pushed for `(g (g x))` is critical.
+        let (_, g) = analyze(
+            "(define (g x) x)
+             (define (h k) (k 1))
+             (define (f x) (h (lambda (v) (f (g (g v))))))",
+        );
+        assert!(!g.critical_lams.is_empty(), "critical: {:?}", g.critical_lams);
     }
 
     #[test]

@@ -183,25 +183,31 @@ fn trace_stream_from_concurrent_serve_validates() {
 fn warm_start_is_much_cheaper_than_cold() {
     // The acceptance bar: a warm answer at least 10x faster than a cold
     // compile.  Use the cache-hit path (the service's warm answer) on
-    // the heaviest suite program, and give the ratio a wide margin to
-    // keep CI deterministic: a hit is a map lookup + clone, orders of
-    // magnitude below a full pipeline run.
+    // the heaviest suite program.  The other tests of this binary run in
+    // parallel, so a single timing can land on a preempted slice: compare
+    // the fastest of several hits against the fastest of several cold
+    // compiles, each on a fresh server.
+    const TRIES: usize = 5;
     let b = realistic_pe::suite::benchmark("queens").expect("queens exists");
-    let server = Server::new(ServerConfig::default());
     let req = CompileRequest::new(b.name, b.source, b.entry);
+    let (mut cold_ns, mut warm_ns) = (u128::MAX, u128::MAX);
+    for _ in 0..TRIES {
+        let server = Server::new(ServerConfig::default());
+        let t0 = std::time::Instant::now();
+        let cold = server.serve(std::slice::from_ref(&req));
+        cold_ns = cold_ns.min(t0.elapsed().as_nanos().max(1));
+        assert!(matches!(cold[0].outcome, Outcome::Compiled { warm_started: false, .. }));
 
-    let t0 = std::time::Instant::now();
-    let cold = server.serve(std::slice::from_ref(&req));
-    let cold_ns = t0.elapsed().as_nanos().max(1);
-    assert!(matches!(cold[0].outcome, Outcome::Compiled { warm_started: false, .. }));
-
-    let t1 = std::time::Instant::now();
-    let warm = server.serve(std::slice::from_ref(&req));
-    let warm_ns = t1.elapsed().as_nanos().max(1);
-    assert!(warm[0].is_hit());
-    assert_eq!(cold[0].residual_source(), warm[0].residual_source());
+        for _ in 0..TRIES {
+            let t1 = std::time::Instant::now();
+            let warm = server.serve(std::slice::from_ref(&req));
+            warm_ns = warm_ns.min(t1.elapsed().as_nanos().max(1));
+            assert!(warm[0].is_hit());
+            assert_eq!(cold[0].residual_source(), warm[0].residual_source());
+        }
+    }
     assert!(
         cold_ns >= warm_ns * 10,
-        "warm answer must be >=10x faster: cold {cold_ns}ns vs warm {warm_ns}ns"
+        "warm answer must be >=10x faster: fastest cold {cold_ns}ns vs fastest warm {warm_ns}ns"
     );
 }

@@ -9,11 +9,14 @@
 //!   interference;
 //! * every simple expression is an assignment to a **single-use
 //!   temporary**, sequentialized with C's comma operator — register
-//!   allocation is left to the C compiler;
+//!   allocation is left to the C compiler.  Constants are the exception:
+//!   they have no effect to sequence, so they are emitted in place;
 //! * closures are **flat vectors** (label + captured values) and closure
 //!   application compiles to the same sequential label dispatch as in
-//!   the Scheme residual code;
-//! * data objects are a tagged union.
+//!   the Scheme residual code, each test comparing the label unboxed;
+//! * data objects are a tagged union.  Values without identity are never
+//!   allocated: `#t`, `#f`, `'()` and the program's symbols are static
+//!   objects, and small integers come from one static table.
 //!
 //! The paper uses the Boehm collector with "no cooperation between the
 //! translation and the garbage collector"; allocation strategy being
@@ -26,23 +29,24 @@ use pe_governor::{Fuel, Limits};
 use pe_interp::Datum;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Options for the C translation.
 #[derive(Debug, Clone)]
 pub struct COptions {
-    /// Bytes of the bump arena in the emitted runtime.
-    pub arena_bytes: usize,
     /// Elide global-parameter moves that dataflow analysis proves
     /// redundant: identity moves (`gᵢ = pᵢ` when argument *i* is the
     /// caller's own *i*-th parameter, so the global already holds the
     /// value), trivial moves into parameters the callee never reads, and
-    /// prologue copies of parameters `pe-flow` liveness proves dead.
+    /// prologue copies of parameters the emitted body never reads
+    /// (`pe-flow` liveness proves them dead, or their only reads were
+    /// elided identity moves).
     pub elide_moves: bool,
 }
 
 impl Default for COptions {
     fn default() -> Self {
-        COptions { arena_bytes: 256 << 20, elide_moves: true }
+        COptions { elide_moves: true }
     }
 }
 
@@ -64,7 +68,6 @@ impl CProgram {
 }
 
 struct Emitter {
-    out: String,
     /// S₀ name → sanitized unique C label.
     labels: HashMap<String, String>,
     used: HashMap<String, usize>,
@@ -76,14 +79,16 @@ struct Emitter {
     moves_elided: usize,
 }
 
-/// Per-procedure dataflow facts driving move elision: which parameter
-/// positions of each procedure are dead (never read), per `pe-flow`
-/// liveness.
-struct MoveFacts<'a> {
-    /// Procedure name → one flag per parameter, `true` when dead.
+/// What translating one procedure body consults and records.
+struct ProcScope<'a> {
+    /// Procedure name → one flag per parameter, `true` when `pe-flow`
+    /// liveness proves it dead (never read).
     dead: &'a HashMap<&'a str, Vec<bool>>,
-    /// The current procedure's parameters, in declaration order.
-    caller_params: &'a [String],
+    /// The current procedure's parameter name → position; parameter *i*
+    /// is the C variable `pᵢ`.
+    index: HashMap<&'a str, usize>,
+    /// Positions the emitted body reads: the prologue copies only these.
+    read: Vec<bool>,
 }
 
 impl Emitter {
@@ -129,16 +134,20 @@ impl Emitter {
         t
     }
 
-    /// Emits a constant as a C expression.
+    /// Emits a constant as a C expression.  Only a quoted pair, a
+    /// character, a string or an integer outside the small-integer
+    /// table allocates.
     fn constant(&mut self, k: &Constant) -> String {
         match k {
+            Constant::Int(i64::MIN) => "rt_int(LONG_MIN)".to_string(),
             Constant::Int(n) => format!("rt_int({n}L)"),
-            Constant::Bool(b) => format!("rt_bool({})", i32::from(*b)),
+            Constant::Bool(true) => "RT_TRUE".to_string(),
+            Constant::Bool(false) => "RT_FALSE".to_string(),
             Constant::Char(c) => format!("rt_char({})", *c as u32),
-            Constant::Nil => "rt_nil()".to_string(),
+            Constant::Nil => "RT_NIL".to_string(),
             Constant::Sym(s) => {
                 let i = self.sym_index(s);
-                format!("rt_sym({i})")
+                format!("&rt_syms[{i}]")
             }
             Constant::Str(s) => {
                 let i = self.str_index(s);
@@ -155,19 +164,34 @@ impl Emitter {
     /// Translates a simple expression into a C expression that assigns
     /// every intermediate result to a fresh single-use temporary,
     /// sequenced with the comma operator (§5.1), and evaluates to the
-    /// final temporary.  Temporary declarations accumulate in `temps`.
-    fn simple(&mut self, s: &S0Simple, params: &HashMap<&str, String>, temps: &mut Vec<String>) -> String {
+    /// final temporary; a variable or constant is emitted in place.
+    /// Temporary declarations accumulate in `temps`, and every
+    /// parameter read is marked in `scope`.
+    fn simple(
+        &mut self,
+        s: &S0Simple,
+        scope: &mut ProcScope<'_>,
+        temps: &mut Vec<String>,
+    ) -> String {
         let expr = match s {
-            S0Simple::Var(v) => return params[v.as_str()].clone(),
-            S0Simple::Const(k) => self.constant(k),
+            S0Simple::Var(v) => {
+                let i = scope.index[v.as_str()];
+                scope.read[i] = true;
+                return format!("p{i}");
+            }
+            // A constant has no effect to sequence.
+            S0Simple::Const(k) => return self.constant(k),
+            S0Simple::Prim(..) if s.dispatch_test().is_some() => {
+                format!("rt_bool({})", self.condition(s, scope, temps))
+            }
             S0Simple::Prim(op, args) => {
                 let xs: Vec<String> =
-                    args.iter().map(|a| self.simple(a, params, temps)).collect();
+                    args.iter().map(|a| self.simple(a, scope, temps)).collect();
                 prim_call(*op, &xs)
             }
             S0Simple::MakeClosure(l, args) => {
                 let xs: Vec<String> =
-                    args.iter().map(|a| self.simple(a, params, temps)).collect();
+                    args.iter().map(|a| self.simple(a, scope, temps)).collect();
                 let mut call = format!("rt_closure({l}, {}", xs.len());
                 for x in &xs {
                     let _ = write!(call, ", {x}");
@@ -176,11 +200,11 @@ impl Emitter {
                 call
             }
             S0Simple::ClosureLabel(a) => {
-                let x = self.simple(a, params, temps);
+                let x = self.simple(a, scope, temps);
                 format!("rt_closure_label({x})")
             }
             S0Simple::ClosureFreeval(a, i) => {
-                let x = self.simple(a, params, temps);
+                let x = self.simple(a, scope, temps);
                 format!("rt_closure_freeval({x}, {i})")
             }
         };
@@ -189,11 +213,28 @@ impl Emitter {
         format!("({t} = {expr}, {t})")
     }
 
+    /// Translates a condition into a C truth value.  A closure-dispatch
+    /// test (`S0Simple::dispatch_test`) compares the label unboxed;
+    /// `rt_label_is` keeps `closure-label`'s type check.
+    fn condition(
+        &mut self,
+        c: &S0Simple,
+        scope: &mut ProcScope<'_>,
+        temps: &mut Vec<String>,
+    ) -> String {
+        match c.dispatch_test() {
+            Some((subject, label)) => {
+                let x = self.simple(subject, scope, temps);
+                format!("rt_label_is({x}, {label})")
+            }
+            None => format!("rt_truthy({})", self.simple(c, scope, temps)),
+        }
+    }
+
     fn tail(
         &mut self,
         t: &S0Tail,
-        params: &HashMap<&str, String>,
-        facts: &MoveFacts<'_>,
+        scope: &mut ProcScope<'_>,
         temps: &mut Vec<String>,
         indent: usize,
         body: &mut String,
@@ -201,15 +242,15 @@ impl Emitter {
         let pad = "  ".repeat(indent);
         match t {
             S0Tail::Return(s) => {
-                let e = self.simple(s, params, temps);
+                let e = self.simple(s, scope, temps);
                 let _ = writeln!(body, "{pad}return {e};");
             }
             S0Tail::If(c, a, b) => {
-                let e = self.simple(c, params, temps);
-                let _ = writeln!(body, "{pad}if (rt_truthy({e})) {{");
-                self.tail(a, params, facts, temps, indent + 1, body);
+                let e = self.condition(c, scope, temps);
+                let _ = writeln!(body, "{pad}if ({e}) {{");
+                self.tail(a, scope, temps, indent + 1, body);
                 let _ = writeln!(body, "{pad}}} else {{");
-                self.tail(b, params, facts, temps, indent + 1, body);
+                self.tail(b, scope, temps, indent + 1, body);
                 let _ = writeln!(body, "{pad}}}");
             }
             S0Tail::TailCall(callee, args) => {
@@ -225,11 +266,11 @@ impl Emitter {
                 //   reads parameter *i*, and the argument is a variable or
                 //   constant, so skipping its evaluation cannot suppress a
                 //   runtime error.
-                let dead_target = facts.dead.get(callee.as_str());
+                let dead_target = scope.dead.get(callee.as_str());
                 for (i, a) in args.iter().enumerate() {
                     if self.elide {
                         let identity = matches!(a, S0Simple::Var(v)
-                            if facts.caller_params.get(i).map(String::as_str) == Some(v.as_str()));
+                            if scope.index.get(v.as_str()) == Some(&i));
                         let dead = dead_target
                             .is_some_and(|d| d.get(i).copied().unwrap_or(false))
                             && matches!(a, S0Simple::Var(_) | S0Simple::Const(_));
@@ -238,7 +279,7 @@ impl Emitter {
                             continue;
                         }
                     }
-                    let x = self.simple(a, params, temps);
+                    let x = self.simple(a, scope, temps);
                     let _ = writeln!(body, "{pad}g{i} = {x};");
                 }
                 let l = self.label_of(callee);
@@ -281,24 +322,17 @@ fn prim_call(op: Prim, args: &[String]) -> String {
     format!("{f}({})", args.join(", "))
 }
 
-fn datum_literal(e: &mut Emitter, d: &Datum) -> String {
+/// The constant a first-order entry argument denotes.
+fn datum_constant(d: &Datum) -> Constant {
     match d {
-        Datum::Int(n) => format!("rt_int({n}L)"),
-        Datum::Bool(b) => format!("rt_bool({})", i32::from(*b)),
-        Datum::Char(c) => format!("rt_char({})", *c as u32),
-        Datum::Nil => "rt_nil()".to_string(),
-        Datum::Sym(s) => {
-            let i = e.sym_index(s);
-            format!("rt_sym({i})")
-        }
-        Datum::Str(s) => {
-            let i = e.str_index(s);
-            format!("rt_str({i})")
-        }
+        Datum::Int(n) => Constant::Int(*n),
+        Datum::Bool(b) => Constant::Bool(*b),
+        Datum::Char(c) => Constant::Char(*c),
+        Datum::Nil => Constant::Nil,
+        Datum::Sym(s) => Constant::Sym(s.clone()),
+        Datum::Str(s) => Constant::Str(s.clone()),
         Datum::Pair(p) => {
-            let a = datum_literal(e, &p.0);
-            let d = datum_literal(e, &p.1);
-            format!("rt_cons({a}, {d})")
+            Constant::Pair(Arc::new(datum_constant(&p.0)), Arc::new(datum_constant(&p.1)))
         }
         Datum::Closure(c) => match *c {},
     }
@@ -309,7 +343,6 @@ fn datum_literal(e: &mut Emitter, d: &Datum) -> String {
 /// S-expression.
 pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
     let mut e = Emitter {
-        out: String::new(),
         labels: HashMap::new(),
         used: HashMap::new(),
         symbols: Vec::new(),
@@ -321,9 +354,9 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
     };
 
     // Per-procedure liveness, computed once up front: parameter
-    // positions never read drive both prologue skipping and dead-target
-    // move elision.  A trapped analysis budget degrades to "all live"
-    // (no elision), never to a wrong answer.
+    // positions never read drive dead-target move elision.  A trapped
+    // analysis budget degrades to "all live" (no elision), never to a
+    // wrong answer.
     let dead: HashMap<&str, Vec<bool>> = if opts.elide_moves {
         let mut fuel = Fuel::new(&Limits::default());
         p.procs
@@ -344,20 +377,22 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
     let mut bodies = String::new();
     for q in &p.procs {
         let label = e.label_of(&q.name);
+        let mut scope = ProcScope {
+            dead: &dead,
+            index: q.params.iter().enumerate().map(|(i, v)| (v.as_str(), i)).collect(),
+            read: vec![false; q.params.len()],
+        };
+        let mut temps = Vec::new();
+        let mut body = String::new();
+        e.tail(&q.body, &mut scope, &mut temps, 1, &mut body);
         let _ = writeln!(bodies, "{label}: {{");
-        let params: HashMap<&str, String> = q
-            .params
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.as_str(), format!("p{i}")))
-            .collect();
-        let facts = MoveFacts { dead: &dead, caller_params: &q.params };
         // Fresh scope: copy the globals into private parameter
-        // variables — except the ones liveness proves are never read.
-        let dead_here = facts.dead.get(q.name.as_str());
+        // variables — only the ones the body reads.  A parameter that
+        // liveness proves dead, or whose only reads were elided identity
+        // moves, needs no copy.
         let mut copied = 0usize;
-        for i in 0..q.params.len() {
-            if e.elide && dead_here.is_some_and(|d| d[i]) {
+        for (i, &read) in scope.read.iter().enumerate() {
+            if e.elide && !read {
                 e.moves_elided += 1;
                 continue;
             }
@@ -367,9 +402,6 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
         if copied == 0 {
             let _ = writeln!(bodies, "  ;");
         }
-        let mut temps = Vec::new();
-        let mut body = String::new();
-        e.tail(&q.body, &params, &facts, &mut temps, 1, &mut body);
         if !temps.is_empty() {
             let _ = writeln!(bodies, "  Obj *{};", temps.join(", *"));
         }
@@ -378,14 +410,13 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
     }
 
     let mut main_args = String::new();
-    let entry_args: Vec<String> = args.iter().map(|d| datum_literal(&mut e, d)).collect();
-    for (i, a) in entry_args.iter().enumerate() {
+    for (i, a) in args.iter().enumerate() {
+        let a = e.constant(&datum_constant(a));
         let _ = writeln!(main_args, "  g{i} = {a};");
     }
 
     // Now assemble the file.
-    let mut out = String::new();
-    out.push_str(&runtime_header(opts, &e.symbols, &e.strings));
+    let mut out = runtime_header(&e.symbols, &e.strings);
     let _ = writeln!(out, "/* global parameter variables (§5.1) */");
     for i in 0..e.max_arity.max(args.len()) {
         let _ = writeln!(out, "static Obj *g{i};");
@@ -403,52 +434,71 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
     let _ = writeln!(out, "  return 0;");
     let _ = writeln!(out, "}}");
 
-    let _ = &e.out;
     CProgram { source: out, moves_elided: e.moves_elided }
 }
 
-fn runtime_header(opts: &COptions, symbols: &[String], strings: &[String]) -> String {
-    let mut h = String::new();
-    let _ = writeln!(
-        h,
+fn runtime_header(symbols: &[String], strings: &[String]) -> String {
+    let mut h = String::from(
         r#"/* generated by pe-backend-c — S0-to-C translation (Sperber/Thiemann §5.1) */
+#include <limits.h>
 #include <stdio.h>
 #include <stdlib.h>
-#include <string.h>
 
-enum {{ T_INT, T_BOOL, T_CHAR, T_NIL, T_SYM, T_STR, T_PAIR, T_CLO }};
+enum { T_INT, T_BOOL, T_CHAR, T_NIL, T_SYM, T_STR, T_PAIR, T_CLO };
 
 typedef struct Obj Obj;
-struct Obj {{
+struct Obj {
   int tag;
-  union {{
+  union {
     long i;
-    struct {{ Obj *car, *cdr; }} pair;
-    struct {{ long label; int n; Obj **fv; }} clo;
-  }} u;
-}};
-"#
+    struct { Obj *car, *cdr; } pair;
+    struct { long label; int n; Obj **fv; } clo;
+  } u;
+};
+
+/* Values without identity are static: #t, #f, '(), symbols, integers -16..255. */
+static Obj rt_consts[3] = {{T_BOOL, {0}}, {T_BOOL, {1}}, {T_NIL, {0}}};
+#define RT_FALSE (&rt_consts[0])
+#define RT_TRUE (&rt_consts[1])
+#define RT_NIL (&rt_consts[2])
+static Obj rt_ints[272];
+"#,
     );
-    let _ = writeln!(h, "static const char *rt_symbols[] = {{");
-    for s in symbols {
-        let _ = writeln!(h, "  {:?},", s);
+    // A table, and its print case, exists only when it has entries: a
+    // program without symbols (strings) has no object to print from it,
+    // and `printf("%s")` on a sentinel-only table warns at -O2.
+    let mut print_tables = String::new();
+    if !symbols.is_empty() {
+        let _ = writeln!(h, "static const char *rt_symbols[] = {{");
+        for s in symbols {
+            let _ = writeln!(h, "  {s:?},");
+        }
+        let _ = writeln!(h, "}};");
+        let objs: Vec<String> = (0..symbols.len()).map(|i| format!("{{T_SYM, {{{i}}}}}")).collect();
+        let _ = writeln!(h, "static Obj rt_syms[] = {{{}}};", objs.join(", "));
+        print_tables.push_str("    case T_SYM: printf(\"%s\", rt_symbols[o->u.i]); break;\n");
     }
-    let _ = writeln!(h, "  0\n}};");
-    let _ = writeln!(h, "static const char *rt_strings[] = {{");
-    for s in strings {
-        let _ = writeln!(h, "  {:?},", s);
+    if !strings.is_empty() {
+        let _ = writeln!(h, "static const char *rt_strings[] = {{");
+        for s in strings {
+            let _ = writeln!(h, "  {s:?},");
+        }
+        let _ = writeln!(h, "}};");
+        print_tables
+            .push_str("    case T_STR: printf(\"%c%s%c\", 34, rt_strings[o->u.i], 34); break;\n");
     }
-    let _ = writeln!(h, "  0\n}};");
-    let _ = writeln!(
+    let _ = write!(
         h,
         r##"
 /* Bump arena: substitution for the Boehm collector (see DESIGN.md). */
-static char *rt_arena, *rt_free_ptr, *rt_end;
+#define RT_ARENA_BYTES (256L << 20)
+static char *rt_free_ptr, *rt_end;
 static void rt_init(void) {{
-  rt_arena = (char *)malloc({arena});
-  if (!rt_arena) {{ fprintf(stderr, "arena allocation failed\n"); exit(2); }}
-  rt_free_ptr = rt_arena;
-  rt_end = rt_arena + {arena};
+  int i;
+  rt_free_ptr = (char *)malloc(RT_ARENA_BYTES);
+  if (!rt_free_ptr) {{ fprintf(stderr, "arena allocation failed\n"); exit(2); }}
+  rt_end = rt_free_ptr + RT_ARENA_BYTES;
+  for (i = 0; i < 272; i++) {{ rt_ints[i].tag = T_INT; rt_ints[i].u.i = i - 16; }}
 }}
 static void rt_die(const char *msg) {{
   fprintf(stderr, "runtime error: %s\n", msg);
@@ -456,7 +506,7 @@ static void rt_die(const char *msg) {{
 }}
 static void *rt_alloc(size_t n) {{
   n = (n + 15) & ~(size_t)15;
-  if (rt_free_ptr + n > rt_end) rt_die("arena exhausted");
+  if ((size_t)(rt_end - rt_free_ptr) < n) rt_die("arena exhausted");
   {{ void *p = rt_free_ptr; rt_free_ptr += n; return p; }}
 }}
 static Obj *rt_new(int tag) {{
@@ -464,16 +514,18 @@ static Obj *rt_new(int tag) {{
   o->tag = tag;
   return o;
 }}
-static Obj *rt_int(long n) {{ Obj *o = rt_new(T_INT); o->u.i = n; return o; }}
-static Obj *rt_bool(int b) {{ Obj *o = rt_new(T_BOOL); o->u.i = b; return o; }}
+static Obj *rt_int(long n) {{
+  Obj *o;
+  if ((unsigned long)n + 16 < 272) return &rt_ints[n + 16];
+  o = rt_new(T_INT); o->u.i = n; return o;
+}}
+static Obj *rt_bool(int b) {{ return b ? RT_TRUE : RT_FALSE; }}
 static Obj *rt_char(long c) {{ Obj *o = rt_new(T_CHAR); o->u.i = c; return o; }}
-static Obj *rt_nil(void) {{ Obj *o = rt_new(T_NIL); return o; }}
-static Obj *rt_sym(long i) {{ Obj *o = rt_new(T_SYM); o->u.i = i; return o; }}
 static Obj *rt_str(long i) {{ Obj *o = rt_new(T_STR); o->u.i = i; return o; }}
 static Obj *rt_cons(Obj *a, Obj *d) {{
   Obj *o = rt_new(T_PAIR); o->u.pair.car = a; o->u.pair.cdr = d; return o;
 }}
-static int rt_truthy(Obj *o) {{ return !(o->tag == T_BOOL && o->u.i == 0); }}
+static int rt_truthy(Obj *o) {{ return o != RT_FALSE; }}
 static Obj *rt_car(Obj *o) {{ if (o->tag != T_PAIR) rt_die("car: not a pair"); return o->u.pair.car; }}
 static Obj *rt_cdr(Obj *o) {{ if (o->tag != T_PAIR) rt_die("cdr: not a pair"); return o->u.pair.cdr; }}
 static Obj *rt_nullp(Obj *o) {{ return rt_bool(o->tag == T_NIL); }}
@@ -483,16 +535,24 @@ static Obj *rt_symbolp(Obj *o) {{ return rt_bool(o->tag == T_SYM); }}
 static Obj *rt_numberp(Obj *o) {{ return rt_bool(o->tag == T_INT); }}
 static Obj *rt_booleanp(Obj *o) {{ return rt_bool(o->tag == T_BOOL); }}
 static long rt_ival(Obj *o) {{ if (o->tag != T_INT) rt_die("expected number"); return o->u.i; }}
-static Obj *rt_add(Obj *a, Obj *b) {{ return rt_int(rt_ival(a) + rt_ival(b)); }}
-static Obj *rt_sub(Obj *a, Obj *b) {{ return rt_int(rt_ival(a) - rt_ival(b)); }}
-static Obj *rt_mul(Obj *a, Obj *b) {{ return rt_int(rt_ival(a) * rt_ival(b)); }}
+#define RT_CHECKED(op, x, y, name) \
+  long r; if (__builtin_##op##_overflow(x, y, &r)) rt_die(name ": fixnum overflow"); return rt_int(r)
+static Obj *rt_add(Obj *a, Obj *b) {{ RT_CHECKED(add, rt_ival(a), rt_ival(b), "+"); }}
+static Obj *rt_sub(Obj *a, Obj *b) {{ RT_CHECKED(sub, rt_ival(a), rt_ival(b), "-"); }}
+static Obj *rt_mul(Obj *a, Obj *b) {{ RT_CHECKED(mul, rt_ival(a), rt_ival(b), "*"); }}
+static Obj *rt_add1(Obj *o) {{ RT_CHECKED(add, rt_ival(o), 1L, "add1"); }}
+static Obj *rt_sub1(Obj *o) {{ RT_CHECKED(sub, rt_ival(o), 1L, "sub1"); }}
 static Obj *rt_quotient(Obj *a, Obj *b) {{
-  long d = rt_ival(b); if (d == 0) rt_die("quotient: division by zero");
-  return rt_int(rt_ival(a) / d);
+  long n = rt_ival(a), d = rt_ival(b);
+  if (d == 0) rt_die("quotient: division by zero");
+  if (d == -1 && n == LONG_MIN) rt_die("quotient: fixnum overflow");
+  return rt_int(n / d);
 }}
 static Obj *rt_remainder(Obj *a, Obj *b) {{
-  long d = rt_ival(b); if (d == 0) rt_die("remainder: division by zero");
-  return rt_int(rt_ival(a) % d);
+  long n = rt_ival(a), d = rt_ival(b);
+  if (d == 0) rt_die("remainder: division by zero");
+  if (d == -1 && n == LONG_MIN) rt_die("remainder: fixnum overflow");
+  return rt_int(n % d);
 }}
 static Obj *rt_numeq(Obj *a, Obj *b) {{ return rt_bool(rt_ival(a) == rt_ival(b)); }}
 static Obj *rt_lt(Obj *a, Obj *b) {{ return rt_bool(rt_ival(a) < rt_ival(b)); }}
@@ -500,8 +560,6 @@ static Obj *rt_gt(Obj *a, Obj *b) {{ return rt_bool(rt_ival(a) > rt_ival(b)); }}
 static Obj *rt_le(Obj *a, Obj *b) {{ return rt_bool(rt_ival(a) <= rt_ival(b)); }}
 static Obj *rt_ge(Obj *a, Obj *b) {{ return rt_bool(rt_ival(a) >= rt_ival(b)); }}
 static Obj *rt_zerop(Obj *o) {{ return rt_bool(rt_ival(o) == 0); }}
-static Obj *rt_add1(Obj *o) {{ return rt_int(rt_ival(o) + 1); }}
-static Obj *rt_sub1(Obj *o) {{ return rt_int(rt_ival(o) - 1); }}
 static int rt_eq_raw(Obj *a, Obj *b) {{
   if (a == b) return 1;
   if (a->tag != b->tag) return 0;
@@ -532,10 +590,12 @@ static Obj *rt_closure(long label, int n, ...) {{
   __builtin_va_end(ap);
   return o;
 }}
-static Obj *rt_closure_label(Obj *o) {{
+static long rt_label(Obj *o) {{
   if (o->tag != T_CLO) rt_die("closure-label: not a closure");
-  return rt_int(o->u.clo.label);
+  return o->u.clo.label;
 }}
+static Obj *rt_closure_label(Obj *o) {{ return rt_int(rt_label(o)); }}
+static int rt_label_is(Obj *o, long l) {{ return rt_label(o) == l; }}
 static Obj *rt_closure_freeval(Obj *o, int i) {{
   if (o->tag != T_CLO) rt_die("closure-freeval: not a closure");
   if (i >= o->u.clo.n) rt_die("closure-freeval: index out of range");
@@ -547,9 +607,7 @@ static void rt_print(Obj *o) {{
     case T_BOOL: printf(o->u.i ? "#t" : "#f"); break;
     case T_CHAR: printf("#\\%c", (char)o->u.i); break;
     case T_NIL: printf("()"); break;
-    case T_SYM: printf("%s", rt_symbols[o->u.i]); break;
-    case T_STR: printf("%c%s%c", 34, rt_strings[o->u.i], 34); break;
-    case T_CLO: printf("#<procedure %ld>", o->u.clo.label); break;
+{print_tables}    case T_CLO: printf("#<procedure %ld>", o->u.clo.label); break;
     case T_PAIR: {{
       printf("(");
       for (;;) {{
@@ -564,8 +622,8 @@ static void rt_print(Obj *o) {{
     }}
   }}
 }}
-"##,
-        arena = opts.arena_bytes
+
+"##
     );
     h
 }
@@ -581,7 +639,9 @@ mod tests {
         Command::new("cc").arg("--version").output().is_ok()
     }
 
-    fn run_c(c: &CProgram, tag: &str) -> String {
+    /// Builds `c` with `cc -O1` and runs it: (exit status ok, stdout,
+    /// stderr).
+    fn build_and_run(c: &CProgram, tag: &str) -> (bool, String, String) {
         let dir = std::env::temp_dir().join(format!("pe-backend-c-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let src = dir.join("prog.c");
@@ -601,16 +661,29 @@ mod tests {
             c.source
         );
         let out = Command::new(&bin).output().expect("binary runs");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        String::from_utf8_lossy(&out.stdout).trim().to_string()
+        let _ = std::fs::remove_dir_all(&dir);
+        (
+            out.status.success(),
+            String::from_utf8_lossy(&out.stdout).trim().to_string(),
+            String::from_utf8_lossy(&out.stderr).to_string(),
+        )
     }
 
-    fn compile_and_run(src: &str, entry: &str, args: &[Datum], tag: &str) -> String {
+    fn run_c(c: &CProgram, tag: &str) -> String {
+        let (ok, stdout, stderr) = build_and_run(c, tag);
+        assert!(ok, "{stderr}");
+        stdout
+    }
+
+    fn emit(src: &str, entry: &str, args: &[Datum]) -> CProgram {
         let p = parse_source(src).unwrap();
         let d = desugar(&p).unwrap();
         let s0 = compile(&d, entry, &CompileOptions::default()).unwrap();
-        let c = emit_c(&s0, args, &COptions::default());
-        run_c(&c, tag)
+        emit_c(&s0, args, &COptions::default())
+    }
+
+    fn compile_and_run(src: &str, entry: &str, args: &[Datum], tag: &str) -> String {
+        run_c(&emit(src, entry, args), tag)
     }
 
     #[test]
@@ -626,18 +699,41 @@ mod tests {
         assert!(c.source.contains("(t0 = "), "{}", c.source);
     }
 
+    const CPS_APPEND: &str = "(define (append x y) (cps-append x y (lambda (v) v)))
+        (define (cps-append x y c)
+          (if (null? x) (c y)
+              (cps-append (cdr x) y (lambda (xy) (c (cons (car x) xy))))))";
+
+    #[test]
+    fn dispatch_tests_and_constants_are_unboxed() {
+        let c = emit(CPS_APPEND, "append", &[Datum::parse("(a 2)").unwrap(), Datum::Nil]);
+        // Every closure dispatch compares the label in place, keeping
+        // closure-label's type check, instead of boxing label and answer.
+        assert!(c.source.contains("if (rt_label_is("), "{}", c.source);
+        assert!(!c.source.contains("rt_eqp(rt_int("), "{}", c.source);
+        // Constants are emitted in place, never through a temporary.
+        for piece in c.source.split("(t").skip(1) {
+            let digits_stripped = piece.trim_start_matches(|ch: char| ch.is_ascii_digit());
+            let Some(expr) = digits_stripped.strip_prefix(" = ") else {
+                continue;
+            };
+            for k in ["rt_int(", "RT_", "&rt_syms["] {
+                assert!(!expr.starts_with(k), "constant in a temporary: (t{piece}");
+            }
+        }
+        // The entry arguments' symbol and nil are static objects.
+        let entry = "g0 = rt_cons(&rt_syms[0], rt_cons(rt_int(2L), RT_NIL));";
+        assert!(c.source.contains(entry), "{}", c.source);
+    }
+
     #[test]
     fn c_runs_cps_append() {
         if !cc_available() {
             eprintln!("cc not available; skipping");
             return;
         }
-        let src = "(define (append x y) (cps-append x y (lambda (v) v)))
-                   (define (cps-append x y c)
-                     (if (null? x) (c y)
-                         (cps-append (cdr x) y (lambda (xy) (c (cons (car x) xy))))))";
         let out = compile_and_run(
-            src,
+            CPS_APPEND,
             "append",
             &[Datum::parse("(1 2)").unwrap(), Datum::parse("(3 4)").unwrap()],
             "append",
@@ -686,7 +782,7 @@ mod tests {
         let off = emit_c(
             &s0,
             &[Datum::Int(5), Datum::Int(0)],
-            &COptions { elide_moves: false, ..COptions::default() },
+            &COptions { elide_moves: false },
         );
         assert!(on.moves_elided >= 1, "no move elided:\n{}", on.source);
         assert_eq!(off.moves_elided, 0);
@@ -741,20 +837,39 @@ mod tests {
             eprintln!("cc not available; skipping");
             return;
         }
-        let src = "(define (f x) (car x))";
-        let p = parse_source(src).unwrap();
-        let d = desugar(&p).unwrap();
-        let s0 = compile(&d, "f", &CompileOptions::default()).unwrap();
-        let c = emit_c(&s0, &[Datum::Int(7)], &COptions::default());
-        let dir = std::env::temp_dir().join(format!("pe-backend-c-fault-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let srcf = dir.join("prog.c");
-        let bin = dir.join("prog");
-        std::fs::write(&srcf, &c.source).unwrap();
-        let out = Command::new("cc").arg("-o").arg(&bin).arg(&srcf).output().unwrap();
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        let out = Command::new(&bin).output().unwrap();
-        assert!(!out.status.success());
-        assert!(String::from_utf8_lossy(&out.stderr).contains("car: not a pair"));
+        let c = emit("(define (f x) (car x))", "f", &[Datum::Int(7)]);
+        let (ok, _, stderr) = build_and_run(&c, "fault");
+        assert!(!ok);
+        assert!(stderr.contains("car: not a pair"), "{stderr}");
+    }
+
+    #[test]
+    fn c_arithmetic_traps_on_overflow_like_the_vm() {
+        if !cc_available() {
+            eprintln!("cc not available; skipping");
+            return;
+        }
+        let cases: [(&str, i64, &str); 7] = [
+            ("(+ x 1)", i64::MAX, "+: fixnum overflow"),
+            ("(- x 2)", i64::MIN + 1, "-: fixnum overflow"),
+            ("(* x x)", 1 << 32, "*: fixnum overflow"),
+            ("(add1 x)", i64::MAX, "add1: fixnum overflow"),
+            ("(sub1 (sub1 x))", i64::MIN + 1, "sub1: fixnum overflow"),
+            ("(quotient (- x 1) -1)", i64::MIN + 1, "quotient: fixnum overflow"),
+            ("(remainder (- x 1) -1)", i64::MIN + 1, "remainder: fixnum overflow"),
+        ];
+        for (i, (body, x, msg)) in cases.into_iter().enumerate() {
+            let c = emit(&format!("(define (f x) {body})"), "f", &[Datum::Int(x)]);
+            let (ok, stdout, stderr) = build_and_run(&c, &format!("overflow-{i}"));
+            assert!(!ok, "{body} at {x} printed {stdout}");
+            assert!(stderr.contains(msg), "{body} at {x}: {stderr}");
+        }
+        // In range, including the most negative fixnum as a literal.
+        let src = "(define (f x) (cons (* x -1) (cons (- x 9223372036854775807) '())))";
+        let c = emit(src, "f", &[Datum::Int(i64::MAX)]);
+        assert_eq!(run_c(&c, "no-overflow"), "(-9223372036854775807 0)");
+        let c = emit("(define (f x) (quotient x -1))", "f", &[Datum::Int(i64::MIN)]);
+        let (ok, _, stderr) = build_and_run(&c, "min-literal");
+        assert!(!ok && stderr.contains("quotient: fixnum overflow"), "{stderr}");
     }
 }

@@ -273,7 +273,7 @@ fn time_benchmark(b: &Benchmark, cfg: &BenchConfig) -> Result<BenchRow, String> 
     let c_base = realistic_pe::emit_c(
         &s0_base,
         &size_inputs,
-        &COptions { elide_moves: false, ..COptions::default() },
+        &COptions { elide_moves: false },
     );
     let c_flow = realistic_pe::emit_c(&s0_flow, &size_inputs, &COptions::default());
     let residual = ResidualSizes {

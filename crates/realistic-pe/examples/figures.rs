@@ -10,9 +10,11 @@
 //! `speedup`.
 
 use realistic_pe::{
-    compile, specialize, CompileOptions, Datum, GenStrategy, Limits, Pipeline, UnmixOptions,
-    Vm, SUITE,
+    compile, specialize, CProgram, CompileOptions, Datum, GenStrategy, Limits, Pipeline,
+    UnmixOptions, Vm, SUITE,
 };
+use std::path::Path;
+use std::process::Command;
 use std::time::Instant;
 
 fn main() {
@@ -60,12 +62,47 @@ fn time_ms(reps: u32, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Figure 8: ours (PE compiler → S₀ VM) vs the Hobbit-like baseline,
-/// offline generalization strategy — who wins, by what factor.
+/// Builds `c` with `cc -O2` in `dir` and times the binary, spawn to
+/// exit, best of 3.  Checks that it prints `expect`.
+fn time_c(
+    dir: &Path,
+    name: &str,
+    c: &CProgram,
+    expect: &str,
+) -> Result<f64, Box<dyn std::error::Error>> {
+    let src = dir.join(format!("{name}.c"));
+    let bin = dir.join(name);
+    std::fs::write(&src, &c.source)?;
+    let out = Command::new("cc").arg("-O2").arg("-o").arg(&bin).arg(&src).output()?;
+    if !out.status.success() {
+        return Err(format!("{name}: cc failed: {}", String::from_utf8_lossy(&out.stderr)).into());
+    }
+    let out = Command::new(&bin).output()?;
+    let printed = String::from_utf8_lossy(&out.stdout);
+    if !out.status.success() || printed.trim() != expect {
+        return Err(format!("{name}: C printed {printed:?}, the VM {expect:?}").into());
+    }
+    Ok(time_ms(3, || {
+        Command::new(&bin).output().expect("binary runs");
+    }))
+}
+
+/// Figure 8: ours (PE compiler → S₀ on the VM, and as `cc -O2` C) vs
+/// the Hobbit-like baseline, offline generalization strategy — who
+/// wins, by what factor.  The C column is left out without `cc`.
 fn fig8() -> Result<(), Box<dyn std::error::Error>> {
+    let c_dir = Command::new("cc")
+        .arg("--version")
+        .output()
+        .is_ok()
+        .then(|| std::env::temp_dir().join(format!("pe-figures-{}", std::process::id())));
+    if let Some(dir) = &c_dir {
+        std::fs::create_dir_all(dir)?;
+    }
     println!("== Figure 8: benchmarks (ours = PE→S0 on VM, offline strategy) ==");
+    let c_head = if c_dir.is_some() { format!(" {:>8}", "C ms") } else { String::new() };
     println!(
-        "{:<11} {:>10} {:>10} {:>7}   {:>10} {:>10} {:>7}   match?",
+        "{:<11} {:>10}{c_head} {:>10} {:>7}   {:>10} {:>10} {:>7}   match?",
         "benchmark", "ours ms", "hobbit ms", "ratio", "paper ours", "paper hob", "ratio"
     );
     for b in SUITE {
@@ -85,12 +122,19 @@ fn fig8() -> Result<(), Box<dyn std::error::Error>> {
         let hobbit = time_ms(3, || {
             hob.run(b.entry, &args, lim).expect("runs");
         });
+        let c_col = match &c_dir {
+            Some(dir) => {
+                let c = pipe.emit_c(b.entry, &args, &opts)?;
+                format!(" {:>8.2}", time_c(dir, b.name, &c, &expect.to_string())?)
+            }
+            None => String::new(),
+        };
         let ratio = ours / hobbit;
         let paper_ratio = f64::from(b.paper_ours_ms) / f64::from(b.paper_hobbit_ms);
         // Shape check: who wins.
         let shape = (ratio < 1.0) == (paper_ratio < 1.0);
         println!(
-            "{:<11} {:>10.2} {:>10.2} {:>7.2}   {:>10} {:>10} {:>7.2}   {}",
+            "{:<11} {:>10.2}{c_col} {:>10.2} {:>7.2}   {:>10} {:>10} {:>7.2}   {}",
             b.name,
             ours,
             hobbit,
@@ -100,6 +144,9 @@ fn fig8() -> Result<(), Box<dyn std::error::Error>> {
             paper_ratio,
             if shape { "yes" } else { "no" }
         );
+    }
+    if let Some(dir) = &c_dir {
+        let _ = std::fs::remove_dir_all(dir);
     }
     println!();
     Ok(())

@@ -100,7 +100,7 @@ fn elided_moves_are_measured_and_safe_on_the_suite() {
         let off = realistic_pe::emit_c(
             &s0,
             &args,
-            &COptions { elide_moves: false, ..COptions::default() },
+            &COptions { elide_moves: false },
         );
         assert!(on.size_bytes() <= off.size_bytes(), "{}", b.name);
         assert_eq!(off.moves_elided, 0, "{}", b.name);

@@ -7,6 +7,9 @@ set -eux
 cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc with warnings denied: every intra-doc link must resolve, so a
+# doc comment that still names a deleted or renamed function fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo run --release -p realistic-pe --example verify
 
 # pe-flow translation validation: the whole Gabriel suite is compiled

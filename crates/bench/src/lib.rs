@@ -20,7 +20,8 @@
 //! documented in the workspace README ("Benchmark harness").
 
 use realistic_pe::{
-    with_big_stack, Benchmark, COptions, CompileOptions, Datum, Limits, Pipeline, SUITE,
+    with_big_stack, Benchmark, COptions, CompileOptions, Datum, Limits, NullSink, Pipeline,
+    SUITE,
 };
 use std::time::Instant;
 
@@ -206,7 +207,9 @@ fn compile_and_check(b: &Benchmark) -> Result<(), String> {
     let fail = |stage: &str, e: &dyn std::fmt::Display| format!("{}: {stage}: {e}", b.name);
     let pipe = Pipeline::new(b.source).map_err(|e| fail("parse", &e))?;
     let opts = CompileOptions::default();
-    let vm = pipe.compile_vm(b.entry, &opts).map_err(|e| fail("compile", &e))?;
+    let (vm, _) = pipe
+        .compile_vm(b.entry, &opts, &mut NullSink)
+        .map_err(|e| fail("compile", &e))?;
     let hob = pipe.compile_hobbit().map_err(|e| fail("hobbit", &e))?;
 
     let args = b.test_inputs();
@@ -233,14 +236,14 @@ fn time_benchmark(b: &Benchmark, cfg: &BenchConfig) -> Result<BenchRow, String> 
     // Compile time (specialize + verify + VM load) is as much a
     // measured quantity as the runs: min of `reps`, sequential.
     let compile_ms = time_min_ms(cfg.reps, || {
-        pipe.compile_vm(b.entry, &opts).expect("compile rep");
+        pipe.compile_vm(b.entry, &opts, &mut NullSink).expect("compile rep");
     });
     // One traced compilation (after the timed reps, so the tracing
     // can't perturb them) supplies the per-phase breakdown, the
     // specializer counters, and the per-procedure cost attribution.
     let mut events = pe_trace::CollectingSink::new();
     let (vm, report) = pipe
-        .compile_vm_traced(b.entry, &opts, &mut events)
+        .compile_vm(b.entry, &opts, &mut events)
         .map_err(|e| fail("compile", &e))?;
     let table = pe_prof::Attribution::from_events(events.events());
     let mut by_label: Vec<(String, u64)> = Vec::new();
@@ -290,7 +293,7 @@ fn time_benchmark(b: &Benchmark, cfg: &BenchConfig) -> Result<BenchRow, String> 
     // analysis off.  Exact, deterministic quantities.
     let sct_off = CompileOptions { sct: false, ..CompileOptions::default() };
     let off_report = pipe
-        .compile_traced(b.entry, &sct_off, &mut realistic_pe::NullSink)
+        .compile_report(b.entry, &sct_off, None, false, &mut pe_trace::CollectingSink::new())
         .map_err(|e| fail("compile", &e))?;
     use realistic_pe::Counter;
     let sct = SctNumbers {

@@ -15,6 +15,13 @@
 //! * with static entry arguments, **program specialization** — the first
 //!   specializer projection (`append-$1` in the paper's §1 example).
 //!
+//! One function runs it: [`run`] takes the entry's static slots (or
+//! none, to compile), an optional warm-start [`MemoSnapshot`], and a
+//! trace sink, runs cfa → sct → specialize → post → flow once, and
+//! returns a [`Compiled`] program with its [`CompileAudit`] and, when
+//! asked, a fresh snapshot.  [`compile`] and [`specialize`] are its
+//! untraced forms.
+//!
 //! ```
 //! use pe_core::{compile, CompileOptions};
 //! use pe_frontend::{desugar, parse_source};
@@ -80,6 +87,20 @@ pub struct CompileAudit {
     pub events: Vec<ControlEvent>,
 }
 
+/// Everything one specializer run produced: the residual program, the
+/// audit trail for pass 7 of `pe-verify`, and — when the caller asked
+/// for one — a [`MemoSnapshot`] of the finished memo table.
+#[derive(Debug)]
+pub struct Compiled {
+    /// The residual S₀ program.
+    pub program: S0Program,
+    /// The SCT verdicts and the specializer's control log.
+    pub audit: CompileAudit,
+    /// The memo table for warm-starting a later compile of the same
+    /// program, present only when requested.
+    pub snapshot: Option<MemoSnapshot>,
+}
+
 /// Compiles `entry` (all parameters dynamic): closure conversion + tail
 /// conversion + constant folding, then post-processing if enabled.
 ///
@@ -91,108 +112,7 @@ pub fn compile(
     entry: &str,
     opts: &CompileOptions,
 ) -> Result<S0Program, SpecError> {
-    compile_with(dp, entry, opts, &mut pe_trace::NullSink)
-}
-
-/// Like [`compile`], emitting cfa/specialize/post phase spans, the
-/// specializer's event counters, and residual size counters to `sink`.
-///
-/// # Errors
-///
-/// See [`SpecError`].
-pub fn compile_with(
-    dp: &DProgram,
-    entry: &str,
-    opts: &CompileOptions,
-    sink: &mut dyn Sink,
-) -> Result<S0Program, SpecError> {
-    compile_audited_with(dp, entry, opts, sink).map(|(p, _)| p)
-}
-
-/// Like [`compile_with`], additionally returning the [`CompileAudit`]:
-/// the SCT verdict tables plus the specializer's control log, ready for
-/// pass 7 of `pe-verify`.
-///
-/// # Errors
-///
-/// See [`SpecError`]; a program the termination analysis proves
-/// divergent is refused with [`SpecError::SctDiverges`] before
-/// specialization starts.
-pub fn compile_audited_with(
-    dp: &DProgram,
-    entry: &str,
-    opts: &CompileOptions,
-    sink: &mut dyn Sink,
-) -> Result<(S0Program, CompileAudit), SpecError> {
-    let t = pe_trace::begin(sink, Phase::Cfa);
-    let flow = FlowAnalysis::analyze(dp);
-    let gen = GenAnalysis::analyze(dp, &flow);
-    pe_trace::end(sink, t);
-    let sct = run_sct(dp, &flow, entry, opts, sink)?;
-    let t = pe_trace::begin(sink, Phase::Specialize);
-    let mut spec = Spec::new(dp, &flow, &gen, opts.clone());
-    if let Some(a) = &sct {
-        spec = spec.with_sct(a.verdicts.clone());
-    }
-    let r = spec.compile_audited_with(entry, sink);
-    pe_trace::end(sink, t);
-    let (p, events) = r?;
-    let p = finish_traced(p, opts, sink)?;
-    Ok((p, assemble_audit(sct, events)))
-}
-
-/// Like [`compile_audited_with`], warm-starting the specializer from a
-/// [`MemoSnapshot`] and capturing a fresh snapshot of the finished memo
-/// table.  This is the compile service's hot path:
-///
-/// * `warm = None` — a cold compile that additionally pays one clone of
-///   the memo table to produce the snapshot.
-/// * `warm = Some(snap)` where `snap` came from compiling the **same
-///   entry** of the same program with the same options — the entry
-///   state hits the memo immediately, no specialization work happens,
-///   and the residual program is byte-identical to the cold one.
-/// * `warm = Some(snap)` from a **different entry** of the same program
-///   — every specialization point the earlier run reached is reused;
-///   only genuinely new points are specialized.  The result is
-///   semantically equivalent to a cold compile of that entry but not
-///   byte-identical (procedure numbering continues from the snapshot).
-///
-/// Restoring a snapshot from a *different* program or different options
-/// is a logic error the engine cannot detect — callers must key
-/// snapshots by a content fingerprint (see `pe-serve`).
-///
-/// # Errors
-///
-/// See [`SpecError`].
-#[allow(clippy::type_complexity)]
-pub fn compile_warm_audited_with(
-    dp: &DProgram,
-    entry: &str,
-    opts: &CompileOptions,
-    warm: Option<&MemoSnapshot>,
-    sink: &mut dyn Sink,
-) -> Result<(S0Program, CompileAudit, MemoSnapshot), SpecError> {
-    let t = pe_trace::begin(sink, Phase::Cfa);
-    let flow = FlowAnalysis::analyze(dp);
-    let gen = GenAnalysis::analyze(dp, &flow);
-    pe_trace::end(sink, t);
-    let sct = run_sct(dp, &flow, entry, opts, sink)?;
-    let t = pe_trace::begin(sink, Phase::Specialize);
-    let mut spec = Spec::new(dp, &flow, &gen, opts.clone());
-    if let Some(a) = &sct {
-        spec = spec.with_sct(a.verdicts.clone());
-    }
-    if let Some(snap) = warm {
-        spec = spec.with_snapshot(snap);
-        if sink.enabled() {
-            sink.counter(Counter::WarmStarts, 1);
-        }
-    }
-    let r = spec.compile_snapshot_with(entry, sink);
-    pe_trace::end(sink, t);
-    let (p, events, snap) = r?;
-    let p = finish_traced(p, opts, sink)?;
-    Ok((p, assemble_audit(sct, events), snap))
+    run(dp, entry, None, opts, None, false, &mut pe_trace::NullSink).map(|c| c.program)
 }
 
 /// Specializes `entry` with respect to the static argument slots — the
@@ -208,38 +128,44 @@ pub fn specialize(
     slots: &[Option<Datum>],
     opts: &CompileOptions,
 ) -> Result<S0Program, SpecError> {
-    specialize_with(dp, entry, slots, opts, &mut pe_trace::NullSink)
+    run(dp, entry, Some(slots), opts, None, false, &mut pe_trace::NullSink).map(|c| c.program)
 }
 
-/// Like [`specialize`], emitting phase spans and event counters to
-/// `sink`.
+/// The compiler: cfa → sct → specialize → post → flow, each phase under
+/// its span on `sink`, with the specializer's event counters, residual
+/// size counters and per-residual-procedure cost attribution.  A
+/// disabled sink makes this exactly the untraced compile: no clock
+/// reads, no events.
+///
+/// * `slots = None` compiles `entry` with every parameter dynamic;
+///   `Some(slots)` specializes it to the static slots (see
+///   [`specialize`]).
+/// * `warm` seeds the specializer from a [`MemoSnapshot`] captured by
+///   an earlier run over the **same** program with the same options.
+///   For the same entry the warm run hits the memo immediately and the
+///   residual is byte-identical to a cold one; for a different entry
+///   every point the earlier run reached is reused and the residual is
+///   semantically equivalent but numbered differently.  Restoring a
+///   snapshot of a *different* program is a logic error the engine
+///   cannot detect — key snapshots by a content fingerprint (see
+///   `pe-serve`).
+/// * `snapshot` asks for [`Compiled::snapshot`], which costs one clone
+///   of the raw residual procedures.
 ///
 /// # Errors
 ///
-/// See [`SpecError`].
-pub fn specialize_with(
+/// See [`SpecError`]; a program the termination analysis proves
+/// divergent is refused with [`SpecError::SctDiverges`] before
+/// specialization starts.
+pub fn run(
     dp: &DProgram,
     entry: &str,
-    slots: &[Option<Datum>],
+    slots: Option<&[Option<Datum>]>,
     opts: &CompileOptions,
+    warm: Option<&MemoSnapshot>,
+    snapshot: bool,
     sink: &mut dyn Sink,
-) -> Result<S0Program, SpecError> {
-    specialize_audited_with(dp, entry, slots, opts, sink).map(|(p, _)| p)
-}
-
-/// Like [`specialize_with`], additionally returning the
-/// [`CompileAudit`] (see [`compile_audited_with`]).
-///
-/// # Errors
-///
-/// See [`SpecError`].
-pub fn specialize_audited_with(
-    dp: &DProgram,
-    entry: &str,
-    slots: &[Option<Datum>],
-    opts: &CompileOptions,
-    sink: &mut dyn Sink,
-) -> Result<(S0Program, CompileAudit), SpecError> {
+) -> Result<Compiled, SpecError> {
     let t = pe_trace::begin(sink, Phase::Cfa);
     let flow = FlowAnalysis::analyze(dp);
     let gen = GenAnalysis::analyze(dp, &flow);
@@ -247,14 +173,23 @@ pub fn specialize_audited_with(
     let sct = run_sct(dp, &flow, entry, opts, sink)?;
     let t = pe_trace::begin(sink, Phase::Specialize);
     let mut spec = Spec::new(dp, &flow, &gen, opts.clone());
-    if let Some(a) = &sct {
-        spec = spec.with_sct(a.verdicts.clone());
+    let mut stats = pe_sct::SctStats::default();
+    if let Some(a) = sct {
+        stats = a.stats;
+        spec = spec.with_sct(a.verdicts);
     }
-    let r = spec.specialize_audited_with(entry, slots, sink);
+    if let Some(snap) = warm {
+        spec = spec.with_snapshot(snap);
+        if sink.enabled() {
+            sink.counter(Counter::WarmStarts, 1);
+        }
+    }
+    let r = spec.run(entry, slots, snapshot, sink);
     pe_trace::end(sink, t);
-    let (p, events) = r?;
-    let p = finish_traced(p, opts, sink)?;
-    Ok((p, assemble_audit(sct, events)))
+    let mut out = r?;
+    out.audit.stats = stats;
+    out.program = finish(out.program, opts, sink);
+    Ok(out)
 }
 
 /// Runs pe-sct under its own phase span, reports its counters, and
@@ -294,24 +229,15 @@ fn run_sct(
     Ok(Some(a))
 }
 
-fn assemble_audit(sct: Option<pe_sct::SctAnalysis>, events: Vec<ControlEvent>) -> CompileAudit {
-    match sct {
-        Some(a) => CompileAudit { enabled: true, verdicts: a.verdicts, stats: a.stats, events },
-        None => CompileAudit { events, ..CompileAudit::default() },
-    }
-}
-
 /// Post-processes under a `post` span, runs the flow optimizer under a
-/// `flow` span, and reports residual size plus the flow counters.
-fn finish_traced(
-    p: S0Program,
-    opts: &CompileOptions,
-    sink: &mut dyn Sink,
-) -> Result<S0Program, SpecError> {
+/// `flow` span, and reports residual size plus the flow counters.  Each
+/// whole-program phase spreads the time its span measured over the
+/// residual procedures by size.
+fn finish(p: S0Program, opts: &CompileOptions, sink: &mut dyn Sink) -> S0Program {
     let p = if opts.postprocess {
         let t = pe_trace::begin(sink, Phase::Post);
-        let q = post::postprocess_traced(p, sink);
-        pe_trace::end(sink, t);
+        let q = post::postprocess(p);
+        attribute_and_end(sink, t, Phase::Post, &q);
         q
     } else {
         p
@@ -325,14 +251,9 @@ fn finish_traced(
         let fallback = p.clone();
         let t = pe_trace::begin(sink, Phase::Flow);
         let mut fuel = Fuel::new(&opts.limits);
-        let (q, stats) = pe_flow::optimize_with_traced(
-            p,
-            &pe_flow::FlowOptions::default(),
-            &mut fuel,
-            sink,
-        )
-        .unwrap_or_else(|_| (fallback, pe_flow::FlowStats::default()));
-        pe_trace::end(sink, t);
+        let (q, stats) = pe_flow::optimize(p, &mut fuel)
+            .unwrap_or_else(|_| (fallback, pe_flow::FlowStats::default()));
+        attribute_and_end(sink, t, Phase::Flow, &q);
         if sink.enabled() {
             sink.counter(Counter::CopiesPropagated, stats.copies_propagated as u64);
             sink.counter(Counter::DeadBindings, stats.dead_bindings as u64);
@@ -349,7 +270,16 @@ fn finish_traced(
         sink.counter(Counter::ResidualProcs, p.procs.len() as u64);
         sink.counter(Counter::ResidualNodes, p.size() as u64);
     }
-    Ok(p)
+    p
+}
+
+/// Closes span `t` of `phase` after spreading the time it has measured
+/// over `p`'s procedures.
+fn attribute_and_end(sink: &mut dyn Sink, t: pe_trace::SpanTimer, phase: Phase, p: &S0Program) {
+    if let Some(ns) = t.elapsed_ns() {
+        p.attribute_by_size(sink, phase, ns);
+    }
+    pe_trace::end(sink, t);
 }
 
 #[cfg(test)]
@@ -547,12 +477,16 @@ mod tests {
         let src = "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))";
         let p = parse_source(src)?;
         let d = desugar(&p)?;
-        let (_, audit) = compile_audited_with(
+        let audit = run(
             &d,
             "fib",
+            None,
             &CompileOptions::default(),
+            None,
+            false,
             &mut pe_trace::NullSink,
-        )?;
+        )?
+        .audit;
         assert!(audit.enabled);
         assert!(
             audit.events.iter().any(|e| e.kind == spec::ControlKind::StackEager),
@@ -650,13 +584,13 @@ mod tests {
         let p = parse_source(CPS_APPEND)?;
         let d = desugar(&p)?;
         let opts = CompileOptions::default();
-        let (cold, _, snap) =
-            compile_warm_audited_with(&d, "append", &opts, None, &mut pe_trace::NullSink)?;
+        let cold = run(&d, "append", None, &opts, None, true, &mut pe_trace::NullSink)?;
+        let (cold, snap) = (cold.program, cold.snapshot.expect("requested"));
         assert!(!snap.is_empty(), "a real compile memoizes at least the entry point");
         assert!(snap.points() >= snap.procs(), "every proc has a memo key");
         let mut sink = pe_trace::CollectingSink::new();
-        let (warm, _, snap2) =
-            compile_warm_audited_with(&d, "append", &opts, Some(&snap), &mut sink)?;
+        let warm = run(&d, "append", None, &opts, Some(&snap), true, &mut sink)?;
+        let (warm, snap2) = (warm.program, warm.snapshot.expect("requested"));
         // The warm run replays entirely from the memo table...
         assert_eq!(cold.to_source(), warm.to_source());
         let ev = sink.events();
@@ -678,11 +612,11 @@ mod tests {
         let p = parse_source(CPS_APPEND)?;
         let d = desugar(&p)?;
         let opts = CompileOptions::default();
-        let (_, _, snap) =
-            compile_warm_audited_with(&d, "append", &opts, None, &mut pe_trace::NullSink)?;
+        let snap = run(&d, "append", None, &opts, None, true, &mut pe_trace::NullSink)?
+            .snapshot
+            .expect("requested");
         let mut sink = pe_trace::CollectingSink::new();
-        let (warm, _, _) =
-            compile_warm_audited_with(&d, "cps-append", &opts, Some(&snap), &mut sink)?;
+        let warm = run(&d, "cps-append", None, &opts, Some(&snap), false, &mut sink)?.program;
         assert_flow_clean(&warm);
         let ev = sink.events();
         assert_eq!(

@@ -25,6 +25,7 @@
 
 use crate::desc::{CvId, DescShape, MissingCv, ValDesc};
 use crate::s0::{S0Proc, S0Program, S0Simple, S0Tail};
+use crate::{CompileAudit, Compiled};
 use pe_governor::Limits;
 use pe_frontend::ast::{Constant, Prim};
 use pe_frontend::dast::{DLabel, DProgram, LamId, SimpleExpr, TailExpr, VarId};
@@ -215,7 +216,7 @@ struct PendingProc<'p> {
 }
 
 /// A restorable image of the specializer's memo state, captured after a
-/// successful compile with [`Spec::compile_snapshot_with`] and restored
+/// successful [`Spec::run`] that asked for one and restored
 /// into a fresh engine with [`Spec::with_snapshot`].
 ///
 /// The snapshot turns the memo table from a per-compile scratchpad into
@@ -383,9 +384,10 @@ pub struct Spec<'p> {
     /// The control log — what widened or generalized, where.
     events: Vec<ControlEvent>,
     /// Per-residual-procedure cost rows `(name, ns, nodes)`, recorded
-    /// as each procedure's body is produced and flushed as
-    /// `Event::Attr` rows by the audited entry points.  Two clock
-    /// reads per residual procedure — noise next to specializing one.
+    /// as each procedure's body is produced when the run's sink is
+    /// enabled, and flushed as `Event::Attr` rows by [`Spec::run`].
+    /// Two clock reads per residual procedure — noise next to
+    /// specializing one.
     attrs: Vec<(String, u64, u64)>,
 }
 
@@ -453,156 +455,97 @@ impl<'p> Spec<'p> {
         id
     }
 
-    /// Compiles `entry` with every parameter dynamic (the paper's main
-    /// mode: closure conversion + tail conversion + constant folding).
+    /// Runs the engine on `entry`: with `slots = None` every parameter
+    /// is dynamic (the paper's main mode: closure conversion + tail
+    /// conversion + constant folding, residual entry named `entry`);
+    /// with `Some(slots)` it specializes to the static slots — the
+    /// first specializer projection, where `slots[i] = Some(v)` makes
+    /// the i-th parameter static with value `v` and `None` keeps it a
+    /// parameter of the residual entry `entry-$1`.
+    ///
+    /// The run's [`SpecCounters`] and per-residual-procedure cost rows
+    /// flush to `sink` on success *and* on budget errors, where the
+    /// totals explain what blew up.  The result carries the control log
+    /// (the per-point record of widenings and eager generalizations
+    /// that pass 7 of `pe-verify` audits) and the installed SCT
+    /// verdicts in [`Compiled::audit`] — its `stats` are left for the
+    /// caller that ran the analysis — and, when `snapshot` is set, a
+    /// [`MemoSnapshot`] of the finished memo table.  The snapshot holds
+    /// the *raw* residual procedures (pre-postprocess), because the
+    /// memo names refer to them.
     ///
     /// # Errors
     ///
     /// See [`SpecError`].
-    pub fn compile(self, entry: &str) -> Result<S0Program, SpecError> {
-        self.compile_with(entry, &mut pe_trace::NullSink)
-    }
-
-    /// Like [`Spec::compile`], flushing the run's [`SpecCounters`] to
-    /// `sink` — on success *and* on budget errors, where the totals
-    /// explain what blew up.
-    ///
-    /// # Errors
-    ///
-    /// See [`SpecError`].
-    pub fn compile_with(
-        self,
-        entry: &str,
-        sink: &mut dyn pe_trace::Sink,
-    ) -> Result<S0Program, SpecError> {
-        self.compile_audited_with(entry, sink).map(|(p, _)| p)
-    }
-
-    /// Like [`Spec::compile_with`], additionally returning the control
-    /// log — the per-point record of widenings and eager
-    /// generalizations that pass 7 of `pe-verify` audits against the
-    /// SCT verdicts.
-    ///
-    /// # Errors
-    ///
-    /// See [`SpecError`].
-    pub fn compile_audited_with(
+    pub fn run(
         mut self,
         entry: &str,
+        slots: Option<&[Option<Datum>]>,
+        snapshot: bool,
         sink: &mut dyn pe_trace::Sink,
-    ) -> Result<(S0Program, Vec<ControlEvent>), SpecError> {
-        let r = self.compile_inner(entry);
+    ) -> Result<Compiled, SpecError> {
+        let r = self.run_entry(entry, slots, sink.enabled());
         self.counters.flush(sink);
-        self.flush_attrs(sink);
-        r.map(|p| (p, self.events))
-    }
-
-    /// Like [`Spec::compile_audited_with`], additionally capturing a
-    /// [`MemoSnapshot`] of the finished memo table for warm-starting a
-    /// later compile of the same program.  The snapshot holds the *raw*
-    /// residual procedures (pre-postprocess), because the memo names
-    /// refer to them.
-    ///
-    /// # Errors
-    ///
-    /// See [`SpecError`].
-    #[allow(clippy::type_complexity)]
-    pub fn compile_snapshot_with(
-        mut self,
-        entry: &str,
-        sink: &mut dyn pe_trace::Sink,
-    ) -> Result<(S0Program, Vec<ControlEvent>, MemoSnapshot), SpecError> {
-        let r = self.compile_inner(entry);
-        self.counters.flush(sink);
-        self.flush_attrs(sink);
-        let p = r?;
-        let snap = MemoSnapshot {
+        for (name, ns, nodes) in &self.attrs {
+            sink.attr(pe_trace::Phase::Specialize, name, *ns, *nodes);
+        }
+        let program = r?;
+        let snapshot = snapshot.then(|| MemoSnapshot {
             memo: std::mem::take(&mut self.memo),
             // Everything but the entry wrapper: those are the procedures
             // the memo table's values name.
-            procs: p.procs[1..].to_vec(),
+            procs: program.procs[1..].to_vec(),
             next_cv: self.next_cv,
             next_proc: self.next_proc,
             static_variety: std::mem::take(&mut self.static_variety),
             widened: std::mem::take(&mut self.widened),
             prefix_variety: std::mem::take(&mut self.prefix_variety),
             widened_prefix: std::mem::take(&mut self.widened_prefix),
+        });
+        let audit = CompileAudit {
+            enabled: self.sct.is_some(),
+            verdicts: self.sct.unwrap_or_default(),
+            stats: pe_sct::SctStats::default(),
+            events: self.events,
         };
-        Ok((p, self.events, snap))
+        Ok(Compiled { program, audit, snapshot })
     }
 
-    fn compile_inner(&mut self, entry: &str) -> Result<S0Program, SpecError> {
-        let slots: Vec<Option<Datum>> = {
-            let pid = self
-                .dp
-                .proc_id(entry)
-                .ok_or_else(|| SpecError::NoSuchProc(entry.to_string()))?;
-            vec![None; self.dp.proc(pid).params.len()]
-        };
-        self.run(entry, &slots, entry.to_string())
-    }
-
-    /// Specializes `entry` with respect to known (static) arguments —
-    /// the first specializer projection.  `slots[i] = Some(v)` makes the
-    /// i-th parameter static with value `v`; `None` keeps it dynamic and
-    /// a parameter of the residual entry `entry-$1`.
+    /// [`Spec::run`] with every parameter dynamic, returning the program
+    /// and the control log.
     ///
     /// # Errors
     ///
     /// See [`SpecError`].
-    pub fn specialize(
+    pub fn compile_audited_with(
         self,
         entry: &str,
-        slots: &[Option<Datum>],
-    ) -> Result<S0Program, SpecError> {
-        self.specialize_with(entry, slots, &mut pe_trace::NullSink)
-    }
-
-    /// Like [`Spec::specialize`], flushing the run's [`SpecCounters`]
-    /// to `sink` even when specialization fails.
-    ///
-    /// # Errors
-    ///
-    /// See [`SpecError`].
-    pub fn specialize_with(
-        self,
-        entry: &str,
-        slots: &[Option<Datum>],
-        sink: &mut dyn pe_trace::Sink,
-    ) -> Result<S0Program, SpecError> {
-        self.specialize_audited_with(entry, slots, sink).map(|(p, _)| p)
-    }
-
-    /// Like [`Spec::specialize_with`], additionally returning the
-    /// control log (see [`Spec::compile_audited_with`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`SpecError`].
-    pub fn specialize_audited_with(
-        mut self,
-        entry: &str,
-        slots: &[Option<Datum>],
         sink: &mut dyn pe_trace::Sink,
     ) -> Result<(S0Program, Vec<ControlEvent>), SpecError> {
-        let name = format!("{entry}-$1");
-        let r = self.run(entry, slots, name);
-        self.counters.flush(sink);
-        self.flush_attrs(sink);
-        r.map(|p| (p, self.events))
+        self.run(entry, None, false, sink).map(|c| (c.program, c.audit.events))
     }
 
-    fn run(
+    /// Specializes `entry` (see [`Spec::run`]), recording a cost row per
+    /// residual procedure when `timed`.
+    fn run_entry(
         &mut self,
         entry: &str,
-        slots: &[Option<Datum>],
-        residual_name: String,
+        slots: Option<&[Option<Datum>]>,
+        timed: bool,
     ) -> Result<S0Program, SpecError> {
         let pid = self
             .dp
             .proc_id(entry)
             .ok_or_else(|| SpecError::NoSuchProc(entry.to_string()))?;
         let def = self.dp.proc(pid);
+        let all_dynamic;
+        let (slots, residual_name) = match slots {
+            Some(slots) => (slots, format!("{entry}-$1")),
+            None => {
+                all_dynamic = vec![None; def.params.len()];
+                (all_dynamic.as_slice(), entry.to_string())
+            }
+        };
         if def.params.len() != slots.len() {
             return Err(SpecError::EntryArity {
                 name: entry.to_string(),
@@ -633,40 +576,31 @@ impl<'p> Spec<'p> {
         // Going through spec_point registers the entry state in the memo
         // table, so a self-recursive entry reuses one residual procedure
         // (post-processing then merges the trampoline away).
-        let t0 = std::time::Instant::now();
+        let t0 = timed.then(std::time::Instant::now);
         let body =
             self.spec_point(&def.body, &env, &CtxStack::default(), &mut sigma)?;
         let entry_proc = S0Proc { name: residual_name.clone(), params, body };
-        self.attrs.push((
-            residual_name.clone(),
-            elapsed_ns(t0),
-            entry_proc.size() as u64,
-        ));
+        self.record_attr(t0, &entry_proc);
         let mut procs = vec![entry_proc];
         while let Some(p) = self.pending.pop_front() {
             if procs.len() + self.done.len() >= self.opts.limits.max_residual {
                 return Err(SpecError::Budget { procs: self.opts.limits.max_residual });
             }
-            let t0 = std::time::Instant::now();
+            let t0 = timed.then(std::time::Instant::now);
             let mut sigma = p.sigma;
             let body = self.spec_tail(p.te, p.env, p.tau, &mut sigma, 0)?;
             let proc = S0Proc { name: p.name, params: p.params, body };
-            self.attrs.push((proc.name.clone(), elapsed_ns(t0), proc.size() as u64));
+            self.record_attr(t0, &proc);
             self.done.push(proc);
         }
         procs.append(&mut self.done);
         Ok(S0Program { procs, entry: residual_name })
     }
 
-    /// Emits the per-residual-procedure cost rows recorded by
-    /// [`Spec::run`] — one `Event::Attr` per procedure specialized
-    /// *this* run (snapshot-restored procedures cost nothing here).
-    fn flush_attrs(&self, sink: &mut dyn pe_trace::Sink) {
-        if !sink.enabled() {
-            return;
-        }
-        for (name, ns, nodes) in &self.attrs {
-            sink.attr(pe_trace::Phase::Specialize, name, *ns, *nodes);
+    /// Records `proc`'s cost row when its specialization was timed.
+    fn record_attr(&mut self, t0: Option<std::time::Instant>, proc: &S0Proc) {
+        if let Some(t0) = t0 {
+            self.attrs.push((proc.name.clone(), elapsed_ns(t0), proc.size() as u64));
         }
     }
 

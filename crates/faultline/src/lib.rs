@@ -213,7 +213,7 @@ pub struct TrapRecord {
 /// A message naming the case, if an engine returned success (or the
 /// wrong error class) on input that must trap.
 pub fn trap_census() -> Result<Vec<TrapRecord>, String> {
-    use pe_trace::{CollectingSink, Gauge};
+    use pe_trace::{CollectingSink, Gauge, NullSink};
     use realistic_pe::{CompileOptions, Datum, Limits, Pipeline, RobustExec};
 
     let tight =
@@ -262,7 +262,9 @@ pub fn trap_census() -> Result<Vec<TrapRecord>, String> {
     // A compilable divergent program on the VM: fuel fires at run time.
     let spin = Pipeline::new("(define (spin n) (if (zero? n) (spin 1) (spin 2)))")
         .map_err(|e| e.to_string())?;
-    let vm = spin.compile_vm("spin", &CompileOptions::default()).map_err(|e| e.to_string())?;
+    let (vm, _) = spin
+        .compile_vm("spin", &CompileOptions::default(), &mut NullSink)
+        .map_err(|e| e.to_string())?;
     let mut sink = CollectingSink::new();
     let r = vm.run_with(&[Datum::Int(0)], tight, &mut sink);
     rows.push(record("spin/vm", &sink, r.map(|_| ()).map_err(|e| e.to_string()))?);
@@ -270,10 +272,13 @@ pub fn trap_census() -> Result<Vec<TrapRecord>, String> {
     // Ω against the specializing compiler: the size-change analysis
     // rejects it statically — zero fuel, zero heap, zero unfolding.
     let mut sink = CollectingSink::new();
-    let r = pe_core::compile_with(
+    let r = pe_core::run(
         &domega,
         "omega",
+        None,
         &CompileOptions::default(),
+        None,
+        false,
         &mut sink,
     );
     rows.push(TrapRecord {
@@ -308,7 +313,7 @@ pub fn trap_census() -> Result<Vec<TrapRecord>, String> {
         ..CompileOptions::default()
     };
     let mut sink = CollectingSink::new();
-    match pipe.compile_robust_traced("main", &opts, &mut sink) {
+    match pipe.compile_robust("main", &opts, &mut sink) {
         Ok(RobustExec::Degraded { reason }) => rows.push(TrapRecord {
             case: "budget/robust",
             outcome: format!("degraded: {reason}"),
@@ -345,7 +350,7 @@ mod tests {
     use pe_core::{CompileOptions, Limits, SpecError, Trap};
     use pe_interp::{closconv, standard, tail, Datum, InterpError};
     use pe_unmix::{specialize, UnmixError, UnmixOptions};
-    use realistic_pe::{Pipeline, PipelineError};
+    use realistic_pe::{NullSink, Pipeline, PipelineError};
 
     type R = Result<(), Box<dyn std::error::Error>>;
 
@@ -476,7 +481,8 @@ mod tests {
             let d = pe_frontend::desugar(&p)?;
             let mut sink = pe_trace::CollectingSink::new();
             let r = no_panic(|| {
-                pe_core::compile_with(&d, entry, &CompileOptions::default(), &mut sink)
+                let opts = CompileOptions::default();
+                pe_core::run(&d, entry, None, &opts, None, false, &mut sink)
             })?;
             assert!(
                 matches!(r, Err(SpecError::SctDiverges(Trap::StaticDivergence { .. }))),
@@ -677,7 +683,7 @@ mod tests {
             ..CompileOptions::default()
         };
         let (v, why) = no_panic(|| {
-            pipe.run_robust("main", &[Datum::Int(4)], &opts, Limits::default())
+            pipe.run_robust("main", &[Datum::Int(4)], &opts, Limits::default(), &mut NullSink)
         })??;
         assert_eq!(v, Datum::Int(1));
         assert!(why.is_some_and(|e| e.is_budget_exhaustion()));
@@ -692,7 +698,7 @@ mod tests {
         // not a hang.
         let pipe = Pipeline::new(omega_src())?;
         let r = no_panic(|| {
-            pipe.run_robust("omega", &[], &CompileOptions::default(), tight())
+            pipe.run_robust("omega", &[], &CompileOptions::default(), tight(), &mut NullSink)
         })?;
         assert!(
             matches!(r, Err(PipelineError::Run(InterpError::FuelExhausted))),
@@ -821,7 +827,9 @@ mod tests {
         // The harness must not be so lenient that real errors vanish:
         // a missing entry point is an error on every path.
         let pipe = Pipeline::new("(define (f x) x)")?;
-        let r = no_panic(|| pipe.compile_robust("ghost", &CompileOptions::default()))?;
+        let r = no_panic(|| {
+            pipe.compile_robust("ghost", &CompileOptions::default(), &mut NullSink)
+        })?;
         assert!(matches!(r, Err(PipelineError::Spec(SpecError::NoSuchProc(_)))));
         Ok(())
     }

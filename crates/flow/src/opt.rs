@@ -13,7 +13,7 @@
 //!   liveness fixpoint in [`crate::liveness`], which also kills
 //!   parameters that merely circulate through recursive calls.
 //!
-//! On top of the syntactic fixpoint, [`optimize_with`] runs the
+//! On top of the syntactic fixpoint, [`optimize`] runs the
 //! dataflow passes — copy/constant propagation ([`crate::constprop`]),
 //! dispatch-arm folding and closure-slot pruning ([`crate::slots`]),
 //! dead-binding elimination — interleaved with clean-up rounds until
@@ -46,33 +46,15 @@ pub fn postprocess(mut p: S0Program) -> S0Program {
     }
 }
 
-/// Which flow passes [`optimize_with`] runs.
-#[derive(Debug, Clone)]
-pub struct FlowOptions {
-    /// Interprocedural copy/constant propagation.
-    pub copy_propagation: bool,
-    /// Liveness-based dead-parameter elimination.
-    pub dead_params: bool,
-    /// Dispatch-arm folding from closure-label sets.
-    pub fold_arms: bool,
-    /// Closure-slot pruning.
-    pub prune_slots: bool,
-    /// Upper bound on optimize rounds (each round runs every enabled
-    /// pass once); the fixpoint normally lands far below it.
-    pub max_rounds: usize,
-}
+/// Upper bound on optimize rounds (each round runs every flow pass
+/// once); the fixpoint normally lands far below it.
+pub const MAX_ROUNDS: usize = 32;
 
-impl Default for FlowOptions {
-    fn default() -> FlowOptions {
-        FlowOptions {
-            copy_propagation: true,
-            dead_params: true,
-            fold_arms: true,
-            prune_slots: true,
-            max_rounds: 32,
-        }
-    }
-}
+/// The flow optimizer's configuration.  It has no knobs: every pass
+/// always runs.  It remains so that [`optimize_with`] keeps its
+/// signature.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FlowOptions;
 
 /// What the flow optimizer did — the source of the `flow` trace
 /// counters.
@@ -102,18 +84,7 @@ impl FlowStats {
     }
 }
 
-/// Runs the default flow passes to a fixpoint.
-///
-/// # Errors
-///
-/// [`Trap::OutOfFuel`] when the analysis budget is exhausted; the
-/// input program is consumed, so callers wanting graceful degradation
-/// should keep a clone (as [`crate::optimize`]'s pipeline callers do).
-pub fn optimize(p: S0Program, fuel: &mut Fuel) -> Result<(S0Program, FlowStats), Trap> {
-    optimize_with(p, &FlowOptions::default(), fuel)
-}
-
-/// Runs the enabled flow passes to a fixpoint (or `max_rounds`).
+/// Runs the flow passes to a fixpoint (or [`MAX_ROUNDS`]).
 ///
 /// Pass order within a round: propagation first (it seeds constants),
 /// then arm folding and slot pruning (shape-based), then dead-binding
@@ -122,42 +93,24 @@ pub fn optimize(p: S0Program, fuel: &mut Fuel) -> Result<(S0Program, FlowStats),
 ///
 /// # Errors
 ///
-/// [`Trap::OutOfFuel`] when the analysis budget is exhausted.
-pub fn optimize_with(
-    mut p: S0Program,
-    opts: &FlowOptions,
-    fuel: &mut Fuel,
-) -> Result<(S0Program, FlowStats), Trap> {
+/// [`Trap::OutOfFuel`] when the analysis budget is exhausted; the
+/// input program is consumed, so callers wanting graceful degradation
+/// should keep a clone (as pe-core's compile does).
+pub fn optimize(mut p: S0Program, fuel: &mut Fuel) -> Result<(S0Program, FlowStats), Trap> {
     let mut stats = FlowStats::default();
-    for _ in 0..opts.max_rounds {
+    for _ in 0..MAX_ROUNDS {
         fuel.step()?;
-        let mut round = 0usize;
-        if opts.copy_propagation {
-            let (q, n) = crate::constprop::propagate(p, fuel)?;
-            p = q;
-            stats.copies_propagated += n;
-            round += n;
-        }
-        if opts.fold_arms {
-            let (q, n) = crate::slots::fold_arms(p, fuel)?;
-            p = q;
-            stats.arms_folded += n;
-            round += n;
-        }
-        if opts.prune_slots {
-            let (q, n) = crate::slots::prune(p, fuel)?;
-            p = q;
-            stats.slots_pruned += n;
-            round += n;
-        }
-        if opts.dead_params {
-            let (q, n) = crate::liveness::prune_dead_params(p, fuel)?;
-            p = q;
-            stats.dead_bindings += n;
-            round += n;
-        }
+        let (q, copies) = crate::constprop::propagate(p, fuel)?;
+        let (q, arms) = crate::slots::fold_arms(q, fuel)?;
+        let (q, slots) = crate::slots::prune(q, fuel)?;
+        let (q, dead) = crate::liveness::prune_dead_params(q, fuel)?;
+        p = q;
+        stats.copies_propagated += copies;
+        stats.arms_folded += arms;
+        stats.slots_pruned += slots;
+        stats.dead_bindings += dead;
         stats.rounds += 1;
-        if round == 0 {
+        if copies + arms + slots + dead == 0 {
             break;
         }
         // Clean up what the rewrites exposed: substituted constants
@@ -171,62 +124,17 @@ pub fn optimize_with(
     Ok((p, stats))
 }
 
-/// [`postprocess`] with per-residual-procedure cost attribution: the
-/// pass is a whole-program fixpoint, so its measured wall time is
-/// spread over the surviving procedures by node share and emitted as
-/// `Event::Attr` rows under `Phase::Post`.  With a disabled sink this
-/// is exactly [`postprocess`] — no clock reads.
-pub fn postprocess_traced(
-    p: S0Program,
-    sink: &mut dyn pe_trace::Sink,
-) -> S0Program {
-    if !sink.enabled() {
-        return postprocess(p);
-    }
-    let t0 = std::time::Instant::now();
-    let p = postprocess(p);
-    let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    attribute_by_size(sink, pe_trace::Phase::Post, &p, ns);
-    p
-}
-
-/// [`optimize_with`] with the same size-share cost attribution as
-/// [`postprocess_traced`], under `Phase::Flow`.
+/// [`optimize`]; `FlowOptions` has nothing left to choose.
 ///
 /// # Errors
 ///
-/// [`Trap::OutOfFuel`] when the analysis budget is exhausted.
-pub fn optimize_with_traced(
+/// As [`optimize`].
+pub fn optimize_with(
     p: S0Program,
-    opts: &FlowOptions,
+    _opts: &FlowOptions,
     fuel: &mut Fuel,
-    sink: &mut dyn pe_trace::Sink,
 ) -> Result<(S0Program, FlowStats), Trap> {
-    if !sink.enabled() {
-        return optimize_with(p, opts, fuel);
-    }
-    let t0 = std::time::Instant::now();
-    let (p, stats) = optimize_with(p, opts, fuel)?;
-    let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    attribute_by_size(sink, pe_trace::Phase::Flow, &p, ns);
-    Ok((p, stats))
-}
-
-/// Spreads `total_ns` over the program's procedures proportionally to
-/// AST node counts (the deterministic work measure of the syntactic
-/// passes) and emits one attribution row per procedure.  The parts sum
-/// exactly to `total_ns`, so the phase books always balance.
-fn attribute_by_size(
-    sink: &mut dyn pe_trace::Sink,
-    phase: pe_trace::Phase,
-    p: &S0Program,
-    total_ns: u64,
-) {
-    let weights: Vec<u64> = p.procs.iter().map(|q| q.size() as u64).collect();
-    let parts = pe_prof::distribute_ns(total_ns, &weights);
-    for (proc, (ns, units)) in p.procs.iter().zip(parts.into_iter().zip(weights)) {
-        sink.attr(phase, &proc.name, ns, units);
-    }
+    optimize(p, fuel)
 }
 
 /// Inlines procedures whose whole body is a `Return` of a simple

@@ -266,6 +266,24 @@ impl S0Program {
         self.procs.iter().map(S0Proc::size).sum()
     }
 
+    /// Spreads `total_ns` of a whole-program pass over the procedures
+    /// by AST node share (the deterministic work measure of such
+    /// passes) and emits one `Event::Attr` row per procedure under
+    /// `phase`.  The parts sum exactly to `total_ns`, so the phase's
+    /// books balance.
+    pub fn attribute_by_size(
+        &self,
+        sink: &mut dyn pe_trace::Sink,
+        phase: pe_trace::Phase,
+        total_ns: u64,
+    ) {
+        let weights: Vec<u64> = self.procs.iter().map(|q| q.size() as u64).collect();
+        let parts = pe_prof::distribute_ns(total_ns, &weights);
+        for (q, (ns, units)) in self.procs.iter().zip(parts.into_iter().zip(weights)) {
+            sink.attr(phase, &q.name, ns, units);
+        }
+    }
+
     /// Renders the program as concrete syntax.
     pub fn to_source(&self) -> String {
         let mut out = String::new();

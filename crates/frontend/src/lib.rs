@@ -7,7 +7,7 @@
 //!   equations over a purely functional Scheme subset);
 //! * [`parse`] — the scope- and arity-checking parser;
 //! * [`dast`] — the desugared simple/serious tail form of Fig. 5;
-//! * [`desugar`] — the desugaring phase of §4.3;
+//! * [`desugar`](mod@desugar) — the desugaring phase of §4.3;
 //! * [`flow`] — the "simple equational flow analysis" of §4.2 used to
 //!   restrict The Trick's dispatch, a monovariant 0CFA;
 //! * [`gen_analysis`] — the offline generalization analysis of §4.5

@@ -4,7 +4,7 @@
 //! the two follow-up questions the ROADMAP's next tentpoles need:
 //!
 //! * **where inside a phase did the time go** — [`Attribution`] groups
-//!   the [`Event::Attr`] rows the engines emit per residual procedure
+//!   the [`Event::Attr`](pe_trace::Event::Attr) rows the engines emit per residual procedure
 //!   (and per VM label) into a ranked table whose per-phase sums are
 //!   checked against the phase span totals, so the report can never
 //!   silently drop cost;

@@ -3,7 +3,7 @@
 //! is deterministic, and the analysis never changes a residual's
 //! meaning.
 
-use pe_core::{compile, compile_audited_with, eval, CompileOptions};
+use pe_core::{compile, eval, run, CompileOptions};
 use pe_frontend::{desugar, parse_source};
 use pe_interp::{tail, Datum, Limits};
 use proptest::prelude::*;
@@ -71,13 +71,17 @@ proptest! {
             "not all bounded: {:?}",
             a.named_verdicts(&d)
         );
-        let (_, audit) = compile_audited_with(
+        let audit = run(
             &d,
             "main",
+            None,
             &CompileOptions::default(),
+            None,
+            false,
             &mut pe_trace::NullSink,
         )
-        .expect("compiles without a budget or divergence trap");
+        .expect("compiles without a budget or divergence trap")
+        .audit;
         let report = pe_verify::verify_audit(&audit);
         prop_assert!(
             report.is_clean() && report.warning_count() == 0,

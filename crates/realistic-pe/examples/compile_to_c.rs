@@ -6,7 +6,7 @@
 //! cargo run --example compile_to_c
 //! ```
 
-use realistic_pe::{CompileOptions, Datum, Limits, Pipeline};
+use realistic_pe::{CompileOptions, Datum, Limits, NullSink, Pipeline};
 use std::process::Command;
 
 const SRC: &str = "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))";
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         s0.to_source().len()
     );
 
-    let c = pipe.emit_c("fib", &args, &opts)?;
+    let c = pipe.emit_c("fib", &args, &opts, &mut NullSink)?;
     let dir = std::env::temp_dir().join("realistic-pe-c-demo");
     std::fs::create_dir_all(&dir)?;
     let c_path = dir.join("fib.c");

@@ -10,8 +10,8 @@
 //! `speedup`.
 
 use realistic_pe::{
-    compile, specialize, CProgram, CompileOptions, Datum, GenStrategy, Limits, Pipeline,
-    UnmixOptions, Vm, SUITE,
+    compile, specialize, CProgram, CompileOptions, Datum, GenStrategy, Limits, NullSink,
+    Pipeline, UnmixOptions, Vm, SUITE,
 };
 use std::path::Path;
 use std::process::Command;
@@ -109,7 +109,7 @@ fn fig8() -> Result<(), Box<dyn std::error::Error>> {
         let pipe = Pipeline::new(b.source)?;
         let args = b.bench_inputs();
         let opts = CompileOptions { strategy: GenStrategy::Offline, ..CompileOptions::default() };
-        let vm = pipe.compile_vm(b.entry, &opts)?;
+        let (vm, _) = pipe.compile_vm(b.entry, &opts, &mut NullSink)?;
         let hob = pipe.compile_hobbit()?;
         let lim = Limits::default();
 
@@ -124,7 +124,7 @@ fn fig8() -> Result<(), Box<dyn std::error::Error>> {
         });
         let c_col = match &c_dir {
             Some(dir) => {
-                let c = pipe.emit_c(b.entry, &args, &opts)?;
+                let c = pipe.emit_c(b.entry, &args, &opts, &mut NullSink)?;
                 format!(" {:>8.2}", time_c(dir, b.name, &c, &expect.to_string())?)
             }
             None => String::new(),
@@ -164,7 +164,7 @@ fn online() -> Result<(), Box<dyn std::error::Error>> {
         let mut row = Vec::new();
         for strategy in [GenStrategy::Offline, GenStrategy::Online] {
             let opts = CompileOptions { strategy, ..CompileOptions::default() };
-            let vm = pipe.compile_vm(b.entry, &opts)?;
+            let (vm, _) = pipe.compile_vm(b.entry, &opts, &mut NullSink)?;
             row.push(time_ms(3, || {
                 vm.run(&args, lim).expect("runs");
             }));
@@ -188,7 +188,7 @@ fn size() -> Result<(), Box<dyn std::error::Error>> {
         let pipe = Pipeline::new(b.source)?;
         let opts = CompileOptions::default();
         let s0 = pipe.compile(b.entry, &opts)?;
-        let c = pipe.emit_c(b.entry, &b.bench_inputs(), &opts)?;
+        let c = pipe.emit_c(b.entry, &b.bench_inputs(), &opts, &mut NullSink)?;
         total_c += c.size_bytes();
         println!(
             "{:<11} {:>9} {:>10} {:>12} {:>10}",
@@ -311,7 +311,7 @@ fn speedup() -> Result<(), Box<dyn std::error::Error>> {
         let pipe = Pipeline::new(b.source)?;
         let args = b.bench_inputs();
         let lim = Limits::default();
-        let vm = pipe.compile_vm(b.entry, &CompileOptions::default())?;
+        let (vm, _) = pipe.compile_vm(b.entry, &CompileOptions::default(), &mut NullSink)?;
         let interp = time_ms(3, || {
             pipe.run_standard(b.entry, &args, lim).expect("runs");
         });

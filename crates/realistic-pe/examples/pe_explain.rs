@@ -49,7 +49,7 @@ use std::process::ExitCode;
 fn trace_one(b: &Benchmark, sink: &mut dyn Sink) -> Result<(), String> {
     let pipe = Pipeline::new_traced(b.source, sink).map_err(|e| format!("{}: {e}", b.name))?;
     let (vm, _report) = pipe
-        .compile_vm_traced(b.entry, &CompileOptions::default(), sink)
+        .compile_vm(b.entry, &CompileOptions::default(), sink)
         .map_err(|e| format!("{}: {e}", b.name))?;
     vm.run_with(&b.test_inputs(), Limits::default(), sink)
         .map_err(|e| format!("{}: {e}", b.name))?;
@@ -105,10 +105,10 @@ fn flow(benches: &[&Benchmark]) -> Result<(), String> {
         let pipe =
             Pipeline::new_traced(b.source, &mut sink).map_err(|e| format!("{}: {e}", b.name))?;
         let rep = pipe
-            .compile_traced(b.entry, &CompileOptions::default(), &mut sink)
+            .compile_report(b.entry, &CompileOptions::default(), None, false, &mut sink)
             .map_err(|e| format!("{}: {e}", b.name))?;
         let c = pipe
-            .emit_c_traced(b.entry, &b.test_inputs(), &CompileOptions::default(), &mut sink)
+            .emit_c(b.entry, &b.test_inputs(), &CompileOptions::default(), &mut sink)
             .map_err(|e| format!("{}: {e}", b.name))?;
         let bytes = sink.finish().map_err(|e| format!("{}: {e}", b.name))?;
         let stream = String::from_utf8(bytes).expect("jsonl is ascii");
@@ -135,11 +135,11 @@ fn sct(benches: &[&Benchmark]) -> Result<(), String> {
         let pipe =
             Pipeline::new_traced(b.source, &mut sink).map_err(|e| format!("{}: {e}", b.name))?;
         let on = pipe
-            .compile_traced(b.entry, &CompileOptions::default(), &mut sink)
+            .compile_report(b.entry, &CompileOptions::default(), None, false, &mut sink)
             .map_err(|e| format!("{}: {e}", b.name))?;
         let off_opts = CompileOptions { sct: false, ..CompileOptions::default() };
         let off = pipe
-            .compile_traced(b.entry, &off_opts, &mut sink)
+            .compile_report(b.entry, &off_opts, None, false, &mut sink)
             .map_err(|e| format!("{}: {e}", b.name))?;
         let bytes = sink.finish().map_err(|e| format!("{}: {e}", b.name))?;
         let stream = String::from_utf8(bytes).expect("jsonl is ascii");
@@ -181,7 +181,7 @@ fn prof(benches: &[&Benchmark]) -> Result<(), String> {
         let pipe =
             Pipeline::new_traced(b.source, &mut sink).map_err(|e| format!("{}: {e}", b.name))?;
         let (vm, _report) = pipe
-            .compile_vm_traced(b.entry, &CompileOptions::default(), &mut sink)
+            .compile_vm(b.entry, &CompileOptions::default(), &mut sink)
             .map_err(|e| format!("{}: {e}", b.name))?;
         vm.run_profiled_with(&b.test_inputs(), Limits::default(), &mut sink)
             .map_err(|e| format!("{}: {e}", b.name))?;

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use realistic_pe::{CompileOptions, Datum, Limits, Pipeline};
+use realistic_pe::{CompileOptions, Datum, Limits, NullSink, Pipeline};
 
 const SRC: &str = "(define (append x y) (cps-append x y (lambda (v) v)))
 (define (cps-append x y c)
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("hobbit baseline       : {}", hobbit.run("append", &args, lim)?);
 
     // 5. And the §5.1 C translation.
-    let c = pipe.emit_c("append", &args, &CompileOptions::default())?;
+    let c = pipe.emit_c("append", &args, &CompileOptions::default(), &mut NullSink)?;
     println!("\nC translation: {} bytes (see compile_to_c example to run it)", c.size_bytes());
     Ok(())
 }

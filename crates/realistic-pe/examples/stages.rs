@@ -16,7 +16,7 @@
 
 use pe_frontend::flow::FlowAnalysis;
 use pe_frontend::gen_analysis::GenAnalysis;
-use realistic_pe::{CompileOptions, Datum, Pipeline};
+use realistic_pe::{CompileOptions, Datum, NullSink, Pipeline};
 
 const SRC: &str = "(define (sum-sq l) (loop l 0))
 (define (loop l acc)
@@ -56,7 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("== 5. the §5.1 C translation (first 25 lines of program()) ==");
-    let c = pipe.emit_c("sum-sq", &[Datum::parse("(1 2 3)")?], &CompileOptions::default())?;
+    let args = [Datum::parse("(1 2 3)")?];
+    let c = pipe.emit_c("sum-sq", &args, &CompileOptions::default(), &mut NullSink)?;
     let program_part = c
         .source
         .split("static Obj *program")

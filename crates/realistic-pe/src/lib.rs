@@ -41,6 +41,15 @@
 //! ).unwrap();
 //! assert_eq!(result.to_string(), "(1 2 3)");
 //! ```
+//!
+//! # Tracing
+//!
+//! [`Pipeline`]'s compile entry points take a `&mut dyn Sink` and run one
+//! verified compile, [`Pipeline::compile_report`]: pass a
+//! [`CollectingSink`] or [`JsonlSink`] to trace it, or [`NullSink`] for
+//! an untraced call that reads no clock and emits nothing.
+//! [`Pipeline::new`], [`Pipeline::compile`] and
+//! [`Pipeline::run_compiled`] are the sink-less conveniences.
 
 pub mod pipeline;
 pub mod suite;
@@ -213,16 +222,23 @@ mod tests {
             Err(PipelineError::Spec(e)) if e.is_budget_exhaustion()
         ));
         // …the robust path degrades instead…
-        let exec = pipe.compile_robust("main", &opts).unwrap();
+        let exec = pipe.compile_robust("main", &opts, &mut NullSink).unwrap();
         assert!(exec.is_degraded(), "expected Degraded, got {exec:?}");
         // …and still computes the right answer, flagging the fallback.
-        let (v, why) =
-            pipe.run_robust("main", &[Datum::Int(6)], &opts, Limits::default()).unwrap();
+        let (v, why) = pipe
+            .run_robust("main", &[Datum::Int(6)], &opts, Limits::default(), &mut NullSink)
+            .unwrap();
         assert_eq!(v, Datum::Int(1));
         assert!(why.is_some_and(|e| e.is_budget_exhaustion()));
         // With an adequate budget the same call runs compiled.
         let (v, why) = pipe
-            .run_robust("main", &[Datum::Int(6)], &CompileOptions::default(), Limits::default())
+            .run_robust(
+                "main",
+                &[Datum::Int(6)],
+                &CompileOptions::default(),
+                Limits::default(),
+                &mut NullSink,
+            )
             .unwrap();
         assert_eq!(v, Datum::Int(1));
         assert!(why.is_none());
@@ -243,7 +259,7 @@ mod tests {
         // Compiled path: vm-run span + VM step counters.
         let mut sink = CollectingSink::new();
         let (v, why) = pipe
-            .run_robust_traced(
+            .run_robust(
                 "main",
                 &[Datum::Int(4)],
                 &CompileOptions::default(),
@@ -262,7 +278,7 @@ mod tests {
         };
         let mut sink = CollectingSink::new();
         let (v, why) = pipe
-            .run_robust_traced("main", &[Datum::Int(4)], &opts, Limits::default(), &mut sink)
+            .run_robust("main", &[Datum::Int(4)], &opts, Limits::default(), &mut sink)
             .unwrap();
         assert_eq!(v, Datum::Int(1));
         assert!(why.is_some_and(|e| e.is_budget_exhaustion()));
@@ -276,7 +292,7 @@ mod tests {
     fn robust_compile_still_reports_genuine_errors() {
         let pipe = Pipeline::new("(define (f x) x)").unwrap();
         assert!(matches!(
-            pipe.compile_robust("ghost", &CompileOptions::default()),
+            pipe.compile_robust("ghost", &CompileOptions::default(), &mut NullSink),
             Err(PipelineError::Spec(SpecError::NoSuchProc(_)))
         ));
     }

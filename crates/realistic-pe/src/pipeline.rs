@@ -8,7 +8,7 @@
 //! plus the two §6 comparators: the interpreter family and the
 //! Hobbit-like baseline.
 
-use pe_core::{CompileOptions, S0Program, SpecError};
+use pe_core::{CompileOptions, MemoSnapshot, S0Program, SpecError};
 use pe_frontend::{desugar, parse_program_positioned, DProgram, ParseError, Program};
 use pe_hobbit::Hobbit;
 use pe_interp::{Datum, InterpError, Limits};
@@ -95,12 +95,14 @@ impl RobustExec {
     }
 }
 
-/// Everything a traced compilation produced: the residual program, the
-/// verification report, and the aggregated observability data.
+/// Everything a verified compilation produced: the residual program,
+/// the verification report, the aggregated observability data, and the
+/// memo snapshot when one was asked for.
 ///
-/// Returned by [`Pipeline::compile_traced`] and
-/// [`Pipeline::compile_vm_traced`].  Phase durations appear in the
-/// order the phases finished; counters in the order first emitted.
+/// Returned by [`Pipeline::compile_report`] and
+/// [`Pipeline::compile_vm`].  Phase durations appear in the order the
+/// phases finished; counters in the order first emitted.  Both stay
+/// empty when the compile ran on a disabled sink.
 #[derive(Debug)]
 pub struct CompileReport {
     /// The compiled (and verified) residual S₀ program.
@@ -111,6 +113,9 @@ pub struct CompileReport {
     pub phases: Vec<(Phase, u64)>,
     /// Summed specializer/size counters.
     pub counters: Vec<(Counter, u64)>,
+    /// The specializer's memo table, for warm-starting a later compile
+    /// of the same program (see [`Pipeline::compile_report`]).
+    pub snapshot: Option<MemoSnapshot>,
 }
 
 impl CompileReport {
@@ -168,149 +173,114 @@ impl Pipeline {
         Ok(Pipeline { program, dprog: dprog? })
     }
 
-    /// Compiles `entry` to S₀ and verifies it with every
-    /// [`pe_verify`] pass: well-formedness, closure-shape analysis, the
-    /// language-preservation certificate, and the residual-quality
-    /// lints.  Error-severity findings abort compilation; warnings are
-    /// available via [`Pipeline::verify`].
+    /// Compiles `entry` to S₀ and verifies it (see
+    /// [`Pipeline::compile_report`]).
     ///
     /// # Errors
     ///
     /// See [`PipelineError`].
     pub fn compile(&self, entry: &str, opts: &CompileOptions) -> Result<S0Program, PipelineError> {
-        self.compile_verified(entry, opts, &mut NullSink).map(|(s0, _)| s0)
+        self.compile_report(entry, opts, None, false, &mut NullSink).map(|r| r.s0)
     }
 
-    /// Compiles and verifies, returning the report beside the program so
-    /// callers that need both never run the verifier a second time.
-    /// Phase spans and specializer counters go to `sink`.  The report
-    /// includes pass 7 (termination): the specializer's widening log
-    /// audited against the size-change verdicts.
-    fn compile_verified(
+    /// Compiles `entry` to S₀ and verifies it with every
+    /// [`pe_verify`] pass: well-formedness, closure-shape analysis, the
+    /// language-preservation certificate, the residual-quality lints,
+    /// flow, and pass 7 (termination: the specializer's widening log
+    /// audited against the size-change verdicts).  Error-severity
+    /// findings abort compilation; warnings come back in the report.
+    ///
+    /// Phase spans, specializer counters and cost attribution stream to
+    /// `sink`; when it is enabled, the report also aggregates the phase
+    /// times and counter totals.  A disabled sink reads no clock and
+    /// aggregates nothing.
+    ///
+    /// `warm` seeds the specializer from a snapshot of an earlier
+    /// compile of the *same* program with the same options, and
+    /// `snapshot` asks for a fresh one in [`CompileReport::snapshot`]
+    /// (see [`pe_core::run`]).  Callers own snapshot validity: pe-serve
+    /// keys snapshots by the content fingerprint of (canonical source,
+    /// options), which is the only sound cache key.  Verification runs
+    /// in full either way — a warm result is held to exactly the same
+    /// passes as a cold one.
+    ///
+    /// # Errors
+    ///
+    /// See [`PipelineError`].
+    pub fn compile_report(
         &self,
         entry: &str,
         opts: &CompileOptions,
+        warm: Option<&MemoSnapshot>,
+        snapshot: bool,
         sink: &mut dyn Sink,
-    ) -> Result<(S0Program, pe_verify::Report), PipelineError> {
-        let (s0, audit) = pe_core::compile_audited_with(&self.dprog, entry, opts, sink)?;
+    ) -> Result<CompileReport, PipelineError> {
+        if !sink.enabled() {
+            return self.verified(entry, opts, warm, snapshot, sink);
+        }
+        let mut agg = Aggregator::new(sink);
+        let mut report = self.verified(entry, opts, warm, snapshot, &mut agg)?;
+        (report.phases, report.counters, _) = agg.into_parts();
+        Ok(report)
+    }
+
+    /// The body of [`Pipeline::compile_report`], without aggregation.
+    fn verified(
+        &self,
+        entry: &str,
+        opts: &CompileOptions,
+        warm: Option<&MemoSnapshot>,
+        snapshot: bool,
+        sink: &mut dyn Sink,
+    ) -> Result<CompileReport, PipelineError> {
+        let out = pe_core::run(&self.dprog, entry, None, opts, warm, snapshot, sink)?;
         let t = pe_trace::begin(sink, Phase::Verify);
-        let mut report = pe_verify::verify_with(&s0, sink);
-        merge_audit_attributed(&mut report, &audit, sink);
+        let mut report = pe_verify::verify_with(&out.program, sink);
+        // Pass 7 is the one check that is not per-procedure: it gets an
+        // `<audit>` attribution row of its own, so the verify phase's
+        // books stay balanced.
+        let t0 = sink.enabled().then(std::time::Instant::now);
+        report.merge(pe_verify::verify_audit(&out.audit));
+        if let Some(t0) = t0 {
+            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            sink.attr(Phase::Verify, "<audit>", ns, out.audit.events.len() as u64);
+        }
         pe_trace::end(sink, t);
         if report.has_errors() {
             return Err(PipelineError::IllFormed(report.error_messages()));
         }
-        Ok((s0, report))
+        Ok(CompileReport {
+            s0: out.program,
+            verify: report,
+            phases: Vec::new(),
+            counters: Vec::new(),
+            snapshot: out.snapshot,
+        })
     }
 
-    /// Compiles and verifies `entry` under an [`Aggregator`], returning
-    /// the program, the verification report, and the aggregated
-    /// phase/counter data as a [`CompileReport`].  Spans and counters
-    /// also stream to `sink` as they happen.
+    /// Compiles and verifies `entry`, then loads it into the VM under a
+    /// `vm-load` span, which the report's phases also cover.
     ///
     /// # Errors
     ///
     /// See [`PipelineError`].
-    pub fn compile_traced(
-        &self,
-        entry: &str,
-        opts: &CompileOptions,
-        sink: &mut dyn Sink,
-    ) -> Result<CompileReport, PipelineError> {
-        let mut agg = Aggregator::new(sink);
-        let (s0, verify) = self.compile_verified(entry, opts, &mut agg)?;
-        let (phases, counters, _) = agg.into_parts();
-        Ok(CompileReport { s0, verify, phases, counters })
-    }
-
-    /// [`Pipeline::compile_traced`] with warm-start: the specializer is
-    /// seeded from a [`pe_core::MemoSnapshot`] captured by an earlier
-    /// compile of the *same* program with the same options, and the run
-    /// returns a fresh snapshot beside the report.  Verification runs
-    /// in full either way — a warm result is held to exactly the same
-    /// seven passes as a cold one.
-    ///
-    /// Callers own snapshot validity: pe-serve keys snapshots by the
-    /// content fingerprint of (canonical source, options), which is the
-    /// only sound cache key.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`].
-    pub fn compile_warm_traced(
-        &self,
-        entry: &str,
-        opts: &CompileOptions,
-        warm: Option<&pe_core::MemoSnapshot>,
-        sink: &mut dyn Sink,
-    ) -> Result<(CompileReport, pe_core::MemoSnapshot), PipelineError> {
-        let mut agg = Aggregator::new(sink);
-        let (s0, audit, snap) =
-            pe_core::compile_warm_audited_with(&self.dprog, entry, opts, warm, &mut agg)?;
-        let t = pe_trace::begin(&mut agg, Phase::Verify);
-        let mut report = pe_verify::verify_with(&s0, &mut agg);
-        merge_audit_attributed(&mut report, &audit, &mut agg);
-        pe_trace::end(&mut agg, t);
-        if report.has_errors() {
-            return Err(PipelineError::IllFormed(report.error_messages()));
-        }
-        let (phases, counters, _) = agg.into_parts();
-        Ok((CompileReport { s0, verify: report, phases, counters }, snap))
-    }
-
-    /// Compiles `entry` to S₀ and returns the full verification report,
-    /// warnings included.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`] (verification findings are *returned*, not
-    /// treated as errors).
-    pub fn verify(
-        &self,
-        entry: &str,
-        opts: &CompileOptions,
-    ) -> Result<pe_verify::Report, PipelineError> {
-        let (s0, audit) =
-            pe_core::compile_audited_with(&self.dprog, entry, opts, &mut NullSink)?;
-        let mut report = pe_verify::verify(&s0);
-        report.merge(pe_verify::verify_audit(&audit));
-        Ok(report)
-    }
-
-    /// Compiles `entry` to S₀ and loads it into the VM.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`].
-    pub fn compile_vm(&self, entry: &str, opts: &CompileOptions) -> Result<Vm, PipelineError> {
-        self.compile_vm_traced(entry, opts, &mut NullSink).map(|(vm, _)| vm)
-    }
-
-    /// [`Pipeline::compile_vm`] under an [`Aggregator`]: the report
-    /// additionally covers the `vm-load` phase.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`].
-    pub fn compile_vm_traced(
+    pub fn compile_vm(
         &self,
         entry: &str,
         opts: &CompileOptions,
         sink: &mut dyn Sink,
     ) -> Result<(Vm, CompileReport), PipelineError> {
-        let mut agg = Aggregator::new(sink);
-        let (s0, report) = self.compile_verified(entry, opts, &mut agg)?;
-        let t = pe_trace::begin(&mut agg, Phase::VmLoad);
-        let vm = Vm::compile(&s0).map_err(PipelineError::Vm);
-        pe_trace::end(&mut agg, t);
+        let mut report = self.compile_report(entry, opts, None, false, sink)?;
+        let t = pe_trace::begin(sink, Phase::VmLoad);
+        let vm = Vm::compile(&report.s0).map_err(PipelineError::Vm);
+        report.phases.extend(pe_trace::end(sink, t).map(|ns| (Phase::VmLoad, ns)));
         let vm = vm?;
         // The loader and the verifier must agree on what is acceptable:
         // anything the VM takes must already have verified clean.  The
-        // report is the one `compile_verified` produced — verification
-        // runs once per compilation, even in debug builds.
-        debug_assert!(report.is_clean(), "VM accepted a program the verifier rejects");
-        let (phases, counters, _) = agg.into_parts();
-        Ok((vm, CompileReport { s0, verify: report, phases, counters }))
+        // report is the one the compile produced — verification runs
+        // once per compilation, even in debug builds.
+        debug_assert!(report.verify.is_clean(), "VM accepted a program the verifier rejects");
+        Ok((vm, report))
     }
 
     /// Compiles the whole program with the Hobbit-like baseline.
@@ -376,7 +346,7 @@ impl Pipeline {
         opts: &CompileOptions,
         limits: Limits,
     ) -> Result<(Datum, VmStats), PipelineError> {
-        let vm = self.compile_vm(entry, opts)?;
+        let (vm, _) = self.compile_vm(entry, opts, &mut NullSink)?;
         Ok(vm.run(args, limits)?)
     }
 
@@ -387,7 +357,9 @@ impl Pipeline {
     /// since the subject program can still be handed to an interpreter
     /// (whose own fuel bounds a genuinely divergent run).  Genuine
     /// compile-time errors (missing entry, arity, internal faults) are
-    /// still reported as errors.
+    /// still reported as errors.  On the degraded path `sink` has still
+    /// seen every event up to the budget cut-off (counters flush even
+    /// when specialization errors).
     ///
     /// # Errors
     ///
@@ -396,25 +368,9 @@ impl Pipeline {
         &self,
         entry: &str,
         opts: &CompileOptions,
-    ) -> Result<RobustExec, PipelineError> {
-        self.compile_robust_traced(entry, opts, &mut NullSink)
-    }
-
-    /// [`Pipeline::compile_robust`] with phase spans and specializer
-    /// counters streaming to `sink`.  On the degraded path the sink has
-    /// still seen every event up to the budget cut-off (counters flush
-    /// even when specialization errors).
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`]; budget exhaustion is *not* an error here.
-    pub fn compile_robust_traced(
-        &self,
-        entry: &str,
-        opts: &CompileOptions,
         sink: &mut dyn Sink,
     ) -> Result<RobustExec, PipelineError> {
-        match self.compile_vm_traced(entry, opts, sink) {
+        match self.compile_vm(entry, opts, sink) {
             Ok((vm, _)) => Ok(RobustExec::Compiled(Box::new(vm))),
             Err(PipelineError::Spec(e)) if e.is_degradable() => {
                 Ok(RobustExec::Degraded { reason: e })
@@ -428,6 +384,14 @@ impl Pipeline {
     /// Returns the result together with the degradation reason, if any
     /// (`None` means the program ran compiled).
     ///
+    /// The whole robust path is observable: compile-side spans and
+    /// counters stream to `sink` as in [`Pipeline::compile_robust`], and
+    /// the execution engine — the VM on the compiled path, the tail
+    /// interpreter on the degraded path — flushes its run counters and,
+    /// on a trap, the governor meter snapshot.  This is the hook the
+    /// pe-siege chaos ladder drives: one call per budget rung, with
+    /// peak meters recoverable from the gauge stream.
+    ///
     /// # Errors
     ///
     /// See [`PipelineError`].
@@ -437,31 +401,9 @@ impl Pipeline {
         args: &[Datum],
         opts: &CompileOptions,
         limits: Limits,
-    ) -> Result<(Datum, Option<SpecError>), PipelineError> {
-        self.run_robust_traced(entry, args, opts, limits, &mut NullSink)
-    }
-
-    /// [`Pipeline::run_robust`] with the whole robust path observable:
-    /// compile-side spans and counters stream to `sink` as in
-    /// [`Pipeline::compile_robust_traced`], and the execution engine —
-    /// the VM on the compiled path, the tail interpreter on the
-    /// degraded path — flushes its run counters and, on a trap, the
-    /// governor meter snapshot.  This is the hook the pe-siege chaos
-    /// ladder drives: one call per budget rung, with peak meters
-    /// recoverable from the gauge stream.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`].
-    pub fn run_robust_traced(
-        &self,
-        entry: &str,
-        args: &[Datum],
-        opts: &CompileOptions,
-        limits: Limits,
         sink: &mut dyn Sink,
     ) -> Result<(Datum, Option<SpecError>), PipelineError> {
-        match self.compile_robust_traced(entry, opts, sink)? {
+        match self.compile_robust(entry, opts, sink)? {
             RobustExec::Compiled(vm) => Ok((vm.run_with(args, limits, sink)?.0, None)),
             RobustExec::Degraded { reason } => {
                 let v = pe_interp::tail::run_with(&self.dprog, entry, args, limits, sink)?;
@@ -471,7 +413,8 @@ impl Pipeline {
     }
 
     /// Emits the §5.1 C translation of the compiled program, with `args`
-    /// baked into `main`.
+    /// baked into `main`; phase spans (including `emit-c`) and
+    /// specializer counters stream to `sink`.
     ///
     /// # Errors
     ///
@@ -481,24 +424,9 @@ impl Pipeline {
         entry: &str,
         args: &[Datum],
         opts: &CompileOptions,
-    ) -> Result<pe_backend_c::CProgram, PipelineError> {
-        self.emit_c_traced(entry, args, opts, &mut NullSink)
-    }
-
-    /// [`Pipeline::emit_c`] with phase spans (including `emit-c`) and
-    /// specializer counters streaming to `sink`.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`].
-    pub fn emit_c_traced(
-        &self,
-        entry: &str,
-        args: &[Datum],
-        opts: &CompileOptions,
         sink: &mut dyn Sink,
     ) -> Result<pe_backend_c::CProgram, PipelineError> {
-        let (s0, _) = self.compile_verified(entry, opts, sink)?;
+        let s0 = self.verified(entry, opts, None, false, sink)?.s0;
         // Re-certify the exact concrete syntax the C emitter consumes.
         debug_assert!(
             pe_verify::verify_source(&s0.to_source()).is_clean(),
@@ -511,21 +439,5 @@ impl Pipeline {
             sink.counter(Counter::MovesElided, c.moves_elided as u64);
         }
         Ok(c)
-    }
-}
-
-/// Runs the termination audit (verify pass 7) and merges its findings,
-/// emitting an `<audit>` attribution row so the verify phase's books
-/// include the one check that is not per-procedure.
-fn merge_audit_attributed(
-    report: &mut pe_verify::Report,
-    audit: &pe_core::CompileAudit,
-    sink: &mut dyn Sink,
-) {
-    let t0 = sink.enabled().then(std::time::Instant::now);
-    report.merge(pe_verify::verify_audit(audit));
-    if let Some(t0) = t0 {
-        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        sink.attr(Phase::Verify, "<audit>", ns, audit.events.len() as u64);
     }
 }

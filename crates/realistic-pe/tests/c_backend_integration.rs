@@ -2,7 +2,7 @@
 //! compiled with the system C compiler and executed, outputs compared
 //! with the VM.  Skipped when no `cc` is installed.
 
-use realistic_pe::{COptions, CompileOptions, Limits, Pipeline, SUITE};
+use realistic_pe::{COptions, CompileOptions, Limits, NullSink, Pipeline, SUITE};
 use std::process::Command;
 
 fn cc_available() -> bool {
@@ -64,11 +64,14 @@ fn c_sources_are_self_contained_ansi_ish() {
     let tiny = Pipeline::new("(define (f x) (+ x 1))").unwrap();
     let mut cases = vec![(
         "f",
-        tiny.emit_c("f", &[realistic_pe::Datum::Int(1)], &CompileOptions::default()).unwrap(),
+        tiny.emit_c("f", &[realistic_pe::Datum::Int(1)], &CompileOptions::default(), &mut NullSink)
+            .unwrap(),
     )];
     for b in SUITE {
         let pipe = Pipeline::new(b.source).unwrap();
-        let c = pipe.emit_c(b.entry, &b.bench_inputs(), &CompileOptions::default()).unwrap();
+        let c = pipe
+            .emit_c(b.entry, &b.bench_inputs(), &CompileOptions::default(), &mut NullSink)
+            .unwrap();
         cases.push((b.name, c));
     }
     for (name, c) in cases {

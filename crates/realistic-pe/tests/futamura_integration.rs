@@ -93,7 +93,9 @@ fn futamura_and_direct_pipeline_agree() {
     let futamura = compile_by_futamura(&subject, &UnmixOptions::default()).unwrap();
 
     let pipe = realistic_pe::Pipeline::new(src).unwrap();
-    let vm = pipe.compile_vm("sum", &realistic_pe::CompileOptions::default()).unwrap();
+    let (vm, _) = pipe
+        .compile_vm("sum", &realistic_pe::CompileOptions::default(), &mut realistic_pe::NullSink)
+        .unwrap();
 
     for input in ["()", "(1)", "(1 2 3)", "(5 5 5 5)"] {
         let arg = Datum::parse(input).unwrap();

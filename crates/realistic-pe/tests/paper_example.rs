@@ -1,7 +1,7 @@
 //! End-to-end reproduction of the paper's §1 worked example.
 
 use realistic_pe::{
-    specialize, CompileOptions, Datum, GenStrategy, Limits, Pipeline, Vm,
+    specialize, CompileOptions, Datum, GenStrategy, Limits, NullSink, Pipeline, Vm,
 };
 
 const CPS_APPEND: &str = "(define (append x y) (cps-append x y (lambda (v) v)))
@@ -71,7 +71,7 @@ fn append_agrees_with_reference_on_many_inputs() {
     let pipe = Pipeline::new(CPS_APPEND).unwrap();
     for strategy in [GenStrategy::Offline, GenStrategy::Online] {
         let opts = CompileOptions { strategy, ..CompileOptions::default() };
-        let vm = pipe.compile_vm("append", &opts).unwrap();
+        let (vm, _) = pipe.compile_vm("append", &opts, &mut NullSink).unwrap();
         for (x, y) in [
             ("()", "()"),
             ("()", "(1)"),

@@ -13,7 +13,7 @@ type R = Result<(), Box<dyn std::error::Error>>;
 fn trace_profiled(source: &str, entry: &str, inputs: &[realistic_pe::Datum]) -> R2 {
     let mut sink = CollectingSink::new();
     let pipe = Pipeline::new_traced(source, &mut sink)?;
-    let (vm, _) = pipe.compile_vm_traced(entry, &CompileOptions::default(), &mut sink)?;
+    let (vm, _) = pipe.compile_vm(entry, &CompileOptions::default(), &mut sink)?;
     vm.run_profiled_with(inputs, Limits::default(), &mut sink)?;
     Ok(sink)
 }
@@ -76,8 +76,8 @@ fn redacted_attribution_is_deterministic_across_compiles() -> R {
 fn vm_profile_ranks_hot_labels_deterministically() -> R {
     let b = realistic_pe::benchmark("tak").expect("tak exists");
     let pipe = Pipeline::new(b.source)?;
-    let vm = pipe.compile_vm(b.entry, &CompileOptions::default())?;
     let mut sink = pe_trace::NullSink;
+    let (vm, _) = pipe.compile_vm(b.entry, &CompileOptions::default(), &mut sink)?;
     let (v1, s1, p1) = vm.run_profiled_with(&b.test_inputs(), Limits::default(), &mut sink)?;
     let (v2, s2, p2) = vm.run_profiled_with(&b.test_inputs(), Limits::default(), &mut sink)?;
     assert_eq!(v1, v2);

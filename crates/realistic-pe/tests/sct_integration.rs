@@ -20,7 +20,7 @@
 
 use pe_verify::Pass;
 use realistic_pe::{
-    CompileOptions, Counter, Datum, Limits, Pipeline, Verdict, SUITE,
+    CollectingSink, CompileOptions, Counter, Datum, Limits, NullSink, Pipeline, Verdict, SUITE,
 };
 
 fn sct_off() -> CompileOptions {
@@ -108,7 +108,10 @@ fn compile_paths_carry_zero_termination_warnings() {
     // anticipate — pass 7 stays silent.
     for b in SUITE {
         let pipe = Pipeline::new(b.source).unwrap();
-        let report = pipe.verify(b.entry, &CompileOptions::default()).unwrap();
+        let report = pipe
+            .compile_report(b.entry, &CompileOptions::default(), None, false, &mut NullSink)
+            .unwrap()
+            .verify;
         assert!(report.is_clean(), "{}:\n{report}", b.name);
         let noisy: Vec<_> =
             report.warnings().filter(|d| d.pass == Pass::Termination).collect();
@@ -128,10 +131,16 @@ fn suite_wide_widenings_drop_with_the_analysis_on() {
     for b in SUITE {
         let pipe = Pipeline::new(b.source).unwrap();
         let on = pipe
-            .compile_traced(b.entry, &CompileOptions::default(), &mut pe_trace::NullSink)
+            .compile_report(
+                b.entry,
+                &CompileOptions::default(),
+                None,
+                false,
+                &mut CollectingSink::new(),
+            )
             .unwrap();
         let off = pipe
-            .compile_traced(b.entry, &sct_off(), &mut pe_trace::NullSink)
+            .compile_report(b.entry, &sct_off(), None, false, &mut CollectingSink::new())
             .unwrap();
         widen_on += on.counter(Counter::Widenings);
         widen_off += off.counter(Counter::Widenings);

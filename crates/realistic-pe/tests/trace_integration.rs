@@ -13,7 +13,7 @@ fn trace_bench(name: &str) -> Result<CollectingSink, Box<dyn std::error::Error>>
     let b = benchmark(name).expect("known benchmark");
     let mut sink = CollectingSink::new();
     let pipe = Pipeline::new_traced(b.source, &mut sink)?;
-    let (vm, _) = pipe.compile_vm_traced(b.entry, &CompileOptions::default(), &mut sink)?;
+    let (vm, _) = pipe.compile_vm(b.entry, &CompileOptions::default(), &mut sink)?;
     vm.run_with(&b.test_inputs(), Limits::default(), &mut sink)?;
     Ok(sink)
 }
@@ -76,7 +76,8 @@ fn residual_procs_counter_matches_program() -> R {
     let b = benchmark("tak").expect("known benchmark");
     let pipe = Pipeline::new(b.source)?;
     let mut sink = CollectingSink::new();
-    let report = pipe.compile_traced(b.entry, &CompileOptions::default(), &mut sink)?;
+    let report =
+        pipe.compile_report(b.entry, &CompileOptions::default(), None, false, &mut sink)?;
     assert_eq!(report.counter(Counter::ResidualProcs), report.s0.procs.len() as u64);
     assert_eq!(report.counter(Counter::ResidualNodes), report.s0.size() as u64);
     // The aggregated report and the raw event stream agree.
@@ -92,7 +93,7 @@ fn compile_report_covers_compile_phases() -> R {
     let b = benchmark("cps-append").expect("known benchmark");
     let pipe = Pipeline::new(b.source)?;
     let (_, report) =
-        pipe.compile_vm_traced(b.entry, &CompileOptions::default(), &mut pe_trace::NullSink)?;
+        pipe.compile_vm(b.entry, &CompileOptions::default(), &mut CollectingSink::new())?;
     let phases: Vec<Phase> = report.phases.iter().map(|&(p, _)| p).collect();
     assert_eq!(
         phases,
@@ -128,8 +129,13 @@ fn traced_and_untraced_compilation_agree() -> R {
     let b = benchmark("deriv").expect("known benchmark");
     let pipe = Pipeline::new(b.source)?;
     let plain = pipe.compile(b.entry, &CompileOptions::default())?;
-    let report =
-        pipe.compile_traced(b.entry, &CompileOptions::default(), &mut pe_trace::NullSink)?;
+    let report = pipe.compile_report(
+        b.entry,
+        &CompileOptions::default(),
+        None,
+        false,
+        &mut CollectingSink::new(),
+    )?;
     assert_eq!(plain.to_source(), report.s0.to_source());
     Ok(())
 }
@@ -139,7 +145,7 @@ fn jsonl_stream_validates_against_schema() -> R {
     let b = benchmark("takl").expect("known benchmark");
     let mut sink = JsonlSink::new(Vec::new());
     let pipe = Pipeline::new_traced(b.source, &mut sink)?;
-    let (vm, _) = pipe.compile_vm_traced(b.entry, &CompileOptions::default(), &mut sink)?;
+    let (vm, _) = pipe.compile_vm(b.entry, &CompileOptions::default(), &mut sink)?;
     vm.run_with(&b.test_inputs(), Limits::default(), &mut sink)?;
     let text = String::from_utf8(sink.finish()?)?;
     let summary = jsonl::validate(&text).map_err(|e| format!("schema: {e}"))?;
@@ -157,7 +163,7 @@ fn golden_jsonl_shape_for_a_tiny_program() -> R {
     // lines are matched by prefix).
     let pipe = Pipeline::new("(define (id x) x)")?;
     let mut sink = JsonlSink::new(Vec::new());
-    let report = pipe.compile_traced("id", &CompileOptions::default(), &mut sink)?;
+    let report = pipe.compile_report("id", &CompileOptions::default(), None, false, &mut sink)?;
     let text = String::from_utf8(sink.finish()?)?;
     let golden: &[&str] = &[
         r#"{"type":"span_open","phase":"cfa","depth":0}"#,
@@ -239,12 +245,81 @@ fn trap_carries_gauge_snapshot() -> R {
     let b = benchmark("tak").expect("known benchmark");
     let pipe = Pipeline::new(b.source)?;
     let (vm, _) =
-        pipe.compile_vm_traced(b.entry, &CompileOptions::default(), &mut pe_trace::NullSink)?;
+        pipe.compile_vm(b.entry, &CompileOptions::default(), &mut pe_trace::NullSink)?;
     let mut sink = CollectingSink::new();
     let tight = Limits { fuel: 100, ..Limits::default() };
     let r = vm.run_with(&b.test_inputs(), tight, &mut sink);
     assert!(r.is_err(), "expected a fuel trap");
     sink.check_balanced().map_err(|e| format!("unbalanced: {e}"))?;
     assert_eq!(sink.gauge_last(pe_trace::Gauge::FuelUsed), Some(100));
+    Ok(())
+}
+
+/// A disabled sink that counts every event it is handed anyway.
+#[derive(Default)]
+struct DisabledProbe {
+    calls: usize,
+}
+
+impl pe_trace::Sink for DisabledProbe {
+    fn enabled(&self) -> bool {
+        false
+    }
+
+    fn span_open(&mut self, _: Phase) {
+        self.calls += 1;
+    }
+
+    fn span_close(&mut self, _: Phase, _: u64) {
+        self.calls += 1;
+    }
+
+    fn counter(&mut self, _: Counter, _: u64) {
+        self.calls += 1;
+    }
+
+    fn gauge(&mut self, _: pe_trace::Gauge, _: u64) {
+        self.calls += 1;
+    }
+
+    fn attr(&mut self, _: Phase, _: &str, _: u64, _: u64) {
+        self.calls += 1;
+    }
+
+    fn hist(&mut self, _: pe_trace::Hist, _: &[u64; pe_trace::HIST_BUCKETS]) {
+        self.calls += 1;
+    }
+}
+
+#[test]
+fn a_disabled_sink_hears_nothing_from_any_pipeline_entry_point() -> R {
+    // A call made without a sink must not trace: no span, counter,
+    // gauge or attribution row may reach a disabled sink, and the
+    // report aggregates nothing — on the compiled and the degraded
+    // path, cold and warm.
+    let b = benchmark("cps-append").expect("known benchmark");
+    let args = b.test_inputs();
+    let opts = CompileOptions::default();
+    let starved = CompileOptions {
+        limits: Limits::builder().with_residual(1).build(),
+        ..CompileOptions::default()
+    };
+    let mut probe = DisabledProbe::default();
+    let pipe = Pipeline::new_traced(b.source, &mut probe)?;
+    let cold = pipe.compile_report(b.entry, &opts, None, true, &mut probe)?;
+    assert!(cold.phases.is_empty() && cold.counters.is_empty());
+    let warm = pipe.compile_report(b.entry, &opts, cold.snapshot.as_ref(), true, &mut probe)?;
+    assert_eq!(cold.s0.to_source(), warm.s0.to_source());
+    let (vm, report) = pipe.compile_vm(b.entry, &opts, &mut probe)?;
+    assert!(report.phases.is_empty() && report.counters.is_empty());
+    vm.run_with(&args, Limits::default(), &mut probe)?;
+    vm.run_profiled_with(&args, Limits::default(), &mut probe)?;
+    assert!(!pipe.compile_robust(b.entry, &opts, &mut probe)?.is_degraded());
+    assert!(pipe.compile_robust(b.entry, &starved, &mut probe)?.is_degraded());
+    for o in [&opts, &starved] {
+        pipe.run_robust(b.entry, &args, o, Limits::default(), &mut probe)?;
+    }
+    pipe.emit_c(b.entry, &args, &opts, &mut probe)?;
+    assert_eq!(probe.calls, 0, "a disabled sink received events");
     Ok(())
 }

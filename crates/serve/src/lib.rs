@@ -1,12 +1,12 @@
 //! pe-serve — a parallel, content-addressed compile service over the
-//! realistic-pe [`Pipeline`].
+//! realistic-pe [`Pipeline`](realistic_pe::Pipeline).
 //!
 //! The paper's compiler is a batch tool: one source, one entry, one
 //! residual program.  A compile *service* answers a stream of such
 //! requests from many tenants, and three properties make that
 //! realistic rather than a thread-per-request free-for-all:
 //!
-//! * **Content addressing** ([`fingerprint`]) — a request is named by
+//! * **Content addressing** ([`fingerprint()`]) — a request is named by
 //!   what it computes: canonical source, entry, every residual-shaping
 //!   option, and a format version.  Compilation is deterministic, so
 //!   the fingerprint is a sound cache key and layout variants of the

@@ -411,9 +411,10 @@ impl Server {
         sink: &mut dyn Sink,
     ) -> Result<(Artifact, MemoSnapshot), String> {
         let pipeline = Pipeline::new_traced(&req.source, sink).map_err(|e| e.to_string())?;
-        let (report, snapshot) = pipeline
-            .compile_warm_traced(&req.entry, opts, warm, sink)
+        let report = pipeline
+            .compile_report(&req.entry, opts, warm, true, sink)
             .map_err(|e| e.to_string())?;
+        let snapshot = report.snapshot.ok_or("the compile captured no memo snapshot")?;
         let artifact = Artifact {
             fingerprint: fp,
             residual_source: report.s0.to_source(),

@@ -4,7 +4,7 @@
 //! The paper's subject language, its desugared tail form, the residual
 //! target language S₀, and the first-order input language of the Unmix
 //! clone are all written as S-expressions.  This crate provides the
-//! [`Sexpr`] data type, a [`read`](crate::read) function (a classic
+//! [`Sexpr`] data type, a [`read`] function (a classic
 //! recursive-descent reader with source positions), and a pretty printer.
 //!
 //! # Example

@@ -25,7 +25,7 @@ use pe_core::CompileOptions;
 use pe_faultline::no_panic;
 use pe_governor::Limits;
 use pe_interp::Datum;
-use pe_trace::Sink;
+use pe_trace::{NullSink, Sink};
 use realistic_pe::{Pipeline, PipelineError, RobustExec};
 
 /// What the ladder observed for one case.
@@ -77,7 +77,7 @@ pub fn ladder_check(
             sink.counter(pe_trace::Counter::SiegeLadderRuns, 1);
         }
         let opts = CompileOptions { limits: rung, ..CompileOptions::default() };
-        let step = no_panic(|| match pipe.compile_robust(entry, &opts) {
+        let step = no_panic(|| match pipe.compile_robust(entry, &opts, &mut NullSink) {
             Ok(RobustExec::Compiled(vm)) => (
                 Mode::Compiled,
                 vm.run(args, rung).map(|(d, _)| d).map_err(RungError::from),

@@ -17,7 +17,7 @@ use pe_core::{CompileOptions, S0Program, SpecError};
 use pe_faultline::no_panic;
 use pe_governor::{Limits, TrapClass};
 use pe_interp::{Datum, InterpError};
-use pe_trace::Sink;
+use pe_trace::{NullSink, Sink};
 use realistic_pe::{Pipeline, PipelineError};
 
 /// Engine names, in report order.  `tail` (index [`REFERENCE`]) is the
@@ -361,8 +361,8 @@ pub fn examine(
         runs += 1;
         outcomes.push((
             name,
-            guarded(|| match pipe.compile_vm(entry, &opts) {
-                Ok(vm) => classify(vm.run_with(args, limits, sink).map(|(d, _)| d)),
+            guarded(|| match pipe.compile_vm(entry, &opts, &mut NullSink) {
+                Ok((vm, _)) => classify(vm.run_with(args, limits, sink).map(|(d, _)| d)),
                 Err(e) => classify_compile_err(&e),
             }),
         ));

@@ -106,7 +106,7 @@ fn hashes(source: &str, entry: &str, args: &[Datum]) -> (u64, u64, u64) {
         Ok(s0) => fnv1a(s0.to_source().as_bytes()),
         Err(e) => fnv1a(e.to_string().as_bytes()),
     };
-    let c = match pipe.emit_c(entry, args, &opts) {
+    let c = match pipe.emit_c(entry, args, &opts, &mut pe_trace::NullSink) {
         Ok(c) => fnv1a(c.source.as_bytes()),
         Err(e) => fnv1a(e.to_string().as_bytes()),
     };

@@ -877,8 +877,10 @@ impl<'a> Aggregator<'a> {
 }
 
 impl Sink for Aggregator<'_> {
+    /// As enabled as the sink it wraps: an aggregator over a disabled
+    /// sink must not make the instrumented code pay for events.
     fn enabled(&self) -> bool {
-        true
+        self.inner.enabled()
     }
 
     fn span_open(&mut self, phase: Phase) {
@@ -1049,12 +1051,22 @@ pub fn begin(sink: &mut dyn Sink, phase: Phase) -> SpanTimer {
     SpanTimer { phase, start: Some(Instant::now()) }
 }
 
-/// Closes the span opened by [`begin`], reporting its duration.
-pub fn end(sink: &mut dyn Sink, timer: SpanTimer) {
-    if let Some(start) = timer.start {
-        let dur = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        sink.span_close(timer.phase, dur);
+impl SpanTimer {
+    /// Nanoseconds since [`begin`], or `None` when the sink was
+    /// disabled (the clock is then never read).  Lets a phase attribute
+    /// the time it measured while its span is still open.
+    #[must_use]
+    pub fn elapsed_ns(&self) -> Option<u64> {
+        self.start.map(|s| u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX))
     }
+}
+
+/// Closes the span opened by [`begin`], reporting its duration, which
+/// is also returned (`None` when the sink was disabled).
+pub fn end(sink: &mut dyn Sink, timer: SpanTimer) -> Option<u64> {
+    let dur = timer.elapsed_ns()?;
+    sink.span_close(timer.phase, dur);
+    Some(dur)
 }
 
 /// Emits the three governor gauges from raw meter readings — the

@@ -1,6 +1,6 @@
 //! The reducer (specialization phase) of the Unmix clone.
 //!
-//! Driven by the [`Division`](crate::bta::Division), the reducer
+//! Driven by the [`Division`], the reducer
 //! evaluates static expressions, rebuilds dynamic ones, **unfolds**
 //! calls to non-residual procedures and **specializes** calls to
 //! residual ones, memoizing on the tuple of static argument values —

@@ -1,4 +1,4 @@
-//! Pass 6: dataflow verification, adapting [`pe_flow::check`] to this
+//! Pass 6: dataflow verification, adapting [`pe_flow::check()`] to this
 //! crate's diagnostic vocabulary.
 //!
 //! The flow checks complement the syntactic passes: definite binding is

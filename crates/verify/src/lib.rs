@@ -21,7 +21,7 @@
 //! 4. **lint** ([`lints`]): unreachable procedures, dead parameters,
 //!    `%fail`-only bodies — warnings about residual quality.
 //! 5. **bta-congruence** ([`verify_division`]): audits an Unmix
-//!    [`Division`](pe_unmix::Division) against its subject program.
+//!    [`Division`] against its subject program.
 //! 6. **flow** ([`flow`]): dataflow verification via `pe-flow` —
 //!    definite binding along all CFG paths, dispatch-arm reachability,
 //!    dead closure slots.  The two lint-grade checks mirror the flow
@@ -63,40 +63,24 @@ pub fn verify(p: &S0Program) -> Report {
     verify_with(p, &mut pe_trace::NullSink)
 }
 
-/// [`verify`] with per-residual-procedure cost attribution: each pass
-/// is timed, and the summed wall time is spread over the program's
-/// procedures by node share (the passes are whole-program analyses)
-/// and emitted as `Event::Attr` rows under `Phase::Verify`.  With a
-/// disabled sink this is exactly [`verify`] — no clock reads.
+/// [`verify`] with per-residual-procedure cost attribution: the passes
+/// are whole-program analyses, so their summed wall time is spread over
+/// the program's procedures by node share and emitted as `Event::Attr`
+/// rows under `Phase::Verify`.  With a disabled sink this is exactly
+/// [`verify`] — no clock reads.
 pub fn verify_with(p: &S0Program, sink: &mut dyn pe_trace::Sink) -> Report {
-    let profiled = sink.enabled();
-    let mut total_ns = 0u64;
-    let mut timed = |check: &dyn Fn(&S0Program) -> Vec<Diagnostic>| {
-        let t0 = profiled.then(std::time::Instant::now);
-        let diags = check(p);
-        if let Some(t0) = t0 {
-            total_ns = total_ns
-                .saturating_add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-        diags
-    };
-    let mut diagnostics = timed(&wellformed::check);
+    let t0 = sink.enabled().then(std::time::Instant::now);
+    let mut diagnostics = wellformed::check(p);
     // The deeper passes assume basic well-formedness (e.g. bound
     // variables); run them anyway — they are robust — but order the
     // report by pass.
-    diagnostics.extend(timed(&closure::check));
-    diagnostics.extend(timed(&preservation::check));
-    diagnostics.extend(timed(&lints::check));
-    diagnostics.extend(timed(&flow::check));
-    if profiled {
-        let weights: Vec<u64> =
-            p.procs.iter().map(|q| q.size() as u64).collect();
-        let parts = pe_prof::distribute_ns(total_ns, &weights);
-        for (proc, (ns, units)) in
-            p.procs.iter().zip(parts.into_iter().zip(weights))
-        {
-            sink.attr(pe_trace::Phase::Verify, &proc.name, ns, units);
-        }
+    diagnostics.extend(closure::check(p));
+    diagnostics.extend(preservation::check(p));
+    diagnostics.extend(lints::check(p));
+    diagnostics.extend(flow::check(p));
+    if let Some(t0) = t0 {
+        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        p.attribute_by_size(sink, pe_trace::Phase::Verify, ns);
     }
     Report::new(diagnostics)
 }

@@ -1,7 +1,7 @@
 //! Verification of Unmix residual programs.
 //!
 //! Unmix specialization produces surface-language
-//! [`Program`](pe_frontend::ast::Program)s, not S₀ — so the S₀ passes do
+//! [`Program`]s, not S₀ — so the S₀ passes do
 //! not apply directly.  This module re-runs the relevant subset on the
 //! surface AST: well-formedness (scoping with `let`, procedure
 //! resolution, arity agreement), a first-orderness certificate (the

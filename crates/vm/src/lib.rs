@@ -260,22 +260,7 @@ impl Vm {
         limits: Limits,
         sink: &mut dyn pe_trace::Sink,
     ) -> Result<(Datum, VmStats), InterpError> {
-        let t = pe_trace::begin(sink, pe_trace::Phase::VmRun);
-        let mut stats = VmStats::default();
-        let mut fuel = Fuel::new(&limits);
-        let result = self.exec(args, &mut stats, &mut fuel, &mut NoProfile);
-        if sink.enabled() {
-            use pe_trace::Counter;
-            sink.counter(Counter::VmSteps, stats.steps);
-            sink.counter(Counter::VmAllocs, stats.allocs);
-            sink.counter(Counter::VmCalls, stats.calls);
-            if result.is_err() {
-                let snap = fuel.snapshot();
-                pe_trace::trap_gauges(sink, snap.steps, snap.cells, snap.peak_depth as u64);
-            }
-        }
-        pe_trace::end(sink, t);
-        result.map(|v| (v, stats))
+        self.run_observed(args, limits, &mut NoProfile, sink)
     }
 
     /// [`Vm::run_with`] with the hot-label profiler switched on: the
@@ -295,13 +280,25 @@ impl Vm {
         limits: Limits,
         sink: &mut dyn pe_trace::Sink,
     ) -> Result<(Datum, VmStats, VmProfile), InterpError> {
+        let mut profile = VmProfile::sized(self.blocks.len());
+        let (v, stats) = self.run_observed(args, limits, &mut profile, sink)?;
+        Ok((v, stats, profile))
+    }
+
+    /// The body of [`Vm::run_with`] and [`Vm::run_profiled_with`]: one
+    /// run under a `vm-run` span, then the counter flush, the meter
+    /// snapshot on a trap, and the profiler's cost rows.
+    fn run_observed<P: Profiler>(
+        &self,
+        args: &[Datum],
+        limits: Limits,
+        prof: &mut P,
+        sink: &mut dyn pe_trace::Sink,
+    ) -> Result<(Datum, VmStats), InterpError> {
         let t = pe_trace::begin(sink, pe_trace::Phase::VmRun);
         let mut stats = VmStats::default();
         let mut fuel = Fuel::new(&limits);
-        let mut profile = VmProfile::sized(self.blocks.len());
-        let t0 = std::time::Instant::now();
-        let result = self.exec(args, &mut stats, &mut fuel, &mut profile);
-        let exec_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let result = self.exec(args, &mut stats, &mut fuel, prof);
         if sink.enabled() {
             use pe_trace::Counter;
             sink.counter(Counter::VmSteps, stats.steps);
@@ -311,18 +308,10 @@ impl Vm {
                 let snap = fuel.snapshot();
                 pe_trace::trap_gauges(sink, snap.steps, snap.cells, snap.peak_depth as u64);
             }
-            let parts = pe_prof::distribute_ns(exec_ns, &profile.entries);
-            for (pc, (&entries, ns)) in
-                profile.entries.iter().zip(parts).enumerate()
-            {
-                if entries > 0 {
-                    let name = self.block_name(pc).unwrap_or("<unknown>");
-                    sink.attr(pe_trace::Phase::VmRun, name, ns, entries);
-                }
-            }
+            prof.attribute(self, &t, sink);
         }
         pe_trace::end(sink, t);
-        result.map(|v| (v, stats, profile))
+        result.map(|v| (v, stats))
     }
 
     fn exec<P: Profiler>(
@@ -409,6 +398,9 @@ impl Vm {
 trait Profiler {
     fn enter(&mut self, pc: usize);
     fn branch(&mut self, pc: usize, taken: bool);
+    /// Emits the run's cost rows, timed by its still-open `vm-run`
+    /// span.  The no-op profiler emits none and reads no clock.
+    fn attribute(&self, _vm: &Vm, _span: &pe_trace::SpanTimer, _sink: &mut dyn pe_trace::Sink) {}
 }
 
 /// The zero-cost profiler: every hook is an empty inline body.
@@ -475,6 +467,17 @@ impl Profiler for VmProfile {
                 *t += 1;
             } else {
                 *f += 1;
+            }
+        }
+    }
+
+    fn attribute(&self, vm: &Vm, span: &pe_trace::SpanTimer, sink: &mut dyn pe_trace::Sink) {
+        let Some(exec_ns) = span.elapsed_ns() else { return };
+        let parts = pe_prof::distribute_ns(exec_ns, &self.entries);
+        for (pc, (&entries, ns)) in self.entries.iter().zip(parts).enumerate() {
+            if entries > 0 {
+                let name = vm.block_name(pc).unwrap_or("<unknown>");
+                sink.attr(pe_trace::Phase::VmRun, name, ns, entries);
             }
         }
     }

@@ -7,9 +7,10 @@
 //!   machines and CI load, so the gate only trips on a large multiple
 //!   of the baseline plus an absolute slack — it catches "the compiler
 //!   got 3× slower", not jitter;
-//! * **size** (`residual.nodes_flow`, `residual.c_bytes_flow`) is
-//!   deterministic, so the tolerance is tight: a few percent of growth
-//!   headroom for benign codegen drift.
+//! * **size** (`residual.nodes_flow`, `residual.c_bytes_flow`,
+//!   `sct.compositions`) is deterministic, so the tolerance is tight: a
+//!   few percent of growth headroom for benign codegen or work-order
+//!   drift.
 //!
 //! Improvements never fail; the gate is one-sided.  The workspace is
 //! dependency-free, so this module carries its own ~100-line recursive
@@ -310,6 +311,7 @@ pub fn check_regressions(
         };
         size("residual nodes", &["residual", "nodes_flow"]);
         size("emitted C bytes", &["residual", "c_bytes_flow"]);
+        size("sct compositions", &["sct", "compositions"]);
     }
     Ok(regressions)
 }
@@ -359,7 +361,8 @@ mod tests {
             "vm": {"min_ms": 0.2, "runs": 3}
           },
           "name": "tak",
-          "residual": {"c_bytes_flow": 800, "nodes_flow": 30}
+          "residual": {"c_bytes_flow": 800, "nodes_flow": 30},
+          "sct": {"compositions": 284}
         }
       ],
       "mode": "quick",
@@ -404,6 +407,11 @@ mod tests {
         let r = check_regressions(DOC, &grown, &tol).unwrap();
         assert_eq!(r.len(), 1, "{r:?}");
         assert!(r[0].contains("residual nodes"), "{r:?}");
+        // So is the closure's work: 284 -> 300 compositions.
+        let busier = DOC.replace("\"compositions\": 284", "\"compositions\": 300");
+        let r = check_regressions(DOC, &busier, &tol).unwrap();
+        assert_eq!(r.len(), 1, "{r:?}");
+        assert!(r[0].contains("tak: sct compositions regressed"), "{r:?}");
         // A benchmark that vanished is a regression, not a skip.
         let gone = DOC.replace("\"name\": \"tak\"", "\"name\": \"renamed\"");
         let r = check_regressions(DOC, &gone, &tol).unwrap();

@@ -92,6 +92,8 @@ pub struct ResidualSizes {
 pub struct SctNumbers {
     /// Procedures classified bounded.
     pub bounded: u64,
+    /// Size-change graph compositions the closure performed.
+    pub compositions: u64,
     /// Procedures classified unbounded.
     pub unbounded: u64,
     /// Procedures the analysis could not classify.
@@ -298,6 +300,7 @@ fn time_benchmark(b: &Benchmark, cfg: &BenchConfig) -> Result<BenchRow, String> 
     use realistic_pe::Counter;
     let sct = SctNumbers {
         bounded: report.counter(Counter::SctBounded),
+        compositions: report.counter(Counter::SctCompositions),
         unbounded: report.counter(Counter::SctUnbounded),
         unknown: report.counter(Counter::SctUnknown),
         eager_generalizations: report.counter(Counter::EagerGeneralizations),
@@ -438,10 +441,11 @@ pub fn to_json_with_serve(
         ));
         let t = &r.sct;
         s.push_str(&format!(
-            "      \"sct\": {{\"bounded\": {}, \"eager_generalizations\": {}, \
-             \"unbounded\": {}, \"unknown\": {}, \"widenings_off\": {}, \
-             \"widenings_on\": {}}}\n",
+            "      \"sct\": {{\"bounded\": {}, \"compositions\": {}, \
+             \"eager_generalizations\": {}, \"unbounded\": {}, \"unknown\": {}, \
+             \"widenings_off\": {}, \"widenings_on\": {}}}\n",
             t.bounded,
+            t.compositions,
             t.eager_generalizations,
             t.unbounded,
             t.unknown,
@@ -555,6 +559,7 @@ mod tests {
             },
             sct: SctNumbers {
                 bounded: 2,
+                compositions: 284,
                 unbounded: 0,
                 unknown: 1,
                 eager_generalizations: 4,
@@ -601,6 +606,7 @@ mod tests {
             ],
             vec![
                 "\"bounded\"",
+                "\"compositions\"",
                 "\"eager_generalizations\"",
                 "\"unbounded\"",
                 "\"unknown\"",

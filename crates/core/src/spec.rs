@@ -1254,7 +1254,7 @@ impl<'p> Spec<'p> {
         // analysis marked this label as stack-growing the flush was
         // statically anticipated — an eager generalization; otherwise
         // the dynamic machinery discovered it — a widening.
-        if self.sct.as_ref().is_some_and(|s| s.stack_labels.contains(&label)) {
+        if self.sct.as_ref().is_some_and(|s| s.on_stack(label)) {
             self.counters.eager_generalizations += 1;
             self.events.push(ControlEvent {
                 label,

@@ -75,6 +75,15 @@ impl SimpleExpr {
             | SimpleExpr::Lambda(l, _) => *l,
         }
     }
+
+    /// Calls `f` on this expression's label, then on its arguments'
+    /// (a lambda's body is not entered).
+    pub fn for_each_label(&self, f: &mut impl FnMut(DLabel)) {
+        f(self.label());
+        if let SimpleExpr::Prim(_, _, args) = self {
+            args.iter().for_each(|a| a.for_each_label(f));
+        }
+    }
 }
 
 /// A serious (tail) expression `E`.
@@ -99,6 +108,26 @@ impl TailExpr {
             TailExpr::Simple(se) => se.label(),
             TailExpr::If(l, _, _, _) | TailExpr::CallProc(l, _, _) | TailExpr::PushApp(l, _, _) => {
                 *l
+            }
+        }
+    }
+
+    /// Calls `f` on this expression's label, then on its
+    /// subexpressions' in syntax order (lambda bodies are not entered;
+    /// a `Simple` body reports its shared label twice).
+    pub fn for_each_label(&self, f: &mut impl FnMut(DLabel)) {
+        f(self.label());
+        match self {
+            TailExpr::Simple(se) => se.for_each_label(f),
+            TailExpr::If(_, c, t, e) => {
+                c.for_each_label(f);
+                t.for_each_label(f);
+                e.for_each_label(f);
+            }
+            TailExpr::CallProc(_, _, args) => args.iter().for_each(|a| a.for_each_label(f)),
+            TailExpr::PushApp(_, ctx, body) => {
+                ctx.for_each_label(f);
+                body.for_each_label(f);
             }
         }
     }
@@ -157,6 +186,49 @@ impl DProgram {
             .iter()
             .position(|d| &*d.name == name)
             .map(|i| ProcId(i as u32))
+    }
+
+    /// The lambdas each procedure owns, indexed by [`ProcId`]: those its
+    /// body creates, directly or inside the bodies of lambdas it
+    /// creates — the closures that run on this procedure's frame data
+    /// when invoked later.  Desugaring hoists every lambda from exactly
+    /// one place, so one walk visits each lambda once and the lists are
+    /// disjoint.
+    pub fn owned_lambdas(&self) -> Vec<Vec<LamId>> {
+        let mut seen = vec![false; self.lambdas.len()];
+        let mut visit = |te: &TailExpr, out: &mut Vec<LamId>| {
+            lambdas_created(te, &mut |l| {
+                if !std::mem::replace(&mut seen[l.0 as usize], true) {
+                    out.push(l);
+                }
+            });
+        };
+        self.defs
+            .iter()
+            .map(|d| {
+                let mut owned = Vec::new();
+                visit(&d.body, &mut owned);
+                let mut i = 0;
+                while let Some(&l) = owned.get(i) {
+                    visit(&self.lambda(l).body, &mut owned);
+                    i += 1;
+                }
+                owned
+            })
+            .collect()
+    }
+
+    /// The procedure-level call graph: procedure `i` points at every
+    /// procedure called in its body or in the body of a lambda it owns
+    /// (`owned` is [`DProgram::owned_lambdas`]).
+    pub fn call_graph(&self, owned: &[Vec<LamId>]) -> Vec<Vec<u32>> {
+        let bodies = |(d, lams): (&DDef, &Vec<LamId>)| {
+            let mut out = Vec::new();
+            calls_in_tail(&d.body, &mut out);
+            lams.iter().for_each(|&l| calls_in_tail(&self.lambda(l).body, &mut out));
+            out
+        };
+        self.defs.iter().zip(owned).map(bodies).collect()
     }
 
     /// The display name of a variable: original name, suffixed with the
@@ -228,6 +300,43 @@ impl DProgram {
             out.push('\n');
         }
         out
+    }
+}
+
+fn calls_in_tail(te: &TailExpr, out: &mut Vec<u32>) {
+    match te {
+        TailExpr::Simple(_) => {}
+        TailExpr::If(_, _, t, e) => {
+            calls_in_tail(t, out);
+            calls_in_tail(e, out);
+        }
+        TailExpr::CallProc(_, pid, _) => out.push(pid.0),
+        TailExpr::PushApp(_, _, body) => calls_in_tail(body, out),
+    }
+}
+
+/// Calls `f` on every lambda `te` creates directly (not through the
+/// bodies of further lambdas).
+fn lambdas_created(te: &TailExpr, f: &mut impl FnMut(LamId)) {
+    fn simple(se: &SimpleExpr, f: &mut impl FnMut(LamId)) {
+        match se {
+            SimpleExpr::Lambda(_, id) => f(*id),
+            SimpleExpr::Prim(_, _, args) => args.iter().for_each(|a| simple(a, f)),
+            SimpleExpr::Var(_, _) | SimpleExpr::Const(_, _) => {}
+        }
+    }
+    match te {
+        TailExpr::Simple(se) => simple(se, f),
+        TailExpr::If(_, c, t, e) => {
+            simple(c, f);
+            lambdas_created(t, f);
+            lambdas_created(e, f);
+        }
+        TailExpr::CallProc(_, _, args) => args.iter().for_each(|a| simple(a, f)),
+        TailExpr::PushApp(_, ctx, body) => {
+            simple(ctx, f);
+            lambdas_created(body, f);
+        }
     }
 }
 

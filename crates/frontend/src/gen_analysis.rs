@@ -16,7 +16,7 @@
 //! creation* (critical evaluation contexts "are merely closures already
 //! caught by the analysis", plus stack-recursion detection below).
 
-use crate::dast::{DProgram, LamId, SimpleExpr, TailExpr};
+use crate::dast::{DProgram, LamId, TailExpr};
 use crate::flow::{FlowAnalysis, LamSet};
 use std::collections::BTreeSet;
 
@@ -48,8 +48,8 @@ impl GenAnalysis {
         // the same site — both exactly when the lambda or site lies on a
         // cycle of the containment graph.
         let nlams = p.lambdas.len();
-        for (node, cyclic) in on_cycle(&flow.containment_graph(p)).into_iter().enumerate() {
-            if !cyclic {
+        for (node, cycle) in on_cycle(&flow.containment_graph(p)).into_iter().enumerate() {
+            if cycle.is_none() {
                 continue;
             }
             if node < nlams {
@@ -59,39 +59,22 @@ impl GenAnalysis {
             }
         }
 
-        // Source 1: a context pushed inside a recursive procedure (or
-        // inside a lambda reachable from one) may pile up on the stack.
-        // We approximate with the procedure-level call graph: a PushApp
-        // whose surrounding procedure takes part in call-graph recursion
-        // marks its context lambdas critical.  This is deliberately
-        // conservative — the paper's offline strategy "necessarily
-        // generalizes" more than the online one.
-        //
-        // The call graph has a node per procedure (`0..D`) and per lambda
-        // (`D..D + L`): a body points at the procedures it calls and the
-        // lambdas it creates, since a closure may be invoked later,
-        // transferring control back.  A procedure is recursive when it
-        // lies on a cycle.
-        let ndefs = p.defs.len();
-        let calls = call_graph(p);
-        let cyclic = on_cycle(&calls);
-        let recursive: Vec<usize> = (0..ndefs).filter(|&i| cyclic[i]).collect();
-        for &d in &recursive {
-            mark_pushed_contexts(flow, &p.defs[d].body, &mut critical_lams);
-        }
-        // Lambdas syntactically inside a recursive proc's body live in
-        // the lambda table; their pushes count too when the lambda itself
-        // can be invoked from a recursive context.  Conservatively mark
-        // pushes inside any lambda that a recursive procedure can create.
-        let mut seen = vec![false; nlams];
-        let created = |node: usize| calls[node].iter().filter_map(|&n| (n as usize).checked_sub(ndefs));
-        let mut work: Vec<usize> = recursive.iter().flat_map(|&d| created(d)).collect();
-        while let Some(l) = work.pop() {
-            if std::mem::replace(&mut seen[l], true) {
-                continue;
+        // Source 1: a context pushed inside a recursive procedure, or
+        // inside a lambda it owns, may pile up on the stack.  Recursion
+        // is a cycle of the procedure-level call graph, where calls made
+        // in an owned lambda's body count as the owner's (the closure
+        // may be invoked later, transferring control back).  This is
+        // deliberately conservative — the paper's offline strategy
+        // "necessarily generalizes" more than the online one.
+        let owned = p.owned_lambdas();
+        let cycles = on_cycle(&p.call_graph(&owned));
+        for ((d, lams), cycle) in p.defs.iter().zip(&owned).zip(cycles) {
+            if cycle.is_some() {
+                mark_pushed_contexts(flow, &d.body, &mut critical_lams);
+                for &l in lams {
+                    mark_pushed_contexts(flow, &p.lambda(l).body, &mut critical_lams);
+                }
             }
-            mark_pushed_contexts(flow, &p.lambdas[l].body, &mut critical_lams);
-            work.extend(created(ndefs + l));
         }
 
         GenAnalysis {
@@ -113,16 +96,21 @@ impl GenAnalysis {
     }
 }
 
-/// The nodes of `succ` that lie on a cycle: members of a strongly
-/// connected component with more than one node, or with a self-loop.
-/// One iterative Tarjan pass, linear in nodes plus edges.
-fn on_cycle(succ: &[Vec<u32>]) -> Vec<bool> {
+/// The cycle component of every node of `succ`: `Some(id)` for a node
+/// on a cycle — a member of a strongly connected component with more
+/// than one node, or with a self-loop — and `None` otherwise.  Two
+/// nodes share an id iff they share a component; ids are dense from 0
+/// in the order the components complete.  One iterative Tarjan pass,
+/// linear in nodes plus edges.
+pub fn on_cycle(succ: &[Vec<u32>]) -> Vec<Option<u32>> {
     const UNSEEN: u32 = u32::MAX;
     let n = succ.len();
     let mut index = vec![UNSEEN; n];
     let mut low = vec![0u32; n];
     let mut on_stack = vec![false; n];
-    let mut cyclic = vec![false; n];
+    let mut self_loop = vec![false; n];
+    let mut cycle = vec![None; n];
+    let mut components = 0u32;
     let mut stack: Vec<usize> = Vec::new();
     // The DFS path: each node with the position of its next edge.
     let mut path: Vec<(usize, usize)> = Vec::new();
@@ -146,7 +134,7 @@ fn on_cycle(succ: &[Vec<u32>]) -> Vec<bool> {
             if let Some(&w) = succ[v].get(e) {
                 top.1 += 1;
                 let w = w as usize;
-                cyclic[v] |= w == v;
+                self_loop[v] |= w == v;
                 if index[w] == UNSEEN {
                     entering = Some(w);
                 } else if on_stack[w] {
@@ -160,66 +148,16 @@ fn on_cycle(succ: &[Vec<u32>]) -> Vec<bool> {
             }
             if low[v] == index[v] {
                 let start = stack.iter().rposition(|&x| x == v).expect("v is on the stack");
-                let multi = stack.len() - start > 1;
+                let id = (stack.len() - start > 1 || self_loop[v]).then_some(components);
+                components += u32::from(id.is_some());
                 for x in stack.drain(start..) {
                     on_stack[x] = false;
-                    cyclic[x] |= multi;
+                    cycle[x] = id;
                 }
             }
         }
     }
-    cyclic
-}
-
-/// The call graph of [`GenAnalysis::analyze`]'s source 1: node `i <
-/// D` is procedure `i`, node `D + ℓ` is lambda ℓ; each body points at
-/// the procedures it calls and the lambdas it creates.
-fn call_graph(p: &DProgram) -> Vec<Vec<u32>> {
-    let ndefs = p.defs.len();
-    let bodies = p.defs.iter().map(|d| &d.body).chain(p.lambdas.iter().map(|l| &l.body));
-    bodies
-        .map(|body| {
-            let mut succ = Vec::new();
-            calls_in_tail(body, &mut succ);
-            lambdas_created_tail(body, &mut |l| succ.push((ndefs + l.0 as usize) as u32));
-            succ
-        })
-        .collect()
-}
-
-fn calls_in_tail(te: &TailExpr, out: &mut Vec<u32>) {
-    match te {
-        TailExpr::Simple(_) => {}
-        TailExpr::If(_, _, t, e) => {
-            calls_in_tail(t, out);
-            calls_in_tail(e, out);
-        }
-        TailExpr::CallProc(_, pid, _) => out.push(pid.0),
-        TailExpr::PushApp(_, _, body) => calls_in_tail(body, out),
-    }
-}
-
-fn lambdas_created_tail(te: &TailExpr, out: &mut impl FnMut(LamId)) {
-    fn simple(se: &SimpleExpr, out: &mut impl FnMut(LamId)) {
-        match se {
-            SimpleExpr::Lambda(_, id) => out(*id),
-            SimpleExpr::Prim(_, _, args) => args.iter().for_each(|a| simple(a, out)),
-            SimpleExpr::Var(_, _) | SimpleExpr::Const(_, _) => {}
-        }
-    }
-    match te {
-        TailExpr::Simple(se) => simple(se, out),
-        TailExpr::If(_, c, t, e) => {
-            simple(c, out);
-            lambdas_created_tail(t, out);
-            lambdas_created_tail(e, out);
-        }
-        TailExpr::CallProc(_, _, args) => args.iter().for_each(|a| simple(a, out)),
-        TailExpr::PushApp(_, ctx, body) => {
-            simple(ctx, out);
-            lambdas_created_tail(body, out);
-        }
-    }
+    cycle
 }
 
 fn mark_pushed_contexts(flow: &FlowAnalysis, te: &TailExpr, out: &mut BTreeSet<LamId>) {
@@ -256,6 +194,7 @@ fn tail_contains_call(te: &TailExpr) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dast::SimpleExpr;
     use crate::desugar::desugar;
     use crate::parse::parse_source;
 
@@ -364,7 +303,8 @@ mod tests {
     fn assert_matches_oracle(src: &str) -> (DProgram, FlowAnalysis, Vec<bool>) {
         let p = desugar(&parse_source(src).unwrap()).unwrap();
         let f = FlowAnalysis::analyze(&p);
-        let cyclic = on_cycle(&f.containment_graph(&p));
+        let cyclic: Vec<bool> =
+            on_cycle(&f.containment_graph(&p)).iter().map(Option::is_some).collect();
         assert_eq!(cyclic, oracle_cyclic(&p, &f), "{src}");
         (p, f, cyclic)
     }
@@ -373,15 +313,15 @@ mod tests {
     fn cycle_membership_needs_a_cycle_through_the_node() {
         // A self-loop, a 2-cycle, and a node that only reaches a cycle.
         let succ = vec![vec![0], vec![2], vec![1], vec![1, 4], vec![]];
-        assert_eq!(on_cycle(&succ), vec![true, true, true, false, false]);
+        assert_eq!(on_cycle(&succ), vec![Some(0), Some(1), Some(1), None, None]);
         // A long chain closing into one big cycle, deeper than any
         // reasonable host stack would allow a recursive search.
         let n = 200_000;
         let ring: Vec<Vec<u32>> = (0..n).map(|i| vec![((i + 1) % n) as u32]).collect();
-        assert!(on_cycle(&ring).into_iter().all(|c| c));
+        assert!(on_cycle(&ring).into_iter().all(|c| c == Some(0)));
         let chain: Vec<Vec<u32>> =
             (0..n).map(|i| if i + 1 < n { vec![(i + 1) as u32] } else { vec![] }).collect();
-        assert!(on_cycle(&chain).into_iter().all(|c| !c));
+        assert!(on_cycle(&chain).into_iter().all(|c| c.is_none()));
     }
 
     #[test]

@@ -15,29 +15,17 @@ use pe_frontend::dast::{DProgram, LamId, ProcId, SimpleExpr, TailExpr, VarId};
 use std::collections::BTreeSet;
 
 /// Builds every size-change graph of the program, in deterministic
-/// (procedure, syntax) order.
-pub fn build(p: &DProgram) -> Vec<SizeGraph> {
+/// (procedure, syntax) order.  `owned` is [`DProgram::owned_lambdas`]:
+/// after a procedure's body come the bodies of the lambdas it owns
+/// (closures can be invoked later, transferring control back into this
+/// frame's data).
+pub fn build(p: &DProgram, owned: &[Vec<LamId>]) -> Vec<SizeGraph> {
     let mut out = Vec::new();
-    for (i, def) in p.defs.iter().enumerate() {
+    for ((i, def), lams) in p.defs.iter().enumerate().zip(owned) {
         let src = ProcId(i as u32);
-        let params = &def.params;
-        // The procedure body, then the bodies of every lambda it
-        // transitively creates (closures can be invoked later,
-        // transferring control back into this frame's data).
-        graphs_in_tail(p, src, params, &def.body, &mut out);
-        let mut lams = BTreeSet::new();
-        lambdas_created(&def.body, &mut lams);
-        let mut work: Vec<LamId> = lams.iter().copied().collect();
-        let mut seen = lams;
-        while let Some(l) = work.pop() {
-            graphs_in_tail(p, src, params, &p.lambda(l).body, &mut out);
-            let mut inner = BTreeSet::new();
-            lambdas_created(&p.lambda(l).body, &mut inner);
-            for x in inner {
-                if seen.insert(x) {
-                    work.push(x);
-                }
-            }
+        graphs_in_tail(p, src, &def.params, &def.body, &mut out);
+        for &l in lams {
+            graphs_in_tail(p, src, &def.params, &p.lambda(l).body, &mut out);
         }
     }
     out
@@ -188,32 +176,6 @@ fn component_vars(se: &SimpleExpr, out: &mut BTreeSet<VarId>) {
     }
 }
 
-/// Lambdas created directly by `te` (not through further lambdas).
-pub fn lambdas_created(te: &TailExpr, out: &mut BTreeSet<LamId>) {
-    fn simple(se: &SimpleExpr, out: &mut BTreeSet<LamId>) {
-        match se {
-            SimpleExpr::Lambda(_, id) => {
-                out.insert(*id);
-            }
-            SimpleExpr::Prim(_, _, args) => args.iter().for_each(|a| simple(a, out)),
-            SimpleExpr::Var(_, _) | SimpleExpr::Const(_, _) => {}
-        }
-    }
-    match te {
-        TailExpr::Simple(se) => simple(se, out),
-        TailExpr::If(_, c, t, e) => {
-            simple(c, out);
-            lambdas_created(t, out);
-            lambdas_created(e, out);
-        }
-        TailExpr::CallProc(_, _, args) => args.iter().for_each(|a| simple(a, out)),
-        TailExpr::PushApp(_, ctx, body) => {
-            simple(ctx, out);
-            lambdas_created(body, out);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,7 +183,7 @@ mod tests {
 
     fn graphs(src: &str) -> (DProgram, Vec<SizeGraph>) {
         let p = desugar(&parse_source(src).unwrap()).unwrap();
-        let gs = build(&p);
+        let gs = build(&p, &p.owned_lambdas());
         (p, gs)
     }
 

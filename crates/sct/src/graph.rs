@@ -81,7 +81,7 @@ impl Rel {
 ///
 /// Arcs are keyed by `(caller parameter index, callee parameter index)`.
 /// An absent arc means "no guaranteed relation" — the sound default.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SizeGraph {
     /// The calling procedure.
     pub src: ProcId,

@@ -13,7 +13,8 @@
 //!    patterns (`sub1`, `(- x k)` ⇒ arithmetic descent; `add1`,
 //!    `(+ x k)` ⇒ increase), and constructor/closure embedding
 //!    (`cons`, `lambda` capture ⇒ in-situ increase).
-//! 2. [`closure`] closes the graph set under composition (budgeted).
+//! 2. [`closure`] closes the graph set under composition inside each
+//!    call-graph component (budgeted).
 //! 3. [`verdict`] classifies every specialization-point candidate as
 //!    **bounded** (static data provably descends), **unbounded**
 //!    (provable in-situ increase on a cycle — generalize eagerly), or
@@ -86,9 +87,10 @@ impl SctAnalysis {
 /// Runs the full analysis: graphs, closure, verdicts, early reject.
 #[must_use]
 pub fn analyze(p: &DProgram, flow: &FlowAnalysis, entry: &str) -> SctAnalysis {
-    let graphs = callgraph::build(p);
-    let closed = closure::close(&graphs);
-    let verdicts = verdict::classify(p, &closed);
+    let owned = p.owned_lambdas();
+    let graphs = callgraph::build(p, &owned);
+    let closed = closure::close(p.defs.len(), &graphs);
+    let verdicts = verdict::classify(p, &owned, &closed);
     let mut stats = SctStats {
         graphs: graphs.len() as u64,
         compositions: closed.compositions,
@@ -101,7 +103,7 @@ pub fn analyze(p: &DProgram, flow: &FlowAnalysis, entry: &str) -> SctAnalysis {
             Verdict::Unknown => stats.unknown += 1,
         }
     }
-    let divergence = reject::check(p, flow, entry);
+    let divergence = reject::check(p, &owned, flow, entry);
     SctAnalysis { verdicts, stats, divergence }
 }
 

@@ -15,20 +15,21 @@
 
 use pe_frontend::dast::{DProgram, LamId, ProcId, SimpleExpr, TailExpr};
 use pe_frontend::flow::FlowAnalysis;
+use pe_frontend::gen_analysis::on_cycle;
 use pe_governor::Trap;
-use std::collections::BTreeSet;
 
 /// Checks both criteria; `Some(trap)` means the program cannot
-/// terminate when `entry` is invoked.
+/// terminate when `entry` is invoked.  `owned` is
+/// [`DProgram::owned_lambdas`].
 #[must_use]
-pub fn check(p: &DProgram, flow: &FlowAnalysis, entry: &str) -> Option<Trap> {
+pub fn check(p: &DProgram, owned: &[Vec<LamId>], flow: &FlowAnalysis, entry: &str) -> Option<Trap> {
     let pid = p.proc_id(entry)?;
     if let Some(name) = unconditional_cycle(p, pid) {
         return Some(Trap::StaticDivergence {
             witness: format!("unconditional call cycle through procedure {name}"),
         });
     }
-    if let Some(lam) = self_application_cycle(p, flow, pid) {
+    if let Some(lam) = self_application_cycle(p, owned, flow, pid) {
         return Some(Trap::StaticDivergence {
             witness: format!("unconditional self-application cycle through lambda #{}", lam.0),
         });
@@ -36,130 +37,80 @@ pub fn check(p: &DProgram, flow: &FlowAnalysis, entry: &str) -> Option<Trap> {
     None
 }
 
-/// Criterion 1.  Returns the name of a witness procedure on the cycle.
+/// Criterion 1.  Returns the name of the lowest-index procedure on a
+/// cycle that the entry reaches.
 fn unconditional_cycle(p: &DProgram, entry: ProcId) -> Option<String> {
-    let n = p.defs.len();
-    let mut edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    for (i, d) in p.defs.iter().enumerate() {
-        unconditional_calls(&d.body, &mut edges[i]);
-    }
-    // Procedures reachable from the entry through unconditional calls.
-    let mut reach = BTreeSet::new();
-    let mut work = vec![entry.0 as usize];
-    while let Some(i) = work.pop() {
-        if !reach.insert(i) {
-            continue;
-        }
-        work.extend(edges[i].iter().copied());
-    }
-    // Any reachable procedure that unconditionally reaches itself.
-    for &i in &reach {
-        let mut seen = BTreeSet::new();
-        let mut work: Vec<usize> = edges[i].iter().copied().collect();
-        while let Some(j) = work.pop() {
-            if j == i {
-                return Some(p.defs[i].name.to_string());
-            }
-            if seen.insert(j) {
-                work.extend(edges[j].iter().copied());
-            }
-        }
-    }
-    None
+    let edges: Vec<Vec<u32>> = p
+        .defs
+        .iter()
+        .map(|d| {
+            let mut out = Vec::new();
+            unconditional_calls(&d.body, &mut out);
+            out
+        })
+        .collect();
+    let reach = reachable(&edges, entry.0);
+    let cycles = on_cycle(&edges);
+    let i = (0..edges.len()).find(|&i| reach[i] && cycles[i].is_some())?;
+    Some(p.defs[i].name.to_string())
 }
 
 /// Calls performed on every execution of `te`: a pushed context's body
 /// runs unconditionally, an `if` makes both branches conditional, and
 /// calls inside pushed *lambdas* run only via application (handled by
 /// criterion 2).
-fn unconditional_calls(te: &TailExpr, out: &mut BTreeSet<usize>) {
+fn unconditional_calls(te: &TailExpr, out: &mut Vec<u32>) {
     match te {
         TailExpr::Simple(_) | TailExpr::If(_, _, _, _) => {}
-        TailExpr::CallProc(_, pid, _) => {
-            out.insert(pid.0 as usize);
-        }
+        TailExpr::CallProc(_, pid, _) => out.push(pid.0),
         TailExpr::PushApp(_, _, body) => unconditional_calls(body, out),
     }
 }
 
-/// Criterion 2.  Returns a witness lambda on the cycle.
-fn self_application_cycle(p: &DProgram, flow: &FlowAnalysis, entry: ProcId) -> Option<LamId> {
-    // Lambdas creatable while running from the entry: everything made
-    // in reachable procedure bodies, transitively through lambda bodies.
-    let mut reachable_procs = BTreeSet::new();
-    let mut work = vec![entry.0 as usize];
-    while let Some(i) = work.pop() {
-        if !reachable_procs.insert(i) {
-            continue;
-        }
-        let mut calls = BTreeSet::new();
-        all_calls(&p.defs[i].body, &mut calls);
-        let mut lams = BTreeSet::new();
-        crate::callgraph::lambdas_created(&p.defs[i].body, &mut lams);
-        let mut lwork: Vec<LamId> = lams.iter().copied().collect();
-        let mut lseen = lams;
-        while let Some(l) = lwork.pop() {
-            all_calls(&p.lambda(l).body, &mut calls);
-            let mut inner = BTreeSet::new();
-            crate::callgraph::lambdas_created(&p.lambda(l).body, &mut inner);
-            for x in inner {
-                if lseen.insert(x) {
-                    lwork.push(x);
-                }
-            }
-        }
-        work.extend(calls);
-    }
-    let mut reachable_lams: BTreeSet<LamId> = BTreeSet::new();
-    for &i in &reachable_procs {
-        let mut lams = BTreeSet::new();
-        crate::callgraph::lambdas_created(&p.defs[i].body, &mut lams);
-        let mut lwork: Vec<LamId> = lams.iter().copied().collect();
-        reachable_lams.extend(lams.iter().copied());
-        while let Some(l) = lwork.pop() {
-            let mut inner = BTreeSet::new();
-            crate::callgraph::lambdas_created(&p.lambda(l).body, &mut inner);
-            for x in inner {
-                if reachable_lams.insert(x) {
-                    lwork.push(x);
-                }
-            }
-        }
+/// Criterion 2.  Returns the lowest-numbered lambda on a cycle.
+fn self_application_cycle(
+    p: &DProgram,
+    owned: &[Vec<LamId>],
+    flow: &FlowAnalysis,
+    entry: ProcId,
+) -> Option<LamId> {
+    // Lambdas creatable while running from the entry: those owned by
+    // procedures reachable through any call, from a body or from the
+    // body of an owned lambda.
+    let reach = reachable(&p.call_graph(owned), entry.0);
+    let mut reachable_lams = vec![false; p.lambdas.len()];
+    for (lams, _) in owned.iter().zip(&reach).filter(|&(_, &r)| r) {
+        lams.iter().for_each(|l| reachable_lams[l.0 as usize] = true);
     }
 
     // Edge a → b: λa unconditionally applies its own parameter with a
     // guard-free delivery, and λb may flow into that parameter.
-    let mut edges: Vec<(LamId, Vec<LamId>)> = Vec::new();
-    for &a in &reachable_lams {
-        let def = p.lambda(a);
-        if applies_own_param(&def.body, def.param) {
-            let cands: Vec<LamId> = flow
-                .var_lambdas(def.param)
-                .iter()
-                .filter(|b| reachable_lams.contains(b))
-                .collect();
-            if !cands.is_empty() {
-                edges.push((a, cands));
+    let edges: Vec<Vec<u32>> = p
+        .lambdas
+        .iter()
+        .enumerate()
+        .map(|(a, def)| {
+            if !reachable_lams[a] || !applies_own_param(&def.body, def.param) {
+                return Vec::new();
             }
+            let cands = flow.var_lambdas(def.param);
+            cands.iter().filter(|b| reachable_lams[b.0 as usize]).map(|b| b.0).collect()
+        })
+        .collect();
+    let l = on_cycle(&edges).iter().position(Option::is_some)?;
+    Some(LamId(l as u32))
+}
+
+/// The nodes of `edges` reachable from `start`, itself included.
+fn reachable(edges: &[Vec<u32>], start: u32) -> Vec<bool> {
+    let mut seen = vec![false; edges.len()];
+    let mut work = vec![start];
+    while let Some(i) = work.pop() {
+        if !std::mem::replace(&mut seen[i as usize], true) {
+            work.extend(&edges[i as usize]);
         }
     }
-    // Cycle detection over those edges.
-    for &(start, _) in &edges {
-        let mut seen = BTreeSet::new();
-        let mut work: Vec<LamId> =
-            edges.iter().find(|(a, _)| *a == start).map(|(_, c)| c.clone()).unwrap_or_default();
-        while let Some(l) = work.pop() {
-            if l == start {
-                return Some(start);
-            }
-            if seen.insert(l) {
-                if let Some((_, next)) = edges.iter().find(|(a, _)| *a == l) {
-                    work.extend(next.iter().copied());
-                }
-            }
-        }
-    }
-    None
+    seen
 }
 
 /// True when `te` pushes `param` as an evaluation context along its
@@ -186,20 +137,6 @@ fn delivery_is_unguarded(te: &TailExpr) -> bool {
     }
 }
 
-fn all_calls(te: &TailExpr, out: &mut BTreeSet<usize>) {
-    match te {
-        TailExpr::Simple(_) => {}
-        TailExpr::If(_, _, t, e) => {
-            all_calls(t, out);
-            all_calls(e, out);
-        }
-        TailExpr::CallProc(_, pid, _) => {
-            out.insert(pid.0 as usize);
-        }
-        TailExpr::PushApp(_, _, body) => all_calls(body, out),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,19 +145,25 @@ mod tests {
     fn reject(src: &str, entry: &str) -> Option<Trap> {
         let p = desugar(&parse_source(src).unwrap()).unwrap();
         let f = FlowAnalysis::analyze(&p);
-        check(&p, &f, entry)
+        check(&p, &p.owned_lambdas(), &f, entry)
+    }
+
+    fn witness(t: Option<Trap>) -> String {
+        match t {
+            Some(Trap::StaticDivergence { witness }) => witness,
+            other => panic!("not a static divergence: {other:?}"),
+        }
     }
 
     #[test]
     fn omega_is_rejected() {
+        // λ0 applies its parameter too, but only λ1 flows there: λ1 is
+        // the one on the cycle.
         let t = reject(
             "(define (omega) ((lambda (x) (x x)) (lambda (x) (x x))))",
             "omega",
         );
-        assert!(
-            matches!(&t, Some(Trap::StaticDivergence { witness }) if witness.contains("self-application")),
-            "{t:?}"
-        );
+        assert_eq!(witness(t), "unconditional self-application cycle through lambda #1");
     }
 
     #[test]
@@ -231,10 +174,35 @@ mod tests {
              (define (pong n) (ping n))",
             "main",
         );
-        assert!(
-            matches!(&t, Some(Trap::StaticDivergence { witness }) if witness.contains("call cycle")),
-            "{t:?}"
+        assert_eq!(witness(t), "unconditional call cycle through procedure ping");
+    }
+
+    #[test]
+    fn call_cycle_witness_is_the_lowest_reachable_procedure_on_it() {
+        // The entry enters the cycle a → b → c → a at c; the witness is
+        // the cycle member with the lowest index, not the first reached.
+        // `z` lies on a cycle too, but the entry cannot reach it.
+        let t = reject(
+            "(define (z n) (z n))
+             (define (main d) (c d))
+             (define (a n) (b n))
+             (define (b n) (c n))
+             (define (c n) (a n))",
+            "main",
         );
+        assert_eq!(witness(t), "unconditional call cycle through procedure a");
+    }
+
+    #[test]
+    fn self_application_witness_is_the_lowest_lambda_on_the_cycle() {
+        // `g`'s parameter merges both self-appliers, so λ1 `(x x)` and
+        // λ3 `(y y)` each may receive either: one cycle, two members.
+        let t = reject(
+            "(define (g a) (a a))
+             (define (f) (cons (g (lambda (x) (x x))) (g (lambda (y) (y y)))))",
+            "f",
+        );
+        assert_eq!(witness(t), "unconditional self-application cycle through lambda #1");
     }
 
     #[test]

@@ -3,14 +3,13 @@
 //!
 //! Classification is per procedure, then broadcast to every
 //! specialization-point candidate label the procedure owns (its body
-//! and the bodies of lambdas it transitively creates — the labels the
-//! specializer can reach while holding this frame's data).
+//! and the bodies of the lambdas it owns — the labels the specializer
+//! can reach while holding this frame's data) through one dense
+//! label → owner table.
 
-use crate::callgraph::lambdas_created;
 use crate::closure::Closure;
 use crate::graph::{Descent, Rel, SizeGraph};
-use pe_frontend::dast::{DProgram, ProcId, SimpleExpr, TailExpr, VarId};
-use pe_intern::FxHashMap;
+use pe_frontend::dast::{DLabel, DProgram, LamId, ProcId, VarId};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -54,10 +53,12 @@ impl fmt::Display for Verdict {
 pub struct Verdicts {
     /// Per-procedure verdicts, indexed by `ProcId.0`.
     pub procs: Vec<Verdict>,
-    /// Per-label verdicts for every specialization-point candidate,
-    /// keyed by `DLabel.0` (labels inherit their owning procedure's
-    /// verdict).
-    pub labels: FxHashMap<u32, Verdict>,
+    /// Per-procedure: true when the procedure lies on a call-graph
+    /// cycle, so the context stack may grow while its labels run.
+    pub recursive: Vec<bool>,
+    /// The procedure owning each syntax label, indexed by `DLabel.0`:
+    /// labels inherit their owner's verdict and recursion.
+    pub owners: Vec<Option<ProcId>>,
     /// Parameters provably descending *structurally* on every cycle
     /// through their procedure (or belonging to a non-recursive
     /// procedure): bounded-static-variation tracking is unnecessary
@@ -66,30 +67,43 @@ pub struct Verdicts {
     /// Parameters with a provable in-situ increase on some cycle:
     /// pre-annotated generalization points.
     pub eager_vars: BTreeSet<VarId>,
-    /// Labels owned by procedures on a call-graph cycle: the context
-    /// stack may grow there, so a flush at such a label is a statically
-    /// anticipated generalization, not a dynamic discovery.
-    pub stack_labels: BTreeSet<u32>,
 }
 
 impl Verdicts {
+    fn owner(&self, label: u32) -> Option<usize> {
+        let owner = self.owners.get(label as usize).copied().flatten();
+        owner.map(|p| p.0 as usize)
+    }
+
     /// The verdict at a label, `Unknown` when unattributed.
     #[must_use]
     pub fn at_label(&self, label: u32) -> Verdict {
-        self.labels.get(&label).copied().unwrap_or(Verdict::Unknown)
+        self.owner(label).map_or(Verdict::Unknown, |p| self.procs[p])
+    }
+
+    /// True when a recursive procedure owns the label: the context
+    /// stack may grow there, so a flush at it is a statically
+    /// anticipated generalization, not a dynamic discovery.
+    #[must_use]
+    pub fn on_stack(&self, label: u32) -> bool {
+        self.owner(label).is_some_and(|p| self.recursive[p])
     }
 }
 
-/// Classifies every procedure from the closed graph set.
+/// Classifies every procedure from the closed graph set; `owned` is
+/// [`DProgram::owned_lambdas`].
 #[must_use]
-pub fn classify(p: &DProgram, closure: &Closure) -> Verdicts {
-    let n = p.defs.len();
-    let mut v = Verdicts { procs: vec![Verdict::Bounded; n], ..Verdicts::default() };
-    for (i, def) in p.defs.iter().enumerate() {
-        let pid = ProcId(i as u32);
-        let selfs: Vec<&SizeGraph> =
-            closure.graphs.iter().filter(|g| g.src == pid && g.dst == pid).collect();
-        let verdict = if selfs.is_empty() {
+pub fn classify(p: &DProgram, owned: &[Vec<LamId>], closure: &Closure) -> Verdicts {
+    let mut selfs: Vec<Vec<&SizeGraph>> = vec![Vec::new(); p.defs.len()];
+    for g in closure.graphs.iter().filter(|g| g.src == g.dst) {
+        selfs[g.src.0 as usize].push(g);
+    }
+    let mut v = Verdicts {
+        recursive: closure.cycles.iter().map(Option::is_some).collect(),
+        ..Verdicts::default()
+    };
+    for ((i, def), selfs) in p.defs.iter().enumerate().zip(&selfs) {
+        let verdict = if !v.recursive[i] {
             // Not on any call cycle: unfolding this procedure cannot
             // recurse, every parameter slot is demand-bounded by its
             // callers.
@@ -98,9 +112,6 @@ pub fn classify(p: &DProgram, closure: &Closure) -> Verdicts {
         } else if closure.truncated {
             Verdict::Unknown
         } else {
-            classify_recursive(def.params.len(), &selfs)
-        };
-        if !selfs.is_empty() && !closure.truncated {
             // Slot-level annotations, independent of the verdict: a slot
             // that structurally descends through *every* cycle never
             // accumulates variety; a slot that provably grows in situ on
@@ -117,15 +128,18 @@ pub fn classify(p: &DProgram, closure: &Closure) -> Verdicts {
                     v.eager_vars.insert(param);
                 }
             }
-        }
-        v.procs[i] = verdict;
-        let recursive = !selfs.is_empty();
-        for label in labels_owned(p, pid) {
-            v.labels.insert(label, verdict);
-            if recursive {
-                v.stack_labels.insert(label);
+            classify_recursive(def.params.len(), selfs)
+        };
+        v.procs.push(verdict);
+        let mut own = |l: DLabel| {
+            let l = l.0 as usize;
+            if l >= v.owners.len() {
+                v.owners.resize(l + 1, None);
             }
-        }
+            v.owners[l] = Some(ProcId(i as u32));
+        };
+        def.body.for_each_label(&mut own);
+        owned[i].iter().for_each(|&l| p.lambda(l).body.for_each_label(&mut own));
     }
     v
 }
@@ -152,58 +166,6 @@ fn classify_recursive(arity: usize, selfs: &[&SizeGraph]) -> Verdict {
     }
 }
 
-/// Every syntax label owned by `pid`: its body's labels plus the labels
-/// of every lambda body it transitively creates.
-fn labels_owned(p: &DProgram, pid: ProcId) -> BTreeSet<u32> {
-    let mut labels = BTreeSet::new();
-    let body = &p.proc(pid).body;
-    labels_in_tail(body, &mut labels);
-    let mut lams = BTreeSet::new();
-    lambdas_created(body, &mut lams);
-    let mut work: Vec<_> = lams.iter().copied().collect();
-    let mut seen = lams;
-    while let Some(l) = work.pop() {
-        labels_in_tail(&p.lambda(l).body, &mut labels);
-        let mut inner = BTreeSet::new();
-        lambdas_created(&p.lambda(l).body, &mut inner);
-        for x in inner {
-            if seen.insert(x) {
-                work.push(x);
-            }
-        }
-    }
-    labels
-}
-
-fn labels_in_tail(te: &TailExpr, out: &mut BTreeSet<u32>) {
-    out.insert(te.label().0);
-    match te {
-        TailExpr::Simple(se) => labels_in_simple(se, out),
-        TailExpr::If(_, c, t, e) => {
-            labels_in_simple(c, out);
-            labels_in_tail(t, out);
-            labels_in_tail(e, out);
-        }
-        TailExpr::CallProc(_, _, args) => args.iter().for_each(|a| labels_in_simple(a, out)),
-        TailExpr::PushApp(_, ctx, body) => {
-            labels_in_simple(ctx, out);
-            labels_in_tail(body, out);
-        }
-    }
-}
-
-fn labels_in_simple(se: &SimpleExpr, out: &mut BTreeSet<u32>) {
-    match se {
-        SimpleExpr::Var(l, _) | SimpleExpr::Const(l, _) | SimpleExpr::Lambda(l, _) => {
-            out.insert(l.0);
-        }
-        SimpleExpr::Prim(l, _, args) => {
-            out.insert(l.0);
-            args.iter().for_each(|a| labels_in_simple(a, out));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,9 +174,10 @@ mod tests {
 
     fn verdicts(src: &str) -> (DProgram, Verdicts) {
         let p = desugar(&parse_source(src).unwrap()).unwrap();
-        let graphs = callgraph::build(&p);
-        let closed = closure::close(&graphs);
-        let v = classify(&p, &closed);
+        let owned = p.owned_lambdas();
+        let graphs = callgraph::build(&p, &owned);
+        let closed = closure::close(p.defs.len(), &graphs);
+        let v = classify(&p, &owned, &closed);
         (p, v)
     }
 
@@ -284,7 +247,7 @@ mod tests {
             assert_eq!(v.procs[pid.0 as usize], Verdict::Bounded);
             assert!(v.exempt_vars.contains(&d.params[0]));
         }
-        assert!(v.stack_labels.is_empty());
+        assert!((0..v.owners.len() as u32).all(|l| !v.on_stack(l)));
     }
 
     #[test]
@@ -296,7 +259,8 @@ mod tests {
         let ping = p.proc_id("ping").unwrap();
         let label = p.proc(ping).body.label().0;
         assert_eq!(v.at_label(label), Verdict::Unbounded);
-        assert!(v.stack_labels.contains(&label));
+        assert!(v.on_stack(label));
         assert_eq!(v.at_label(9_999_999), Verdict::Unknown);
+        assert!(!v.on_stack(9_999_999));
     }
 }

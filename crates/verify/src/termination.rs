@@ -55,7 +55,7 @@ pub fn check(audit: &CompileAudit) -> Vec<Diagnostic> {
                 }
             }
             ControlKind::StackFlush => {
-                if !audit.verdicts.stack_labels.contains(&e.label) {
+                if !audit.verdicts.on_stack(e.label) {
                     out.push(Diagnostic::warning(
                         Pass::Termination,
                         None,
@@ -78,10 +78,18 @@ pub fn check(audit: &CompileAudit) -> Vec<Diagnostic> {
 mod tests {
     use super::*;
     use pe_core::ControlEvent;
+    use pe_frontend::ProcId;
     use pe_sct::Verdicts;
 
     fn audit(events: Vec<ControlEvent>, verdicts: Verdicts) -> CompileAudit {
         CompileAudit { enabled: true, verdicts, stats: Default::default(), events }
+    }
+
+    /// One procedure, classified `verdict`, owning only `label`.
+    fn owning(label: u32, verdict: Verdict, recursive: bool) -> Verdicts {
+        let mut owners = vec![None; label as usize + 1];
+        owners[label as usize] = Some(ProcId(0));
+        Verdicts { procs: vec![verdict], recursive: vec![recursive], owners, ..Verdicts::default() }
     }
 
     #[test]
@@ -95,15 +103,13 @@ mod tests {
 
     #[test]
     fn widening_at_a_bounded_point_is_flagged() {
-        let mut v = Verdicts::default();
-        v.labels.insert(7, Verdict::Bounded);
         let a = audit(
             vec![ControlEvent {
                 label: 7,
                 kind: ControlKind::SlotWiden,
                 var: Some("n".into()),
             }],
-            v,
+            owning(7, Verdict::Bounded, false),
         );
         let diags = check(&a);
         assert_eq!(diags.len(), 1);
@@ -124,14 +130,12 @@ mod tests {
 
     #[test]
     fn unannotated_stack_flush_is_flagged() {
-        let mut v = Verdicts::default();
-        v.stack_labels.insert(4);
         let a = audit(
             vec![
                 ControlEvent { label: 4, kind: ControlKind::StackFlush, var: None },
                 ControlEvent { label: 9, kind: ControlKind::StackFlush, var: None },
             ],
-            v,
+            owning(4, Verdict::Unknown, true),
         );
         let diags = check(&a);
         assert_eq!(diags.len(), 1, "{diags:?}");

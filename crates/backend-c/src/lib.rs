@@ -25,9 +25,8 @@
 
 use pe_core::{S0Program, S0Simple, S0Tail};
 use pe_frontend::ast::{Constant, Prim};
-use pe_governor::{Fuel, Limits};
 use pe_interp::Datum;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -39,8 +38,8 @@ pub struct COptions {
     /// caller's own *i*-th parameter, so the global already holds the
     /// value), trivial moves into parameters the callee never reads, and
     /// prologue copies of parameters the emitted body never reads
-    /// (`pe-flow` liveness proves them dead, or their only reads were
-    /// elided identity moves).
+    /// (the body reads them nowhere, or their only reads were elided
+    /// identity moves).
     pub elide_moves: bool,
 }
 
@@ -55,8 +54,8 @@ impl Default for COptions {
 pub struct CProgram {
     /// The complete C source text.
     pub source: String,
-    /// Global-parameter moves and prologue copies elided because
-    /// liveness proved the value already in place or never read.
+    /// Global-parameter moves and prologue copies elided because the
+    /// value is already in place or never read.
     pub moves_elided: usize,
 }
 
@@ -81,8 +80,8 @@ struct Emitter {
 
 /// What translating one procedure body consults and records.
 struct ProcScope<'a> {
-    /// Procedure name → one flag per parameter, `true` when `pe-flow`
-    /// liveness proves it dead (never read).
+    /// Procedure name → one flag per parameter, `true` when its body
+    /// never reads it.
     dead: &'a HashMap<&'a str, Vec<bool>>,
     /// The current procedure's parameter name → position; parameter *i*
     /// is the C variable `pᵢ`.
@@ -262,8 +261,8 @@ impl Emitter {
                 //   parameter.  Globals are written only at a tail call,
                 //   and each path through a body reaches exactly one, so
                 //   `gᵢ` still holds the entry value of `pᵢ`;
-                // * **dead target** — liveness shows the callee never
-                //   reads parameter *i*, and the argument is a variable or
+                // * **dead target** — the callee's body never reads
+                //   parameter *i*, and the argument is a variable or
                 //   constant, so skipping its evaluation cannot suppress a
                 //   runtime error.
                 let dead_target = scope.dead.get(callee.as_str());
@@ -353,20 +352,16 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
         moves_elided: 0,
     };
 
-    // Per-procedure liveness, computed once up front: parameter
-    // positions never read drive dead-target move elision.  A trapped
-    // analysis budget degrades to "all live" (no elision), never to a
-    // wrong answer.
+    // Parameter positions each body never reads, computed once up
+    // front: they drive dead-target move elision.  S₀ binds only at
+    // procedure entry, so the body's variable set is what is live there.
     let dead: HashMap<&str, Vec<bool>> = if opts.elide_moves {
-        let mut fuel = Fuel::new(&Limits::default());
         p.procs
             .iter()
             .map(|q| {
-                let flags = match pe_flow::liveness::live_at_entry(q, &mut fuel) {
-                    Ok(live) => q.params.iter().map(|v| !live.contains(v)).collect(),
-                    Err(_) => vec![false; q.params.len()],
-                };
-                (q.name.as_str(), flags)
+                let mut read = HashSet::new();
+                q.body.vars(&mut read);
+                (q.name.as_str(), q.params.iter().map(|v| !read.contains(v)).collect())
             })
             .collect()
     } else {
@@ -387,8 +382,8 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
         e.tail(&q.body, &mut scope, &mut temps, 1, &mut body);
         let _ = writeln!(bodies, "{label}: {{");
         // Fresh scope: copy the globals into private parameter
-        // variables — only the ones the body reads.  A parameter that
-        // liveness proves dead, or whose only reads were elided identity
+        // variables — only the ones the body reads.  A parameter the
+        // body never reads, or whose only reads were elided identity
         // moves, needs no copy.
         let mut copied = 0usize;
         for (i, &read) in scope.read.iter().enumerate() {

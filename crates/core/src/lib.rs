@@ -293,7 +293,8 @@ mod tests {
     /// Asserts the flow verifier finds no errors in a residual program.
     fn assert_flow_clean(s0: &S0Program) {
         let mut fuel = Fuel::new(&pe_governor::Limits::default());
-        let diags = pe_flow::check(s0, &mut fuel).expect("flow check in budget");
+        let sa = pe_flow::slots::analyze(s0, &mut fuel).expect("label analysis in budget");
+        let diags = pe_flow::check(s0, &sa, &mut fuel).expect("flow check in budget");
         let errs: Vec<_> = diags
             .iter()
             .filter(|d| d.severity == pe_flow::FlowSeverity::Error)

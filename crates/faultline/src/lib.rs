@@ -576,6 +576,50 @@ mod tests {
         Ok(())
     }
 
+    /// `main` calls `(f x x)`, and `f` is defined twice: `(f a b)` and
+    /// `(f a)`, the wider one first when `wide_first`.  Calls resolve
+    /// to the first definition.
+    fn duplicate_definitions(wide_first: bool) -> pe_core::S0Program {
+        use pe_core::{S0Proc, S0Simple, S0Tail};
+        let f = |params: &[&str]| S0Proc {
+            name: "f".into(),
+            params: params.iter().map(|&v| v.to_string()).collect(),
+            body: S0Tail::Return(S0Simple::Var("a".into())),
+        };
+        let (first, second) =
+            if wide_first { (f(&["a", "b"]), f(&["a"])) } else { (f(&["a"]), f(&["a", "b"])) };
+        let x = || S0Simple::Var("x".into());
+        let main = S0Proc {
+            name: "main".into(),
+            params: vec!["x".into()],
+            body: S0Tail::TailCall("f".into(), vec![x(), x()]),
+        };
+        pe_core::S0Program { entry: "main".into(), procs: vec![main, first, second] }
+    }
+
+    #[test]
+    fn verify_survives_duplicate_definitions() -> R {
+        for wide_first in [true, false] {
+            let p = duplicate_definitions(wide_first);
+            let report = no_panic(|| pe_verify::verify(&p))?;
+            let text = report.to_string();
+            assert!(text.contains("f: duplicate procedure definition"), "{text}");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn optimize_survives_duplicate_definitions() -> R {
+        for wide_first in [true, false] {
+            let p = duplicate_definitions(wide_first);
+            let r = no_panic(|| {
+                pe_flow::optimize(p, &mut pe_governor::Fuel::new(&Limits::default()))
+            })?;
+            assert!(r.is_ok(), "{r:?}");
+        }
+        Ok(())
+    }
+
     // ---- unmix -----------------------------------------------------
 
     #[test]

@@ -1,15 +1,14 @@
 //! Flow-based verification of S₀ programs.
 //!
-//! Three checks, all driven by the analyses in this crate rather than
-//! syntax walks:
+//! Three checks:
 //!
-//! * **definite binding** (error) — every variable read at a reachable
-//!   program point is definitely bound along *all* paths reaching it,
-//!   established by a forward must-analysis on the CFG (the definite
-//!   set is intersected over predecessors; unreachable nodes carry no
-//!   obligation).  Calls to unknown procedures and arity mismatches
-//!   are reported here too — binding obligations cross procedures
-//!   through calls.
+//! * **definite binding** (error) — every variable read is bound on
+//!   every path reaching the read.  S₀ binds only at procedure entry
+//!   and a body is a tree of tail expressions, so that holds exactly
+//!   when the variable is a parameter: one pre-order walk per body
+//!   checks each tail expression's reads.  Calls to unknown procedures
+//!   and arity mismatches are reported in the same walk — binding
+//!   obligations cross procedures through calls.
 //! * **dispatch-arm reachability** (warning) — a dispatch arm the label
 //!   analysis proves always or never taken is residual noise the
 //!   optimizer would fold; reported via [`crate::slots::arm_findings`].
@@ -20,11 +19,10 @@
 //! warning lints by construction: the lints mirror the optimizer's own
 //! analyses, so anything they would flag has already been rewritten.
 
-use crate::cfg::{Cfg, Node};
-use crate::s0::{S0Program, S0Simple};
-use crate::solver::{solve, Analysis, Direction};
+use crate::s0::{S0Program, S0Simple, S0Tail};
+use crate::slots::SlotAnalysis;
 use pe_governor::{Fuel, Trap};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,113 +45,28 @@ pub struct FlowDiag {
     pub message: String,
 }
 
-/// Definite binding as a forward must-analysis: the fact is the set of
-/// variables definitely bound on *every* path to the point, `None`
-/// meaning "unreachable" (the lattice bottom, neutral for the
-/// intersection join).
-struct DefiniteBinding {
-    params: BTreeSet<String>,
-}
-
-impl Analysis for DefiniteBinding {
-    type Fact = Option<BTreeSet<String>>;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn boundary(&self) -> Self::Fact {
-        Some(self.params.clone())
-    }
-
-    fn bottom(&self) -> Self::Fact {
-        None
-    }
-
-    fn join(&self, into: &mut Self::Fact, from: &Self::Fact) -> bool {
-        match (&*into, from) {
-            (_, None) => false,
-            (None, Some(_)) => {
-                *into = from.clone();
-                true
-            }
-            (Some(a), Some(b)) => {
-                let meet: BTreeSet<String> = a.intersection(b).cloned().collect();
-                let changed = meet.len() != a.len();
-                *into = Some(meet);
-                changed
-            }
-        }
-    }
-
-    // S₀ binds only at procedure entry: nodes neither add nor kill.
-    fn transfer(&self, _node: &Node, fact: &Self::Fact) -> Self::Fact {
-        fact.clone()
-    }
-}
-
-fn node_reads(node: &Node, out: &mut HashSet<String>) {
-    match node {
-        Node::Entry | Node::Fail(_) => {}
-        Node::Branch(c) | Node::Return(c) => c.vars(out),
-        Node::Call(_, args) => args.iter().for_each(|a| a.vars(out)),
-    }
-}
-
-/// Runs all flow checks over `p`.
+/// Runs all flow checks over `p`, reading dispatch arms and capture
+/// slots off `sa`, the label analysis ([`crate::slots::analyze`]) of
+/// `p`.
 ///
 /// # Errors
 ///
 /// [`Trap::OutOfFuel`] when the analysis budget is exhausted.
-pub fn check(p: &S0Program, fuel: &mut Fuel) -> Result<Vec<FlowDiag>, Trap> {
+pub fn check(p: &S0Program, sa: &SlotAnalysis, fuel: &mut Fuel) -> Result<Vec<FlowDiag>, Trap> {
     let mut diags = Vec::new();
-    let arities: HashMap<&str, usize> =
-        p.procs.iter().map(|q| (q.name.as_str(), q.params.len())).collect();
+    let mut arities: HashMap<&str, usize> = HashMap::new();
+    for q in &p.procs {
+        arities.entry(q.name.as_str()).or_insert(q.params.len());
+    }
     for q in &p.procs {
         fuel.step()?;
-        // Definite binding at every reachable point.
-        let cfg = Cfg::build(q);
-        let analysis = DefiniteBinding { params: q.params.iter().cloned().collect() };
-        let facts = solve(&cfg, &analysis, fuel)?;
-        for (i, node) in cfg.nodes.iter().enumerate() {
-            let Some(bound) = &facts[i] else { continue };
-            let mut reads = HashSet::new();
-            node_reads(node, &mut reads);
-            let mut unbound: Vec<&String> =
-                reads.iter().filter(|v| !bound.contains(*v)).collect();
-            unbound.sort();
-            for v in unbound {
-                diags.push(FlowDiag {
-                    severity: FlowSeverity::Error,
-                    proc: q.name.clone(),
-                    message: format!("variable `{v}` read but not definitely bound"),
-                });
-            }
-            // Binding obligations across calls: target and arity.
-            if let Node::Call(callee, args) = node {
-                match arities.get(callee.as_str()) {
-                    None => diags.push(FlowDiag {
-                        severity: FlowSeverity::Error,
-                        proc: q.name.clone(),
-                        message: format!("call to unknown procedure `{callee}`"),
-                    }),
-                    Some(&n) if n != args.len() => diags.push(FlowDiag {
-                        severity: FlowSeverity::Error,
-                        proc: q.name.clone(),
-                        message: format!(
-                            "call to `{callee}` passes {} arguments, expects {n}",
-                            args.len()
-                        ),
-                    }),
-                    Some(_) => {}
-                }
-            }
-        }
+        let params: HashSet<&str> = q.params.iter().map(String::as_str).collect();
+        let mut error = |message| {
+            diags.push(FlowDiag { severity: FlowSeverity::Error, proc: q.name.clone(), message });
+        };
+        check_binding(&q.body, &params, &arities, &mut error);
     }
-    // Dispatch arms decidable from label sets alone, then capture slots
-    // never read at any definite site: one label analysis serves both.
-    let sa = crate::slots::analyze(p, fuel)?;
-    for f in crate::slots::arm_findings(p, &sa, fuel)? {
+    for f in crate::slots::arm_findings(p, sa, fuel)? {
         let what = if f.always { "always" } else { "never" };
         diags.push(FlowDiag {
             severity: FlowSeverity::Warning,
@@ -175,6 +88,43 @@ pub fn check(p: &S0Program, fuel: &mut Fuel) -> Result<Vec<FlowDiag>, Trap> {
     Ok(diags)
 }
 
+/// Reports, in pre-order over `t`, each tail expression's reads of
+/// non-parameters (sorted) and then its call's target and arity.
+fn check_binding(
+    t: &S0Tail,
+    params: &HashSet<&str>,
+    arities: &HashMap<&str, usize>,
+    error: &mut impl FnMut(String),
+) {
+    let mut reads = HashSet::new();
+    match t {
+        S0Tail::Return(s) | S0Tail::If(s, _, _) => s.vars(&mut reads),
+        S0Tail::TailCall(_, args) => args.iter().for_each(|a| a.vars(&mut reads)),
+        S0Tail::Fail(_) => {}
+    }
+    let mut unbound: Vec<String> =
+        reads.into_iter().filter(|v| !params.contains(v.as_str())).collect();
+    unbound.sort();
+    for v in unbound {
+        error(format!("variable `{v}` read but not definitely bound"));
+    }
+    match t {
+        S0Tail::TailCall(callee, args) => match arities.get(callee.as_str()) {
+            None => error(format!("call to unknown procedure `{callee}`")),
+            Some(&n) if n != args.len() => error(format!(
+                "call to `{callee}` passes {} arguments, expects {n}",
+                args.len()
+            )),
+            Some(_) => {}
+        },
+        S0Tail::If(_, a, b) => {
+            check_binding(a, params, arities, error);
+            check_binding(b, params, arities, error);
+        }
+        S0Tail::Return(_) | S0Tail::Fail(_) => {}
+    }
+}
+
 /// Finds the procedure allocating label `l`, for anchoring diagnostics.
 fn proc_of_label(p: &S0Program, l: u32) -> Option<String> {
     fn in_simple(s: &S0Simple, l: u32) -> bool {
@@ -187,8 +137,7 @@ fn proc_of_label(p: &S0Program, l: u32) -> Option<String> {
             S0Simple::ClosureLabel(a) | S0Simple::ClosureFreeval(a, _) => in_simple(a, l),
         }
     }
-    fn in_tail(t: &crate::s0::S0Tail, l: u32) -> bool {
-        use crate::s0::S0Tail;
+    fn in_tail(t: &S0Tail, l: u32) -> bool {
         match t {
             S0Tail::Return(s) => in_simple(s, l),
             S0Tail::Fail(_) => false,
@@ -202,7 +151,7 @@ fn proc_of_label(p: &S0Program, l: u32) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::s0::{S0Proc, S0Tail};
+    use crate::s0::S0Proc;
     use pe_frontend::ast::Constant;
     use pe_governor::Limits;
 
@@ -218,6 +167,10 @@ mod tests {
         Fuel::new(&Limits::default())
     }
 
+    fn analyze(p: &S0Program) -> SlotAnalysis {
+        crate::slots::analyze(p, &mut fuel()).unwrap()
+    }
+
     #[test]
     fn wellformed_program_is_clean() {
         let p = S0Program {
@@ -228,7 +181,7 @@ mod tests {
                 body: S0Tail::Return(var("x")),
             }],
         };
-        assert!(check(&p, &mut fuel()).unwrap().is_empty());
+        assert!(check(&p, &analyze(&p), &mut fuel()).unwrap().is_empty());
     }
 
     #[test]
@@ -252,7 +205,7 @@ mod tests {
                 },
             ],
         };
-        let diags = check(&p, &mut fuel()).unwrap();
+        let diags = check(&p, &analyze(&p), &mut fuel()).unwrap();
         let errors: Vec<&str> = diags
             .iter()
             .filter(|d| d.severity == FlowSeverity::Error)
@@ -284,7 +237,7 @@ mod tests {
                 },
             ],
         };
-        let diags = check(&p, &mut fuel()).unwrap();
+        let diags = check(&p, &analyze(&p), &mut fuel()).unwrap();
         let warn: Vec<_> =
             diags.iter().filter(|d| d.severity == FlowSeverity::Warning).collect();
         assert_eq!(warn.len(), 1, "{diags:?}");
@@ -294,7 +247,7 @@ mod tests {
         // After the optimizer the very same lint comes back empty.
         let (q, stats) = crate::opt::optimize(p, &mut fuel()).unwrap();
         assert!(stats.slots_pruned >= 1, "{stats:?}");
-        assert!(check(&q, &mut fuel()).unwrap().is_empty(), "{q}");
+        assert!(check(&q, &analyze(&q), &mut fuel()).unwrap().is_empty(), "{q}");
     }
 
     #[test]
@@ -327,7 +280,7 @@ mod tests {
                 },
             ],
         };
-        let diags = check(&p, &mut fuel()).unwrap();
+        let diags = check(&p, &analyze(&p), &mut fuel()).unwrap();
         assert!(
             diags.iter().any(|d| d.severity == FlowSeverity::Warning
                 && d.proc == "k"
@@ -356,7 +309,7 @@ mod tests {
                 ),
             }],
         };
-        let diags = check(&p, &mut fuel()).unwrap();
+        let diags = check(&p, &analyze(&p), &mut fuel()).unwrap();
         assert!(diags.iter().any(|d| d.message.contains("`phantom`")), "{diags:?}");
     }
 }

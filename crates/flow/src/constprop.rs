@@ -58,7 +58,8 @@ impl CVal {
 /// Per-procedure parameter facts.
 #[derive(Debug, Clone)]
 pub struct ConstFacts {
-    /// `params[name][i]` — abstract value of parameter `i` of `name`.
+    /// `params[name][i]` — abstract value of parameter `i` of `name`'s
+    /// first definition (the one calls reach).
     pub params: HashMap<String, Vec<CVal>>,
 }
 
@@ -88,11 +89,7 @@ fn visit_calls(t: &S0Tail, f: &mut impl FnMut(&str, &[S0Simple])) {
 ///
 /// [`Trap::OutOfFuel`] when the budget is exhausted before convergence.
 pub fn analyze(p: &S0Program, fuel: &mut Fuel) -> Result<ConstFacts, Trap> {
-    let mut facts: HashMap<String, Vec<CVal>> = p
-        .procs
-        .iter()
-        .map(|q| (q.name.clone(), vec![CVal::Bottom; q.params.len()]))
-        .collect();
+    let mut facts = p.param_rows(CVal::Bottom);
     if let Some(e) = facts.get_mut(&p.entry) {
         e.iter_mut().for_each(|v| *v = CVal::Top);
     }
@@ -101,14 +98,8 @@ pub fn analyze(p: &S0Program, fuel: &mut Fuel) -> Result<ConstFacts, Trap> {
         let mut changed = false;
         for q in &p.procs {
             fuel.step()?;
-            let env: HashMap<&str, CVal> = {
-                let row = &facts[&q.name];
-                q.params
-                    .iter()
-                    .enumerate()
-                    .map(|(i, pm)| (pm.as_str(), row[i].clone()))
-                    .collect()
-            };
+            let env: HashMap<&str, CVal> =
+                q.params.iter().map(String::as_str).zip(facts[&q.name].iter().cloned()).collect();
             // Joining every syntactic call is sound (an over-approximation
             // of the real callers); unreachable callers only push facts
             // toward Top, and a Bottom-environment variable contributes
@@ -164,12 +155,11 @@ pub fn propagate(p: S0Program, fuel: &mut Fuel) -> Result<(S0Program, usize), Tr
     let mut replaced = 0usize;
     let mut p = p;
     for q in &mut p.procs {
-        let row = &facts.params[&q.name];
         let map: HashMap<String, S0Simple> = q
             .params
             .iter()
-            .enumerate()
-            .filter_map(|(i, pm)| match &row[i] {
+            .zip(&facts.params[&q.name])
+            .filter_map(|(pm, v)| match v {
                 CVal::Known(k) => Some((pm.clone(), S0Simple::Const(k.clone()))),
                 _ => None,
             })

@@ -1,81 +1,27 @@
-//! Liveness over S₀.
+//! Parameter liveness over S₀.
 //!
-//! Two layers:
+//! [`param_liveness`] is an interprocedural fixpoint: parameter
+//! `(f, i)` is live when some occurrence of it is read outside call
+//! arguments, or flows into a live (or unprunable) parameter of a
+//! callee.  This is strictly stronger than the syntactic dead-code scan
+//! the old post-processor used: a parameter that only circulates
+//! through a recursive call (`f` passing `x` back to `f`) is dead here
+//! but syntactically "used".  (Which variables a body reads at all is
+//! one walk, [`S0Tail::vars`]: S₀ binds only at procedure entry.)
 //!
-//! * [`Liveness`], a per-procedure backward analysis on the CFG: which
-//!   variables may still be read at each program point.  Because S₀
-//!   procedures bind only at entry and bodies are acyclic trees, the
-//!   entry fact is the procedure's used-variable set — the value of
-//!   running it through the solver is that the *same* framework also
-//!   answers per-point questions (the C backend asks which parameters
-//!   are live at entry before materializing private copies).
-//! * [`param_liveness`], an interprocedural fixpoint: parameter
-//!   `(f, i)` is live when some occurrence of it is read outside call
-//!   arguments, or flows into a live (or unprunable) parameter of a
-//!   callee.  This is strictly stronger than the syntactic dead-code
-//!   scan the old post-processor used: a parameter that only circulates
-//!   through a recursive call (`f` passing `x` back to `f`) is dead
-//!   here but syntactically "used".
+//! Rows are keyed by procedure name and sized by the name's first
+//! definition, the one calls resolve to ([`S0Program::proc`]); a later
+//! duplicate definition reads and writes the row only up to its length.
 //!
 //! [`dead_params`] reads the analysis off a borrowed program and
 //! [`drop_params`] rewrites by it: dead, non-sticky parameters of
 //! non-entry procedures are dropped together with every (effect-free)
 //! argument.  [`prune_dead_params`] runs the two in turn.
 
-use crate::cfg::{Cfg, Node};
 use crate::opt::is_effect_free;
-use crate::s0::{S0Proc, S0Program, S0Tail};
-use crate::solver::{solve, Analysis, Direction};
+use crate::s0::{S0Program, S0Tail};
 use pe_governor::{Fuel, Trap};
-use std::collections::{BTreeSet, HashMap, HashSet};
-
-/// The classic backward may-liveness analysis.
-pub struct Liveness;
-
-impl Analysis for Liveness {
-    type Fact = BTreeSet<String>;
-
-    fn direction(&self) -> Direction {
-        Direction::Backward
-    }
-
-    fn boundary(&self) -> BTreeSet<String> {
-        BTreeSet::new()
-    }
-
-    fn bottom(&self) -> BTreeSet<String> {
-        BTreeSet::new()
-    }
-
-    fn join(&self, into: &mut BTreeSet<String>, from: &BTreeSet<String>) -> bool {
-        let before = into.len();
-        into.extend(from.iter().cloned());
-        into.len() != before
-    }
-
-    fn transfer(&self, node: &Node, fact: &BTreeSet<String>) -> BTreeSet<String> {
-        let mut out = fact.clone();
-        let mut used = HashSet::new();
-        match node {
-            Node::Entry | Node::Fail(_) => {}
-            Node::Branch(c) | Node::Return(c) => c.vars(&mut used),
-            Node::Call(_, args) => args.iter().for_each(|a| a.vars(&mut used)),
-        }
-        out.extend(used);
-        out
-    }
-}
-
-/// Variables of `p` live at procedure entry (i.e. possibly read).
-///
-/// # Errors
-///
-/// [`Trap::OutOfFuel`] when the solver budget is exhausted.
-pub fn live_at_entry(p: &S0Proc, fuel: &mut Fuel) -> Result<BTreeSet<String>, Trap> {
-    let cfg = Cfg::build(p);
-    let facts = solve(&cfg, &Liveness, fuel)?;
-    Ok(facts[Cfg::ENTRY].clone())
-}
+use std::collections::{HashMap, HashSet};
 
 /// Result of the interprocedural parameter-liveness fixpoint.
 #[derive(Debug, Clone)]
@@ -120,20 +66,21 @@ fn collect_uses(t: &S0Tail, out: &mut Uses) {
 ///
 /// [`Trap::OutOfFuel`] when the budget is exhausted before convergence.
 pub fn param_liveness(p: &S0Program, fuel: &mut Fuel) -> Result<ParamLiveness, Trap> {
-    let mut sticky: HashMap<String, Vec<bool>> =
-        p.procs.iter().map(|q| (q.name.clone(), vec![false; q.params.len()])).collect();
-    let mut uses: HashMap<String, Uses> = HashMap::new();
-    for q in &p.procs {
-        let mut u = Uses { direct: HashSet::new(), flows: Vec::new() };
-        collect_uses(&q.body, &mut u);
-        uses.insert(q.name.clone(), u);
-    }
+    let mut sticky = p.param_rows(false);
+    let uses: Vec<Uses> = p
+        .procs
+        .iter()
+        .map(|q| {
+            let mut u = Uses { direct: HashSet::new(), flows: Vec::new() };
+            collect_uses(&q.body, &mut u);
+            u
+        })
+        .collect();
     // Stickiness: any site passing a non-effect-free argument.
     for q in &p.procs {
         mark_sticky(&q.body, &mut sticky);
     }
-    let mut live: HashMap<String, Vec<bool>> =
-        p.procs.iter().map(|q| (q.name.clone(), vec![false; q.params.len()])).collect();
+    let mut live = p.param_rows(false);
     if let Some(e) = live.get_mut(&p.entry) {
         e.iter_mut().for_each(|b| *b = true);
     }
@@ -142,9 +89,8 @@ pub fn param_liveness(p: &S0Program, fuel: &mut Fuel) -> Result<ParamLiveness, T
     loop {
         fuel.step()?;
         let mut changed = false;
-        for q in &p.procs {
+        for (q, u) in p.procs.iter().zip(&uses) {
             fuel.step()?;
-            let u = &uses[&q.name];
             let mut live_vars: HashSet<&str> =
                 u.direct.iter().map(String::as_str).collect();
             for (callee, i, vs) in &u.flows {
@@ -157,9 +103,9 @@ pub fn param_liveness(p: &S0Program, fuel: &mut Fuel) -> Result<ParamLiveness, T
                 }
             }
             let slots = live.get_mut(&q.name).expect("every proc seeded");
-            for (i, pm) in q.params.iter().enumerate() {
-                if !slots[i] && live_vars.contains(pm.as_str()) {
-                    slots[i] = true;
+            for (slot, pm) in slots.iter_mut().zip(&q.params) {
+                if !*slot && live_vars.contains(pm.as_str()) {
+                    *slot = true;
                     changed = true;
                 }
             }
@@ -203,8 +149,7 @@ pub fn dead_params(p: &S0Program, fuel: &mut Fuel) -> Result<HashMap<String, Vec
             continue;
         }
         let (live, sticky) = (&pl.live[&q.name], &pl.sticky[&q.name]);
-        let idxs: Vec<usize> =
-            (0..q.params.len()).filter(|&i| !live[i] && !sticky[i]).collect();
+        let idxs: Vec<usize> = (0..live.len()).filter(|&i| !live[i] && !sticky[i]).collect();
         if !idxs.is_empty() {
             drop.insert(q.name.clone(), idxs);
         }
@@ -272,7 +217,7 @@ fn rewrite_drop_args(t: &S0Tail, drop: &HashMap<String, Vec<usize>>) -> S0Tail {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::s0::S0Simple;
+    use crate::s0::{S0Proc, S0Simple};
     use pe_frontend::ast::Constant;
     use pe_frontend::Prim;
     use pe_governor::Limits;
@@ -348,21 +293,5 @@ mod tests {
         let (q, dropped) = prune_dead_params(p, &mut fuel()).unwrap();
         assert_eq!(dropped, 0);
         assert_eq!(q.proc("f").unwrap().params.len(), 2);
-    }
-
-    #[test]
-    fn live_at_entry_is_per_branch_union() {
-        let p = S0Proc {
-            name: "f".into(),
-            params: vec!["a".into(), "b".into(), "c".into()],
-            body: S0Tail::If(
-                var("a"),
-                Box::new(S0Tail::Return(var("b"))),
-                Box::new(S0Tail::Return(var("a"))),
-            ),
-        };
-        let live = live_at_entry(&p, &mut fuel()).unwrap();
-        assert!(live.contains("a") && live.contains("b"));
-        assert!(!live.contains("c"));
     }
 }

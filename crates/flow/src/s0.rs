@@ -261,6 +261,18 @@ impl S0Program {
         self.procs.iter().find(|p| p.name == name)
     }
 
+    /// One row of `init` per parameter, keyed by procedure name and
+    /// sized by the name's first definition — the one [`S0Program::proc`]
+    /// and calls resolve to.  The interprocedural analyses keep their
+    /// facts in such rows.
+    pub(crate) fn param_rows<T: Clone>(&self, init: T) -> HashMap<String, Vec<T>> {
+        let mut rows = HashMap::new();
+        for q in self.procs.iter().rev() {
+            rows.insert(q.name.clone(), vec![init.clone(); q.params.len()]);
+        }
+        rows
+    }
+
     /// Total AST node count (for the §8 code-size experiment).
     pub fn size(&self) -> usize {
         self.procs.iter().map(S0Proc::size).sum()

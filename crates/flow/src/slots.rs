@@ -25,7 +25,9 @@
 //! The same label analysis powers [`fold_arms`]: a dispatch arm whose
 //! test can be decided from the subject's label set alone is folded to
 //! the surviving branch (only for variable subjects, whose test cannot
-//! fault once the subject is known to be a closure).
+//! fault once the subject is known to be a closure).  pe-verify's
+//! closure-shape and flow passes read it too, through [`analyze`] and
+//! [`eval`].
 
 use crate::opt::is_effect_free;
 use crate::s0::{S0Program, S0Simple, S0Tail};
@@ -50,7 +52,9 @@ impl AbsVal {
         AbsVal { labels: BTreeSet::new(), other: true }
     }
 
-    fn of_label(l: u32) -> AbsVal {
+    /// Exactly the closures of label `l`.
+    #[must_use]
+    pub fn of_label(l: u32) -> AbsVal {
         AbsVal { labels: std::iter::once(l).collect(), other: false }
     }
 
@@ -61,17 +65,25 @@ impl AbsVal {
         before != (self.labels.len(), self.other)
     }
 
-    fn without(&self, l: u32) -> AbsVal {
+    /// This value minus the closures of label `l`.
+    #[must_use]
+    pub fn without(&self, l: u32) -> AbsVal {
         let mut v = self.clone();
         v.labels.remove(&l);
         v
     }
 }
 
-type Env<'a> = HashMap<&'a str, AbsVal>;
-type Refinements = Vec<(S0Simple, AbsVal)>;
+/// Abstract values of a procedure's parameters, by name.
+pub type Env<'a> = HashMap<&'a str, AbsVal>;
+/// What enclosing dispatch tests established about their subjects,
+/// innermost last.
+pub type Refinements = Vec<(S0Simple, AbsVal)>;
 
-fn eval(e: &S0Simple, env: &Env<'_>, refines: &Refinements) -> AbsVal {
+/// Abstract evaluation of `e` under `env`, honouring the refinements of
+/// enclosing dispatch tests.
+#[must_use]
+pub fn eval(e: &S0Simple, env: &Env<'_>, refines: &Refinements) -> AbsVal {
     if let Some((_, v)) = refines.iter().rev().find(|(s, _)| s == e) {
         return v.clone();
     }
@@ -108,13 +120,17 @@ fn walk_refined<'p>(
     }
 }
 
-/// Everything the pruning rewrite and the flow lints need to know.
+/// Everything the pruning rewrite, the flow lints and verify's
+/// closure-shape pass need to know.
 #[derive(Debug, Clone)]
 pub struct SlotAnalysis {
-    /// Abstract parameter values per procedure.
+    /// Abstract parameter values per procedure name, sized by the
+    /// name's first definition.
     pub shapes: HashMap<String, Vec<AbsVal>>,
-    /// Capture arity per label (consistent across sites, else pinned).
-    pub arity: BTreeMap<u32, usize>,
+    /// Per allocated label, the fewest values any of its allocation
+    /// sites captures: its capture arity when every site agrees (else
+    /// the label is pinned).
+    pub min_captures: BTreeMap<u32, usize>,
     /// Slots read (possibly) per label, across all definite sites.
     pub used: BTreeMap<u32, BTreeSet<usize>>,
     /// Labels that must not be rewritten.
@@ -158,11 +174,7 @@ impl Classes {
 ///
 /// [`Trap::OutOfFuel`] when the budget is exhausted before convergence.
 pub fn analyze(p: &S0Program, fuel: &mut Fuel) -> Result<SlotAnalysis, Trap> {
-    let mut shapes: HashMap<String, Vec<AbsVal>> = p
-        .procs
-        .iter()
-        .map(|q| (q.name.clone(), vec![AbsVal::bottom(); q.params.len()]))
-        .collect();
+    let mut shapes = p.param_rows(AbsVal::bottom());
     if let Some(e) = shapes.get_mut(&p.entry) {
         e.iter_mut().for_each(|v| *v = AbsVal::unknown());
     }
@@ -172,12 +184,7 @@ pub fn analyze(p: &S0Program, fuel: &mut Fuel) -> Result<SlotAnalysis, Trap> {
         let mut changed = false;
         for q in &p.procs {
             fuel.step()?;
-            let env: Env<'_> = q
-                .params
-                .iter()
-                .enumerate()
-                .map(|(i, pm)| (pm.as_str(), shapes[&q.name][i].clone()))
-                .collect();
+            let env = param_env(q, &shapes);
             let mut flows: Vec<(String, usize, AbsVal)> = Vec::new();
             walk_refined(&q.body, &env, &mut Vec::new(), &mut |t, refines| {
                 if let S0Tail::TailCall(callee, args) = t {
@@ -198,18 +205,13 @@ pub fn analyze(p: &S0Program, fuel: &mut Fuel) -> Result<SlotAnalysis, Trap> {
     }
     // Collection: sites, arities, usage, pins, co-occurrence classes.
     let mut sites: BTreeMap<u32, Vec<Vec<S0Simple>>> = BTreeMap::new();
-    let mut arity: BTreeMap<u32, usize> = BTreeMap::new();
+    let mut min_captures: BTreeMap<u32, usize> = BTreeMap::new();
     let mut used: BTreeMap<u32, BTreeSet<usize>> = BTreeMap::new();
     let mut pinned: BTreeSet<u32> = BTreeSet::new();
     let mut classes = Classes::new();
     for q in &p.procs {
         fuel.step()?;
-        let env: Env<'_> = q
-            .params
-            .iter()
-            .enumerate()
-            .map(|(i, pm)| (pm.as_str(), shapes[&q.name][i].clone()))
-            .collect();
+        let env = param_env(q, &shapes);
         walk_refined(&q.body, &env, &mut Vec::new(), &mut |t, refines| {
             let mut scan = Scan {
                 env: &env,
@@ -230,11 +232,11 @@ pub fn analyze(p: &S0Program, fuel: &mut Fuel) -> Result<SlotAnalysis, Trap> {
         });
     }
     for (l, ss) in &sites {
-        let n = ss[0].len();
+        let n = ss.iter().map(Vec::len).min().unwrap_or(0);
         if ss.iter().any(|s| s.len() != n) {
             pinned.insert(*l);
         }
-        arity.insert(*l, n);
+        min_captures.insert(*l, n);
     }
     // Close pins over classes, then decide droppable slots per class.
     let mut roots: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
@@ -254,11 +256,11 @@ pub fn analyze(p: &S0Program, fuel: &mut Fuel) -> Result<SlotAnalysis, Trap> {
             continue;
         }
         // Every member needs a known, shared arity.
-        let Some(&n) = members.first().and_then(|l| arity.get(l)) else {
+        let Some(&n) = members.first().and_then(|l| min_captures.get(l)) else {
             pinned.extend(members.iter().copied());
             continue;
         };
-        if members.iter().any(|l| arity.get(l) != Some(&n)) {
+        if members.iter().any(|l| min_captures.get(l) != Some(&n)) {
             pinned.extend(members.iter().copied());
             continue;
         }
@@ -284,7 +286,7 @@ pub fn analyze(p: &S0Program, fuel: &mut Fuel) -> Result<SlotAnalysis, Trap> {
             }
         }
     }
-    Ok(SlotAnalysis { shapes, arity, used, pinned, prune })
+    Ok(SlotAnalysis { shapes, min_captures, used, pinned, prune })
 }
 
 /// The escape/usage scanner for one simple expression.
@@ -363,7 +365,7 @@ pub fn prune(p: S0Program, fuel: &mut Fuel) -> Result<(S0Program, usize), Trap> 
     let mut procs = Vec::with_capacity(p.procs.len());
     for q in &p.procs {
         fuel.step()?;
-        let body = rw_tail(&q.body, &param_env(q, &sa), &mut Vec::new(), &sa);
+        let body = rw_tail(&q.body, &param_env(q, &sa.shapes), &mut Vec::new(), &sa);
         procs.push(crate::s0::S0Proc {
             name: q.name.clone(),
             params: q.params.clone(),
@@ -470,7 +472,7 @@ pub fn fold_arms(p: S0Program, fuel: &mut Fuel) -> Result<(S0Program, usize), Tr
         fuel.step()?;
         let body = fold_tail(
             &q.body,
-            &param_env(q, &sa),
+            &param_env(q, &sa.shapes),
             &mut Vec::new(),
             &q.name,
             &mut findings,
@@ -502,7 +504,7 @@ pub fn arm_findings(
         fuel.step()?;
         fold_tail(
             &q.body,
-            &param_env(q, sa),
+            &param_env(q, &sa.shapes),
             &mut Vec::new(),
             &q.name,
             &mut findings,
@@ -513,10 +515,10 @@ pub fn arm_findings(
     Ok(findings)
 }
 
-/// The abstract parameter values of `q` as an environment.
-fn param_env<'q>(q: &'q crate::s0::S0Proc, sa: &SlotAnalysis) -> Env<'q> {
-    let shapes = &sa.shapes[&q.name];
-    q.params.iter().zip(shapes).map(|(pm, v)| (pm.as_str(), v.clone())).collect()
+/// The abstract parameter values of `q` as an environment, read from
+/// its name's row of `shapes` up to the row's length.
+fn param_env<'q>(q: &'q crate::s0::S0Proc, shapes: &HashMap<String, Vec<AbsVal>>) -> Env<'q> {
+    q.params.iter().zip(&shapes[&q.name]).map(|(pm, v)| (pm.as_str(), v.clone())).collect()
 }
 
 /// Walks `t` as arm folding does — a decidable dispatch keeps only its

@@ -179,9 +179,12 @@ pub enum Counter {
     ArmsFolded,
     /// Identity global-parameter moves elided by the C backend.
     MovesElided,
-    /// CFG nodes built over the final residual program.
+    /// Control-flow-graph nodes of the final residual program, counted
+    /// from its body trees: one entry per procedure plus one per tail
+    /// expression.
     CfgNodes,
-    /// CFG edges built over the final residual program.
+    /// Control-flow-graph edges of the final residual program: one
+    /// fewer than each procedure's nodes.
     CfgEdges,
     /// VM dispatch steps.
     VmSteps,

@@ -1,12 +1,14 @@
-//! Pass 2 — closure-shape analysis.
+//! Pass 2 — closure-shape checks.
 //!
-//! A small abstract interpretation over S₀: each value is approximated
-//! by the set of `make-closure` labels that may reach it, plus an
-//! `other` bit for values of unknown (non-`make-closure`) origin.  The
-//! analysis is interprocedural (a fixpoint over the tail-call graph) and
-//! path-sensitive along sequential label dispatch: inside the `then`
-//! branch of `(if (equal? ℓ (closure-label c)) … …)` the subject `c` is
-//! refined to label `ℓ`, and in the `else` branch `ℓ` is subtracted.
+//! The label analysis is pe-flow's ([`pe_flow::slots::analyze`], shared
+//! with pass 6 and the optimizer's closure-slot pruning): each value is
+//! approximated by the set of `make-closure` labels that may reach it,
+//! plus an `other` bit for values of unknown (non-`make-closure`)
+//! origin.  The analysis is interprocedural (a fixpoint over the
+//! tail-call graph) and path-sensitive along sequential label dispatch:
+//! inside the `then` branch of `(if (equal? ℓ (closure-label c)) … …)`
+//! the subject `c` is refined to label `ℓ`, and in the `else` branch
+//! `ℓ` is subtracted.
 //!
 //! The shapes are used for two checks:
 //!
@@ -20,192 +22,32 @@
 
 use crate::report::{Diagnostic, Pass};
 use pe_core::{S0Program, S0Simple, S0Tail};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use pe_flow::slots::{eval, AbsVal, Env, Refinements, SlotAnalysis};
+use pe_governor::Trap;
+use std::collections::BTreeSet;
 
-/// An abstract value: the `make-closure` labels that may flow here.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct AbsVal {
-    /// Labels of `make-closure` sites that may reach this value.
-    pub labels: BTreeSet<u32>,
-    /// True if a value of unknown origin (entry input, primitive result,
-    /// captured value) may also reach — the label set is then a lower
-    /// bound only and index checks are skipped.
-    pub other: bool,
-}
-
-impl AbsVal {
-    fn bottom() -> AbsVal {
-        AbsVal::default()
-    }
-
-    fn unknown() -> AbsVal {
-        AbsVal { labels: BTreeSet::new(), other: true }
-    }
-
-    fn of_label(l: u32) -> AbsVal {
-        AbsVal { labels: BTreeSet::from([l]), other: false }
-    }
-
-    fn join_from(&mut self, o: &AbsVal) -> bool {
-        let before = (self.labels.len(), self.other);
-        self.labels.extend(o.labels.iter().copied());
-        self.other |= o.other;
-        (self.labels.len(), self.other) != before
-    }
-
-    fn without(&self, l: u32) -> AbsVal {
-        let mut labels = self.labels.clone();
-        labels.remove(&l);
-        AbsVal { labels, other: self.other }
-    }
-}
-
-/// The analysis result: per-procedure parameter shapes and the minimum
-/// captured-value count of every closure label.
-#[derive(Debug, Clone)]
-pub struct ClosureShapes {
-    /// For each procedure, the abstract value of each parameter.
-    pub params: HashMap<String, Vec<AbsVal>>,
-    /// For each `make-closure` label, the minimum number of captured
-    /// values over all of its allocation sites.
-    pub min_captures: BTreeMap<u32, usize>,
-}
-
-type Refinements = Vec<(S0Simple, AbsVal)>;
-
-/// Computes the closure shapes of `p` by fixpoint.
-pub fn analyze(p: &S0Program) -> ClosureShapes {
-    let mut min_captures = BTreeMap::new();
-    for pr in &p.procs {
-        collect_captures_tail(&pr.body, &mut min_captures);
-    }
-    let mut params: HashMap<String, Vec<AbsVal>> = p
-        .procs
-        .iter()
-        .map(|pr| (pr.name.clone(), vec![AbsVal::bottom(); pr.params.len()]))
-        .collect();
-    // The entry's arguments come from outside: unknown.
-    if let Some(slots) = params.get_mut(&p.entry) {
-        for s in slots.iter_mut() {
-            *s = AbsVal::unknown();
+/// Runs the index/dispatch checks over `p`, whose label analysis is
+/// `shapes`; a trapped analysis is reported as one truncation warning.
+pub fn check(p: &S0Program, shapes: &Result<SlotAnalysis, Trap>) -> Vec<Diagnostic> {
+    let shapes = match shapes {
+        Ok(sa) => sa,
+        Err(trap) => {
+            return vec![Diagnostic::warning(
+                Pass::ClosureShape,
+                None,
+                format!("closure-shape analysis truncated: {trap:?}"),
+            )]
         }
-    }
-    loop {
-        let mut changed = false;
-        for pr in &p.procs {
-            let env: HashMap<&str, AbsVal> = pr
-                .params
-                .iter()
-                .map(String::as_str)
-                .zip(params[&pr.name].iter().cloned())
-                .collect();
-            let mut flows = Vec::new();
-            flow_tail(&pr.body, &env, &mut Vec::new(), &mut flows);
-            for (callee, args) in flows {
-                if let Some(slots) = params.get_mut(&callee) {
-                    for (slot, v) in slots.iter_mut().zip(&args) {
-                        changed |= slot.join_from(v);
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    ClosureShapes { params, min_captures }
-}
-
-fn collect_captures_tail(t: &S0Tail, out: &mut BTreeMap<u32, usize>) {
-    match t {
-        S0Tail::Return(s) => collect_captures_simple(s, out),
-        S0Tail::Fail(_) => {}
-        S0Tail::If(c, a, b) => {
-            collect_captures_simple(c, out);
-            collect_captures_tail(a, out);
-            collect_captures_tail(b, out);
-        }
-        S0Tail::TailCall(_, args) => args.iter().for_each(|a| collect_captures_simple(a, out)),
-    }
-}
-
-fn collect_captures_simple(s: &S0Simple, out: &mut BTreeMap<u32, usize>) {
-    match s {
-        S0Simple::Var(_) | S0Simple::Const(_) => {}
-        S0Simple::MakeClosure(l, args) => {
-            out.entry(*l)
-                .and_modify(|n| *n = (*n).min(args.len()))
-                .or_insert(args.len());
-            args.iter().for_each(|a| collect_captures_simple(a, out));
-        }
-        S0Simple::Prim(_, args) => args.iter().for_each(|a| collect_captures_simple(a, out)),
-        S0Simple::ClosureLabel(a) | S0Simple::ClosureFreeval(a, _) => {
-            collect_captures_simple(a, out);
-        }
-    }
-}
-
-/// Abstract evaluation of a simple expression under `env`, honouring
-/// path refinements from enclosing dispatch tests.
-fn eval(e: &S0Simple, env: &HashMap<&str, AbsVal>, refines: &Refinements) -> AbsVal {
-    if let Some((_, v)) = refines.iter().rev().find(|(s, _)| s == e) {
-        return v.clone();
-    }
-    match e {
-        S0Simple::Var(v) => env.get(v.as_str()).cloned().unwrap_or_else(AbsVal::unknown),
-        // A constant is never a closure.
-        S0Simple::Const(_) => AbsVal::bottom(),
-        // Primitive results may hold closures fetched out of pairs (the
-        // residual context stack is an ordinary list).
-        S0Simple::Prim(_, _) => AbsVal::unknown(),
-        S0Simple::MakeClosure(l, _) => AbsVal::of_label(*l),
-        // A closure label is a fixnum.
-        S0Simple::ClosureLabel(_) => AbsVal::bottom(),
-        // Captured values are not tracked through the closure record.
-        S0Simple::ClosureFreeval(_, _) => AbsVal::unknown(),
-    }
-}
-
-fn flow_tail(
-    t: &S0Tail,
-    env: &HashMap<&str, AbsVal>,
-    refines: &mut Refinements,
-    flows: &mut Vec<(String, Vec<AbsVal>)>,
-) {
-    match t {
-        S0Tail::Return(_) | S0Tail::Fail(_) => {}
-        S0Tail::TailCall(p, args) => {
-            flows.push((p.clone(), args.iter().map(|a| eval(a, env, refines)).collect()));
-        }
-        S0Tail::If(c, a, b) => {
-            if let Some((subj, k)) = c.dispatch_test() {
-                let v = eval(subj, env, refines);
-                refines.push((subj.clone(), AbsVal::of_label(k)));
-                flow_tail(a, env, refines, flows);
-                refines.pop();
-                refines.push((subj.clone(), v.without(k)));
-                flow_tail(b, env, refines, flows);
-                refines.pop();
-            } else {
-                flow_tail(a, env, refines, flows);
-                flow_tail(b, env, refines, flows);
-            }
-        }
-    }
-}
-
-/// Runs the pass: analysis plus the index/dispatch checks.
-pub fn check(p: &S0Program) -> Vec<Diagnostic> {
-    let shapes = analyze(p);
+    };
     let mut out = Vec::new();
     for pr in &p.procs {
-        let env: HashMap<&str, AbsVal> = pr
+        let env: Env<'_> = pr
             .params
             .iter()
             .map(String::as_str)
-            .zip(shapes.params[&pr.name].iter().cloned())
+            .zip(shapes.shapes[&pr.name].iter().cloned())
             .collect();
-        check_tail(&pr.body, &env, &mut Vec::new(), &shapes, &pr.name, &mut out);
+        check_tail(&pr.body, &env, &mut Vec::new(), shapes, &pr.name, &mut out);
     }
     out
 }
@@ -216,9 +58,9 @@ fn fmt_labels(labels: &BTreeSet<u32>) -> String {
 
 fn check_tail(
     t: &S0Tail,
-    env: &HashMap<&str, AbsVal>,
+    env: &Env<'_>,
     refines: &mut Refinements,
-    shapes: &ClosureShapes,
+    shapes: &SlotAnalysis,
     owner: &str,
     out: &mut Vec<Diagnostic>,
 ) {
@@ -277,9 +119,9 @@ fn check_tail(
 
 fn check_simple(
     s: &S0Simple,
-    env: &HashMap<&str, AbsVal>,
+    env: &Env<'_>,
     refines: &Refinements,
-    shapes: &ClosureShapes,
+    shapes: &SlotAnalysis,
     owner: &str,
     out: &mut Vec<Diagnostic>,
 ) {
@@ -331,6 +173,10 @@ mod tests {
     use pe_core::S0Proc;
     use pe_frontend::ast::{Constant, Prim};
 
+    fn analyze(p: &S0Program) -> Result<SlotAnalysis, Trap> {
+        pe_flow::slots::analyze(p, &mut pe_governor::Fuel::new(&pe_governor::Limits::default()))
+    }
+
     fn var(v: &str) -> S0Simple {
         S0Simple::Var(v.into())
     }
@@ -379,7 +225,7 @@ mod tests {
             S0Tail::Fail("no arm".into()),
             7,
         );
-        let diags = check(&p);
+        let diags = check(&p, &analyze(&p));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -390,7 +236,7 @@ mod tests {
             S0Tail::Fail("no arm".into()),
             7,
         );
-        let diags = check(&p);
+        let diags = check(&p, &analyze(&p));
         let text: Vec<String> = diags.iter().map(ToString::to_string).collect();
         assert!(
             text.iter().any(|m| m.contains(
@@ -409,7 +255,7 @@ mod tests {
             S0Tail::Fail("no arm".into()),
             9,
         );
-        let text: Vec<String> = check(&p).iter().map(ToString::to_string).collect();
+        let text: Vec<String> = check(&p, &analyze(&p)).iter().map(ToString::to_string).collect();
         assert!(
             text.iter().any(|m| m.contains("dispatch arm for label 9 is dead")),
             "{text:?}"
@@ -461,7 +307,7 @@ mod tests {
                 },
             ],
         };
-        let diags = check(&p);
+        let diags = check(&p, &analyze(&p));
         assert!(diags.is_empty(), "{diags:?}");
     }
 }

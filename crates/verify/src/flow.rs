@@ -1,26 +1,28 @@
 //! Pass 6: dataflow verification, adapting [`pe_flow::check()`] to this
 //! crate's diagnostic vocabulary.
 //!
-//! The flow checks complement the syntactic passes: definite binding is
-//! established along *all* CFG paths by a forward must-analysis (not a
-//! scope walk), and the two residual-quality lints — statically
-//! decidable dispatch arms, capture slots never read — mirror the flow
-//! optimizer's own analyses exactly.  A program that went through
+//! The flow checks complement the syntactic passes: definite binding
+//! and call obligations are checked per tail expression, and the two
+//! residual-quality lints — statically decidable dispatch arms, capture
+//! slots never read — read the same label analysis the flow optimizer
+//! acts on (and pass 2 checks with).  A program that went through
 //! `pe_flow::optimize` therefore passes both lints by construction;
 //! flagging one on pipeline output means an optimization was skipped
 //! (or its fuel budget trapped).
 
 use crate::report::{Diagnostic, Pass};
 use pe_core::S0Program;
-use pe_governor::{Fuel, Limits};
+use pe_flow::slots::SlotAnalysis;
+use pe_governor::{Fuel, Limits, Trap};
 
-/// Runs the flow checks over `p`, mapping findings to [`Diagnostic`]s.
+/// Runs the flow checks over `p`, whose label analysis is `shapes`,
+/// mapping findings to [`Diagnostic`]s.
 ///
 /// Infallible like the other passes: if the analysis budget traps, a
 /// single warning reports the truncation instead of failing the run.
-pub fn check(p: &S0Program) -> Vec<Diagnostic> {
+pub fn check(p: &S0Program, shapes: &Result<SlotAnalysis, Trap>) -> Vec<Diagnostic> {
     let mut fuel = Fuel::new(&Limits::default());
-    match pe_flow::check(p, &mut fuel) {
+    match shapes.as_ref().map_err(Clone::clone).and_then(|sa| pe_flow::check(p, sa, &mut fuel)) {
         Ok(diags) => diags
             .into_iter()
             .map(|d| {
@@ -48,6 +50,10 @@ mod tests {
     use super::*;
     use pe_core::{S0Proc, S0Simple, S0Tail};
 
+    fn analyze(p: &S0Program) -> Result<SlotAnalysis, Trap> {
+        pe_flow::slots::analyze(p, &mut Fuel::new(&Limits::default()))
+    }
+
     #[test]
     fn flow_errors_surface_as_flow_pass_diagnostics() {
         let p = S0Program {
@@ -58,7 +64,7 @@ mod tests {
                 body: S0Tail::Return(S0Simple::Var("ghost".into())),
             }],
         };
-        let diags = check(&p);
+        let diags = check(&p, &analyze(&p));
         assert!(
             diags.iter().any(|d| d.pass == Pass::Flow
                 && d.severity == crate::Severity::Error
@@ -77,6 +83,6 @@ mod tests {
                 body: S0Tail::Return(S0Simple::Var("x".into())),
             }],
         };
-        assert!(check(&p).is_empty());
+        assert!(check(&p, &analyze(&p)).is_empty());
     }
 }

@@ -10,11 +10,12 @@
 //! 1. **well-formed** ([`wellformed`]): scoping, unique procedure names
 //!    and parameters, call-target existence, call and primitive arity.
 //!    Absorbs the historical `S0Program::check()`.
-//! 2. **closure-shape** ([`closure`]): an abstract interpretation
-//!    mapping variables to sets of `make-closure` labels; verifies every
-//!    `closure-freeval` index against the minimum captured-value count
-//!    of the labels that can reach it, and flags dead or non-exhaustive
-//!    sequential dispatch chains.
+//! 2. **closure-shape** ([`closure`]): reads pe-flow's label analysis
+//!    (an abstract interpretation mapping variables to sets of
+//!    `make-closure` labels); verifies every `closure-freeval` index
+//!    against the minimum captured-value count of the labels that can
+//!    reach it, and flags dead or non-exhaustive sequential dispatch
+//!    chains.
 //! 3. **preservation** ([`preservation`]): the language-preservation
 //!    certificate, validated on the *concrete syntax* (print → re-read →
 //!    grammar check) so it is independent of the Rust type structure.
@@ -23,9 +24,10 @@
 //! 5. **bta-congruence** ([`verify_division`]): audits an Unmix
 //!    [`Division`] against its subject program.
 //! 6. **flow** ([`flow`]): dataflow verification via `pe-flow` —
-//!    definite binding along all CFG paths, dispatch-arm reachability,
-//!    dead closure slots.  The two lint-grade checks mirror the flow
-//!    optimizer exactly, so optimized pipeline output passes them by
+//!    definite binding and call obligations per tail expression,
+//!    dispatch-arm reachability, dead closure slots.  The two lint-grade
+//!    checks read the label analysis pass 2 reads, which is the flow
+//!    optimizer's own, so optimized pipeline output passes them by
 //!    construction.
 //! 7. **termination** ([`termination`]): the specializer's widening log
 //!    audited against the size-change termination verdicts (`pe-sct`) —
@@ -55,6 +57,7 @@ pub use report::{Diagnostic, Pass, Report, Severity};
 pub use residual::verify_program;
 
 use pe_core::S0Program;
+use pe_governor::{Fuel, Limits};
 use pe_unmix::Division;
 
 /// Runs every S₀ pass (well-formed, closure-shape, preservation, lints,
@@ -73,11 +76,12 @@ pub fn verify_with(p: &S0Program, sink: &mut dyn pe_trace::Sink) -> Report {
     let mut diagnostics = wellformed::check(p);
     // The deeper passes assume basic well-formedness (e.g. bound
     // variables); run them anyway — they are robust — but order the
-    // report by pass.
-    diagnostics.extend(closure::check(p));
+    // report by pass.  Passes 2 and 6 share one label analysis.
+    let shapes = pe_flow::slots::analyze(p, &mut Fuel::new(&Limits::default()));
+    diagnostics.extend(closure::check(p, &shapes));
     diagnostics.extend(preservation::check(p));
     diagnostics.extend(lints::check(p));
-    diagnostics.extend(flow::check(p));
+    diagnostics.extend(flow::check(p, &shapes));
     if let Some(t0) = t0 {
         let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         p.attribute_by_size(sink, pe_trace::Phase::Verify, ns);
@@ -129,6 +133,24 @@ mod tests {
         let src = "(define (count n) (if (zero? n) 0 (count (- n 1))))";
         let r = verify_source(src);
         assert!(r.is_clean(), "{r}");
+    }
+
+    #[test]
+    fn a_trapped_label_analysis_is_one_warning_in_passes_2_and_6() {
+        let p = S0Program {
+            entry: "main".into(),
+            procs: vec![pe_core::S0Proc {
+                name: "main".into(),
+                params: vec![],
+                body: pe_core::S0Tail::Fail("x".into()),
+            }],
+        };
+        let trapped = Err(pe_governor::Trap::OutOfFuel { budget: 1 });
+        for diags in [closure::check(&p, &trapped), flow::check(&p, &trapped)] {
+            let text: Vec<String> = diags.iter().map(ToString::to_string).collect();
+            assert_eq!(text.len(), 1, "{text:?}");
+            assert!(text[0].starts_with("warning[") && text[0].contains("truncated"), "{text:?}");
+        }
     }
 
     #[test]

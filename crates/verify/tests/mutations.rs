@@ -199,7 +199,8 @@ fn shrunken_closure_record_is_caught_by_closure_shape() {
     }
 
     let s0 = compile_append();
-    let shapes = pe_verify::closure::analyze(&s0);
+    let shapes = pe_flow::slots::analyze(&s0, &mut pe_governor::Fuel::new(&pe_governor::Limits::default()))
+        .expect("label analysis in budget");
     let caught = shapes
         .min_captures
         .iter()

@@ -8,9 +8,10 @@
 //!   of the baseline plus an absolute slack — it catches "the compiler
 //!   got 3× slower", not jitter;
 //! * **size** (`residual.nodes_flow`, `residual.c_bytes_flow`,
-//!   `sct.compositions`) is deterministic, so the tolerance is tight: a
-//!   few percent of growth headroom for benign codegen or work-order
-//!   drift.
+//!   `sct.compositions`, and the specializer's `memo_lookups`,
+//!   `unfold_steps`, `generalizations` and `trick_dispatches` counters)
+//!   is deterministic, so the tolerance is tight: a few percent of
+//!   growth headroom for benign codegen or work-order drift.
 //!
 //! Improvements never fail; the gate is one-sided.  The workspace is
 //! dependency-free, so this module carries its own ~100-line recursive
@@ -312,6 +313,9 @@ pub fn check_regressions(
         size("residual nodes", &["residual", "nodes_flow"]);
         size("emitted C bytes", &["residual", "c_bytes_flow"]);
         size("sct compositions", &["sct", "compositions"]);
+        for counter in ["memo_lookups", "unfold_steps", "generalizations", "trick_dispatches"] {
+            size(counter, &["counters", counter]);
+        }
     }
     Ok(regressions)
 }
@@ -355,6 +359,12 @@ mod tests {
       "benchmarks": [
         {
           "compile_ms": 10.0,
+          "counters": {
+            "generalizations": 4,
+            "memo_lookups": 13,
+            "trick_dispatches": 1,
+            "unfold_steps": 13
+          },
           "engines": {
             "hobbit": {"min_ms": 0.5, "runs": 3},
             "tail": {"min_ms": 0.8, "runs": 3},
@@ -412,6 +422,11 @@ mod tests {
         let r = check_regressions(DOC, &busier, &tol).unwrap();
         assert_eq!(r.len(), 1, "{r:?}");
         assert!(r[0].contains("tak: sct compositions regressed"), "{r:?}");
+        // And the specializer's: 13 -> 14 memo lookups.
+        let memo = DOC.replace("\"memo_lookups\": 13", "\"memo_lookups\": 14");
+        let r = check_regressions(DOC, &memo, &tol).unwrap();
+        assert_eq!(r.len(), 1, "{r:?}");
+        assert!(r[0].contains("tak: memo_lookups regressed"), "{r:?}");
         // A benchmark that vanished is a regression, not a skip.
         let gone = DOC.replace("\"name\": \"tak\"", "\"name\": \"renamed\"");
         let r = check_regressions(DOC, &gone, &tol).unwrap();

@@ -85,11 +85,6 @@ impl ValDesc {
         }
     }
 
-    /// Builds a fully static description from first-order data.
-    pub fn of_constant(k: Constant) -> ValDesc {
-        ValDesc::Quote(k)
-    }
-
     /// The lambdas this value may be a closure of.
     pub fn closure_candidates(&self) -> LamSet {
         match self {

@@ -101,22 +101,6 @@ pub fn ascent_src() -> &'static str {
     "(define (climb n) (if (zero? n) 0 (climb (add1 n))))"
 }
 
-/// Wraps `expr` in `n` layers of `(add1 …)` — deep but *valid* nesting,
-/// hostile to any recursive evaluator while still parsing (below the
-/// syntax-depth cap).
-#[must_use]
-pub fn deep_wrap(expr: &str, n: usize) -> String {
-    let mut s = String::with_capacity(expr.len() + 7 * n);
-    for _ in 0..n {
-        s.push_str("(add1 ");
-    }
-    s.push_str(expr);
-    for _ in 0..n {
-        s.push(')');
-    }
-    s
-}
-
 /// Malformed concrete syntax covering every reader error class.
 #[must_use]
 pub fn hostile_inputs() -> Vec<&'static str> {

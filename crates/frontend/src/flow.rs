@@ -253,11 +253,6 @@ impl FlowAnalysis {
         self.decode(self.row(v.0 as usize))
     }
 
-    /// The abstract value of a simple expression.
-    pub fn value_of(&self, se: &SimpleExpr) -> AbsVal {
-        self.decode(&self.value_row(se))
-    }
-
     /// The lambdas a simple expression may evaluate to — The Trick's
     /// dispatch candidates for this expression.
     pub fn lambdas_of(&self, se: &SimpleExpr) -> LamSet {

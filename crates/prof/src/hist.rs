@@ -28,12 +28,6 @@ impl Histogram {
         Histogram { buckets: [0; HIST_BUCKETS] }
     }
 
-    /// Rebuilds a histogram from published bucket counts.
-    #[must_use]
-    pub fn from_buckets(buckets: [u64; HIST_BUCKETS]) -> Histogram {
-        Histogram { buckets }
-    }
-
     /// The bucket index a sample lands in.
     #[must_use]
     pub fn bucket_of(value: u64) -> usize {

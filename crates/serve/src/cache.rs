@@ -173,12 +173,6 @@ impl ResidualCache {
     pub fn is_empty(&self) -> bool {
         self.artifacts.is_empty()
     }
-
-    /// Warm snapshots currently stored.
-    #[must_use]
-    pub fn warm_len(&self) -> usize {
-        self.warm.len()
-    }
 }
 
 /// Evicts smallest-recency entries until `map` fits `capacity`.

@@ -65,20 +65,17 @@ pub fn canonical_source(source: &str) -> Result<String, ReadError> {
 /// One 64-bit half of the fingerprint.  `seed` domain-separates the two
 /// halves; everything else is written in a fixed order with explicit
 /// widths.
-fn half(seed: u64, canon: &str, entry: Option<&str>, opts: &CompileOptions) -> u64 {
+fn half(seed: u64, canon: &str, entry: &str, opts: &CompileOptions) -> u64 {
     let mut h = FxHasher::default();
     h.write_u64(seed);
     h.write_u32(FORMAT_VERSION);
     h.write_u64(canon.len() as u64);
     h.write(canon.as_bytes());
-    match entry {
-        Some(e) => {
-            h.write_u8(1);
-            h.write_u64(e.len() as u64);
-            h.write(e.as_bytes());
-        }
-        None => h.write_u8(0),
-    }
+    // The tag byte keeps keys identical to those of earlier releases,
+    // which also hashed entry-less program keys (tag 0).
+    h.write_u8(1);
+    h.write_u64(entry.len() as u64);
+    h.write(entry.as_bytes());
     h.write_u8(match opts.strategy {
         GenStrategy::Online => 0,
         GenStrategy::Offline => 1,
@@ -99,7 +96,7 @@ fn half(seed: u64, canon: &str, entry: Option<&str>, opts: &CompileOptions) -> u
     h.finish()
 }
 
-fn combine(canon: &str, entry: Option<&str>, opts: &CompileOptions) -> Fingerprint {
+fn combine(canon: &str, entry: &str, opts: &CompileOptions) -> Fingerprint {
     // Two independently seeded 64-bit passes; the golden-ratio and
     // SplitMix increment constants keep the domains disjoint.
     let hi = half(0x9e37_79b9_7f4a_7c15, canon, entry, opts);
@@ -119,20 +116,7 @@ pub fn fingerprint(
     entry: &str,
     opts: &CompileOptions,
 ) -> Result<Fingerprint, ReadError> {
-    Ok(combine(&canonical_source(source)?, Some(entry), opts))
-}
-
-/// The entry-independent program key: canonical source + options only.
-/// Keys state that is shared by every entry of one program (e.g. a
-/// whole-program analysis cache); the warm-start index deliberately
-/// uses the *full* [`fingerprint`] instead, because a memo snapshot
-/// replays byte-identically only for the entry that produced it.
-///
-/// # Errors
-///
-/// [`ReadError`] on unreadable source.
-pub fn program_key(source: &str, opts: &CompileOptions) -> Result<Fingerprint, ReadError> {
-    Ok(combine(&canonical_source(source)?, None, opts))
+    Ok(combine(&canonical_source(source)?, entry, opts))
 }
 
 #[cfg(test)]
@@ -182,18 +166,6 @@ mod tests {
                 "option change must change the key: {changed:?}"
             );
         }
-    }
-
-    #[test]
-    fn program_key_ignores_entry() {
-        let opts = CompileOptions::default();
-        let src = "(define (f x) x) (define (g x) (f x))";
-        assert_eq!(program_key(src, &opts).unwrap(), program_key(src, &opts).unwrap());
-        assert_ne!(
-            program_key(src, &opts).unwrap(),
-            fingerprint(src, "f", &opts).unwrap(),
-            "program key and compile key live in different domains"
-        );
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod fingerprint;
 pub mod server;
 
 pub use cache::{Artifact, CacheStats, ResidualCache};
-pub use fingerprint::{canonical_source, fingerprint, program_key, Fingerprint, FORMAT_VERSION};
+pub use fingerprint::{canonical_source, fingerprint, Fingerprint, FORMAT_VERSION};
 pub use server::{CompileRequest, CompileResponse, Outcome, Server, ServerConfig};
 
 #[cfg(test)]

@@ -373,9 +373,13 @@ pub fn examine(
 
 /// The shared oracle budget: small enough that divergent cases settle
 /// in microseconds, large enough that the generator's terminating
-/// programs finish with values.  The call-depth cap keeps the
-/// host-stack engines (standard, closconv, hobbit) well inside a
-/// default thread stack.
+/// programs finish with values.  In a release build the call-depth cap
+/// keeps the host-stack engines (standard, closconv, hobbit) well
+/// inside a default thread stack, but not in a debug build: at the cap
+/// the standard interpreter needs 256–384 KiB of stack in release and
+/// 2–2.5 MiB in debug, more than a 2 MiB test thread has (measured on
+/// the first generated case of seed 9).  Run engines at these limits
+/// from tests inside [`realistic_pe::with_big_stack`].
 #[must_use]
 pub fn oracle_limits() -> Limits {
     Limits::builder()

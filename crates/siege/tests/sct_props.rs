@@ -9,13 +9,16 @@
 //!   self-graphs of the whole-set closure, on the Fig. 8 suite and on
 //!   generated programs.
 
+mod common;
+
+use common::{desugared, for_programs, generated};
 use pe_core::{compile, eval, run, CompileOptions};
 use pe_frontend::{desugar, parse_source, DProgram, FlowAnalysis};
 use pe_interp::{tail, Datum, Limits};
 use pe_sct::closure::MAX_GRAPHS;
 use pe_sct::{callgraph, closure, SizeGraph};
-use pe_siege::gen::gen_case;
 use pe_siege::rng::Rng;
+use pe_siege::Case;
 use realistic_pe::suite;
 use std::collections::BTreeSet;
 
@@ -56,65 +59,64 @@ fn body(rng: &mut Rng, depth: u32) -> String {
     }
 }
 
-fn program_for(body: &str) -> DProgram {
-    let src = format!(
-        "(define (main x l) {body})
-         (define (walk v) (if (pair? v) (walk (cdr v)) v))"
-    );
-    desugar(&parse_source(&src).expect("parses")).expect("desugars")
-}
-
-/// `CASES` bounded programs from the property's own seed.
-fn bounded_programs(seed: u64) -> impl Iterator<Item = (String, DProgram)> {
-    let mut rng = Rng::new(seed);
-    (0..CASES).map(move |_| {
-        let b = body(&mut rng, 4);
-        let p = program_for(&b);
-        (b, p)
-    })
+/// A bounded program: `main` over `body`, and `walk`.
+fn bounded(rng: &mut Rng) -> Case {
+    Case {
+        name: "bounded".to_string(),
+        source: format!(
+            "(define (main x l) {})
+         (define (walk v) (if (pair? v) (walk (cdr v)) v))",
+            body(rng, 4)
+        ),
+        entry: "main".to_string(),
+        args: Vec::new(),
+    }
 }
 
 #[test]
 fn bounded_programs_compile_without_dynamic_control() {
-    for (body, d) in bounded_programs(0x5C7_0B0D) {
+    for_programs(0x5C7_0B0D, CASES, bounded, |case| {
+        let d = desugared(&case.source);
         let flow = FlowAnalysis::analyze(&d);
         let a = pe_sct::analyze(&d, &flow, "main");
-        assert!(a.divergence.is_none(), "a terminating program was rejected: {body}");
+        assert!(a.divergence.is_none(), "a terminating program was rejected");
         assert!(
             a.verdicts.procs.iter().all(|&v| v == pe_sct::Verdict::Bounded),
-            "not all bounded: {:?} in {body}",
+            "not all bounded: {:?}",
             a.named_verdicts(&d)
         );
         let opts = CompileOptions::default();
         let audit = run(&d, "main", None, &opts, None, false, &mut pe_trace::NullSink)
-            .unwrap_or_else(|e| panic!("{body}: {e}"))
+            .unwrap_or_else(|e| panic!("{e}"))
             .audit;
         let report = pe_verify::verify_audit(&audit);
         assert!(
             report.is_clean() && report.warning_count() == 0,
-            "the termination audit found unanticipated control in {body}:\n{report}"
+            "the termination audit found unanticipated control:\n{report}"
         );
-    }
+        true
+    });
 }
 
 #[test]
 fn classification_is_deterministic() {
-    for (body, d1) in bounded_programs(0x5C7_DE7E) {
-        let d2 = program_for(&body);
+    for_programs(0x5C7_DE7E, CASES, bounded, |case| {
+        let (d1, d2) = (desugared(&case.source), desugared(&case.source));
         let a1 = pe_sct::analyze(&d1, &FlowAnalysis::analyze(&d1), "main");
         let a2 = pe_sct::analyze(&d2, &FlowAnalysis::analyze(&d2), "main");
-        assert_eq!(a1.named_verdicts(&d1), a2.named_verdicts(&d2), "{body}");
-        assert_eq!(a1.verdicts.exempt_vars, a2.verdicts.exempt_vars, "{body}");
-        assert_eq!(a1.verdicts.eager_vars, a2.verdicts.eager_vars, "{body}");
+        assert_eq!(a1.named_verdicts(&d1), a2.named_verdicts(&d2));
+        assert_eq!(a1.verdicts.exempt_vars, a2.verdicts.exempt_vars);
+        assert_eq!(a1.verdicts.eager_vars, a2.verdicts.eager_vars);
         let (v1, v2) = (&a1.verdicts, &a2.verdicts);
         for te in d1.defs.iter().map(|d| &d.body).chain(d1.lambdas.iter().map(|l| &l.body)) {
             te.for_each_label(&mut |l| {
-                assert_eq!(v1.at_label(l.0), v2.at_label(l.0), "{body}");
-                assert_eq!(v1.on_stack(l.0), v2.on_stack(l.0), "{body}");
+                assert_eq!(v1.at_label(l.0), v2.at_label(l.0));
+                assert_eq!(v1.on_stack(l.0), v2.on_stack(l.0));
             });
         }
-        assert_eq!(a1.stats, a2.stats, "{body}");
-    }
+        assert_eq!(a1.stats, a2.stats);
+        true
+    });
 }
 
 fn list_datum(rng: &mut Rng) -> Datum {
@@ -125,28 +127,33 @@ fn list_datum(rng: &mut Rng) -> Datum {
 
 #[test]
 fn residuals_agree_with_the_analysis_on_and_off() {
-    let mut rng = Rng::new(0x5C7_0FF0);
-    for (body, d) in bounded_programs(0x5C7_A6EE) {
-        let args = [Datum::Int(rng.below(60) as i64 - 30), list_datum(&mut rng)];
+    let mut arg_rng = Rng::new(0x5C7_0FF0);
+    let draw = |rng: &mut Rng| Case {
+        args: vec![Datum::Int(arg_rng.below(60) as i64 - 30), list_datum(&mut arg_rng)],
+        ..bounded(rng)
+    };
+    for_programs(0x5C7_A6EE, CASES, draw, |case| {
+        let d = desugared(&case.source);
         let lim = Limits::builder().with_fuel(1_000_000).build();
-        let reference = tail::run(&d, "main", &args, lim);
+        let reference = tail::run(&d, "main", &case.args, lim);
         let s0_on = compile(&d, "main", &CompileOptions::default()).expect("compiles (on)");
         let off_opts = CompileOptions { sct: false, ..CompileOptions::default() };
         let s0_off = compile(&d, "main", &off_opts).expect("compiles (off)");
-        let r_on = eval::run(&s0_on, &args, lim);
-        let r_off = eval::run(&s0_off, &args, lim);
+        let r_on = eval::run(&s0_on, &case.args, lim);
+        let r_off = eval::run(&s0_off, &case.args, lim);
         match (&r_on, &r_off) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "the analysis changed the result of {body}"),
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "the analysis changed the result"),
             // Residuals are at least as defined as the source; a fault
             // in dead code may fold away differently on the two paths,
             // but live results must agree — checked against the
             // reference run.
             _ => assert!(
                 reference.is_err(),
-                "{body}: reference {reference:?} but on={r_on:?} off={r_off:?}"
+                "reference {reference:?} but on={r_on:?} off={r_off:?}"
             ),
         }
-    }
+        true
+    });
 }
 
 /// The whole-set closure the per-component one replaced: every work
@@ -193,16 +200,11 @@ fn assert_same_self_graphs(name: &str, p: &DProgram) {
 #[test]
 fn per_component_closure_keeps_every_self_graph() {
     for b in suite::SUITE {
-        let p = desugar(&parse_source(b.source).unwrap()).unwrap();
-        assert_same_self_graphs(b.name, &p);
+        assert_same_self_graphs(b.name, &desugared(b.source));
     }
-    let mut master = Rng::new(0x5C7_C105);
-    let mut compared = 0;
-    while compared < 512 {
-        let case = gen_case(&mut master.fork());
-        let Ok(p) = parse_source(&case.source).map(|p| desugar(&p)) else { continue };
-        let Ok(p) = p else { continue };
+    for_programs(0x5C7_C105, 512, generated, |case| {
+        let Ok(Ok(p)) = parse_source(&case.source).map(|p| desugar(&p)) else { return false };
         assert_same_self_graphs(&case.source, &p);
-        compared += 1;
-    }
+        true
+    });
 }

@@ -222,11 +222,6 @@ impl Vm {
         Ok(Vm { blocks, names, consts: r.consts, entry, entry_name: p.entry.clone(), width })
     }
 
-    /// The number of compiled blocks (procedures).
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// The name of the block at `pc`, as reported in traps.
     pub fn block_name(&self, pc: usize) -> Option<&str> {
         self.names.get(pc).map(String::as_str)

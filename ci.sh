@@ -62,6 +62,18 @@ cargo run --release -p pe-bench -- --quick --check BENCH_baseline.json
 # …) cannot break the benchmark unnoticed.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+# The benchmark's own correctness checks, which its tests never reach:
+# one short traced run per workload.  A traced run exits non-zero
+# unless the compile it composes layer by layer reproduces
+# `Pipeline::compile`, and its last line reads `"correct": true` only
+# when every answer checked out (serve-mix compares them byte for
+# byte).
+for w in fig8 gen-large serve-mix; do
+    cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 1 --trace 1 > target/perfbench-ci.out
+    tail -n 1 target/perfbench-ci.out | grep -q '^{"correct": true,'
+done
+
 # pe-siege robustness harness.  First the corpus gate: every minimal
 # reproducer ever banked under crates/siege/corpus must stay clean
 # (differential agreement across all eight engines plus a crash-free

@@ -13,7 +13,7 @@
 //! data that grows under dynamic control, and each `cv` carries the flow
 //! analysis' closure-candidate set so The Trick can dispatch on it.
 
-use crate::s0::S0Simple;
+use pe_flow::s0::S0Simple;
 use pe_frontend::ast::Constant;
 use pe_frontend::dast::LamId;
 use pe_frontend::flow::LamSet;

@@ -6,7 +6,7 @@
 //! register discipline and instruction counters lives in the `pe-vm`
 //! crate, and the C back end in `pe-backend-c`.
 
-use crate::s0::{S0Program, S0Simple, S0Tail};
+use pe_flow::s0::{S0Program, S0Simple, S0Tail};
 use pe_intern::FxHashMap;
 use pe_interp::value::{apply_prim, Value};
 use pe_interp::{Datum, Fuel, InterpError, Limits};
@@ -127,7 +127,7 @@ fn exec(p: &S0Program, args: &[Datum], fuel: &mut Fuel) -> Result<Datum, InterpE
     // hash lookup instead of a string-comparing scan over every proc,
     // and the frame borrows the callee's parameter names rather than
     // cloning them on each call.
-    let index: FxHashMap<&str, &crate::s0::S0Proc> =
+    let index: FxHashMap<&str, &pe_flow::s0::S0Proc> =
         p.procs.iter().map(|q| (q.name.as_str(), q)).collect();
     let mut frame = Frame {
         params: &entry.params,
@@ -165,7 +165,7 @@ fn exec(p: &S0Program, args: &[Datum], fuel: &mut Fuel) -> Result<Datum, InterpE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::s0::S0Proc;
+    use pe_flow::s0::S0Proc;
     use pe_frontend::ast::Constant;
     use pe_frontend::Prim;
 

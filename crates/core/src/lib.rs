@@ -44,22 +44,9 @@ pub mod desc;
 pub mod eval;
 pub mod spec;
 
-/// The residual optimizer, re-exported from [`pe_flow::opt`] under its
-/// historical path (the syntactic passes lived here before the flow
-/// framework subsumed them).
-pub mod post {
-    pub use pe_flow::opt::*;
-}
-
-/// The residual language S₀, re-exported from [`pe_flow::s0`] (the
-/// definition moved below pe-core so the dataflow crate can own it).
-pub mod s0 {
-    pub use pe_flow::s0::*;
-}
-
 pub use desc::{CvId, DescShape, MissingCv, ValDesc};
 pub use pe_governor::{Fuel, Limits, Trap};
-pub use s0::{S0Proc, S0Program, S0Simple, S0Tail};
+pub use pe_flow::s0::{S0Proc, S0Program, S0Simple, S0Tail};
 pub use spec::{
     CompileOptions, ControlEvent, ControlKind, GenStrategy, MemoSnapshot, Spec, SpecCounters,
     SpecError,
@@ -236,7 +223,7 @@ fn run_sct(
 fn finish(p: S0Program, opts: &CompileOptions, sink: &mut dyn Sink) -> S0Program {
     let p = if opts.postprocess {
         let t = pe_trace::begin(sink, Phase::Post);
-        let q = post::postprocess(p);
+        let q = pe_flow::postprocess(p);
         attribute_and_end(sink, t, Phase::Post, &q);
         q
     } else {
@@ -257,7 +244,6 @@ fn finish(p: S0Program, opts: &CompileOptions, sink: &mut dyn Sink) -> S0Program
         if sink.enabled() {
             sink.counter(Counter::CopiesPropagated, stats.copies_propagated as u64);
             sink.counter(Counter::DeadBindings, stats.dead_bindings as u64);
-            sink.counter(Counter::SlotsPruned, stats.slots_pruned as u64);
             sink.counter(Counter::ArmsFolded, stats.arms_folded as u64);
             sink.counter(Counter::CfgNodes, stats.cfg_nodes as u64);
             sink.counter(Counter::CfgEdges, stats.cfg_edges as u64);

@@ -24,8 +24,8 @@
 //!   latter an ordinary runtime list of closures.
 
 use crate::desc::{CvId, DescShape, MissingCv, ValDesc};
-use crate::s0::{S0Proc, S0Program, S0Simple, S0Tail};
 use crate::{CompileAudit, Compiled};
+use pe_flow::s0::{S0Proc, S0Program, S0Simple, S0Tail};
 use pe_governor::Limits;
 use pe_frontend::ast::{Constant, Prim};
 use pe_frontend::dast::{DLabel, DProgram, LamId, SimpleExpr, TailExpr, VarId};
@@ -48,17 +48,30 @@ pub enum GenStrategy {
     Offline,
 }
 
+/// Descriptions larger than this are generalized (safety valve, far
+/// beyond anything the benchmark suite produces).
+const MAX_DESC_SIZE: usize = 512;
+
+/// Bounded-static-variation widening: when one variable slot of one
+/// specialization point has been seen with more than this many distinct
+/// fully static values, the slot is generalized from then on.  Catches
+/// static data that *grows* under dynamic control (e.g. a counter
+/// incremented around a dynamic loop), which the §4.5 self-embedding
+/// test cannot see because base values have no creation sites.  Static
+/// unfolding below the threshold (the specializer projections' use
+/// case) is unaffected.
+const WIDEN_THRESHOLD: usize = 40;
+
 /// Compiler configuration.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
     /// Generalization strategy.
     pub strategy: GenStrategy,
-    /// Run the residual post-processor (transition compression,
-    /// inline-once, dead parameter elimination).
+    /// Run the residual post-processor (transition and return
+    /// compression, inline-once, dead parameter elimination).
     pub postprocess: bool,
     /// Run the flow optimizer (copy/constant propagation, dead-binding
-    /// elimination, closure-slot pruning, dispatch-arm folding) over
-    /// the residual program.
+    /// elimination, dispatch-arm folding) over the residual program.
     pub flow: bool,
     /// Restrict The Trick's dispatch candidates with the flow analysis;
     /// `false` dispatches over every context lambda (the ablation).
@@ -67,18 +80,6 @@ pub struct CompileOptions {
     /// procedure count and `max_unfold_depth` the static unfolding depth
     /// within one residual body.
     pub limits: Limits,
-    /// Descriptions larger than this are generalized (safety valve, far
-    /// beyond anything the benchmark suite produces).
-    pub max_desc_size: usize,
-    /// Bounded-static-variation widening: when one variable slot of one
-    /// specialization point has been seen with more than this many
-    /// distinct fully static values, the slot is generalized from then
-    /// on.  Catches static data that *grows* under dynamic control
-    /// (e.g. a counter incremented around a dynamic loop), which the
-    /// §4.5 self-embedding test cannot see because base values have no
-    /// creation sites.  Static unfolding below the threshold (the
-    /// specializer projections' use case) is unaffected.
-    pub widen_threshold: usize,
     /// Run the size-change termination analysis (`pe-sct`) before
     /// specializing: provably-divergent programs are refused with
     /// [`SpecError::SctDiverges`] before any fuel is spent, slots with
@@ -96,8 +97,6 @@ impl Default for CompileOptions {
             flow: true,
             trick_flow: true,
             limits: Limits::default(),
-            max_desc_size: 512,
-            widen_threshold: 40,
             sct: true,
         }
     }
@@ -852,7 +851,7 @@ impl<'p> Spec<'p> {
                 let shape: Vec<DescShape> = tau.prefix.iter().map(|d| d.shape(&idx)).collect();
                 let seen = self.prefix_variety.entry(label).or_default();
                 seen.insert(shape);
-                if seen.len() > self.opts.widen_threshold {
+                if seen.len() > WIDEN_THRESHOLD {
                     self.widened_prefix.insert(label);
                     self.counters.widenings += 1;
                     self.events.push(ControlEvent {
@@ -906,7 +905,7 @@ impl<'p> Spec<'p> {
             if let Some(k) = d.as_constant() {
                 let seen = self.static_variety.entry(slot).or_default();
                 seen.insert(k);
-                if seen.len() > self.opts.widen_threshold {
+                if seen.len() > WIDEN_THRESHOLD {
                     self.widened.insert(slot);
                     self.counters.widenings += 1;
                     self.events.push(ControlEvent {
@@ -1028,7 +1027,7 @@ impl<'p> Spec<'p> {
                 let must_gen = (self.opts.strategy == GenStrategy::Offline
                     && self.gen.lam_is_critical(*id)
                     && !d.is_fully_static())
-                    || d.size() > self.opts.max_desc_size;
+                    || d.size() > MAX_DESC_SIZE;
                 if must_gen { self.generalize(d, sigma) } else { Ok(d) }
             }
             SimpleExpr::Prim(l, op, args) => {
@@ -1068,7 +1067,7 @@ impl<'p> Spec<'p> {
                 // makes specialization of e.g. deriv diverge).
                 let must_gen = (self.opts.strategy == GenStrategy::Offline
                     && self.gen.cons_is_critical(site))
-                    || d.size() > self.opts.max_desc_size;
+                    || d.size() > MAX_DESC_SIZE;
                 if must_gen {
                     self.generalize(d, sigma)
                 } else {
@@ -1202,14 +1201,14 @@ impl<'p> Spec<'p> {
         let vars: Vec<VarId> = env.keys().copied().collect();
         for v in vars {
             let d = env[&v].clone();
-            if d.is_self_embedding() || d.size() > self.opts.max_desc_size {
+            if d.is_self_embedding() || d.size() > MAX_DESC_SIZE {
                 let g = self.generalize(d, sigma)?;
                 env.insert(v, g);
             }
         }
         for i in 0..tau.prefix.len() {
             let d = tau.prefix[i].clone();
-            if d.is_self_embedding() || d.size() > self.opts.max_desc_size {
+            if d.is_self_embedding() || d.size() > MAX_DESC_SIZE {
                 tau.prefix[i] = self.generalize(d, sigma)?;
             }
         }

@@ -11,7 +11,7 @@
 //!
 //! * [`liveness`] — the interprocedural parameter-liveness fixpoint;
 //! * [`constprop`] — interprocedural copy/constant propagation;
-//! * [`slots`] — closure-shape analysis: slot usage, escape pinning,
+//! * [`slots`] — closure-label analysis: slot usage, escape pinning,
 //!   dispatch-arm decidability;
 //! * [`opt`] — the residual optimizer: Unmix-style syntactic
 //!   post-processing ([`postprocess`]) plus the flow passes
@@ -24,9 +24,7 @@
 //! [`postprocess`] and [`optimize`] under its `post` and `flow` spans and
 //! attributes that time to residual procedures with
 //! [`S0Program::attribute_by_size`](s0::S0Program::attribute_by_size) —
-//! and pe-core re-exports [`s0`] and
-//! [`opt`] under their historical paths (`pe_core::s0`,
-//! `pe_core::post`).
+//! and pe-core re-exports the S₀ types at its root.
 
 pub mod check;
 pub mod constprop;

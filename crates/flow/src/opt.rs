@@ -5,8 +5,9 @@
 //! equivalents on S₀ are:
 //!
 //! * **reachability** — drop procedures never called from the entry;
-//! * **transition compression** — a procedure whose body is a single
-//!   tail call is inlined everywhere (classic Mix);
+//! * **transition and return compression** — a procedure whose body is
+//!   a single tail call or a single return is inlined everywhere, one
+//!   rewrite chasing trampoline chains into a returner (classic Mix);
 //! * **inline-once** — a non-recursive procedure with exactly one call
 //!   site is inlined there (post-unfolding);
 //! * **dead-parameter elimination** — now driven by the interprocedural
@@ -15,9 +16,10 @@
 //!
 //! On top of the syntactic fixpoint, [`optimize`] runs the
 //! dataflow passes — copy/constant propagation ([`crate::constprop`]),
-//! dispatch-arm folding and closure-slot pruning ([`crate::slots`]),
-//! dead-binding elimination — interleaved with clean-up rounds until
-//! nothing changes, reporting a [`FlowStats`] for the trace counters.
+//! dispatch-arm folding ([`crate::slots`], one label analysis per
+//! round), dead-binding elimination — interleaved with clean-up rounds
+//! until nothing changes, reporting a [`FlowStats`] for the trace
+//! counters.
 //!
 //! All passes iterate to a fixpoint.  Inlining in S₀ is sound by
 //! construction: bodies only reference their own parameters, and calls
@@ -26,7 +28,8 @@
 
 use crate::s0::{S0Proc, S0Program, S0Simple, S0Tail};
 use pe_governor::{Fuel, Limits, Trap};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
+use std::slice;
 
 /// Runs all syntactic post passes to a fixpoint.
 pub fn postprocess(mut p: S0Program) -> S0Program {
@@ -34,8 +37,7 @@ pub fn postprocess(mut p: S0Program) -> S0Program {
         let before = fingerprint(&p);
         p = simplify(p);
         p = drop_unreachable(p);
-        p = compress_transitions(p);
-        p = compress_returns(p);
+        p = compress(p);
         p = inline_once(p);
         p = drop_dead_params(p);
         p = merge_entry(p);
@@ -65,7 +67,10 @@ pub struct FlowStats {
     pub dead_bindings: usize,
     /// Dispatch arms folded away.
     pub arms_folded: usize,
-    /// `(label, slot)` capture pairs pruned.
+    /// Always 0: no pass prunes closure slots any more (The Trick's
+    /// dispatch arms read every slot of an applied closure).  Kept
+    /// because the repository benchmark reports it as
+    /// `flow.slots_pruned`.
     pub slots_pruned: usize,
     /// Optimize rounds executed.
     pub rounds: usize,
@@ -82,16 +87,16 @@ impl FlowStats {
     /// Total rewrites across all passes.
     #[must_use]
     pub fn total(&self) -> usize {
-        self.copies_propagated + self.dead_bindings + self.arms_folded + self.slots_pruned
+        self.copies_propagated + self.dead_bindings + self.arms_folded
     }
 }
 
 /// Runs the flow passes to a fixpoint (or [`MAX_ROUNDS`]).
 ///
 /// Pass order within a round: propagation first (it seeds constants),
-/// then arm folding and slot pruning (shape-based), then dead-binding
-/// elimination (it collects the parameters propagation just made
-/// dead), then a syntactic clean-up when anything changed.
+/// then arm folding (shape-based), then dead-binding elimination (it
+/// collects the parameters propagation just made dead), then a
+/// syntactic clean-up when anything changed.
 ///
 /// # Errors
 ///
@@ -104,15 +109,13 @@ pub fn optimize(mut p: S0Program, fuel: &mut Fuel) -> Result<(S0Program, FlowSta
         fuel.step()?;
         let (q, copies) = crate::constprop::propagate(p, fuel)?;
         let (q, arms) = crate::slots::fold_arms(q, fuel)?;
-        let (q, slots) = crate::slots::prune(q, fuel)?;
         let (q, dead) = crate::liveness::prune_dead_params(q, fuel)?;
         p = q;
         stats.copies_propagated += copies;
         stats.arms_folded += arms;
-        stats.slots_pruned += slots;
         stats.dead_bindings += dead;
         stats.rounds += 1;
-        if copies + arms + slots + dead == 0 {
+        if copies + arms + dead == 0 {
             break;
         }
         // Clean up what the rewrites exposed: substituted constants
@@ -135,39 +138,6 @@ pub fn optimize_with(
     fuel: &mut Fuel,
 ) -> Result<(S0Program, FlowStats), Trap> {
     optimize(p, fuel)
-}
-
-/// Inlines procedures whose whole body is a `Return` of a simple
-/// expression (return compression), with the usual duplication guard.
-pub fn compress_returns(p: S0Program) -> S0Program {
-    let returners: HashMap<&str, (&[String], &S0Simple)> = p
-        .procs
-        .iter()
-        .filter_map(|q| match &q.body {
-            S0Tail::Return(s) => Some((q.name.as_str(), (q.params.as_slice(), s))),
-            _ => None,
-        })
-        .collect();
-    if returners.is_empty() {
-        return p;
-    }
-    let bodies = rewrite_reachable(&p, |body| {
-        rewrite_calls(body, &mut |callee, args| {
-            if let Some(&(params, body)) = returners.get(callee) {
-                let dup = params.iter().zip(args).any(|(pm, a)| {
-                    !matches!(a, S0Simple::Var(_) | S0Simple::Const(_))
-                        && occurrences(body, pm) > 1
-                });
-                if !dup {
-                    let map: HashMap<String, S0Simple> =
-                        params.iter().cloned().zip(args.iter().cloned()).collect();
-                    return S0Tail::Return(body.subst(&map));
-                }
-            }
-            S0Tail::TailCall(callee.to_string(), args.to_vec())
-        })
-    });
-    with_bodies(p, bodies)
 }
 
 /// When the entry is a pure trampoline — its body forwards its own
@@ -311,21 +281,10 @@ fn fingerprint(p: &S0Program) -> (usize, usize) {
 }
 
 /// Drops procedures unreachable from the entry.
-pub fn drop_unreachable(p: S0Program) -> S0Program {
-    let mut reach: HashSet<String> = HashSet::new();
-    let mut work = vec![p.entry.clone()];
-    while let Some(name) = work.pop() {
-        if !reach.insert(name.clone()) {
-            continue;
-        }
-        if let Some(proc_) = p.proc(&name) {
-            proc_.body.calls(&mut |callee| work.push(callee.to_string()));
-        }
-    }
-    S0Program {
-        procs: p.procs.into_iter().filter(|q| reach.contains(&q.name)).collect(),
-        entry: p.entry,
-    }
+pub fn drop_unreachable(mut p: S0Program) -> S0Program {
+    let mut reached = p.reachable().into_iter();
+    p.procs.retain(|_| reached.next().unwrap_or(false));
+    p
 }
 
 /// Rewrites, with `f`, the body of every procedure reachable from the
@@ -333,10 +292,7 @@ pub fn drop_unreachable(p: S0Program) -> S0Program {
 /// rewrite followed by [`drop_unreachable`], without rewriting the
 /// procedures that would be dropped.  `None` marks a dropped procedure.
 fn rewrite_reachable(p: &S0Program, mut f: impl FnMut(&S0Tail) -> S0Tail) -> Vec<Option<S0Tail>> {
-    let mut index: HashMap<&str, usize> = HashMap::new();
-    for (i, q) in p.procs.iter().enumerate() {
-        index.entry(q.name.as_str()).or_insert(i);
-    }
+    let index = p.first_definitions();
     let mut bodies: Vec<Option<S0Tail>> = vec![None; p.procs.len()];
     let mut reached = vec![false; p.procs.len()];
     let mut work: Vec<usize> = index.get(p.entry.as_str()).copied().into_iter().collect();
@@ -371,54 +327,73 @@ fn with_bodies(p: S0Program, bodies: Vec<Option<S0Tail>>) -> S0Program {
     }
 }
 
-/// Inlines procedures whose whole body is a single tail call.
-pub fn compress_transitions(p: S0Program) -> S0Program {
-    // name → (params, target call) for trivial trampolines, skipping
-    // self-loops.
-    let trivial: HashMap<&str, (&[String], &str, &[S0Simple])> = p
-        .procs
-        .iter()
-        .filter_map(|q| match &q.body {
+/// Transition and return compression in one rewrite of the reachable
+/// bodies (classic Mix): a call chases its chain of trampolines —
+/// procedures whose whole body is one tail call to another — and, when
+/// the chain ends at a returner — a procedure whose whole body returns
+/// a simple expression — inlines that return.  No step substitutes a
+/// non-trivial argument for a parameter the callee's one node uses
+/// twice.  An entry that is itself a trampoline stays: it is the public
+/// name.
+fn compress(p: S0Program) -> S0Program {
+    // name → (params, target call) of each trampoline, skipping
+    // self-loops, and name → (params, value) of each returner.
+    let mut trampolines: HashMap<&str, (&[String], &str, &[S0Simple])> = HashMap::new();
+    let mut returners: HashMap<&str, (&[String], &S0Simple)> = HashMap::new();
+    for q in &p.procs {
+        let params = q.params.as_slice();
+        match &q.body {
             S0Tail::TailCall(t, args) if *t != q.name => {
-                Some((q.name.as_str(), (q.params.as_slice(), t.as_str(), args.as_slice())))
+                trampolines.entry(&q.name).or_insert((params, t, args));
             }
-            _ => None,
-        })
-        .collect();
-    if trivial.is_empty() {
+            S0Tail::Return(s) => {
+                returners.entry(&q.name).or_insert((params, s));
+            }
+            _ => {}
+        }
+    }
+    if trampolines.is_empty() && returners.is_empty() {
         return p;
     }
     let bodies = rewrite_reachable(&p, |body| {
         rewrite_calls(body, &mut |callee, args| {
             let mut callee = callee;
             let mut args = args.to_vec();
-            // Chase trampoline chains (cycles impossible: each step
-            // strictly follows a non-self edge; bounded by table size).
+            // A mutual trampoline cycle would chase forever: stop after
+            // one step more than there are trampolines.
             let mut steps = 0;
-            while let Some(&(params, target, targs)) = trivial.get(callee) {
-                // Duplication guard: do not substitute a non-trivial
-                // argument for a parameter the target call uses twice.
-                let dup = params.iter().zip(&args).any(|(pm, a)| {
-                    !matches!(a, S0Simple::Var(_) | S0Simple::Const(_))
-                        && targs.iter().map(|t| occurrences(t, pm)).sum::<usize>() > 1
-                });
-                if dup {
+            while let Some(&(params, target, targs)) = trampolines.get(callee) {
+                if steps > trampolines.len() || duplicates(params, &args, targs) {
                     break;
                 }
-                let map: HashMap<String, S0Simple> =
-                    params.iter().cloned().zip(args.iter().cloned()).collect();
+                let map = bind(params, &args);
                 args = targs.iter().map(|a| a.subst(&map)).collect();
                 callee = target;
                 steps += 1;
-                if steps > trivial.len() {
-                    break; // defensive: mutual trampoline cycle
-                }
             }
-            S0Tail::TailCall(callee.to_string(), args)
+            match returners.get(callee) {
+                Some(&(params, value)) if !duplicates(params, &args, slice::from_ref(value)) => {
+                    S0Tail::Return(value.subst(&bind(params, &args)))
+                }
+                _ => S0Tail::TailCall(callee.to_string(), args),
+            }
         })
     });
-    // Entry may itself be a trampoline; keep it (it is the public name).
     with_bodies(p, bodies)
+}
+
+/// Would binding `params` to `args` copy a non-trivial argument into
+/// more than one place of `exprs`?
+fn duplicates(params: &[String], args: &[S0Simple], exprs: &[S0Simple]) -> bool {
+    params.iter().zip(args).any(|(pm, a)| {
+        !matches!(a, S0Simple::Var(_) | S0Simple::Const(_))
+            && exprs.iter().map(|e| occurrences(e, pm)).sum::<usize>() > 1
+    })
+}
+
+/// The substitution binding each parameter to its argument.
+fn bind(params: &[String], args: &[S0Simple]) -> HashMap<String, S0Simple> {
+    params.iter().cloned().zip(args.iter().cloned()).collect()
 }
 
 /// Inlines non-recursive procedures called from exactly one site.
@@ -432,10 +407,8 @@ pub fn compress_transitions(p: S0Program) -> S0Program {
 /// the whole program would pick it.
 pub fn inline_once(mut p: S0Program) -> S0Program {
     let n = p.procs.len();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    for (i, q) in p.procs.iter().enumerate() {
-        index.entry(q.name.clone()).or_insert(i);
-    }
+    let index: HashMap<String, usize> =
+        p.first_definitions().into_iter().map(|(name, i)| (name.to_string(), i)).collect();
     let mut st = Inliner {
         counts: vec![0; n],
         caller: vec![0; n],
@@ -461,11 +434,7 @@ pub fn inline_once(mut p: S0Program) -> S0Program {
         let vbody = std::mem::replace(&mut p.procs[v].body, S0Tail::Fail(String::new()));
         let vname = std::mem::take(&mut p.procs[v].name);
         replace_calls(&mut p.procs[c].body, &mut |callee, args| {
-            (callee == vname).then(|| {
-                let map: HashMap<String, S0Simple> =
-                    vparams.iter().cloned().zip(args.iter().cloned()).collect();
-                vbody.subst(&map)
-            })
+            (callee == vname).then(|| vbody.subst(&bind(&vparams, args)))
         });
         st.self_rec[c] = calls_self(&p.procs[c]);
         let mut touched = vec![c];
@@ -688,7 +657,7 @@ mod tests {
                 },
             ],
         };
-        let p = compress_transitions(p);
+        let p = compress(p);
         let main = p.proc("main").unwrap();
         // The chase inlines a (and substitutes its cons into b's arg),
         // then stops: b would duplicate the non-trivial cons argument
@@ -841,7 +810,8 @@ mod tests {
 
     #[test]
     fn long_trampoline_chain_compresses_into_the_entry() {
-        // main → l0 → l1 → … → l1999 → end: every link is a trampoline.
+        // main → l0 → l1 → … → l1999 → end: every link is a trampoline,
+        // and the returner at the end is inlined too.
         let n = 2000;
         let mut procs = vec![proc_("main", &["x"], call("l0", vec![var("x")]))];
         for i in 0..n {
@@ -849,16 +819,50 @@ mod tests {
             procs.push(proc_(&format!("l{i}"), &["y"], call(&next, vec![var("y")])));
         }
         procs.push(proc_("end", &["z"], S0Tail::Return(var("z"))));
-        let q = compress_transitions(S0Program { entry: "main".into(), procs });
-        assert_eq!(names(&q), ["main", "end"]);
-        assert_eq!(q.proc("main").unwrap().body, call("end", vec![var("x")]));
+        let q = compress(S0Program { entry: "main".into(), procs });
+        assert_eq!(names(&q), ["main"]);
+        assert_eq!(q.proc("main").unwrap().body, S0Tail::Return(var("x")));
+    }
+
+    #[test]
+    fn duplication_guard_keeps_a_call_to_a_returner() {
+        // `r` uses its parameter twice: inlining it at a call passing
+        // `(car x)` would evaluate the `car` twice, a variable is fine.
+        let car_x = S0Simple::Prim(Prim::Car, vec![var("x")]);
+        let twice = |v: &str| S0Simple::Prim(Prim::Cons, vec![var(v), var(v)]);
+        let p = S0Program {
+            entry: "main".into(),
+            procs: vec![
+                proc_(
+                    "main",
+                    &["x"],
+                    S0Tail::If(
+                        var("x"),
+                        Box::new(call("r", vec![car_x.clone()])),
+                        Box::new(call("r", vec![var("x")])),
+                    ),
+                ),
+                proc_("r", &["y"], S0Tail::Return(twice("y"))),
+            ],
+        };
+        let q = compress(p);
+        assert_eq!(names(&q), ["main", "r"], "{q}");
+        assert_eq!(
+            q.proc("main").unwrap().body,
+            S0Tail::If(
+                var("x"),
+                Box::new(call("r", vec![car_x])),
+                Box::new(S0Tail::Return(twice("x"))),
+            )
+        );
     }
 
     #[test]
     fn duplication_guard_stops_a_chain_midway_and_the_rest_still_compresses() {
-        // main → a → b → c → end, all trampolines.  `a` hands `b` a cons
-        // that `b` would pass twice, so the chase from main stops at `b`;
-        // `b` is still reachable and its own call chases through `c`.
+        // main → a → b → c → end, trampolines up to the returner `end`.
+        // `a` hands `b` a cons that `b` would pass twice, so the chase
+        // from main stops at `b`; `b` is still reachable and its own call
+        // chases through `c` and inlines `end`.
         let cons_y = S0Simple::Prim(Prim::Cons, vec![var("y"), kint(1)]);
         let p = S0Program {
             entry: "main".into(),
@@ -874,13 +878,16 @@ mod tests {
                 ),
             ],
         };
-        let q = compress_transitions(p);
-        assert_eq!(names(&q), ["main", "b", "end"], "{q}");
+        let q = compress(p);
+        assert_eq!(names(&q), ["main", "b"], "{q}");
         assert_eq!(
             q.proc("main").unwrap().body,
             call("b", vec![S0Simple::Prim(Prim::Cons, vec![var("x"), kint(1)])])
         );
-        assert_eq!(q.proc("b").unwrap().body, call("end", vec![var("z"), var("z")]));
+        assert_eq!(
+            q.proc("b").unwrap().body,
+            S0Tail::Return(S0Simple::Prim(Prim::Cons, vec![var("z"), var("z")]))
+        );
         assert_wellformed(&q);
     }
 

@@ -15,8 +15,8 @@
 //! representation.
 //!
 //! The definitions live in `pe-flow` (below `pe-core`) so the dataflow
-//! analyses can see them without a dependency cycle; `pe_core::s0`
-//! re-exports everything, so downstream code is unaffected.
+//! analyses can see them without a dependency cycle; pe-core re-exports
+//! the four types at its root (`pe_core::S0Program` and the rest).
 
 use pe_frontend::ast::{Constant, Prim};
 use pe_sexpr::Sexpr;
@@ -259,6 +259,32 @@ impl S0Program {
     /// Finds a procedure by name.
     pub fn proc(&self, name: &str) -> Option<&S0Proc> {
         self.procs.iter().find(|p| p.name == name)
+    }
+
+    /// Each name's first definition, by position: the procedure
+    /// [`S0Program::proc`] finds and a call to the name runs.
+    pub(crate) fn first_definitions(&self) -> HashMap<&str, usize> {
+        let mut first = HashMap::new();
+        for (i, q) in self.procs.iter().enumerate() {
+            first.entry(q.name.as_str()).or_insert(i);
+        }
+        first
+    }
+
+    /// Which procedures, by position, a run from the entry can reach:
+    /// a call resolves to its name's first definition, and every
+    /// definition of a reached name counts as reached.
+    #[must_use]
+    pub fn reachable(&self) -> Vec<bool> {
+        let first = self.first_definitions();
+        let mut reached = vec![false; self.procs.len()];
+        let mut work: Vec<usize> = first.get(self.entry.as_str()).copied().into_iter().collect();
+        while let Some(i) = work.pop() {
+            if !std::mem::replace(&mut reached[i], true) {
+                self.procs[i].body.calls(&mut |callee| work.extend(first.get(callee)));
+            }
+        }
+        self.procs.iter().map(|q| reached[first[q.name.as_str()]]).collect()
     }
 
     /// One row of `init` per parameter, keyed by procedure name and

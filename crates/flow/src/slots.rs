@@ -1,9 +1,10 @@
-//! Closure-slot usage analysis and pruning.
+//! Closure-label analysis: slot usage, escape pinning, dispatch-arm
+//! decidability.
 //!
 //! Residual S₀ programs represent closures as flat vectors
 //! (`make-closure ℓ v₀ … vₙ`) read by constant index
-//! (`closure-freeval c i`).  This module answers "which slots of each
-//! label are ever read?" and shrinks the vectors accordingly:
+//! (`closure-freeval c i`).  [`analyze`] answers "which labels can reach
+//! each value, and which slots of each label are ever read?":
 //!
 //! 1. an interprocedural *label* analysis assigns every parameter an
 //!    abstract closure value — a may-set of labels plus an `other` bit
@@ -15,12 +16,15 @@
 //!    closures escape the call graph (into primitive arguments, other
 //!    closures' captures, or a `Return`), labels with inconsistent
 //!    capture arity, and labels read at indeterminate sites.  A pinned
-//!    label is never rewritten: an escaped closure can come back as an
-//!    `other` value and be read at sites the rewrite cannot remap.
-//!    Labels co-read at one freeval site form an equivalence class and
-//!    are pruned identically (the site keeps a single index);
-//! 3. the rewrite drops unread, effect-free capture slots of unpinned
-//!    classes and renumbers every definite freeval index.
+//!    label has no droppable slot: an escaped closure can come back as
+//!    an `other` value and be read at sites the analysis cannot tie to
+//!    its label.  Labels co-read at one freeval site form an
+//!    equivalence class and share one set of droppable slots;
+//! 3. [`SlotAnalysis::prune`] lists, per unpinned class, the unread
+//!    capture slots whose every argument is effect-free.  pe-flow's
+//!    dead-slot lint reports them; no pass rewrites them, because The
+//!    Trick's dispatch arms read every slot of an applied closure, so
+//!    pipeline residuals have none to drop.
 //!
 //! The same label analysis powers [`fold_arms`]: a dispatch arm whose
 //! test can be decided from the subject's label set alone is folded to
@@ -120,8 +124,8 @@ fn walk_refined<'p>(
     }
 }
 
-/// Everything the pruning rewrite, the flow lints and verify's
-/// closure-shape pass need to know.
+/// Everything arm folding, the flow lints and verify's closure-shape
+/// pass need to know.
 #[derive(Debug, Clone)]
 pub struct SlotAnalysis {
     /// Abstract parameter values per procedure name, sized by the
@@ -133,7 +137,7 @@ pub struct SlotAnalysis {
     pub min_captures: BTreeMap<u32, usize>,
     /// Slots read (possibly) per label, across all definite sites.
     pub used: BTreeMap<u32, BTreeSet<usize>>,
-    /// Labels that must not be rewritten.
+    /// Labels whose capture slots may not be dropped.
     pub pinned: BTreeSet<u32>,
     /// Slots droppable per label: unread, unpinned class, effect-free
     /// arguments at every allocation site.  Sorted ascending.
@@ -350,100 +354,6 @@ impl Scan<'_, '_> {
     }
 }
 
-/// Drops unread capture slots.  Returns the rewritten program and the
-/// number of `(label, slot)` pairs pruned.
-///
-/// # Errors
-///
-/// [`Trap::OutOfFuel`] when the analysis budget is exhausted.
-pub fn prune(p: S0Program, fuel: &mut Fuel) -> Result<(S0Program, usize), Trap> {
-    let sa = analyze(&p, fuel)?;
-    if sa.prune.is_empty() {
-        return Ok((p, 0));
-    }
-    let count: usize = sa.prune.values().map(Vec::len).sum();
-    let mut procs = Vec::with_capacity(p.procs.len());
-    for q in &p.procs {
-        fuel.step()?;
-        let body = rw_tail(&q.body, &param_env(q, &sa.shapes), &mut Vec::new(), &sa);
-        procs.push(crate::s0::S0Proc {
-            name: q.name.clone(),
-            params: q.params.clone(),
-            body,
-        });
-    }
-    Ok((S0Program { procs, entry: p.entry }, count))
-}
-
-fn rw_simple(e: &S0Simple, env: &Env<'_>, refines: &Refinements, sa: &SlotAnalysis) -> S0Simple {
-    match e {
-        S0Simple::Var(_) | S0Simple::Const(_) => e.clone(),
-        S0Simple::Prim(op, args) => {
-            S0Simple::Prim(*op, args.iter().map(|a| rw_simple(a, env, refines, sa)).collect())
-        }
-        S0Simple::MakeClosure(l, args) => {
-            let dropped: &[usize] = sa.prune.get(l).map_or(&[], Vec::as_slice);
-            let args = args
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| !dropped.contains(j))
-                .map(|(_, a)| rw_simple(a, env, refines, sa))
-                .collect();
-            S0Simple::MakeClosure(*l, args)
-        }
-        S0Simple::ClosureLabel(a) => {
-            S0Simple::ClosureLabel(Box::new(rw_simple(a, env, refines, sa)))
-        }
-        S0Simple::ClosureFreeval(a, i) => {
-            let v = eval(a, env, refines);
-            let a2 = Box::new(rw_simple(a, env, refines, sa));
-            let i2 = if !v.other {
-                // All definite labels share one class, hence one prune
-                // set; any member gives the renumbering.
-                v.labels
-                    .iter()
-                    .find_map(|l| sa.prune.get(l))
-                    .map_or(*i, |dropped| {
-                        i - dropped.iter().filter(|&&j| j < *i).count()
-                    })
-            } else {
-                *i
-            };
-            S0Simple::ClosureFreeval(a2, i2)
-        }
-    }
-}
-
-fn rw_tail(t: &S0Tail, env: &Env<'_>, refines: &mut Refinements, sa: &SlotAnalysis) -> S0Tail {
-    match t {
-        S0Tail::Return(s) => S0Tail::Return(rw_simple(s, env, refines, sa)),
-        S0Tail::Fail(m) => S0Tail::Fail(m.clone()),
-        S0Tail::TailCall(callee, args) => S0Tail::TailCall(
-            callee.clone(),
-            args.iter().map(|a| rw_simple(a, env, refines, sa)).collect(),
-        ),
-        S0Tail::If(c, a, b) => {
-            let c2 = rw_simple(c, env, refines, sa);
-            if let Some((subj, k)) = c.dispatch_test() {
-                let sv = eval(subj, env, refines);
-                refines.push((subj.clone(), AbsVal::of_label(k)));
-                let a2 = rw_tail(a, env, refines, sa);
-                refines.pop();
-                refines.push((subj.clone(), sv.without(k)));
-                let b2 = rw_tail(b, env, refines, sa);
-                refines.pop();
-                S0Tail::If(c2, Box::new(a2), Box::new(b2))
-            } else {
-                S0Tail::If(
-                    c2,
-                    Box::new(rw_tail(a, env, refines, sa)),
-                    Box::new(rw_tail(b, env, refines, sa)),
-                )
-            }
-        }
-    }
-}
-
 /// One statically decidable dispatch arm.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArmFinding {
@@ -597,7 +507,7 @@ mod tests {
     }
 
     /// main allocates (make-closure 3 a b) and hands it to k; k reads
-    /// only slot 1.  Slot 0 must be pruned and the index renumbered.
+    /// only slot 1, so slot 0 is droppable.
     fn program_with_dead_slot() -> S0Program {
         S0Program {
             entry: "main".into(),
@@ -620,22 +530,10 @@ mod tests {
     }
 
     #[test]
-    fn dead_slot_is_pruned_and_renumbered() {
-        let (q, n) = prune(program_with_dead_slot(), &mut fuel()).unwrap();
-        assert_eq!(n, 1);
-        let main = q.proc("main").unwrap();
-        match &main.body {
-            S0Tail::TailCall(_, args) => match &args[0] {
-                S0Simple::MakeClosure(3, caps) => assert_eq!(caps, &vec![var("b")]),
-                other => panic!("expected shrunk closure, got {other:?}"),
-            },
-            other => panic!("unexpected body {other:?}"),
-        }
-        let k = q.proc("k").unwrap();
-        match &k.body {
-            S0Tail::Return(S0Simple::ClosureFreeval(_, i)) => assert_eq!(*i, 0),
-            other => panic!("unexpected body {other:?}"),
-        }
+    fn dead_slot_is_droppable() {
+        let sa = analyze(&program_with_dead_slot(), &mut fuel()).unwrap();
+        assert_eq!(sa.used[&3], std::iter::once(1).collect());
+        assert_eq!(sa.prune, BTreeMap::from([(3, vec![0])]));
     }
 
     #[test]
@@ -655,9 +553,7 @@ mod tests {
         };
         let sa = analyze(&p, &mut fuel()).unwrap();
         assert!(sa.pinned.contains(&7));
-        let (q, n) = prune(p.clone(), &mut fuel()).unwrap();
-        assert_eq!(n, 0);
-        assert_eq!(q, p);
+        assert!(sa.prune.is_empty(), "{:?}", sa.prune);
     }
 
     #[test]
@@ -684,9 +580,9 @@ mod tests {
                 },
             ],
         };
-        let (q, n) = prune(p.clone(), &mut fuel()).unwrap();
-        assert_eq!(n, 0);
-        assert_eq!(q, p);
+        let sa = analyze(&p, &mut fuel()).unwrap();
+        assert!(sa.used[&1].contains(&1));
+        assert!(sa.prune.is_empty(), "{:?}", sa.prune);
     }
 
     #[test]
@@ -804,8 +700,7 @@ mod tests {
         // label 2 (the else arm) only reads slot 1.
         assert_eq!(sa.used[&1], std::iter::once(0).collect());
         assert_eq!(sa.used[&2], std::iter::once(1).collect());
-        // Each label can therefore prune its own dead slot.
-        let (q, n) = prune(p, &mut fuel()).unwrap();
-        assert_eq!(n, 2, "{q}");
+        // Each label can therefore drop its own dead slot.
+        assert_eq!(sa.prune, BTreeMap::from([(1, vec![1]), (2, vec![0])]));
     }
 }

@@ -90,10 +90,9 @@ fn json(benches: &[&Benchmark]) -> Result<(), String> {
 /// the JSONL event stream against the schema, then render the flow
 /// counters.
 fn flow(benches: &[&Benchmark]) -> Result<(), String> {
-    const FLOW_COUNTERS: [Counter; 6] = [
+    const FLOW_COUNTERS: [Counter; 5] = [
         Counter::CopiesPropagated,
         Counter::DeadBindings,
-        Counter::SlotsPruned,
         Counter::ArmsFolded,
         Counter::CfgNodes,
         Counter::CfgEdges,

@@ -2,15 +2,16 @@
 //! Fig. 8 Gabriel suite.
 //!
 //! The flow passes (copy/constant propagation, dead-binding
-//! elimination, closure-slot pruning, dispatch-arm folding) rewrite the
-//! residual program after specialization.  This suite checks the three
+//! elimination, dispatch-arm folding) rewrite the residual program
+//! after specialization.  This suite checks the three
 //! properties the optimizer must preserve:
 //!
 //! 1. **semantics** — the optimized program produces VM output
 //!    identical to the unoptimized one on every benchmark;
 //! 2. **verification** — the optimized program still passes every
-//!    pe-verify pass, with zero flow-pass *warnings* (the flow lints
-//!    mirror the optimizer, so clean output is by construction);
+//!    pe-verify pass, with zero flow-pass *warnings* (the arm lint
+//!    mirrors the optimizer's folding, and The Trick leaves no dead
+//!    capture slot);
 //! 3. **size** — optimization never grows a residual, and shrinks at
 //!    least one benchmark (S₀ nodes and emitted C bytes).
 

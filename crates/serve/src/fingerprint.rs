@@ -84,8 +84,10 @@ fn half(seed: u64, canon: &str, entry: &str, opts: &CompileOptions) -> u64 {
     h.write_u8(u8::from(opts.flow));
     h.write_u8(u8::from(opts.trick_flow));
     h.write_u8(u8::from(opts.sct));
-    h.write_u64(opts.max_desc_size as u64);
-    h.write_u64(opts.widen_threshold as u64);
+    // pe-core's description-size cap and widening threshold, options in
+    // earlier releases: hashing their values keeps keys identical.
+    h.write_u64(512);
+    h.write_u64(40);
     let l = &opts.limits;
     h.write_u64(l.fuel);
     h.write_u64(l.max_call_depth as u64);
@@ -153,8 +155,6 @@ mod tests {
             CompileOptions { flow: false, ..CompileOptions::default() },
             CompileOptions { trick_flow: false, ..CompileOptions::default() },
             CompileOptions { sct: false, ..CompileOptions::default() },
-            CompileOptions { widen_threshold: 3, ..CompileOptions::default() },
-            CompileOptions { max_desc_size: 99, ..CompileOptions::default() },
             CompileOptions {
                 limits: Limits { fuel: 1234, ..Limits::default() },
                 ..CompileOptions::default()

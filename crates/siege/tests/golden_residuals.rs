@@ -262,7 +262,7 @@ fn verify_text(pipe: &Pipeline, entry: &str, seen: &mut Seen) -> String {
         Err(e) => return e.to_string(),
     };
     let mut s = format!("flow: false\n{}\n", render(&base, seen));
-    let (opt, st) = match pe_core::post::optimize(base, &mut Fuel::new(&opts.limits)) {
+    let (opt, st) = match pe_flow::optimize(base, &mut Fuel::new(&opts.limits)) {
         Ok(r) => r,
         Err(trap) => return format!("{s}optimize: {trap:?}"),
     };

@@ -13,8 +13,8 @@
 //!   specializers (memo lookups/hits/misses, unfold steps,
 //!   generalizations, widenings, Trick dispatches/arms, residual
 //!   procedure and node counts), the pe-flow optimizer (copies
-//!   propagated, dead bindings, slots pruned, arms folded, moves
-//!   elided, CFG nodes/edges) and the run-time engines (dispatch
+//!   propagated, dead bindings, arms folded, moves elided, CFG
+//!   nodes/edges) and the run-time engines (dispatch
 //!   steps, allocations, calls).
 //! * **Gauges** ([`Gauge`]): point-in-time snapshots of governor
 //!   meters (fuel, heap, peak call depth), emitted when an engine
@@ -173,8 +173,6 @@ pub enum Counter {
     CopiesPropagated,
     /// Dead parameter bindings eliminated by interprocedural liveness.
     DeadBindings,
-    /// Closure freeval slots pruned from flat closure vectors.
-    SlotsPruned,
     /// Dispatch arms folded away by closure-label reachability.
     ArmsFolded,
     /// Identity global-parameter moves elided by the C backend.
@@ -227,7 +225,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in report order.
-    pub const ALL: [Counter; 41] = [
+    pub const ALL: [Counter; 40] = [
         Counter::MemoLookups,
         Counter::MemoHits,
         Counter::MemoMisses,
@@ -247,7 +245,6 @@ impl Counter {
         Counter::ResidualNodes,
         Counter::CopiesPropagated,
         Counter::DeadBindings,
-        Counter::SlotsPruned,
         Counter::ArmsFolded,
         Counter::MovesElided,
         Counter::CfgNodes,
@@ -294,7 +291,6 @@ impl Counter {
             Counter::ResidualNodes => "residual_nodes",
             Counter::CopiesPropagated => "copies_propagated",
             Counter::DeadBindings => "dead_bindings",
-            Counter::SlotsPruned => "slots_pruned",
             Counter::ArmsFolded => "arms_folded",
             Counter::MovesElided => "moves_elided",
             Counter::CfgNodes => "cfg_nodes",

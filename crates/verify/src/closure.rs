@@ -1,7 +1,7 @@
 //! Pass 2 — closure-shape checks.
 //!
 //! The label analysis is pe-flow's ([`pe_flow::slots::analyze`], shared
-//! with pass 6 and the optimizer's closure-slot pruning): each value is
+//! with pass 6 and the optimizer's dispatch-arm folding): each value is
 //! approximated by the set of `make-closure` labels that may reach it,
 //! plus an `other` bit for values of unknown (non-`make-closure`)
 //! origin.  The analysis is interprocedural (a fixpoint over the

@@ -4,11 +4,13 @@
 //! The flow checks complement the syntactic passes: definite binding
 //! and call obligations are checked per tail expression, and the two
 //! residual-quality lints — statically decidable dispatch arms, capture
-//! slots never read — read the same label analysis the flow optimizer
-//! acts on (and pass 2 checks with).  A program that went through
-//! `pe_flow::optimize` therefore passes both lints by construction;
-//! flagging one on pipeline output means an optimization was skipped
-//! (or its fuel budget trapped).
+//! slots never read — read the label analysis the flow optimizer folds
+//! arms with (and pass 2 checks with).  A program that went through
+//! `pe_flow::optimize` therefore has no decidable arm; flagging one on
+//! pipeline output means the fold was skipped (or its fuel budget
+//! trapped).  No pass drops dead slots: The Trick's dispatch arms read
+//! every slot of an applied closure, so pipeline residuals have none,
+//! and the slot lint flags hand-written or mutated residuals.
 
 use crate::report::{Diagnostic, Pass};
 use pe_core::S0Program;

@@ -8,35 +8,17 @@
 
 use crate::report::{Diagnostic, Pass};
 use pe_core::{S0Program, S0Tail};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-/// Runs the pass.
+/// Runs the pass.  Reachability is [`S0Program::reachable`]: a call
+/// resolves to its name's first definition, as pass 1, pe-flow and the
+/// VM resolve it.
 pub fn check(p: &S0Program) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let warn = |proc_name: &str, msg: String| Diagnostic::warning(Pass::Lint, Some(proc_name), msg);
 
-    // Reachability from the entry over tail-call edges.
-    let by_name: HashMap<&str, &S0Tail> =
-        p.procs.iter().map(|pr| (pr.name.as_str(), &pr.body)).collect();
-    let mut reachable: HashSet<&str> = HashSet::new();
-    let mut work = vec![p.entry.as_str()];
-    while let Some(name) = work.pop() {
-        if !reachable.insert(name) {
-            continue;
-        }
-        if let Some(body) = by_name.get(name) {
-            body.calls(&mut |callee| {
-                if let Some((&k, _)) = by_name.get_key_value(callee) {
-                    if !reachable.contains(k) {
-                        work.push(k);
-                    }
-                }
-            });
-        }
-    }
-
-    for pr in &p.procs {
-        if !reachable.contains(pr.name.as_str()) {
+    for (pr, reached) in p.procs.iter().zip(p.reachable()) {
+        if !reached {
             out.push(warn(&pr.name, format!("unreachable from entry {}", p.entry)));
         }
         if matches!(pr.body, S0Tail::Fail(_)) {
@@ -90,5 +72,29 @@ mod tests {
         // `main`'s own param is exempt (the entry's interface is fixed),
         // and `helper` is reachable.
         assert!(!text.contains("helper: unreachable"), "{text}");
+    }
+
+    #[test]
+    fn a_duplicated_name_resolves_to_its_first_definition() {
+        let call = |callee: &str| S0Tail::TailCall(callee.into(), vec![]);
+        let ret = |n| S0Tail::Return(S0Simple::Const(pe_frontend::ast::Constant::Int(n)));
+        let proc_ = |name: &str, body| S0Proc { name: name.into(), params: vec![], body };
+        let prog = S0Program {
+            entry: "main".into(),
+            procs: vec![
+                proc_("main", call("f")),
+                proc_("f", call("helper")),
+                proc_("f", ret(1)),
+                proc_("helper", ret(2)),
+            ],
+        };
+        let text: Vec<String> = check(&prog).iter().map(ToString::to_string).collect();
+        assert!(text.is_empty(), "{text:?}");
+        let pass1: Vec<String> =
+            crate::wellformed::check(&prog).iter().map(ToString::to_string).collect();
+        assert!(
+            pass1.iter().any(|d| d.contains("f: duplicate procedure definition")),
+            "{pass1:?}"
+        );
     }
 }

@@ -15,7 +15,7 @@ cargo run --release -p realistic-pe --example verify
 # pe-flow translation validation: the whole Gabriel suite is compiled
 # with the flow optimizer off and on, differentially executed on the
 # VM, and every optimized residual must re-pass verification with zero
-# flow lints (the `verify` example above exits non-zero on any).  The
+# arm-lint warnings (the `verify` example above exits non-zero on any).  The
 # --flow report must render and schema-validate its event stream.
 cargo test -q -p realistic-pe --test flow_integration
 cargo run --release -p realistic-pe --example pe-explain -- --flow > /dev/null
@@ -51,10 +51,12 @@ cargo run --release -p realistic-pe --example pe-explain -- --prof > /dev/null
 
 # The offline benchmark harness in quick mode: compiles and times the
 # whole Gabriel suite on every engine (small inputs, few reps) so each
-# CI run checks the harness end to end and leaves BENCH_pe.json behind.
-# --check gates against the committed baseline: large timing multiples
-# or >5% growth in the deterministic size metrics fail the run.
-cargo run --release -p pe-bench -- --quick --check BENCH_baseline.json
+# CI run checks the harness end to end.  Its report goes under target/,
+# so the committed full-mode BENCH_pe.json stays as it is.  --check
+# gates against the committed baseline: large timing multiples or >5%
+# growth in the deterministic size metrics fail the run.
+cargo run --release -p pe-bench -- --quick --out target/BENCH_pe.quick.json \
+    --check BENCH_baseline.json
 
 # The repository benchmark under perfbench/ is a workspace of its own,
 # so the root build and tests above never compile it.  Build and test
@@ -80,9 +82,10 @@ done
 # budget ladder).  Then the fixed-seed quick campaign: 400 generated
 # programs + mutants through the full oracle/chaos/shrink loop —
 # deterministic, <30s, exits non-zero on any panic, value split, or
-# ladder violation, and leaves a schema-validated SIEGE_pe.json behind.
+# ladder violation, and writes a schema-validated report under target/
+# (the committed SIEGE_pe.json is the full-mode soak's).
 cargo run --release -p pe-siege -- --replay
-cargo run --release -p pe-siege -- --quick
+cargo run --release -p pe-siege -- --quick --out target/SIEGE_pe.quick.json
 
 # pe-serve determinism gate: the compile service answers a fixed
 # request mix (suite + seed-pinned generated programs, with duplicates)

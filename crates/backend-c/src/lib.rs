@@ -22,6 +22,14 @@
 //! translation and the garbage collector"; allocation strategy being
 //! orthogonal, the emitted runtime uses a self-contained bump arena
 //! (documented substitution — benchmarks are sized for it).
+//!
+//! Strings and symbols live in C string tables, written with C escapes
+//! (`c_string`), and print as the VM prints them: a string with the
+//! S-expression printer's escapes, a symbol as its bytes, a character
+//! as its UTF-8.  A C string ends at its first NUL byte, so a string or
+//! symbol that contains NUL prints cut short there.  A program that
+//! reads an unbound variable, which the VM refuses to load, becomes a
+//! file that `#error` makes cc refuse.
 
 use pe_core::{S0Program, S0Simple, S0Tail};
 use pe_frontend::ast::{Constant, Prim};
@@ -72,6 +80,10 @@ struct Emitter {
     used: HashMap<String, usize>,
     symbols: Vec<String>,
     strings: Vec<String>,
+    /// Whether a character constant lies outside ASCII.
+    wide_chars: bool,
+    /// Variables read where no parameter binds them, in reading order.
+    unbound: Vec<String>,
     next_temp: usize,
     max_arity: usize,
     elide: bool,
@@ -142,7 +154,10 @@ impl Emitter {
             Constant::Int(n) => format!("rt_int({n}L)"),
             Constant::Bool(true) => "RT_TRUE".to_string(),
             Constant::Bool(false) => "RT_FALSE".to_string(),
-            Constant::Char(c) => format!("rt_char({})", *c as u32),
+            Constant::Char(c) => {
+                self.wide_chars |= !c.is_ascii();
+                format!("rt_char({})", *c as u32)
+            }
             Constant::Nil => "RT_NIL".to_string(),
             Constant::Sym(s) => {
                 let i = self.sym_index(s);
@@ -174,7 +189,10 @@ impl Emitter {
     ) -> String {
         let expr = match s {
             S0Simple::Var(v) => {
-                let i = scope.index[v.as_str()];
+                let Some(&i) = scope.index.get(v.as_str()) else {
+                    self.unbound.push(v.clone());
+                    return "RT_NIL".to_string();
+                };
                 scope.read[i] = true;
                 return format!("p{i}");
             }
@@ -285,7 +303,7 @@ impl Emitter {
                 let _ = writeln!(body, "{pad}goto {l};");
             }
             S0Tail::Fail(m) => {
-                let _ = writeln!(body, "{pad}rt_die({:?});", m);
+                let _ = writeln!(body, "{pad}rt_die({});", c_string(m));
             }
         }
     }
@@ -346,6 +364,8 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
         used: HashMap::new(),
         symbols: Vec::new(),
         strings: Vec::new(),
+        wide_chars: false,
+        unbound: Vec::new(),
         next_temp: 0,
         max_arity: p.procs.iter().map(|q| q.params.len()).max().unwrap_or(0),
         elide: opts.elide_moves,
@@ -411,7 +431,10 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
     }
 
     // Now assemble the file.
-    let mut out = runtime_header(&e.symbols, &e.strings);
+    let mut out = runtime_header(&e.symbols, &e.strings, e.wide_chars);
+    for v in &e.unbound {
+        let _ = writeln!(out, "#error {}", c_string(&format!("unbound variable {v}")));
+    }
     let _ = writeln!(out, "/* global parameter variables (§5.1) */");
     for i in 0..e.max_arity.max(args.len()) {
         let _ = writeln!(out, "static Obj *g{i};");
@@ -432,7 +455,30 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
     CProgram { source: out, moves_elided: e.moves_elided }
 }
 
-fn runtime_header(symbols: &[String], strings: &[String]) -> String {
+/// `s` as a C string literal: `"`, `\`, newline, tab and carriage
+/// return as their C escapes, every other byte outside printable ASCII
+/// as a three-digit octal escape.
+fn c_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for b in s.bytes() {
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            b' '..=b'~' => out.push(char::from(b)),
+            _ => {
+                let _ = write!(out, "\\{b:03o}");
+            }
+        }
+    }
+    out.push('"');
+    out
+}
+
+fn runtime_header(symbols: &[String], strings: &[String], wide_chars: bool) -> String {
     let mut h = String::from(
         r#"/* generated by pe-backend-c — S0-to-C translation (Sperber/Thiemann §5.1) */
 #include <limits.h>
@@ -461,12 +507,14 @@ static Obj rt_ints[272];
     );
     // A table, and its print case, exists only when it has entries: a
     // program without symbols (strings) has no object to print from it,
-    // and `printf("%s")` on a sentinel-only table warns at -O2.
+    // and `printf("%s")` on a sentinel-only table warns at -O2.  So do
+    // the string printer and the UTF-8 character printer, which only
+    // programs with strings (characters outside ASCII) need.
     let mut print_tables = String::new();
     if !symbols.is_empty() {
         let _ = writeln!(h, "static const char *rt_symbols[] = {{");
         for s in symbols {
-            let _ = writeln!(h, "  {s:?},");
+            let _ = writeln!(h, "  {},", c_string(s));
         }
         let _ = writeln!(h, "}};");
         let objs: Vec<String> = (0..symbols.len()).map(|i| format!("{{T_SYM, {{{i}}}}}")).collect();
@@ -476,12 +524,37 @@ static Obj rt_ints[272];
     if !strings.is_empty() {
         let _ = writeln!(h, "static const char *rt_strings[] = {{");
         for s in strings {
-            let _ = writeln!(h, "  {s:?},");
+            let _ = writeln!(h, "  {},", c_string(s));
         }
         let _ = writeln!(h, "}};");
-        print_tables
-            .push_str("    case T_STR: printf(\"%c%s%c\", 34, rt_strings[o->u.i], 34); break;\n");
+        h.push_str(
+            r#"static void rt_print_str(const char *s) {
+  putchar('"');
+  for (; *s; s++) {
+    if (*s == '"' || *s == '\\') putchar('\\');
+    if (*s == '\n') fputs("\\n", stdout); else putchar(*s);
+  }
+  putchar('"');
+}
+"#,
+        );
+        print_tables.push_str("    case T_STR: rt_print_str(rt_strings[o->u.i]); break;\n");
     }
+    let print_char = if wide_chars {
+        h.push_str(
+            r##"static void rt_print_char(unsigned long c) {
+  static const int lead[] = {0, 0xC0, 0xE0, 0xF0};
+  int n = c < 0x80 ? 0 : c < 0x800 ? 1 : c < 0x10000 ? 2 : 3;
+  fputs("#\\", stdout);
+  putchar(lead[n] | c >> 6 * n);
+  while (n--) putchar(0x80 | (c >> 6 * n & 0x3F));
+}
+"##,
+        );
+        "rt_print_char(o->u.i)"
+    } else {
+        "printf(\"#\\\\%c\", (char)o->u.i)"
+    };
     let _ = write!(
         h,
         r##"
@@ -600,7 +673,7 @@ static void rt_print(Obj *o) {{
   switch (o->tag) {{
     case T_INT: printf("%ld", o->u.i); break;
     case T_BOOL: printf(o->u.i ? "#t" : "#f"); break;
-    case T_CHAR: printf("#\\%c", (char)o->u.i); break;
+    case T_CHAR: {print_char}; break;
     case T_NIL: printf("()"); break;
 {print_tables}    case T_CLO: printf("#<procedure %ld>", o->u.clo.label); break;
     case T_PAIR: {{
@@ -824,6 +897,41 @@ mod tests {
         if cc_available() {
             assert_eq!(run_c(&c, "dead-param"), "1");
         }
+    }
+
+    #[test]
+    fn an_unbound_variable_is_a_cc_error() {
+        use pe_core::{S0Proc, S0Program};
+        // The VM refuses to load this program; the emitted file carries
+        // an `#error` that makes cc refuse it too.
+        let p = S0Program {
+            entry: "main".into(),
+            procs: vec![S0Proc {
+                name: "main".into(),
+                params: vec!["x".into()],
+                body: S0Tail::Return(S0Simple::Var("y".into())),
+            }],
+        };
+        let c = emit_c(&p, &[Datum::Int(1)], &COptions::default());
+        assert!(c.source.contains("\n#error \"unbound variable y\"\n"), "{}", c.source);
+        if cc_available() {
+            let dir =
+                std::env::temp_dir().join(format!("pe-backend-c-unbound-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let src = dir.join("prog.c");
+            std::fs::write(&src, &c.source).unwrap();
+            let out =
+                Command::new("cc").arg("-fsyntax-only").arg(&src).output().expect("cc runs");
+            let _ = std::fs::remove_dir_all(&dir);
+            assert!(!out.status.success());
+            assert!(String::from_utf8_lossy(&out.stderr).contains("unbound variable y"));
+        }
+    }
+
+    #[test]
+    fn c_string_escapes_what_c_cannot_hold_raw() {
+        assert_eq!(c_string("a\"b\\c\nd\te\rf"), r#""a\"b\\c\nd\te\rf""#);
+        assert_eq!(c_string("\u{1}\u{7f}é"), r#""\001\177\303\251""#);
     }
 
     #[test]

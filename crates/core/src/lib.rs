@@ -276,15 +276,10 @@ mod tests {
 
     type R = Result<(), Box<dyn std::error::Error>>;
 
-    /// Asserts the flow verifier finds no errors in a residual program.
+    /// Asserts the well-formedness check finds nothing in a residual
+    /// program.
     fn assert_flow_clean(s0: &S0Program) {
-        let mut fuel = Fuel::new(&pe_governor::Limits::default());
-        let sa = pe_flow::slots::analyze(s0, &mut fuel).expect("label analysis in budget");
-        let diags = pe_flow::check(s0, &sa, &mut fuel).expect("flow check in budget");
-        let errs: Vec<_> = diags
-            .iter()
-            .filter(|d| d.severity == pe_flow::FlowSeverity::Error)
-            .collect();
+        let errs = pe_flow::check(s0);
         assert!(errs.is_empty(), "ill-formed residual program: {errs:?}\n{s0}");
     }
 

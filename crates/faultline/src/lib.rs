@@ -523,8 +523,8 @@ mod tests {
 
     #[test]
     fn flow_optimizer_respects_the_governor() -> R {
-        // A real residual (closures, dispatch, prunable slots) as the
-        // optimization subject.
+        // A real residual (closures, dispatch arms) as the optimization
+        // subject.
         let src = "(define (append x y) (cps-append x y (lambda (v) v)))
                    (define (cps-append x y c)
                      (if (null? x) (c y)

@@ -11,13 +11,15 @@
 //!
 //! * [`liveness`] — the interprocedural parameter-liveness fixpoint;
 //! * [`constprop`] — interprocedural copy/constant propagation;
-//! * [`slots`] — closure-label analysis: slot usage, escape pinning,
-//!   dispatch-arm decidability;
+//! * [`slots`] — closure-label analysis: the labels that can reach each
+//!   parameter, each label's fewest captures, dispatch-arm
+//!   decidability;
 //! * [`opt`] — the residual optimizer: Unmix-style syntactic
 //!   post-processing ([`postprocess`]) plus the flow passes
 //!   ([`optimize`]);
-//! * [`check`](mod@check) — flow-based verification lints (definite binding,
-//!   dispatch-arm reachability, dead closure slots).
+//! * [`check`](mod@check) — the well-formedness check (entry, unique
+//!   names and parameters, binding, call and primitive arity) that
+//!   pe-verify reports as its pass 1.
 //!
 //! The crate sits *below* pe-core: the specializer post-processes and
 //! verifies through these analyses — `pe_core::run` times
@@ -139,5 +141,5 @@ mod cfg {
     }
 }
 
-pub use check::{check, FlowDiag, FlowSeverity};
+pub use check::{check, FlowDiag};
 pub use opt::{optimize, optimize_with, postprocess, FlowOptions, FlowStats};

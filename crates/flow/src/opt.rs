@@ -587,7 +587,6 @@ fn rewrite_calls(t: &S0Tail, f: &mut impl FnMut(&str, &[S0Simple]) -> S0Tail) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::{check, FlowSeverity};
     use pe_frontend::ast::Constant;
     use pe_frontend::Prim;
 
@@ -603,12 +602,9 @@ mod tests {
         Fuel::new(&Limits::default())
     }
 
-    /// The flow verifier must report no errors on the program.
+    /// The well-formedness check must find nothing in the program.
     fn assert_wellformed(q: &S0Program) {
-        let sa = crate::slots::analyze(q, &mut fuel()).unwrap();
-        let diags = check(q, &sa, &mut fuel()).unwrap();
-        let errs: Vec<_> =
-            diags.iter().filter(|d| d.severity == FlowSeverity::Error).collect();
+        let errs = crate::check(q);
         assert!(errs.is_empty(), "{errs:?}\n{q}");
     }
 

@@ -1,39 +1,27 @@
-//! Closure-label analysis: slot usage, escape pinning, dispatch-arm
-//! decidability.
+//! Closure-label analysis: which labels reach each parameter, how many
+//! values each label captures, which dispatch arms are decidable.
 //!
 //! Residual S₀ programs represent closures as flat vectors
 //! (`make-closure ℓ v₀ … vₙ`) read by constant index
-//! (`closure-freeval c i`).  [`analyze`] answers "which labels can reach
-//! each value, and which slots of each label are ever read?":
+//! (`closure-freeval c i`).  [`analyze`] computes two facts:
 //!
 //! 1. an interprocedural *label* analysis assigns every parameter an
 //!    abstract closure value — a may-set of labels plus an `other` bit
 //!    for non-closure (or unknown-provenance) values — refined inside
 //!    dispatch arms (`(eq? ℓ (closure-label c))` pins `c` to `{ℓ}` in
 //!    the then-branch and removes `ℓ` in the else-branch);
-//! 2. a collection pass records, per label: allocation sites, slots
-//!    read at *definite* freeval sites, and **pins** — labels whose
-//!    closures escape the call graph (into primitive arguments, other
-//!    closures' captures, or a `Return`), labels with inconsistent
-//!    capture arity, and labels read at indeterminate sites.  A pinned
-//!    label has no droppable slot: an escaped closure can come back as
-//!    an `other` value and be read at sites the analysis cannot tie to
-//!    its label.  Labels co-read at one freeval site form an
-//!    equivalence class and share one set of droppable slots;
-//! 3. [`SlotAnalysis::prune`] lists, per unpinned class, the unread
-//!    capture slots whose every argument is effect-free.  pe-flow's
-//!    dead-slot lint reports them; no pass rewrites them, because The
-//!    Trick's dispatch arms read every slot of an applied closure, so
-//!    pipeline residuals have none to drop.
+//! 2. per allocated label, the fewest values any of its `make-closure`
+//!    sites captures ([`SlotAnalysis::min_captures`]), one plain walk
+//!    over the bodies.
 //!
-//! The same label analysis powers [`fold_arms`]: a dispatch arm whose
-//! test can be decided from the subject's label set alone is folded to
-//! the surviving branch (only for variable subjects, whose test cannot
-//! fault once the subject is known to be a closure).  pe-verify's
-//! closure-shape and flow passes read it too, through [`analyze`] and
-//! [`eval`].
+//! Three readers use them.  [`fold_arms`] folds a dispatch arm whose
+//! test can be decided from the subject's label set alone to the
+//! surviving branch (only for variable subjects, whose test cannot
+//! fault once the subject is known to be a closure); pe-verify's pass 6
+//! reports the arms it would fold ([`arm_findings`]); and pe-verify's
+//! pass 2 checks `closure-freeval` indices and dispatch chains against
+//! the shapes through [`eval`].
 
-use crate::opt::is_effect_free;
 use crate::s0::{S0Program, S0Simple, S0Tail};
 use pe_governor::{Fuel, Trap};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -124,7 +112,7 @@ fn walk_refined<'p>(
     }
 }
 
-/// Everything arm folding, the flow lints and verify's closure-shape
+/// Everything arm folding, pass 6's arm lint and verify's closure-shape
 /// pass need to know.
 #[derive(Debug, Clone)]
 pub struct SlotAnalysis {
@@ -132,47 +120,11 @@ pub struct SlotAnalysis {
     /// name's first definition.
     pub shapes: HashMap<String, Vec<AbsVal>>,
     /// Per allocated label, the fewest values any of its allocation
-    /// sites captures: its capture arity when every site agrees (else
-    /// the label is pinned).
+    /// sites captures.
     pub min_captures: BTreeMap<u32, usize>,
-    /// Slots read (possibly) per label, across all definite sites.
-    pub used: BTreeMap<u32, BTreeSet<usize>>,
-    /// Labels whose capture slots may not be dropped.
-    pub pinned: BTreeSet<u32>,
-    /// Slots droppable per label: unread, unpinned class, effect-free
-    /// arguments at every allocation site.  Sorted ascending.
-    pub prune: BTreeMap<u32, Vec<usize>>,
 }
 
-/// Union-find over labels.
-struct Classes {
-    parent: HashMap<u32, u32>,
-}
-
-impl Classes {
-    fn new() -> Classes {
-        Classes { parent: HashMap::new() }
-    }
-
-    fn find(&mut self, l: u32) -> u32 {
-        let p = *self.parent.entry(l).or_insert(l);
-        if p == l {
-            return l;
-        }
-        let r = self.find(p);
-        self.parent.insert(l, r);
-        r
-    }
-
-    fn union(&mut self, a: u32, b: u32) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent.insert(ra, rb);
-        }
-    }
-}
-
-/// Runs the label fixpoint plus the usage/escape collection.
+/// Runs the label fixpoint, then records each label's fewest captures.
 ///
 /// # Errors
 ///
@@ -207,150 +159,34 @@ pub fn analyze(p: &S0Program, fuel: &mut Fuel) -> Result<SlotAnalysis, Trap> {
             break;
         }
     }
-    // Collection: sites, arities, usage, pins, co-occurrence classes.
-    let mut sites: BTreeMap<u32, Vec<Vec<S0Simple>>> = BTreeMap::new();
-    let mut min_captures: BTreeMap<u32, usize> = BTreeMap::new();
-    let mut used: BTreeMap<u32, BTreeSet<usize>> = BTreeMap::new();
-    let mut pinned: BTreeSet<u32> = BTreeSet::new();
-    let mut classes = Classes::new();
+    let mut min_captures = BTreeMap::new();
     for q in &p.procs {
         fuel.step()?;
-        let env = param_env(q, &shapes);
-        walk_refined(&q.body, &env, &mut Vec::new(), &mut |t, refines| {
-            let mut scan = Scan {
-                env: &env,
-                refines,
-                sites: &mut sites,
-                used: &mut used,
-                pinned: &mut pinned,
-                classes: &mut classes,
-            };
+        for t in crate::cfg::nodes(&q.body) {
             match t {
-                S0Tail::Return(s) => scan.simple(s, true),
-                S0Tail::If(c, _, _) => scan.simple(c, false),
+                S0Tail::Return(s) | S0Tail::If(s, _, _) => record_sites(s, &mut min_captures),
                 S0Tail::TailCall(_, args) => {
-                    args.iter().for_each(|a| scan.simple(a, false));
+                    args.iter().for_each(|a| record_sites(a, &mut min_captures));
                 }
                 S0Tail::Fail(_) => {}
             }
-        });
-    }
-    for (l, ss) in &sites {
-        let n = ss.iter().map(Vec::len).min().unwrap_or(0);
-        if ss.iter().any(|s| s.len() != n) {
-            pinned.insert(*l);
-        }
-        min_captures.insert(*l, n);
-    }
-    // Close pins over classes, then decide droppable slots per class.
-    let mut roots: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-    let all_labels: BTreeSet<u32> = sites
-        .keys()
-        .copied()
-        .chain(pinned.iter().copied())
-        .chain(used.keys().copied())
-        .collect();
-    for l in &all_labels {
-        roots.entry(classes.find(*l)).or_default().push(*l);
-    }
-    let mut prune: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-    for members in roots.values() {
-        if members.iter().any(|l| pinned.contains(l)) {
-            pinned.extend(members.iter().copied());
-            continue;
-        }
-        // Every member needs a known, shared arity.
-        let Some(&n) = members.first().and_then(|l| min_captures.get(l)) else {
-            pinned.extend(members.iter().copied());
-            continue;
-        };
-        if members.iter().any(|l| min_captures.get(l) != Some(&n)) {
-            pinned.extend(members.iter().copied());
-            continue;
-        }
-        let mut class_used: BTreeSet<usize> = BTreeSet::new();
-        for l in members {
-            if let Some(u) = used.get(l) {
-                class_used.extend(u.iter().copied());
-            }
-        }
-        let droppable: Vec<usize> = (0..n)
-            .filter(|j| {
-                !class_used.contains(j)
-                    && members.iter().all(|l| {
-                        sites.get(l).is_none_or(|ss| {
-                            ss.iter().all(|args| is_effect_free(&args[*j]))
-                        })
-                    })
-            })
-            .collect();
-        if !droppable.is_empty() {
-            for l in members {
-                prune.insert(*l, droppable.clone());
-            }
         }
     }
-    Ok(SlotAnalysis { shapes, min_captures, used, pinned, prune })
+    Ok(SlotAnalysis { shapes, min_captures })
 }
 
-/// The escape/usage scanner for one simple expression.
-struct Scan<'a, 'b> {
-    env: &'a Env<'b>,
-    refines: &'a Refinements,
-    sites: &'a mut BTreeMap<u32, Vec<Vec<S0Simple>>>,
-    used: &'a mut BTreeMap<u32, BTreeSet<usize>>,
-    pinned: &'a mut BTreeSet<u32>,
-    classes: &'a mut Classes,
-}
-
-impl Scan<'_, '_> {
-    fn pin_val(&mut self, v: &AbsVal) {
-        self.pinned.extend(v.labels.iter().copied());
-    }
-
-    /// `escapes` is true when the expression's *value* leaves the
-    /// tracked world (primitive argument, capture, return value).
-    fn simple(&mut self, e: &S0Simple, escapes: bool) {
-        match e {
-            S0Simple::Var(_) => {
-                if escapes {
-                    let v = eval(e, self.env, self.refines);
-                    self.pin_val(&v);
-                }
-            }
-            S0Simple::Const(_) => {}
-            S0Simple::Prim(_, args) => {
-                args.iter().for_each(|a| self.simple(a, true));
-            }
-            S0Simple::MakeClosure(l, args) => {
-                if escapes {
-                    self.pinned.insert(*l);
-                }
-                self.sites.entry(*l).or_default().push(args.clone());
-                args.iter().for_each(|a| self.simple(a, true));
-            }
-            // Reading the label does not leak the closure itself.
-            S0Simple::ClosureLabel(a) => self.simple(a, false),
-            S0Simple::ClosureFreeval(a, i) => {
-                self.simple(a, false);
-                let v = eval(a, self.env, self.refines);
-                if v.other {
-                    // The subject may be an escaped (hence pinned)
-                    // closure; pin the known labels too — this site
-                    // cannot be renumbered for them.
-                    self.pin_val(&v);
-                } else {
-                    let mut prev: Option<u32> = None;
-                    for l in &v.labels {
-                        self.used.entry(*l).or_default().insert(*i);
-                        if let Some(q) = prev {
-                            self.classes.union(q, *l);
-                        }
-                        prev = Some(*l);
-                    }
-                }
-            }
+/// Lowers each label's entry in `min` to the captures of every
+/// `make-closure` site in `s`.
+fn record_sites(s: &S0Simple, min: &mut BTreeMap<u32, usize>) {
+    match s {
+        S0Simple::Var(_) | S0Simple::Const(_) => {}
+        S0Simple::MakeClosure(l, args) => {
+            let n = min.entry(*l).or_insert(args.len());
+            *n = (*n).min(args.len());
+            args.iter().for_each(|a| record_sites(a, min));
         }
+        S0Simple::Prim(_, args) => args.iter().for_each(|a| record_sites(a, min)),
+        S0Simple::ClosureLabel(a) | S0Simple::ClosureFreeval(a, _) => record_sites(a, min),
     }
 }
 
@@ -506,10 +342,11 @@ mod tests {
         )
     }
 
-    /// main allocates (make-closure 3 a b) and hands it to k; k reads
-    /// only slot 1, so slot 0 is droppable.
-    fn program_with_dead_slot() -> S0Program {
-        S0Program {
+    #[test]
+    fn min_captures_is_the_fewest_of_any_site() {
+        // Label 3 is allocated with two captures and, nested in a
+        // capture of label 5 under a primitive, with one.
+        let p = S0Program {
             entry: "main".into(),
             procs: vec![
                 S0Proc {
@@ -523,66 +360,22 @@ mod tests {
                 S0Proc {
                     name: "k".into(),
                     params: vec!["c".into()],
-                    body: S0Tail::Return(S0Simple::ClosureFreeval(Box::new(var("c")), 1)),
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn dead_slot_is_droppable() {
-        let sa = analyze(&program_with_dead_slot(), &mut fuel()).unwrap();
-        assert_eq!(sa.used[&3], std::iter::once(1).collect());
-        assert_eq!(sa.prune, BTreeMap::from([(3, vec![0])]));
-    }
-
-    #[test]
-    fn escaping_closures_are_pinned() {
-        // The closure is consed into a pair: it escapes, nothing is
-        // pruned even though no slot is read.
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![S0Proc {
-                name: "main".into(),
-                params: vec!["a".into()],
-                body: S0Tail::Return(S0Simple::Prim(
-                    Prim::Cons,
-                    vec![S0Simple::MakeClosure(7, vec![var("a")]), kint(0)],
-                )),
-            }],
-        };
-        let sa = analyze(&p, &mut fuel()).unwrap();
-        assert!(sa.pinned.contains(&7));
-        assert!(sa.prune.is_empty(), "{:?}", sa.prune);
-    }
-
-    #[test]
-    fn non_effect_free_captures_stay() {
-        // Slot 0 is dead but its argument (car a) can fault.
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                S0Proc {
-                    name: "main".into(),
-                    params: vec!["a".into()],
-                    body: S0Tail::TailCall(
-                        "k".into(),
-                        vec![S0Simple::MakeClosure(
-                            1,
-                            vec![S0Simple::Prim(Prim::Car, vec![var("a")]), var("a")],
-                        )],
-                    ),
-                },
-                S0Proc {
-                    name: "k".into(),
-                    params: vec!["c".into()],
-                    body: S0Tail::Return(S0Simple::ClosureFreeval(Box::new(var("c")), 1)),
+                    body: S0Tail::Return(S0Simple::Prim(
+                        Prim::Cons,
+                        vec![
+                            S0Simple::MakeClosure(
+                                5,
+                                vec![S0Simple::MakeClosure(3, vec![var("c")])],
+                            ),
+                            S0Simple::ClosureFreeval(Box::new(var("c")), 1),
+                        ],
+                    )),
                 },
             ],
         };
         let sa = analyze(&p, &mut fuel()).unwrap();
-        assert!(sa.used[&1].contains(&1));
-        assert!(sa.prune.is_empty(), "{:?}", sa.prune);
+        assert_eq!(sa.min_captures, BTreeMap::from([(3, 1), (5, 1)]));
+        assert_eq!(sa.shapes["k"], [AbsVal::of_label(3)]);
     }
 
     #[test]
@@ -652,55 +445,5 @@ mod tests {
         let (q, n) = fold_arms(p, &mut fuel()).unwrap();
         assert_eq!(n, 1);
         assert!(matches!(&q.proc("k").unwrap().body, S0Tail::Return(_)));
-    }
-
-    #[test]
-    fn multi_label_subjects_share_a_prune_class() {
-        // Two labels reach the same freeval site with different dead
-        // slots; the class intersection leaves nothing to prune unless
-        // both agree.  Label 1 uses slot 0, label 2 uses slot 1 — the
-        // shared site reads both, so nothing is droppable.
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                S0Proc {
-                    name: "main".into(),
-                    params: vec!["a".into(), "t".into()],
-                    body: S0Tail::If(
-                        var("t"),
-                        Box::new(S0Tail::TailCall(
-                            "k".into(),
-                            vec![S0Simple::MakeClosure(1, vec![var("a"), kint(0)])],
-                        )),
-                        Box::new(S0Tail::TailCall(
-                            "k".into(),
-                            vec![S0Simple::MakeClosure(2, vec![kint(0), var("a")])],
-                        )),
-                    ),
-                },
-                S0Proc {
-                    name: "k".into(),
-                    params: vec!["c".into()],
-                    body: S0Tail::If(
-                        dispatch("c", 1),
-                        Box::new(S0Tail::Return(S0Simple::ClosureFreeval(
-                            Box::new(var("c")),
-                            0,
-                        ))),
-                        Box::new(S0Tail::Return(S0Simple::ClosureFreeval(
-                            Box::new(var("c")),
-                            1,
-                        ))),
-                    ),
-                },
-            ],
-        };
-        let sa = analyze(&p, &mut fuel()).unwrap();
-        // Refinement separates the sites: label 1 only reads slot 0,
-        // label 2 (the else arm) only reads slot 1.
-        assert_eq!(sa.used[&1], std::iter::once(0).collect());
-        assert_eq!(sa.used[&2], std::iter::once(1).collect());
-        // Each label can therefore drop its own dead slot.
-        assert_eq!(sa.prune, BTreeMap::from([(1, vec![1]), (2, vec![0])]));
     }
 }

@@ -146,7 +146,7 @@ impl<C: fmt::Debug> fmt::Display for Value<C> {
             Value::Bool(true) => write!(f, "#t"),
             Value::Bool(false) => write!(f, "#f"),
             Value::Char(c) => write!(f, "#\\{c}"),
-            Value::Str(s) => write!(f, "{s:?}"),
+            Value::Str(s) => write!(f, "{}", pe_sexpr::Sexpr::Str(s.clone())),
             Value::Sym(s) => write!(f, "{s}"),
             Value::Nil => write!(f, "()"),
             Value::Pair(_) => {

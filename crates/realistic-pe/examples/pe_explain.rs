@@ -22,8 +22,8 @@
 //!
 //! With `--flow`, a per-benchmark section reports the `pe-flow`
 //! optimizer's counters (copies propagated, dead bindings removed,
-//! closure slots pruned, dispatch arms folded, global-parameter moves
-//! elided by the C emitter, and residual CFG size).  The underlying
+//! dispatch arms folded, global-parameter moves elided by the C
+//! emitter, and residual CFG size).  The underlying
 //! event stream is validated against the JSONL schema before the
 //! section is rendered.
 //!

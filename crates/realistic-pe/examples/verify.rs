@@ -32,7 +32,7 @@ fn show(what: &str, report: &Report) -> usize {
     report.error_count()
 }
 
-/// The flow lints mirror the flow optimizer, so *optimized* pipeline
+/// The arm lint mirrors the flow optimizer, so *optimized* pipeline
 /// output must carry zero flow-pass warnings: any that remain mean an
 /// optimization silently failed to run.  Treat them as errors.
 fn flow_strict(what: &str, report: &Report) -> usize {

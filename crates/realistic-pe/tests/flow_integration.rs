@@ -10,8 +10,7 @@
 //!    identical to the unoptimized one on every benchmark;
 //! 2. **verification** — the optimized program still passes every
 //!    pe-verify pass, with zero flow-pass *warnings* (the arm lint
-//!    mirrors the optimizer's folding, and The Trick leaves no dead
-//!    capture slot);
+//!    mirrors the optimizer's folding);
 //! 3. **size** — optimization never grows a residual, and shrinks at
 //!    least one benchmark (S₀ nodes and emitted C bytes).
 

@@ -219,23 +219,27 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads a string literal.  Its bytes are collected and decoded
+    /// once: an escape inserts an ASCII byte (`\n`, `\t`, or the
+    /// escaped byte itself), so a multi-byte character passes through
+    /// whole and the bytes stay the UTF-8 of the source.
     fn read_string(&mut self) -> Result<Sexpr, ReadError> {
         self.bump(); // consume '"'
-        let mut s = String::new();
+        let mut bytes = Vec::new();
         loop {
             match self.bump() {
                 None => return Err(self.err(ReadErrorKind::UnterminatedString)),
                 Some(b'"') => {
                     self.charge()?;
-                    return Ok(Sexpr::Str(s.into()));
+                    return Ok(Sexpr::Str(String::from_utf8_lossy(&bytes).into()));
                 }
                 Some(b'\\') => match self.bump() {
                     None => return Err(self.err(ReadErrorKind::UnterminatedString)),
-                    Some(b'n') => s.push('\n'),
-                    Some(b't') => s.push('\t'),
-                    Some(b) => s.push(b as char),
+                    Some(b'n') => bytes.push(b'\n'),
+                    Some(b't') => bytes.push(b'\t'),
+                    Some(b) => bytes.push(b),
                 },
-                Some(b) => s.push(b as char),
+                Some(b) => bytes.push(b),
             }
         }
     }
@@ -257,10 +261,14 @@ impl<'a> Reader<'a> {
             Some(b'\\') => {
                 self.bump();
                 let tok_start = self.offset;
-                // A character token is at least one character long; named
-                // characters extend while alphabetic.
-                if self.bump().is_none() {
+                // A character token is at least one character long, all
+                // of whose bytes it takes; named characters extend while
+                // alphabetic.
+                let Some(first) = self.src[tok_start..].chars().next() else {
                     return Err(ReadError { pos: start, kind: ReadErrorKind::UnexpectedEof });
+                };
+                for _ in 0..first.len_utf8() {
+                    self.bump();
                 }
                 while self.peek().is_some_and(|b| b.is_ascii_alphanumeric() || b == b'-') {
                     self.bump();
@@ -433,6 +441,11 @@ mod tests {
         assert_eq!(read_one("#\\space")?, Sexpr::Char(' '));
         assert_eq!(read_one("#\\newline")?, Sexpr::Char('\n'));
         assert_eq!(read_one("#\\0")?, Sexpr::Char('0'));
+        assert_eq!(read_one("#\\é")?, Sexpr::Char('é'));
+        assert_eq!(
+            read("(#\\λ #\\→)")?,
+            vec![Sexpr::list_of([Sexpr::Char('λ'), Sexpr::Char('→')])]
+        );
         Ok(())
     }
 
@@ -441,6 +454,7 @@ mod tests {
         assert_eq!(read_one("\"hi\"")?, Sexpr::Str("hi".into()));
         assert_eq!(read_one("\"a\\\"b\"")?, Sexpr::Str("a\"b".into()));
         assert_eq!(read_one("\"a\\nb\"")?, Sexpr::Str("a\nb".into()));
+        assert_eq!(read_one("\"é\\λ\"")?, Sexpr::Str("éλ".into()));
         Ok(())
     }
 

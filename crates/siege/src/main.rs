@@ -8,8 +8,9 @@
 //! ```
 //!
 //! Exit status: 0 on a clean run, 1 when any finding survived, 2 on
-//! usage or I/O errors.  Every mode writes `SIEGE_pe.json` (validated
-//! against the pe-trace stream schema) to the working directory.
+//! usage or I/O errors.  Every mode but `--replay` writes a report
+//! (validated against the pe-trace stream schema) to `--out`, by
+//! default `SIEGE_pe.json` in the working directory.
 
 use pe_siege::{report, run_siege, SiegeConfig};
 use std::path::PathBuf;

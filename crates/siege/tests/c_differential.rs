@@ -350,3 +350,44 @@ fn scalar_edge_cases_agree_with_the_vm() {
         }
     }
 }
+
+#[test]
+fn text_edge_cases_agree_with_the_vm() {
+    if !cc_available() {
+        eprintln!("cc not available; skipping");
+        return;
+    }
+    // Strings, symbols and characters that the C tables must hold with
+    // C escapes and the C must print as the VM does: a tab, quotes, a
+    // backslash, a newline, control characters and non-ASCII text.  NUL
+    // is left out: a C string ends at it.
+    let text = "(define (f s)
+                  (cons s (cons \"tab\\there \\\"q\\\" back\\\\slash\\nline \u{1}\u{7f}\u{2028} é\"
+                    (cons 'sym\u{7f}λ '()))))";
+    let chars = "(define (g c) (cons c (cons #\\é (cons #\\→ (cons #\\a '())))))";
+    let cases = || {
+        vec![
+            Case::new("text", text, "f", &["\"λ\\\"\""]),
+            Case::new("chars", chars, "g", &["#\\λ"]),
+        ]
+    };
+    let results = check(cases, "text");
+    assert_no_split(&results);
+    let expected = [
+        "(\"λ\\\"\" \"tab\there \\\"q\\\" back\\\\slash\\nline \u{1}\u{7f}\u{2028} é\" sym\u{7f}λ)",
+        "(#\\λ #\\é #\\→ #\\a)",
+    ];
+    for ((case, verdict), want) in results.iter().zip(expected) {
+        assert_eq!(
+            case.expect,
+            Expect::Value(want.to_string()),
+            "{}",
+            case.name
+        );
+        assert!(
+            matches!(verdict, Verdict::Agree),
+            "{}: {verdict:?}",
+            case.name
+        );
+    }
+}

@@ -5,6 +5,8 @@
 //!   and keeps its meaning on the S₀ evaluator, both on raw residuals
 //!   and on post-processed ones (what the pipeline hands it, where the
 //!   Fig. 8 programs' decidable dispatch arms are);
+//! * constant propagation keeps no constant that two call sites
+//!   disagree on (a pinned generated program);
 //! * a starved fuel budget traps instead of looping or returning a
 //!   program;
 //! * dead-parameter analysis never names a parameter its body reads
@@ -13,8 +15,9 @@
 mod common;
 
 use common::{desugared, for_programs, generated};
-use pe_core::{compile, eval, CompileOptions, S0Program, S0Tail};
+use pe_core::{compile, eval, CompileOptions, GenStrategy, S0Program, S0Tail};
 use pe_governor::{Fuel, Limits};
+use pe_interp::Datum;
 use pe_siege::Case;
 use realistic_pe::suite;
 use std::cell::Cell;
@@ -84,6 +87,47 @@ fn optimize_preserves_meaning(postprocess: bool) {
         }
     });
     assert!(rewrites.get() > 0, "the optimizer never fired (postprocess: {postprocess})");
+}
+
+/// A generated program (`gen_case` on the stream `generated` draws from
+/// `Rng::new(2)`, case 214).  Its raw residual passes `'(1 2)` and
+/// `'()` to one parameter of `p1` from two call sites, and its own
+/// arguments `(5 3)` take only the first.
+const DISAGREEING_SITES: &str = "(define (main a0 a1)
+  (p1
+    (if (zero? 5) (quote (1 2)) (quote ()))
+    (if (< 1 a0) (quote (1 2)) (quote ()))))
+(define (p0 x00)
+  (if (< x00 1)
+    (cons (quote ()) (cons (quote (k 4)) (quote (5 a 0))))
+    (p0 (sub1 x00))))
+(define (p1 x10 x11)
+  (if (null? x10) x11 (p1 (cdr x10) (cons x11 (quote (1 a 3))))))
+(define (apply1 f x) (f x))
+(define (twice f x) (f (f x)))";
+
+#[test]
+fn disagreeing_constants_stay_dynamic() {
+    realistic_pe::with_big_stack(|| {
+        let lim = Limits::builder().with_fuel(1_000_000).build();
+        for strategy in [GenStrategy::Offline, GenStrategy::Online] {
+            let opts = CompileOptions {
+                strategy,
+                postprocess: false,
+                flow: false,
+                ..CompileOptions::default()
+            };
+            let s0 = compile(&desugared(DISAGREEING_SITES), "main", &opts).expect("compiles");
+            let (opt, _) = pe_flow::optimize(s0.clone(), &mut Fuel::new(&Limits::default()))
+                .expect("optimizes in budget");
+            for a0 in [0, 5] {
+                let args = [Datum::Int(a0), Datum::Int(3)];
+                let want = eval::run(&s0, &args, lim).expect("the residual runs");
+                let got = eval::run(&opt, &args, lim).expect("the optimized residual runs");
+                assert_eq!(got, want, "{strategy:?}, a0 = {a0}:\n{opt}");
+            }
+        }
+    });
 }
 
 #[test]

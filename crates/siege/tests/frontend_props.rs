@@ -33,14 +33,18 @@ const TREES: usize = 2_000;
 /// Characters a symbol may start with; later ones may also be digits.
 const SYMBOL_START: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ!?*+<=>_-";
 
-/// A printable-ASCII string of up to `max` characters, with newlines
-/// when `newline` is set.
+/// Characters beyond ASCII that strings and character literals draw.
+const WIDE: [char; 3] = ['é', 'λ', '→'];
+
+/// A string of up to `max` characters drawn from printable ASCII and
+/// [`WIDE`], with newlines when `newline` is set.
 fn text(rng: &mut Rng, max: u64, newline: bool) -> String {
-    let alphabet = if newline { 96 } else { 95 };
+    let alphabet = 95 + WIDE.len() as u64 + u64::from(newline);
     (0..rng.below(max + 1))
         .map(|_| match rng.below(alphabet) {
-            95 => '\n',
-            c => char::from(b' ' + c as u8),
+            c @ 0..=94 => char::from(b' ' + c as u8),
+            c if c < 95 + WIDE.len() as u64 => WIDE[c as usize - 95],
+            _ => '\n',
         })
         .collect()
 }
@@ -73,7 +77,7 @@ fn sexpr(rng: &mut Rng, depth: u32) -> Sexpr {
         1 => Sexpr::Bool(rng.chance(2)),
         2 => Sexpr::Sym(symbol(rng).into()),
         3 => Sexpr::Str(text(rng, 12, false).into()),
-        _ => Sexpr::Char(*rng.pick(&['a', 'Z', '0', ' ', '\n'])),
+        _ => Sexpr::Char(*rng.pick(&['a', 'Z', '0', ' ', '\n', 'é', 'λ', '→'])),
     }
 }
 

@@ -1,42 +1,39 @@
-//! Pass 6: dataflow verification, adapting [`pe_flow::check()`] to this
-//! crate's diagnostic vocabulary.
+//! Pass 6: the optimizer-mirroring arm lint.
 //!
-//! The flow checks complement the syntactic passes: definite binding
-//! and call obligations are checked per tail expression, and the two
-//! residual-quality lints — statically decidable dispatch arms, capture
-//! slots never read — read the label analysis the flow optimizer folds
-//! arms with (and pass 2 checks with).  A program that went through
-//! `pe_flow::optimize` therefore has no decidable arm; flagging one on
-//! pipeline output means the fold was skipped (or its fuel budget
-//! trapped).  No pass drops dead slots: The Trick's dispatch arms read
-//! every slot of an applied closure, so pipeline residuals have none,
-//! and the slot lint flags hand-written or mutated residuals.
+//! A dispatch arm that pe-flow's label analysis proves always or never
+//! taken is residual noise the flow optimizer folds: this pass reports
+//! the arms [`pe_flow::slots::arm_findings`] lists, which walks the
+//! optimizer's own folding traversal over the label analysis pass 2
+//! reads.  A program that went through `pe_flow::optimize` therefore has
+//! no decidable arm; flagging one on pipeline output means the fold was
+//! skipped (or its fuel budget trapped).
 
 use crate::report::{Diagnostic, Pass};
 use pe_core::S0Program;
 use pe_flow::slots::SlotAnalysis;
 use pe_governor::{Fuel, Limits, Trap};
 
-/// Runs the flow checks over `p`, whose label analysis is `shapes`,
-/// mapping findings to [`Diagnostic`]s.
+/// Reports each decidable dispatch arm of `p`, whose label analysis is
+/// `shapes`, as a warning.
 ///
 /// Infallible like the other passes: if the analysis budget traps, a
 /// single warning reports the truncation instead of failing the run.
 pub fn check(p: &S0Program, shapes: &Result<SlotAnalysis, Trap>) -> Vec<Diagnostic> {
     let mut fuel = Fuel::new(&Limits::default());
-    match shapes.as_ref().map_err(Clone::clone).and_then(|sa| pe_flow::check(p, sa, &mut fuel)) {
-        Ok(diags) => diags
+    let findings = shapes
+        .as_ref()
+        .map_err(Clone::clone)
+        .and_then(|sa| pe_flow::slots::arm_findings(p, sa, &mut fuel));
+    match findings {
+        Ok(findings) => findings
             .into_iter()
-            .map(|d| {
-                let proc_name = Some(d.proc.as_str());
-                match d.severity {
-                    pe_flow::FlowSeverity::Error => {
-                        Diagnostic::error(Pass::Flow, proc_name, d.message)
-                    }
-                    pe_flow::FlowSeverity::Warning => {
-                        Diagnostic::warning(Pass::Flow, proc_name, d.message)
-                    }
-                }
+            .map(|f| {
+                let what = if f.always { "always" } else { "never" };
+                Diagnostic::warning(
+                    Pass::Flow,
+                    Some(&f.proc),
+                    format!("dispatch on closure label {} {what} matches", f.label),
+                )
             })
             .collect(),
         Err(trap) => vec![Diagnostic::warning(
@@ -51,28 +48,46 @@ pub fn check(p: &S0Program, shapes: &Result<SlotAnalysis, Trap>) -> Vec<Diagnost
 mod tests {
     use super::*;
     use pe_core::{S0Proc, S0Simple, S0Tail};
+    use pe_frontend::ast::{Constant, Prim};
 
     fn analyze(p: &S0Program) -> Result<SlotAnalysis, Trap> {
         pe_flow::slots::analyze(p, &mut Fuel::new(&Limits::default()))
     }
 
     #[test]
-    fn flow_errors_surface_as_flow_pass_diagnostics() {
+    fn decidable_dispatch_arms_are_warnings() {
+        let c = || Box::new(S0Simple::Var("c".into()));
         let p = S0Program {
             entry: "main".into(),
-            procs: vec![S0Proc {
-                name: "main".into(),
-                params: vec![],
-                body: S0Tail::Return(S0Simple::Var("ghost".into())),
-            }],
+            procs: vec![
+                S0Proc {
+                    name: "main".into(),
+                    params: vec!["a".into()],
+                    body: S0Tail::TailCall(
+                        "k".into(),
+                        vec![S0Simple::MakeClosure(2, vec![S0Simple::Var("a".into())])],
+                    ),
+                },
+                S0Proc {
+                    name: "k".into(),
+                    params: vec!["c".into()],
+                    body: S0Tail::If(
+                        S0Simple::Prim(
+                            Prim::EqualP,
+                            vec![
+                                S0Simple::Const(Constant::Int(9)),
+                                S0Simple::ClosureLabel(c()),
+                            ],
+                        ),
+                        Box::new(S0Tail::Fail("unreachable".into())),
+                        Box::new(S0Tail::Return(S0Simple::ClosureFreeval(c(), 0))),
+                    ),
+                },
+            ],
         };
-        let diags = check(&p, &analyze(&p));
-        assert!(
-            diags.iter().any(|d| d.pass == Pass::Flow
-                && d.severity == crate::Severity::Error
-                && d.message.contains("ghost")),
-            "{diags:?}"
-        );
+        let text: Vec<String> =
+            check(&p, &analyze(&p)).iter().map(ToString::to_string).collect();
+        assert_eq!(text, ["warning[flow] k: dispatch on closure label 9 never matches"]);
     }
 
     #[test]

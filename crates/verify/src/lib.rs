@@ -7,15 +7,17 @@
 //! and ordinary well-formedness — with a multi-pass static analyzer
 //! instead of trusting it:
 //!
-//! 1. **well-formed** ([`wellformed`]): scoping, unique procedure names
-//!    and parameters, call-target existence, call and primitive arity.
-//!    Absorbs the historical `S0Program::check()`.
+//! 1. **well-formed** ([`wellformed`]): pe-flow's well-formedness check
+//!    ([`pe_flow::check()`]) — the entry exists, procedure names and
+//!    parameters are unique, every variable is bound, every call targets
+//!    a defined procedure with matching arity, every primitive has its
+//!    arity.
 //! 2. **closure-shape** ([`closure`]): reads pe-flow's label analysis
 //!    (an abstract interpretation mapping variables to sets of
-//!    `make-closure` labels); verifies every `closure-freeval` index
-//!    against the minimum captured-value count of the labels that can
-//!    reach it, and flags dead or non-exhaustive sequential dispatch
-//!    chains.
+//!    `make-closure` labels, plus each label's fewest captures);
+//!    verifies every `closure-freeval` index against the minimum
+//!    captured-value count of the labels that can reach it, and flags
+//!    dead or non-exhaustive sequential dispatch chains.
 //! 3. **preservation** ([`preservation`]): the language-preservation
 //!    certificate, validated on the *concrete syntax* (print → re-read →
 //!    grammar check) so it is independent of the Rust type structure.
@@ -23,12 +25,10 @@
 //!    `%fail`-only bodies — warnings about residual quality.
 //! 5. **bta-congruence** ([`verify_division`]): audits an Unmix
 //!    [`Division`] against its subject program.
-//! 6. **flow** ([`flow`]): dataflow verification via `pe-flow` —
-//!    definite binding and call obligations per tail expression,
-//!    dispatch-arm reachability, dead closure slots.  The two lint-grade
-//!    checks read the label analysis pass 2 reads, which is the flow
-//!    optimizer's own, so optimized pipeline output passes them by
-//!    construction.
+//! 6. **flow** ([`flow`]): the arm lint — dispatch arms the label
+//!    analysis pass 2 reads proves always or never taken.  It walks the
+//!    flow optimizer's own folding traversal, so optimized pipeline
+//!    output passes it by construction.
 //! 7. **termination** ([`termination`]): the specializer's widening log
 //!    audited against the size-change termination verdicts (`pe-sct`) —
 //!    every dynamic widening must occur at a point the analysis flagged

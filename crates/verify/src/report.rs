@@ -17,8 +17,8 @@ pub enum Pass {
     Lint,
     /// The Unmix binding-time congruence audit (pass 5).
     BtaCongruence,
-    /// Dataflow verification via pe-flow: definite binding, dispatch-arm
-    /// reachability, dead closure slots (pass 6).
+    /// The arm lint: dispatch arms pe-flow's label analysis decides,
+    /// which the flow optimizer folds (pass 6).
     Flow,
     /// The termination audit: dynamic widenings checked against the
     /// size-change termination verdicts (pass 7).

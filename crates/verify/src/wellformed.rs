@@ -1,126 +1,30 @@
 //! Pass 1 — well-formedness of S₀ programs.
 //!
-//! Replaces (and absorbs) the historical `S0Program::check()`: the entry
-//! exists, procedure names are unique, parameters are unique, every
-//! variable is bound by its procedure's parameter list, every call
-//! targets a defined procedure with matching arity, and every primitive
-//! application has the primitive's arity.  The tail-form grammar itself
-//! is enforced twice: structurally by the `S0Tail`/`S0Simple` types, and
-//! on the concrete syntax by the [preservation](crate::preservation)
-//! certificate.
+//! The check is pe-flow's [`pe_flow::check()`] (entry, unique names and
+//! parameters, binding, call and primitive arity), which the optimizer's
+//! and the specializer's tests call too, since neither crate can depend
+//! on this one; this pass reports each finding as a [`Pass::WellFormed`]
+//! error.  The tail-form grammar itself is enforced twice: structurally
+//! by the `S0Tail`/`S0Simple` types, and on the concrete syntax by the
+//! [preservation](crate::preservation) certificate, the check that does
+//! not depend on the Rust types.
 
 use crate::report::{Diagnostic, Pass};
-use pe_core::{S0Program, S0Simple, S0Tail};
-use std::collections::{HashMap, HashSet};
+use pe_core::S0Program;
 
 /// Runs the pass.
 pub fn check(p: &S0Program) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let err = |proc_name: Option<&str>, msg: String| Diagnostic::error(Pass::WellFormed, proc_name, msg);
-
-    // On duplicate definitions the *first* wins, matching lookup order;
-    // the duplicate itself is reported below.
-    let mut arities: HashMap<&str, usize> = HashMap::new();
-    for pr in &p.procs {
-        arities.entry(pr.name.as_str()).or_insert(pr.params.len());
-    }
-    if !arities.contains_key(p.entry.as_str()) {
-        out.push(err(None, format!("entry procedure {} is not defined", p.entry)));
-    }
-
-    let mut seen = HashSet::new();
-    for pr in &p.procs {
-        if !seen.insert(pr.name.as_str()) {
-            out.push(err(Some(&pr.name), "duplicate procedure definition".to_string()));
-        }
-        let mut params = HashSet::new();
-        for prm in &pr.params {
-            if !params.insert(prm.as_str()) {
-                out.push(err(Some(&pr.name), format!("duplicate parameter {prm}")));
-            }
-        }
-        let mut used = HashSet::new();
-        pr.body.vars(&mut used);
-        let mut unbound: Vec<String> =
-            used.into_iter().filter(|v| !params.contains(v.as_str())).collect();
-        unbound.sort();
-        for v in unbound {
-            out.push(err(Some(&pr.name), format!("unbound variable {v}")));
-        }
-        check_tail(&pr.name, &pr.body, &arities, &mut out);
-    }
-    out
-}
-
-fn check_tail(
-    owner: &str,
-    t: &S0Tail,
-    arities: &HashMap<&str, usize>,
-    out: &mut Vec<Diagnostic>,
-) {
-    match t {
-        S0Tail::Return(s) => check_simple(owner, s, out),
-        S0Tail::Fail(_) => {}
-        S0Tail::If(c, a, b) => {
-            check_simple(owner, c, out);
-            check_tail(owner, a, arities, out);
-            check_tail(owner, b, arities, out);
-        }
-        S0Tail::TailCall(callee, args) => {
-            match arities.get(callee.as_str()) {
-                None => out.push(Diagnostic::error(
-                    Pass::WellFormed,
-                    Some(owner),
-                    format!("call to undefined procedure {callee}"),
-                )),
-                Some(&n) if n != args.len() => out.push(Diagnostic::error(
-                    Pass::WellFormed,
-                    Some(owner),
-                    format!("call to {callee} with {} argument(s), expected {n}", args.len()),
-                )),
-                Some(_) => {}
-            }
-            for a in args {
-                check_simple(owner, a, out);
-            }
-        }
-    }
-}
-
-fn check_simple(owner: &str, s: &S0Simple, out: &mut Vec<Diagnostic>) {
-    match s {
-        S0Simple::Var(_) | S0Simple::Const(_) => {}
-        S0Simple::Prim(op, args) => {
-            if args.len() != op.arity() {
-                out.push(Diagnostic::error(
-                    Pass::WellFormed,
-                    Some(owner),
-                    format!(
-                        "primitive {op} applied to {} argument(s), expected {}",
-                        args.len(),
-                        op.arity()
-                    ),
-                ));
-            }
-            for a in args {
-                check_simple(owner, a, out);
-            }
-        }
-        S0Simple::MakeClosure(_, args) => {
-            for a in args {
-                check_simple(owner, a, out);
-            }
-        }
-        S0Simple::ClosureLabel(a) => check_simple(owner, a, out),
-        S0Simple::ClosureFreeval(a, _) => check_simple(owner, a, out),
-    }
+    pe_flow::check(p)
+        .into_iter()
+        .map(|d| Diagnostic::error(Pass::WellFormed, d.proc.as_deref(), d.message))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pe_core::{S0Proc, S0Simple, S0Tail};
     use pe_frontend::ast::{Constant, Prim};
-    use pe_core::S0Proc;
 
     fn var(v: &str) -> S0Simple {
         S0Simple::Var(v.into())

@@ -22,8 +22,8 @@ fn compile_append() -> S0Program {
 
 /// Asserts every error belongs to one of `passes` and at least one
 /// names `who`.  Several mutants are caught at more than one
-/// representation level (typed AST, concrete syntax, dataflow) — the
-/// point is that *only* the intended passes fire.
+/// representation level (typed AST, concrete syntax) — the point is
+/// that *only* the intended passes fire.
 fn assert_caught_by(report: &Report, passes: &[Pass], who: &str) {
     assert!(report.has_errors(), "mutant was accepted:\n{report}");
     for e in report.errors() {
@@ -67,28 +67,22 @@ fn corrupt_arity_is_caught_by_wellformed() {
         })
         .expect("some call has arguments");
     let report = verify(&s0);
-    // Arity drift is caught at three representation levels: by the
-    // well-formedness pass on the typed AST, by the preservation
-    // certificate on the re-read concrete syntax, and by the dataflow
-    // pass walking the CFG call nodes.
+    // Arity drift is caught at two representation levels: by the
+    // well-formedness pass on the typed AST and by the preservation
+    // certificate on the re-read concrete syntax.
     assert!(report.has_errors(), "mutant was accepted:\n{report}");
-    for (pass, wording) in [
-        (Pass::WellFormed, "argument(s), expected"),
-        (Pass::Preservation, "argument(s), expected"),
-        (Pass::Flow, "arguments, expects"),
-    ] {
+    for pass in [Pass::WellFormed, Pass::Preservation] {
         assert!(
             report.errors().any(|e| {
                 e.pass == pass
                     && e.proc_name.as_deref() == Some(victim.as_str())
-                    && e.message.contains(wording)
+                    && e.message.contains("argument(s), expected")
             }),
             "{pass:?} missed the arity mutant in {victim}:\n{report}"
         );
     }
     assert!(
-        report.errors().all(|e| e.message.contains("argument(s), expected")
-            || e.message.contains("arguments, expects")),
+        report.errors().all(|e| e.message.contains("argument(s), expected")),
         "unrelated error:\n{report}"
     );
 }
@@ -115,16 +109,9 @@ fn unbound_variable_is_caught_by_wellformed() {
         .find_map(|pr| poison(&mut pr.body).then(|| pr.name.clone()))
         .expect("some call has arguments");
     let report = verify(&s0);
-    assert_caught_by(&report, &[Pass::WellFormed, Pass::Flow], &victim);
+    assert_caught_by(&report, &[Pass::WellFormed], &victim);
     assert!(
         report.errors().any(|e| e.message.contains("unbound variable phantom")),
-        "{report}"
-    );
-    assert!(
-        report
-            .errors()
-            .any(|e| e.pass == Pass::Flow
-                && e.message.contains("`phantom` read but not definitely bound")),
         "{report}"
     );
 }
@@ -247,8 +234,6 @@ fn golden_report_rendering() {
         report.to_string(),
         "error[well-formed] main: unbound variable y\n\
          error[well-formed] main: call to undefined procedure ghost\n\
-         error[preservation] main: unknown operator ghost\n\
-         error[flow] main: variable `y` read but not definitely bound\n\
-         error[flow] main: call to unknown procedure `ghost`"
+         error[preservation] main: unknown operator ghost"
     );
 }

@@ -26,8 +26,9 @@
 //! Strings and symbols live in C string tables, written with C escapes
 //! (`c_string`), and print as the VM prints them: a string with the
 //! S-expression printer's escapes, a symbol as its bytes, a character
-//! as its UTF-8.  A C string ends at its first NUL byte, so a string or
-//! symbol that contains NUL prints cut short there.  A program that
+//! as its UTF-8.  The string table carries each string's length, so a
+//! string prints every byte, NUL included; a symbol prints up to its
+//! first NUL byte, where its C string ends.  A program that
 //! reads an unbound variable, which the VM refuses to load, becomes a
 //! file that `#error` makes cc refuse.
 
@@ -527,10 +528,12 @@ static Obj rt_ints[272];
             let _ = writeln!(h, "  {},", c_string(s));
         }
         let _ = writeln!(h, "}};");
+        let lens: Vec<String> = strings.iter().map(|s| s.len().to_string()).collect();
+        let _ = writeln!(h, "static const unsigned long rt_string_lens[] = {{{}}};", lens.join(", "));
         h.push_str(
-            r#"static void rt_print_str(const char *s) {
+            r#"static void rt_print_str(const char *s, unsigned long n) {
   putchar('"');
-  for (; *s; s++) {
+  for (; n; n--, s++) {
     if (*s == '"' || *s == '\\') putchar('\\');
     if (*s == '\n') fputs("\\n", stdout); else putchar(*s);
   }
@@ -538,7 +541,9 @@ static Obj rt_ints[272];
 }
 "#,
         );
-        print_tables.push_str("    case T_STR: rt_print_str(rt_strings[o->u.i]); break;\n");
+        print_tables.push_str(
+            "    case T_STR: rt_print_str(rt_strings[o->u.i], rt_string_lens[o->u.i]); break;\n",
+        );
     }
     let print_char = if wide_chars {
         h.push_str(

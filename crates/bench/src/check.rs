@@ -8,10 +8,12 @@
 //!   of the baseline plus an absolute slack — it catches "the compiler
 //!   got 3× slower", not jitter;
 //! * **size** (`residual.nodes_flow`, `residual.c_bytes_flow`,
-//!   `sct.compositions`, and the specializer's `memo_lookups`,
-//!   `unfold_steps`, `generalizations` and `trick_dispatches` counters)
-//!   is deterministic, so the tolerance is tight: a few percent of
-//!   growth headroom for benign codegen or work-order drift.
+//!   `sct.compositions`, the specializer's `memo_lookups`,
+//!   `unfold_steps`, `generalizations` and `trick_dispatches` counters,
+//!   and the `work` counts: the optimizer's `flow_rounds` and the VM's
+//!   `vm_steps`, `vm_allocs` and `vm_calls`) is deterministic, so the
+//!   tolerance is tight: a few percent of growth headroom for benign
+//!   codegen or work-order drift.
 //!
 //! Improvements never fail; the gate is one-sided.  The workspace is
 //! dependency-free, so this module carries its own ~100-line recursive
@@ -316,6 +318,9 @@ pub fn check_regressions(
         for counter in ["memo_lookups", "unfold_steps", "generalizations", "trick_dispatches"] {
             size(counter, &["counters", counter]);
         }
+        for count in ["flow_rounds", "vm_steps", "vm_allocs", "vm_calls"] {
+            size(count, &["work", count]);
+        }
     }
     Ok(regressions)
 }
@@ -372,7 +377,8 @@ mod tests {
           },
           "name": "tak",
           "residual": {"c_bytes_flow": 800, "nodes_flow": 30},
-          "sct": {"compositions": 284}
+          "sct": {"compositions": 284},
+          "work": {"flow_rounds": 2, "vm_allocs": 120, "vm_calls": 400, "vm_steps": 1000}
         }
       ],
       "mode": "quick",
@@ -427,6 +433,16 @@ mod tests {
         let r = check_regressions(DOC, &memo, &tol).unwrap();
         assert_eq!(r.len(), 1, "{r:?}");
         assert!(r[0].contains("tak: memo_lookups regressed"), "{r:?}");
+        // And the run's exact work: 1000 -> 1100 VM steps, one more
+        // optimizer round.
+        for (from, to, what) in [
+            ("\"vm_steps\": 1000", "\"vm_steps\": 1100", "tak: vm_steps regressed"),
+            ("\"flow_rounds\": 2", "\"flow_rounds\": 3", "tak: flow_rounds regressed"),
+        ] {
+            let r = check_regressions(DOC, &DOC.replace(from, to), &tol).unwrap();
+            assert_eq!(r.len(), 1, "{r:?}");
+            assert!(r[0].contains(what), "{r:?}");
+        }
         // A benchmark that vanished is a regression, not a skip.
         let gone = DOC.replace("\"name\": \"tak\"", "\"name\": \"renamed\"");
         let r = check_regressions(DOC, &gone, &tol).unwrap();

@@ -20,7 +20,7 @@
 //! documented in the workspace README ("Benchmark harness").
 
 use realistic_pe::{
-    with_big_stack, Benchmark, COptions, CompileOptions, Datum, Limits, NullSink, Pipeline,
+    with_big_stack, Benchmark, COptions, CompileOptions, Datum, Fuel, Limits, NullSink, Pipeline,
     SUITE,
 };
 use std::time::Instant;
@@ -106,6 +106,20 @@ pub struct SctNumbers {
     pub widenings_off: u64,
 }
 
+/// Exact work counts of one benchmark, deterministic like the sizes.
+#[derive(Debug, Clone, Copy)]
+pub struct WorkCounts {
+    /// Rounds `pe_flow::optimize` runs over the flow-off residual (the
+    /// call the pipeline makes).
+    pub flow_rounds: usize,
+    /// VM heap allocations on the timed inputs.
+    pub vm_allocs: u64,
+    /// VM tail calls on the timed inputs.
+    pub vm_calls: u64,
+    /// VM machine transitions on the timed inputs.
+    pub vm_steps: u64,
+}
+
 /// One engine's timing on one benchmark.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineTiming {
@@ -152,6 +166,8 @@ pub struct BenchRow {
     pub residual: ResidualSizes,
     /// Size-change termination verdicts and widening comparison.
     pub sct: SctNumbers,
+    /// The optimizer's rounds and the VM's work on the timed inputs.
+    pub work: WorkCounts,
 }
 
 /// Best-of-`reps` wall-clock time of `f`, in milliseconds.
@@ -307,6 +323,8 @@ fn time_benchmark(b: &Benchmark, cfg: &BenchConfig) -> Result<BenchRow, String> 
         widenings_on: report.counter(Counter::Widenings),
         widenings_off: off_report.counter(Counter::Widenings),
     };
+    let (_, flow_stats, _) = pe_flow::optimize(s0_base.clone(), &mut Fuel::new(&opts.limits))
+        .map_err(|e| fail("optimize", &format!("{e:?}")))?;
     let hob = pipe.compile_hobbit().map_err(|e| fail("hobbit", &e))?;
     let (arg_texts, args) = if cfg.quick {
         (b.test_args, b.test_inputs())
@@ -316,8 +334,8 @@ fn time_benchmark(b: &Benchmark, cfg: &BenchConfig) -> Result<BenchRow, String> 
     let lim = Limits::default();
 
     // Warm-up runs double as an engine-agreement check on the timed
-    // input size.
-    let expect = vm.run(&args, lim).map_err(|e| fail("vm run", &e))?.0;
+    // input size; the VM's supplies its exact work counts.
+    let (expect, vm_stats) = vm.run(&args, lim).map_err(|e| fail("vm run", &e))?;
     let tail0 = pipe.run_tail(b.entry, &args, lim).map_err(|e| fail("tail run", &e))?;
     let hob0 = hob.run(b.entry, &args, lim).map_err(|e| fail("hobbit run", &e))?;
     if tail0 != expect || hob0 != expect {
@@ -350,6 +368,12 @@ fn time_benchmark(b: &Benchmark, cfg: &BenchConfig) -> Result<BenchRow, String> 
         attribution,
         residual,
         sct,
+        work: WorkCounts {
+            flow_rounds: flow_stats.rounds,
+            vm_allocs: vm_stats.allocs,
+            vm_calls: vm_stats.calls,
+            vm_steps: vm_stats.steps,
+        },
     })
 }
 
@@ -443,7 +467,7 @@ pub fn to_json_with_serve(
         s.push_str(&format!(
             "      \"sct\": {{\"bounded\": {}, \"compositions\": {}, \
              \"eager_generalizations\": {}, \"unbounded\": {}, \"unknown\": {}, \
-             \"widenings_off\": {}, \"widenings_on\": {}}}\n",
+             \"widenings_off\": {}, \"widenings_on\": {}}},\n",
             t.bounded,
             t.compositions,
             t.eager_generalizations,
@@ -451,6 +475,12 @@ pub fn to_json_with_serve(
             t.unknown,
             t.widenings_off,
             t.widenings_on
+        ));
+        let w = &r.work;
+        s.push_str(&format!(
+            "      \"work\": {{\"flow_rounds\": {}, \"vm_allocs\": {}, \"vm_calls\": {}, \
+             \"vm_steps\": {}}}\n",
+            w.flow_rounds, w.vm_allocs, w.vm_calls, w.vm_steps
         ));
         s.push_str(if i + 1 < rows.len() { "    },\n" } else { "    }\n" });
     }
@@ -566,6 +596,7 @@ mod tests {
                 widenings_on: 0,
                 widenings_off: 4,
             },
+            work: WorkCounts { flow_rounds: 1, vm_allocs: 12, vm_calls: 40, vm_steps: 95 },
         }
     }
 
@@ -592,6 +623,7 @@ mod tests {
                 "\"phases\"",
                 "\"residual\"",
                 "\"sct\"",
+                "\"work\"",
             ],
             vec!["\"hobbit\"", "\"tail\"", "\"vm\""],
             vec!["\"memo_hits\"", "\"memo_lookups\""],
@@ -613,6 +645,7 @@ mod tests {
                 "\"widenings_off\"",
                 "\"widenings_on\"",
             ],
+            vec!["\"flow_rounds\"", "\"vm_allocs\"", "\"vm_calls\"", "\"vm_steps\""],
         ] {
             let idx: Vec<usize> =
                 keys.iter().map(|k| a.find(k).unwrap_or_else(|| panic!("missing {k}"))).collect();
@@ -740,6 +773,8 @@ mod tests {
             assert!(z.procs_flow <= z.procs_base, "{}: flow grew procs", row.name);
             assert!(z.c_bytes_flow <= z.c_bytes_base, "{}: flow grew C", row.name);
             assert!(z.procs_base > 0 && z.nodes_base > 0 && z.c_bytes_base > 0);
+            let w = row.work;
+            assert!(w.flow_rounds > 0 && w.vm_steps > 0 && w.vm_calls > 0, "{}: {w:?}", row.name);
         }
         // The ISSUE's acceptance bar: at least one benchmark records a
         // measured residual-size reduction.

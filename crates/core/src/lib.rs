@@ -86,6 +86,11 @@ pub struct Compiled {
     /// The memo table for warm-starting a later compile of the same
     /// program, present only when requested.
     pub snapshot: Option<MemoSnapshot>,
+    /// The flow optimizer's closure-label analysis of `program`, present
+    /// when the optimizer ran and its last round changed nothing (it
+    /// then analyzed exactly this program).  pe-verify's passes 2 and 6
+    /// read it instead of solving the analysis again.
+    pub labels: Option<pe_flow::slots::SlotAnalysis>,
 }
 
 /// Compiles `entry` (all parameters dynamic): closure conversion + tail
@@ -175,7 +180,7 @@ pub fn run(
     pe_trace::end(sink, t);
     let mut out = r?;
     out.audit.stats = stats;
-    out.program = finish(out.program, opts, sink);
+    (out.program, out.labels) = finish(out.program, opts, sink);
     Ok(out)
 }
 
@@ -219,8 +224,14 @@ fn run_sct(
 /// Post-processes under a `post` span, runs the flow optimizer under a
 /// `flow` span, and reports residual size plus the flow counters.  Each
 /// whole-program phase spreads the time its span measured over the
-/// residual procedures by size.
-fn finish(p: S0Program, opts: &CompileOptions, sink: &mut dyn Sink) -> S0Program {
+/// residual procedures by size.  Returns the program and, when the
+/// optimizer ended on a round that changed nothing, its label analysis
+/// of that program.
+fn finish(
+    p: S0Program,
+    opts: &CompileOptions,
+    sink: &mut dyn Sink,
+) -> (S0Program, Option<pe_flow::slots::SlotAnalysis>) {
     let p = if opts.postprocess {
         let t = pe_trace::begin(sink, Phase::Post);
         let q = pe_flow::postprocess(p);
@@ -229,7 +240,7 @@ fn finish(p: S0Program, opts: &CompileOptions, sink: &mut dyn Sink) -> S0Program
     } else {
         p
     };
-    let p = if opts.flow {
+    let (p, labels) = if opts.flow {
         // Graceful degradation: an exhausted budget keeps the
         // (already correct) unoptimized program instead of failing
         // the compile.  The fallback clone happens before the span
@@ -238,8 +249,8 @@ fn finish(p: S0Program, opts: &CompileOptions, sink: &mut dyn Sink) -> S0Program
         let fallback = p.clone();
         let t = pe_trace::begin(sink, Phase::Flow);
         let mut fuel = Fuel::new(&opts.limits);
-        let (q, stats) = pe_flow::optimize(p, &mut fuel)
-            .unwrap_or_else(|_| (fallback, pe_flow::FlowStats::default()));
+        let (q, stats, labels) = pe_flow::optimize(p, &mut fuel)
+            .unwrap_or_else(|_| (fallback, pe_flow::FlowStats::default(), None));
         attribute_and_end(sink, t, Phase::Flow, &q);
         if sink.enabled() {
             sink.counter(Counter::CopiesPropagated, stats.copies_propagated as u64);
@@ -248,15 +259,15 @@ fn finish(p: S0Program, opts: &CompileOptions, sink: &mut dyn Sink) -> S0Program
             sink.counter(Counter::CfgNodes, stats.cfg_nodes as u64);
             sink.counter(Counter::CfgEdges, stats.cfg_edges as u64);
         }
-        q
+        (q, labels)
     } else {
-        p
+        (p, None)
     };
     if sink.enabled() {
         sink.counter(Counter::ResidualProcs, p.procs.len() as u64);
         sink.counter(Counter::ResidualNodes, p.size() as u64);
     }
-    p
+    (p, labels)
 }
 
 /// Closes span `t` of `phase` after spreading the time it has measured

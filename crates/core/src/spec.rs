@@ -507,7 +507,7 @@ impl<'p> Spec<'p> {
             stats: pe_sct::SctStats::default(),
             events: self.events,
         };
-        Ok(Compiled { program, audit, snapshot })
+        Ok(Compiled { program, audit, snapshot, labels: None })
     }
 
     /// [`Spec::run`] with every parameter dynamic, returning the program

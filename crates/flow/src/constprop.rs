@@ -21,7 +21,7 @@
 //! dead-parameter pruning afterwards), counting replaced occurrences —
 //! the `copies_propagated` counter.
 
-use crate::s0::{S0Program, S0Simple, S0Tail};
+use crate::s0::{ParamRows, S0Program, S0Simple, S0Tail};
 use pe_frontend::ast::Constant;
 use pe_governor::{Fuel, Trap};
 use std::collections::HashMap;
@@ -63,10 +63,12 @@ pub struct ConstFacts {
     pub params: HashMap<String, Vec<CVal>>,
 }
 
-fn eval_arg(arg: &S0Simple, env: &HashMap<&str, CVal>) -> CVal {
+/// The value of a call argument, with `var` reading the caller's
+/// parameters.
+fn eval_arg(arg: &S0Simple, var: impl Fn(&str) -> Option<CVal>) -> CVal {
     match arg {
         S0Simple::Const(k) => CVal::Known(k.clone()),
-        S0Simple::Var(v) => env.get(v.as_str()).cloned().unwrap_or(CVal::Top),
+        S0Simple::Var(v) => var(v).unwrap_or(CVal::Top),
         _ => CVal::Top,
     }
 }
@@ -89,37 +91,39 @@ fn visit_calls(t: &S0Tail, f: &mut impl FnMut(&str, &[S0Simple])) {
 ///
 /// [`Trap::OutOfFuel`] when the budget is exhausted before convergence.
 pub fn analyze(p: &S0Program, fuel: &mut Fuel) -> Result<ConstFacts, Trap> {
-    let mut facts = p.param_rows(CVal::Bottom);
-    if let Some(e) = facts.get_mut(&p.entry) {
-        e.iter_mut().for_each(|v| *v = CVal::Top);
+    let first = p.first_definitions();
+    let ParamRows { mut rows, row_of, envs } = p.param_rows(&first, CVal::Bottom);
+    if let Some(&e) = first.get(p.entry.as_str()) {
+        rows[e].iter_mut().for_each(|v| *v = CVal::Top);
     }
+    let mut updates: Vec<(usize, usize, CVal)> = Vec::new();
     loop {
         fuel.step()?;
         let mut changed = false;
-        for q in &p.procs {
+        for (i, q) in p.procs.iter().enumerate() {
             fuel.step()?;
-            let env: HashMap<&str, CVal> =
-                q.params.iter().map(String::as_str).zip(facts[&q.name].iter().cloned()).collect();
+            let row = &rows[row_of[i]];
+            let var = |v: &str| envs[i].get(v).map(|&k| row[k].clone());
             // Joining every syntactic call is sound (an over-approximation
             // of the real callers); unreachable callers only push facts
             // toward Top, and a Bottom-environment variable contributes
-            // nothing.
-            let mut updates: Vec<(String, usize, CVal)> = Vec::new();
+            // nothing.  A procedure's updates are gathered from the rows
+            // as they stand, then joined in.
             visit_calls(&q.body, &mut |callee, args| {
-                for (i, a) in args.iter().enumerate() {
-                    updates.push((callee.to_string(), i, eval_arg(a, &env)));
+                if let Some(&r) = first.get(callee) {
+                    for (k, a) in args.iter().enumerate() {
+                        updates.push((r, k, eval_arg(a, var)));
+                    }
                 }
             });
-            for (callee, i, v) in updates {
-                if let Some(slot) =
-                    facts.get_mut(&callee).and_then(|row| row.get_mut(i))
-                {
+            for (r, k, v) in updates.drain(..) {
+                if let Some(slot) = rows[r].get_mut(k) {
                     changed |= slot.join(&v);
                 }
             }
         }
         if !changed {
-            return Ok(ConstFacts { params: facts });
+            return Ok(ConstFacts { params: p.named_rows(&first, rows) });
         }
     }
 }

@@ -134,7 +134,7 @@ mod cfg {
             assert_eq!(counts(&program(vec![fail("a", "x")])), (2, 1));
             assert_eq!(counts(&p), (4, 2));
             // optimize reports the counts of the program it returns.
-            let (q, stats) = crate::optimize(p, &mut Fuel::new(&Limits::default())).unwrap();
+            let (q, stats, _) = crate::optimize(p, &mut Fuel::new(&Limits::default())).unwrap();
             assert_eq!(q.procs.len(), 2);
             assert_eq!((stats.cfg_nodes, stats.cfg_edges), (4, 2));
         }

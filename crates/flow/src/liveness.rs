@@ -1,6 +1,6 @@
 //! Parameter liveness over S₀.
 //!
-//! [`param_liveness`] is an interprocedural fixpoint: parameter
+//! The analysis is an interprocedural fixpoint: parameter
 //! `(f, i)` is live when some occurrence of it is read outside call
 //! arguments, or flows into a live (or unprunable) parameter of a
 //! callee.  This is strictly stronger than the syntactic dead-code scan
@@ -9,9 +9,13 @@
 //! but syntactically "used".  (Which variables a body reads at all is
 //! one walk, [`S0Tail::vars`]: S₀ binds only at procedure entry.)
 //!
-//! Rows are keyed by procedure name and sized by the name's first
-//! definition, the one calls resolve to ([`S0Program::proc`]); a later
-//! duplicate definition reads and writes the row only up to its length.
+//! Each body is summarized once into its own parameter positions: the
+//! positions it reads outside call arguments, and for each call
+//! argument the callee slot it fills and the positions it reads.  The
+//! fixpoint then runs over rows of flags indexed by the position of
+//! each name's first definition, the one calls resolve to
+//! ([`S0Program::proc`]); a later duplicate definition reads and writes
+//! that row only up to its length.
 //!
 //! [`dead_params`] reads the analysis off a borrowed program and
 //! [`drop_params`] rewrites by it: dead, non-sticky parameters of
@@ -19,42 +23,83 @@
 //! argument.  [`prune_dead_params`] runs the two in turn.
 
 use crate::opt::is_effect_free;
-use crate::s0::{S0Program, S0Tail};
+use crate::s0::{S0Program, S0Simple, S0Tail};
 use pe_governor::{Fuel, Trap};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-/// Result of the interprocedural parameter-liveness fixpoint.
-#[derive(Debug, Clone)]
-pub struct ParamLiveness {
-    /// `live[name][i]` — may parameter `i` of `name` affect execution?
-    pub live: HashMap<String, Vec<bool>>,
-    /// `sticky[name][i]` — does some call site pass a non-effect-free
+/// Result of the interprocedural parameter-liveness fixpoint.  Rows are
+/// indexed by procedure position; only a name's first definition has a
+/// row that anything reads.
+struct ParamLiveness {
+    /// `live[i][k]` — may parameter `k` of procedure `i` affect
+    /// execution?
+    live: Vec<Vec<bool>>,
+    /// `sticky[i][k]` — does some call site pass a non-effect-free
     /// argument there (so the slot cannot be dropped even when dead)?
-    pub sticky: HashMap<String, Vec<bool>>,
+    sticky: Vec<Vec<bool>>,
+    /// `row[i]` — the position of the first definition of procedure
+    /// `i`'s name, whose row its facts live in.
+    row: Vec<usize>,
 }
 
-/// Per-procedure syntactic summary feeding the fixpoint.
+/// One body summarized into its own parameter positions, once, for the
+/// fixpoint.
 struct Uses {
-    /// Variables read outside call-argument position.
-    direct: HashSet<String>,
-    /// `(callee, arg index, variables inside that argument)`.
-    flows: Vec<(String, usize, HashSet<String>)>,
+    /// `direct[k]` — is parameter `k` read outside call arguments, or
+    /// passed where the callee's slot is unknown?
+    direct: Vec<bool>,
+    /// `(callee row, argument index, end in `reads`)` for each argument
+    /// into a known slot that reads a parameter: its positions are
+    /// `reads` from the previous flow's end to its own.
+    flows: Vec<(usize, usize, usize)>,
+    /// The parameter positions the flows read, flow after flow.
+    reads: Vec<usize>,
 }
 
-fn collect_uses(t: &S0Tail, out: &mut Uses) {
+/// Calls `f` on each position of `params` that `s` reads; a name that
+/// several parameters share reads all of them.
+fn reads(s: &S0Simple, params: &[String], f: &mut impl FnMut(usize)) {
+    match s {
+        S0Simple::Var(v) => {
+            params.iter().enumerate().filter(|(_, pm)| *pm == v).for_each(|(k, _)| f(k));
+        }
+        S0Simple::Const(_) => {}
+        S0Simple::Prim(_, args) | S0Simple::MakeClosure(_, args) => {
+            args.iter().for_each(|a| reads(a, params, f));
+        }
+        S0Simple::ClosureLabel(a) | S0Simple::ClosureFreeval(a, _) => reads(a, params, f),
+    }
+}
+
+fn summarize(
+    t: &S0Tail,
+    p: &S0Program,
+    params: &[String],
+    first: &HashMap<&str, usize>,
+    u: &mut Uses,
+) {
     match t {
-        S0Tail::Return(s) => s.vars(&mut out.direct),
+        S0Tail::Return(s) => reads(s, params, &mut |k| u.direct[k] = true),
         S0Tail::Fail(_) => {}
         S0Tail::If(c, a, b) => {
-            c.vars(&mut out.direct);
-            collect_uses(a, out);
-            collect_uses(b, out);
+            reads(c, params, &mut |k| u.direct[k] = true);
+            summarize(a, p, params, first, u);
+            summarize(b, p, params, first, u);
         }
         S0Tail::TailCall(callee, args) => {
+            let callee = first.get(callee.as_str()).copied();
             for (i, a) in args.iter().enumerate() {
-                let mut vs = HashSet::new();
-                a.vars(&mut vs);
-                out.flows.push((callee.clone(), i, vs));
+                match callee {
+                    Some(r) if i < p.procs[r].params.len() => {
+                        let start = u.reads.len();
+                        reads(a, params, &mut |k| u.reads.push(k));
+                        if u.reads.len() > start {
+                            u.flows.push((r, i, u.reads.len()));
+                        }
+                    }
+                    // Unknown callee or arity overflow: be conservative.
+                    _ => reads(a, params, &mut |k| u.direct[k] = true),
+                }
             }
         }
     }
@@ -65,70 +110,73 @@ fn collect_uses(t: &S0Tail, out: &mut Uses) {
 /// # Errors
 ///
 /// [`Trap::OutOfFuel`] when the budget is exhausted before convergence.
-pub fn param_liveness(p: &S0Program, fuel: &mut Fuel) -> Result<ParamLiveness, Trap> {
-    let mut sticky = p.param_rows(false);
+fn param_liveness(p: &S0Program, fuel: &mut Fuel) -> Result<ParamLiveness, Trap> {
+    let first = p.first_definitions();
+    let row: Vec<usize> = p.procs.iter().map(|q| first[q.name.as_str()]).collect();
+    let rows = |init: bool| -> Vec<Vec<bool>> {
+        p.procs.iter().map(|q| vec![init; q.params.len()]).collect()
+    };
     let uses: Vec<Uses> = p
         .procs
         .iter()
         .map(|q| {
-            let mut u = Uses { direct: HashSet::new(), flows: Vec::new() };
-            collect_uses(&q.body, &mut u);
+            let mut u =
+                Uses { direct: vec![false; q.params.len()], flows: Vec::new(), reads: Vec::new() };
+            summarize(&q.body, p, &q.params, &first, &mut u);
             u
         })
         .collect();
     // Stickiness: any site passing a non-effect-free argument.
+    let mut sticky = rows(false);
     for q in &p.procs {
-        mark_sticky(&q.body, &mut sticky);
+        mark_sticky(&q.body, &first, &mut sticky);
     }
-    let mut live = p.param_rows(false);
-    if let Some(e) = live.get_mut(&p.entry) {
-        e.iter_mut().for_each(|b| *b = true);
+    let mut live = rows(false);
+    if let Some(&e) = first.get(p.entry.as_str()) {
+        live[e].fill(true);
     }
-    // Round-robin to fixpoint: mark a proc's variable live when it is
-    // read directly or flows into a live-or-sticky parameter slot.
+    // Round-robin to fixpoint: mark a proc's parameter live when it is
+    // read directly or flows into a live-or-sticky parameter slot.  A
+    // proc's marks are gathered before its row is updated.
+    let mut marks = Vec::new();
     loop {
         fuel.step()?;
         let mut changed = false;
-        for (q, u) in p.procs.iter().zip(&uses) {
+        for (i, u) in uses.iter().enumerate() {
             fuel.step()?;
-            let mut live_vars: HashSet<&str> =
-                u.direct.iter().map(String::as_str).collect();
-            for (callee, i, vs) in &u.flows {
-                let callee_live = live.get(callee).and_then(|l| l.get(*i)).copied();
-                let callee_sticky =
-                    sticky.get(callee).and_then(|l| l.get(*i)).copied().unwrap_or(true);
-                // Unknown callee or arity overflow: be conservative.
-                if callee_live.unwrap_or(true) || callee_sticky {
-                    live_vars.extend(vs.iter().map(String::as_str));
+            marks.clear();
+            marks.extend_from_slice(&u.direct);
+            let mut start = 0;
+            for &(r, k, end) in &u.flows {
+                if live[r][k] || sticky[r][k] {
+                    u.reads[start..end].iter().for_each(|&j| marks[j] = true);
                 }
+                start = end;
             }
-            let slots = live.get_mut(&q.name).expect("every proc seeded");
-            for (slot, pm) in slots.iter_mut().zip(&q.params) {
-                if !*slot && live_vars.contains(pm.as_str()) {
+            for (slot, &m) in live[row[i]].iter_mut().zip(&marks) {
+                if m && !*slot {
                     *slot = true;
                     changed = true;
                 }
             }
         }
         if !changed {
-            return Ok(ParamLiveness { live, sticky });
+            return Ok(ParamLiveness { live, sticky, row });
         }
     }
 }
 
-fn mark_sticky(t: &S0Tail, sticky: &mut HashMap<String, Vec<bool>>) {
+fn mark_sticky(t: &S0Tail, first: &HashMap<&str, usize>, sticky: &mut [Vec<bool>]) {
     match t {
         S0Tail::Return(_) | S0Tail::Fail(_) => {}
         S0Tail::If(_, a, b) => {
-            mark_sticky(a, sticky);
-            mark_sticky(b, sticky);
+            mark_sticky(a, first, sticky);
+            mark_sticky(b, first, sticky);
         }
         S0Tail::TailCall(callee, args) => {
-            if let Some(slots) = sticky.get_mut(callee) {
-                for (i, a) in args.iter().enumerate() {
-                    if let Some(s) = slots.get_mut(i) {
-                        *s |= !is_effect_free(a);
-                    }
+            if let Some(&r) = first.get(callee.as_str()) {
+                for (s, a) in sticky[r].iter_mut().zip(args) {
+                    *s |= !is_effect_free(a);
                 }
             }
         }
@@ -144,11 +192,11 @@ fn mark_sticky(t: &S0Tail, sticky: &mut HashMap<String, Vec<bool>>) {
 pub fn dead_params(p: &S0Program, fuel: &mut Fuel) -> Result<HashMap<String, Vec<usize>>, Trap> {
     let pl = param_liveness(p, fuel)?;
     let mut drop: HashMap<String, Vec<usize>> = HashMap::new();
-    for q in &p.procs {
+    for (q, &r) in p.procs.iter().zip(&pl.row) {
         if q.name == p.entry {
             continue;
         }
-        let (live, sticky) = (&pl.live[&q.name], &pl.sticky[&q.name]);
+        let (live, sticky) = (&pl.live[r], &pl.sticky[r]);
         let idxs: Vec<usize> = (0..live.len()).filter(|&i| !live[i] && !sticky[i]).collect();
         if !idxs.is_empty() {
             drop.insert(q.name.clone(), idxs);
@@ -158,16 +206,16 @@ pub fn dead_params(p: &S0Program, fuel: &mut Fuel) -> Result<HashMap<String, Vec
 }
 
 /// Drops the parameters `drop` names together with the corresponding
-/// arguments at every call site.
+/// arguments at every call site, in place.
 pub fn drop_params(mut p: S0Program, drop: &HashMap<String, Vec<usize>>) -> S0Program {
     if drop.is_empty() {
         return p;
     }
     for q in &mut p.procs {
         if let Some(idxs) = drop.get(&q.name) {
-            q.params = keep_except(&q.params, idxs);
+            keep_except(&mut q.params, idxs);
         }
-        q.body = rewrite_drop_args(&q.body, drop);
+        drop_args(&mut q.body, drop);
     }
     p
 }
@@ -188,28 +236,26 @@ pub fn prune_dead_params(
     Ok((drop_params(p, &drop), dropped))
 }
 
-fn keep_except<T: Clone>(xs: &[T], idxs: &[usize]) -> Vec<T> {
-    xs.iter()
-        .enumerate()
-        .filter(|(i, _)| !idxs.contains(i))
-        .map(|(_, x)| x.clone())
-        .collect()
+/// Removes the elements of `xs` at positions `idxs`.
+fn keep_except<T>(xs: &mut Vec<T>, idxs: &[usize]) {
+    let mut i = 0;
+    xs.retain(|_| {
+        i += 1;
+        !idxs.contains(&(i - 1))
+    });
 }
 
-fn rewrite_drop_args(t: &S0Tail, drop: &HashMap<String, Vec<usize>>) -> S0Tail {
+fn drop_args(t: &mut S0Tail, drop: &HashMap<String, Vec<usize>>) {
     match t {
-        S0Tail::Return(_) | S0Tail::Fail(_) => t.clone(),
-        S0Tail::If(c, a, b) => S0Tail::If(
-            c.clone(),
-            Box::new(rewrite_drop_args(a, drop)),
-            Box::new(rewrite_drop_args(b, drop)),
-        ),
+        S0Tail::Return(_) | S0Tail::Fail(_) => {}
+        S0Tail::If(_, a, b) => {
+            drop_args(a, drop);
+            drop_args(b, drop);
+        }
         S0Tail::TailCall(callee, args) => {
-            let args = match drop.get(callee) {
-                Some(idxs) => keep_except(args, idxs),
-                None => args.clone(),
-            };
-            S0Tail::TailCall(callee.clone(), args)
+            if let Some(idxs) = drop.get(callee) {
+                keep_except(args, idxs);
+            }
         }
     }
 }
@@ -266,6 +312,29 @@ mod tests {
         let (q, dropped) = prune_dead_params(p, &mut fuel()).unwrap();
         assert_eq!(dropped, 1);
         assert_eq!(q.proc("loop").unwrap().params, vec!["n".to_string()]);
+    }
+
+    #[test]
+    fn a_read_name_keeps_every_position_it_names_live() {
+        // `f` binds `a` twice; reading `a` reads both positions, so only
+        // the unread `b` is dead.
+        let p = S0Program {
+            entry: "main".into(),
+            procs: vec![
+                S0Proc {
+                    name: "main".into(),
+                    params: vec!["x".into()],
+                    body: S0Tail::TailCall("f".into(), vec![var("x"), kint(1), kint(2)]),
+                },
+                S0Proc {
+                    name: "f".into(),
+                    params: vec!["a".into(), "a".into(), "b".into()],
+                    body: S0Tail::Return(var("a")),
+                },
+            ],
+        };
+        let dead = dead_params(&p, &mut fuel()).unwrap();
+        assert_eq!(dead, HashMap::from([("f".to_string(), vec![2])]));
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! changes evaluation order.
 
 use crate::s0::{S0Proc, S0Program, S0Simple, S0Tail};
+use crate::slots::SlotAnalysis;
 use pe_governor::{Fuel, Limits, Trap};
 use std::collections::{BTreeSet, HashMap};
 use std::slice;
@@ -98,17 +99,27 @@ impl FlowStats {
 /// collects the parameters propagation just made dead), then a
 /// syntactic clean-up when anything changed.
 ///
+/// Besides the program and its [`FlowStats`], returns the closure-label
+/// analysis of the returned program when the last round changed
+/// nothing — its arm folding then analyzed exactly that program — and
+/// `None` when the rounds ran out first.  pe-verify's passes 2 and 6
+/// read the same analysis.
+///
 /// # Errors
 ///
 /// [`Trap::OutOfFuel`] when the analysis budget is exhausted; the
 /// input program is consumed, so callers wanting graceful degradation
 /// should keep a clone (as pe-core's compile does).
-pub fn optimize(mut p: S0Program, fuel: &mut Fuel) -> Result<(S0Program, FlowStats), Trap> {
+pub fn optimize(
+    mut p: S0Program,
+    fuel: &mut Fuel,
+) -> Result<(S0Program, FlowStats, Option<SlotAnalysis>), Trap> {
     let mut stats = FlowStats::default();
+    let mut labels = None;
     for _ in 0..MAX_ROUNDS {
         fuel.step()?;
         let (q, copies) = crate::constprop::propagate(p, fuel)?;
-        let (q, arms) = crate::slots::fold_arms(q, fuel)?;
+        let (q, arms, sa) = crate::slots::fold_arms(q, fuel)?;
         let (q, dead) = crate::liveness::prune_dead_params(q, fuel)?;
         p = q;
         stats.copies_propagated += copies;
@@ -116,6 +127,7 @@ pub fn optimize(mut p: S0Program, fuel: &mut Fuel) -> Result<(S0Program, FlowSta
         stats.dead_bindings += dead;
         stats.rounds += 1;
         if copies + arms + dead == 0 {
+            labels = Some(sa);
             break;
         }
         // Clean up what the rewrites exposed: substituted constants
@@ -124,10 +136,11 @@ pub fn optimize(mut p: S0Program, fuel: &mut Fuel) -> Result<(S0Program, FlowSta
         p = drop_unreachable(p);
     }
     (stats.cfg_nodes, stats.cfg_edges) = crate::cfg::counts(&p);
-    Ok((p, stats))
+    Ok((p, stats, labels))
 }
 
-/// [`optimize`]; `FlowOptions` has nothing left to choose.
+/// [`optimize`] without the label analysis; `FlowOptions` has nothing
+/// left to choose.
 ///
 /// # Errors
 ///
@@ -137,7 +150,7 @@ pub fn optimize_with(
     _opts: &FlowOptions,
     fuel: &mut Fuel,
 ) -> Result<(S0Program, FlowStats), Trap> {
-    optimize(p, fuel)
+    optimize(p, fuel).map(|(p, stats, _)| (p, stats))
 }
 
 /// When the entry is a pure trampoline — its body forwards its own
@@ -183,97 +196,87 @@ pub fn merge_entry(mut p: S0Program) -> S0Program {
 /// `(closure-freeval (make-closure ℓ v₀…) i) → vᵢ`,
 /// `(equal? k₁ k₂) → #t/#f` on atom constants, and constant-condition
 /// folding on `if` — all only when the discarded part cannot fault.
+/// Each body is rewritten in place, and only where a rule fires.
 pub fn simplify(mut p: S0Program) -> S0Program {
+    for q in &mut p.procs {
+        simplify_tail(&mut q.body);
+    }
+    p
+}
+
+fn simplify_tail(t: &mut S0Tail) {
+    match t {
+        S0Tail::Return(s) => simplify_simple(s),
+        S0Tail::If(c, a, b) => {
+            simplify_simple(c);
+            simplify_tail(a);
+            simplify_tail(b);
+            if let S0Simple::Const(k) = c {
+                let kept = if k.is_truthy() { a } else { b };
+                *t = std::mem::replace(&mut **kept, S0Tail::Fail(String::new()));
+            }
+        }
+        S0Tail::TailCall(_, args) => args.iter_mut().for_each(simplify_simple),
+        S0Tail::Fail(_) => {}
+    }
+}
+
+/// Simplifies `s`'s operands, then `s` itself.
+fn simplify_simple(s: &mut S0Simple) {
+    use pe_frontend::Constant::{Bool, Int};
+    use pe_frontend::Prim::*;
     fn effect_free_all(args: &[S0Simple]) -> bool {
         args.iter().all(is_effect_free)
     }
-    fn go_simple(s: &S0Simple) -> S0Simple {
-        use pe_frontend::Prim::*;
-        let s = match s {
-            S0Simple::Var(_) | S0Simple::Const(_) => return s.clone(),
-            S0Simple::Prim(op, args) => {
-                S0Simple::Prim(*op, args.iter().map(go_simple).collect())
-            }
-            S0Simple::MakeClosure(l, args) => {
-                S0Simple::MakeClosure(*l, args.iter().map(go_simple).collect())
-            }
-            S0Simple::ClosureLabel(a) => S0Simple::ClosureLabel(Box::new(go_simple(a))),
-            S0Simple::ClosureFreeval(a, i) => {
-                S0Simple::ClosureFreeval(Box::new(go_simple(a)), *i)
-            }
-        };
-        match &s {
-            S0Simple::Prim(op @ (Car | Cdr), args) => {
-                if let [S0Simple::Prim(Cons, parts)] = args.as_slice() {
-                    let (keep, drop) =
-                        if *op == Car { (&parts[0], &parts[1]) } else { (&parts[1], &parts[0]) };
-                    if is_effect_free(drop) {
-                        return keep.clone();
-                    }
-                }
-                s
-            }
-            S0Simple::Prim(NullP, args) => {
-                if let [S0Simple::Prim(Cons, parts)] = args.as_slice() {
-                    if effect_free_all(parts) {
-                        return S0Simple::Const(pe_frontend::Constant::Bool(false));
-                    }
-                }
-                s
-            }
-            S0Simple::Prim(EqualP, args) => {
-                if let [S0Simple::Const(a), S0Simple::Const(b)] = args.as_slice() {
-                    return S0Simple::Const(pe_frontend::Constant::Bool(a == b));
-                }
-                s
-            }
-            S0Simple::ClosureLabel(a) => {
-                if let S0Simple::MakeClosure(l, args) = &**a {
-                    if effect_free_all(args) {
-                        return S0Simple::Const(pe_frontend::Constant::Int(i64::from(*l)));
-                    }
-                }
-                s
-            }
-            S0Simple::ClosureFreeval(a, i) => {
-                if let S0Simple::MakeClosure(_, args) = &**a {
-                    if let Some(v) = args.get(*i) {
-                        let others_free = args
-                            .iter()
-                            .enumerate()
-                            .all(|(j, x)| j == *i || is_effect_free(x));
-                        if others_free {
-                            return v.clone();
-                        }
-                    }
-                }
-                s
-            }
-            _ => s,
+    /// Moves `s` out, leaving a constant behind.
+    fn take(s: &mut S0Simple) -> S0Simple {
+        std::mem::replace(s, S0Simple::Const(pe_frontend::Constant::Nil))
+    }
+    match s {
+        S0Simple::Var(_) | S0Simple::Const(_) => return,
+        S0Simple::Prim(_, args) | S0Simple::MakeClosure(_, args) => {
+            args.iter_mut().for_each(simplify_simple);
         }
+        S0Simple::ClosureLabel(a) | S0Simple::ClosureFreeval(a, _) => simplify_simple(a),
     }
-    fn go_tail(t: &S0Tail) -> S0Tail {
-        match t {
-            S0Tail::Return(s) => S0Tail::Return(go_simple(s)),
-            S0Tail::If(c, a, b) => {
-                let c = go_simple(c);
-                let a = go_tail(a);
-                let b = go_tail(b);
-                if let S0Simple::Const(k) = &c {
-                    return if k.is_truthy() { a } else { b };
-                }
-                S0Tail::If(c, Box::new(a), Box::new(b))
+    let folded = match s {
+        S0Simple::Prim(op @ (Car | Cdr), args) => match args.as_mut_slice() {
+            [S0Simple::Prim(Cons, parts)] => {
+                let (keep, drop) = if *op == Car { (0, 1) } else { (1, 0) };
+                is_effect_free(&parts[drop]).then(|| take(&mut parts[keep]))
             }
-            S0Tail::TailCall(p, args) => {
-                S0Tail::TailCall(p.clone(), args.iter().map(go_simple).collect())
+            _ => None,
+        },
+        S0Simple::Prim(NullP, args) => match args.as_slice() {
+            [S0Simple::Prim(Cons, parts)] if effect_free_all(parts) => {
+                Some(S0Simple::Const(Bool(false)))
             }
-            S0Tail::Fail(_) => t.clone(),
-        }
+            _ => None,
+        },
+        S0Simple::Prim(EqualP, args) => match args.as_slice() {
+            [S0Simple::Const(a), S0Simple::Const(b)] => Some(S0Simple::Const(Bool(a == b))),
+            _ => None,
+        },
+        S0Simple::ClosureLabel(a) => match &**a {
+            S0Simple::MakeClosure(l, args) if effect_free_all(args) => {
+                Some(S0Simple::Const(Int(i64::from(*l))))
+            }
+            _ => None,
+        },
+        S0Simple::ClosureFreeval(a, i) => match &mut **a {
+            S0Simple::MakeClosure(_, args)
+                if *i < args.len()
+                    && args.iter().enumerate().all(|(j, x)| j == *i || is_effect_free(x)) =>
+            {
+                Some(take(&mut args[*i]))
+            }
+            _ => None,
+        },
+        _ => None,
+    };
+    if let Some(folded) = folded {
+        *s = folded;
     }
-    for q in &mut p.procs {
-        q.body = go_tail(&q.body);
-    }
-    p
 }
 
 fn fingerprint(p: &S0Program) -> (usize, usize) {
@@ -287,46 +290,6 @@ pub fn drop_unreachable(mut p: S0Program) -> S0Program {
     p
 }
 
-/// Rewrites, with `f`, the body of every procedure reachable from the
-/// entry in the *rewritten* program: the result of a whole-program
-/// rewrite followed by [`drop_unreachable`], without rewriting the
-/// procedures that would be dropped.  `None` marks a dropped procedure.
-fn rewrite_reachable(p: &S0Program, mut f: impl FnMut(&S0Tail) -> S0Tail) -> Vec<Option<S0Tail>> {
-    let index = p.first_definitions();
-    let mut bodies: Vec<Option<S0Tail>> = vec![None; p.procs.len()];
-    let mut reached = vec![false; p.procs.len()];
-    let mut work: Vec<usize> = index.get(p.entry.as_str()).copied().into_iter().collect();
-    while let Some(i) = work.pop() {
-        if std::mem::replace(&mut reached[i], true) {
-            continue;
-        }
-        let body = f(&p.procs[i].body);
-        body.calls(&mut |callee| work.extend(index.get(callee).copied()));
-        bodies[i] = Some(body);
-    }
-    // A later procedure sharing a reached name is kept, as by name.
-    for (q, body) in p.procs.iter().zip(&mut bodies) {
-        if body.is_none() && reached[index[q.name.as_str()]] {
-            *body = Some(f(&q.body));
-        }
-    }
-    bodies
-}
-
-/// Replaces each procedure's body by its rewritten one from
-/// [`rewrite_reachable`], dropping the procedures it dropped.
-fn with_bodies(p: S0Program, bodies: Vec<Option<S0Tail>>) -> S0Program {
-    S0Program {
-        procs: p
-            .procs
-            .into_iter()
-            .zip(bodies)
-            .filter_map(|(q, body)| Some(S0Proc { body: body?, ..q }))
-            .collect(),
-        entry: p.entry,
-    }
-}
-
 /// Transition and return compression in one rewrite of the reachable
 /// bodies (classic Mix): a call chases its chain of trampolines —
 /// procedures whose whole body is one tail call to another — and, when
@@ -335,51 +298,84 @@ fn with_bodies(p: S0Program, bodies: Vec<Option<S0Tail>>) -> S0Program {
 /// non-trivial argument for a parameter the callee's one node uses
 /// twice.  An entry that is itself a trampoline stays: it is the public
 /// name.
-fn compress(p: S0Program) -> S0Program {
+///
+/// The procedures kept are those reachable from the entry in the
+/// rewritten program (a later procedure sharing a reached name is kept,
+/// as by name).  Bodies are rewritten in place, and only at the calls
+/// that change.
+fn compress(mut p: S0Program) -> S0Program {
     // name → (params, target call) of each trampoline, skipping
-    // self-loops, and name → (params, value) of each returner.
-    let mut trampolines: HashMap<&str, (&[String], &str, &[S0Simple])> = HashMap::new();
-    let mut returners: HashMap<&str, (&[String], &S0Simple)> = HashMap::new();
-    for q in &p.procs {
-        let params = q.params.as_slice();
+    // self-loops, and name → (params, value) of each returner, as the
+    // input defines them: owned, so bodies can change under the chase.
+    type Trampoline = (Vec<String>, String, Vec<S0Simple>);
+    let mut trampolines: HashMap<&str, Trampoline> = HashMap::new();
+    let mut returners: HashMap<&str, (Vec<String>, S0Simple)> = HashMap::new();
+    // Each name's first definition, and each procedure's.
+    let mut index: HashMap<&str, usize> = HashMap::new();
+    let mut first = Vec::with_capacity(p.procs.len());
+    let mut bodies: Vec<&mut S0Tail> = Vec::with_capacity(p.procs.len());
+    for (i, q) in p.procs.iter_mut().enumerate() {
+        let name = q.name.as_str();
         match &q.body {
-            S0Tail::TailCall(t, args) if *t != q.name => {
-                trampolines.entry(&q.name).or_insert((params, t, args));
+            S0Tail::TailCall(t, args) if t != name => {
+                trampolines
+                    .entry(name)
+                    .or_insert_with(|| (q.params.clone(), t.clone(), args.clone()));
             }
             S0Tail::Return(s) => {
-                returners.entry(&q.name).or_insert((params, s));
+                returners.entry(name).or_insert_with(|| (q.params.clone(), s.clone()));
             }
             _ => {}
         }
+        first.push(*index.entry(name).or_insert(i));
+        bodies.push(&mut q.body);
     }
     if trampolines.is_empty() && returners.is_empty() {
         return p;
     }
-    let bodies = rewrite_reachable(&p, |body| {
-        rewrite_calls(body, &mut |callee, args| {
-            let mut callee = callee;
-            let mut args = args.to_vec();
-            // A mutual trampoline cycle would chase forever: stop after
-            // one step more than there are trampolines.
-            let mut steps = 0;
-            while let Some(&(params, target, targs)) = trampolines.get(callee) {
-                if steps > trampolines.len() || duplicates(params, &args, targs) {
-                    break;
-                }
-                let map = bind(params, &args);
-                args = targs.iter().map(|a| a.subst(&map)).collect();
-                callee = target;
-                steps += 1;
+    // The rewritten call, or `None` when it stays as it is.
+    let mut chase = |callee: &str, args: &[S0Simple]| {
+        let mut callee = callee;
+        let mut moved: Option<Vec<S0Simple>> = None;
+        // A mutual trampoline cycle would chase forever: stop after one
+        // step more than there are trampolines.
+        let mut steps = 0;
+        while let Some((params, target, targs)) = trampolines.get(callee) {
+            let args = moved.as_deref().unwrap_or(args);
+            if steps > trampolines.len() || duplicates(params, args, targs) {
+                break;
             }
-            match returners.get(callee) {
-                Some(&(params, value)) if !duplicates(params, &args, slice::from_ref(value)) => {
-                    S0Tail::Return(value.subst(&bind(params, &args)))
-                }
-                _ => S0Tail::TailCall(callee.to_string(), args),
+            let map = bind(params, args);
+            moved = Some(targs.iter().map(|a| a.subst(&map)).collect());
+            callee = target;
+            steps += 1;
+        }
+        let args = moved.as_deref().unwrap_or(args);
+        match returners.get(callee) {
+            Some((params, value)) if !duplicates(params, args, slice::from_ref(value)) => {
+                Some(S0Tail::Return(value.subst(&bind(params, args))))
             }
-        })
-    });
-    with_bodies(p, bodies)
+            _ => moved.map(|args| S0Tail::TailCall(callee.to_string(), args)),
+        }
+    };
+    let mut reached = vec![false; bodies.len()];
+    let mut work: Vec<usize> = index.get(p.entry.as_str()).copied().into_iter().collect();
+    while let Some(i) = work.pop() {
+        if std::mem::replace(&mut reached[i], true) {
+            continue;
+        }
+        replace_calls(bodies[i], &mut chase);
+        bodies[i].calls(&mut |callee| work.extend(index.get(callee).copied()));
+    }
+    let keep: Vec<bool> = first.iter().map(|&f| reached[f]).collect();
+    for (i, body) in bodies.into_iter().enumerate() {
+        if keep[i] && !reached[i] {
+            replace_calls(body, &mut chase);
+        }
+    }
+    let mut keep = keep.into_iter();
+    p.procs.retain(|_| keep.next().unwrap_or(false));
+    p
 }
 
 /// Would binding `params` to `args` copy a non-trivial argument into
@@ -1023,13 +1019,17 @@ mod tests {
                 },
             ],
         };
-        let (q, stats) = optimize(p, &mut fuel()).unwrap();
+        let (q, stats, labels) = optimize(p, &mut fuel()).unwrap();
         assert_eq!(stats.copies_propagated, 2, "{stats:?}");
         assert_eq!(stats.dead_bindings, 1, "{stats:?}");
         let lp = q.proc("loop").unwrap();
         assert_eq!(lp.params, vec!["n".to_string()]);
         assert_wellformed(&q);
         assert!(stats.cfg_nodes > 0 && stats.cfg_edges > 0);
+        // The first round changed the program; the second, which
+        // changed nothing, analyzed exactly the returned one.
+        assert_eq!(stats.rounds, 2, "{stats:?}");
+        assert_eq!(labels, Some(crate::slots::analyze(&q, &mut fuel()).unwrap()));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! the four types at its root (`pe_core::S0Program` and the rest).
 
 use pe_frontend::ast::{Constant, Prim};
-use pe_sexpr::Sexpr;
+use pe_sexpr::{Atom, Layout, Node, Sexpr};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -287,16 +287,41 @@ impl S0Program {
         self.procs.iter().map(|q| reached[first[q.name.as_str()]]).collect()
     }
 
-    /// One row of `init` per parameter, keyed by procedure name and
-    /// sized by the name's first definition — the one [`S0Program::proc`]
-    /// and calls resolve to.  The interprocedural analyses keep their
-    /// facts in such rows.
-    pub(crate) fn param_rows<T: Clone>(&self, init: T) -> HashMap<String, Vec<T>> {
-        let mut rows = HashMap::new();
-        for q in self.procs.iter().rev() {
-            rows.insert(q.name.clone(), vec![init.clone(); q.params.len()]);
-        }
-        rows
+    /// Where the interprocedural analyses keep their facts: one row of
+    /// `init` per procedure position, one entry per parameter, of which
+    /// only the rows of first definitions — the ones
+    /// [`S0Program::proc`] and calls resolve to — are read and written;
+    /// each procedure's row position; and each procedure's parameters
+    /// as positions in that row, up to its length, a repeated name
+    /// taking its last position (as an environment map would).
+    pub(crate) fn param_rows<T: Clone>(
+        &self,
+        first: &HashMap<&str, usize>,
+        init: T,
+    ) -> ParamRows<'_, T> {
+        let rows: Vec<Vec<T>> =
+            self.procs.iter().map(|q| vec![init.clone(); q.params.len()]).collect();
+        let row_of: Vec<usize> = self.procs.iter().map(|q| first[q.name.as_str()]).collect();
+        let envs = self
+            .procs
+            .iter()
+            .zip(&row_of)
+            .map(|(q, &r)| {
+                let n = q.params.len().min(rows[r].len());
+                q.params[..n].iter().enumerate().map(|(k, pm)| (pm.as_str(), k)).collect()
+            })
+            .collect();
+        ParamRows { rows, row_of, envs }
+    }
+
+    /// The rows of [`S0Program::param_rows`] keyed by procedure name:
+    /// each name's first definition's.
+    pub(crate) fn named_rows<T>(
+        &self,
+        first: &HashMap<&str, usize>,
+        mut rows: Vec<Vec<T>>,
+    ) -> HashMap<String, Vec<T>> {
+        first.iter().map(|(&name, &i)| (name.to_string(), std::mem::take(&mut rows[i]))).collect()
     }
 
     /// Total AST node count (for the §8 code-size experiment).
@@ -322,20 +347,170 @@ impl S0Program {
         }
     }
 
-    /// Renders the program as concrete syntax.
+    /// Renders the program as concrete syntax: each procedure as
+    /// pe-sexpr's printer lays out its [`S0Proc::to_sexpr`] form, on a
+    /// line of its own, without building that form.
     pub fn to_source(&self) -> String {
         let mut out = String::new();
         for p in &self.procs {
-            out.push_str(&pe_sexpr::pretty(&p.to_sexpr()));
+            pe_sexpr::write_pretty(Doc::Proc(p), &mut out);
             out.push('\n');
         }
         out
     }
 }
 
+/// The facts rows of [`S0Program::param_rows`].
+pub(crate) struct ParamRows<'p, T> {
+    /// One row per procedure position.
+    pub rows: Vec<Vec<T>>,
+    /// Each procedure's row: its name's first definition's position.
+    pub row_of: Vec<usize>,
+    /// Each procedure's parameters by name, as positions in its row.
+    pub envs: Vec<HashMap<&'p str, usize>>,
+}
+
 impl fmt::Display for S0Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_source())
+    }
+}
+
+/// A node of an S₀ procedure's printed form, viewed in place for
+/// pe-sexpr's printer: the [`Layout`] of exactly the tree
+/// [`S0Proc::to_sexpr`] builds.
+#[derive(Clone, Copy)]
+enum Doc<'a> {
+    Atom(Atom<'a>),
+    /// `(define (P V*) T)`.
+    Proc(&'a S0Proc),
+    /// `(P V*)`.
+    Header(&'a S0Proc),
+    Tail(&'a S0Tail),
+    Simple(&'a S0Simple),
+    /// A constant under `quote`, as [`Constant::to_sexpr`] renders it.
+    Datum(&'a Constant),
+}
+
+/// The elements of the [`Doc`] list `of`, from the `next`-th on.
+#[derive(Clone)]
+struct Elems<'a> {
+    of: Doc<'a>,
+    next: usize,
+    /// For a quoted pair chain: the rest of the chain, whose cars come
+    /// next, then its end when that is not `()`.
+    spine: Option<&'a Constant>,
+    /// For a chain not ending in `()`: `cons-spine` comes first.
+    cons_spine: bool,
+}
+
+fn sym(s: &str) -> Doc<'_> {
+    Doc::Atom(Atom::Sym(s))
+}
+
+fn int<'a>(n: i64) -> Doc<'a> {
+    Doc::Atom(Atom::Int(n))
+}
+
+impl<'a> Iterator for Elems<'a> {
+    type Item = Doc<'a>;
+
+    fn next(&mut self) -> Option<Doc<'a>> {
+        let i = self.next;
+        self.next += 1;
+        // The `i`-th of a head and `xs`, each element viewed by `f`.
+        fn listed<'a, T>(
+            i: usize,
+            head: Doc<'a>,
+            xs: &'a [T],
+            f: impl Fn(&'a T) -> Doc<'a>,
+        ) -> Option<Doc<'a>> {
+            if i == 0 {
+                Some(head)
+            } else {
+                xs.get(i - 1).map(f)
+            }
+        }
+        match self.of {
+            Doc::Proc(q) => [sym("define"), Doc::Header(q), Doc::Tail(&q.body)].get(i).copied(),
+            Doc::Header(q) => listed(i, sym(&q.name), &q.params, |v| sym(v)),
+            Doc::Tail(S0Tail::If(c, a, b)) => {
+                [sym("if"), Doc::Simple(c), Doc::Tail(a), Doc::Tail(b)].get(i).copied()
+            }
+            Doc::Tail(S0Tail::TailCall(p, args)) => listed(i, sym(p), args, Doc::Simple),
+            Doc::Tail(S0Tail::Fail(m)) => [sym("%fail"), Doc::Atom(Atom::Str(m))].get(i).copied(),
+            Doc::Simple(S0Simple::Const(k)) => [sym("quote"), Doc::Datum(k)].get(i).copied(),
+            Doc::Simple(S0Simple::Prim(op, args)) => listed(i, sym(op.name()), args, Doc::Simple),
+            Doc::Simple(S0Simple::MakeClosure(l, args)) => match i {
+                0 => Some(sym("make-closure")),
+                1 => Some(int(i64::from(*l))),
+                _ => args.get(i - 2).map(Doc::Simple),
+            },
+            Doc::Simple(S0Simple::ClosureLabel(a)) => {
+                [sym("closure-label"), Doc::Simple(a)].get(i).copied()
+            }
+            Doc::Simple(S0Simple::ClosureFreeval(a, k)) => {
+                [sym("closure-freeval"), Doc::Simple(a), int(*k as i64)].get(i).copied()
+            }
+            Doc::Datum(Constant::Pair(..)) if std::mem::take(&mut self.cons_spine) => {
+                Some(sym("cons-spine"))
+            }
+            Doc::Datum(Constant::Pair(..)) => match self.spine? {
+                Constant::Pair(a, d) => {
+                    self.spine = Some(&**d);
+                    Some(Doc::Datum(a))
+                }
+                Constant::Nil => None,
+                end => {
+                    self.spine = None;
+                    Some(Doc::Datum(end))
+                }
+            },
+            _ => None,
+        }
+    }
+}
+
+impl<'a> Layout<'a> for Doc<'a> {
+    type Elems = Elems<'a>;
+
+    fn node(self) -> Node<'a, Elems<'a>> {
+        let atom = |a| Node::Atom(a);
+        let constant = |k: &'a Constant| match k {
+            Constant::Int(n) => Some(Atom::Int(*n)),
+            Constant::Bool(b) => Some(Atom::Bool(*b)),
+            Constant::Char(c) => Some(Atom::Char(*c)),
+            Constant::Str(s) => Some(Atom::Str(s)),
+            _ => None,
+        };
+        let (mut spine, mut cons_spine) = (None, false);
+        let of = match self {
+            Doc::Atom(a) => return atom(a),
+            Doc::Tail(S0Tail::Return(s)) => return Doc::Simple(s).node(),
+            Doc::Simple(S0Simple::Var(v)) => return atom(Atom::Sym(v)),
+            Doc::Simple(S0Simple::Const(k)) => match constant(k) {
+                Some(a) => return atom(a),
+                None => self,
+            },
+            Doc::Datum(k) => match (constant(k), k) {
+                (Some(a), _) => return atom(a),
+                (None, Constant::Sym(s)) => return atom(Atom::Sym(s)),
+                (None, Constant::Pair(..)) => {
+                    // A chain not ending in `()` prints as
+                    // `(cons-spine car… end)`.
+                    let mut end: &Constant = k;
+                    while let Constant::Pair(_, d) = end {
+                        end = d;
+                    }
+                    cons_spine = !matches!(end, Constant::Nil);
+                    spine = Some(k);
+                    self
+                }
+                _ => self,
+            },
+            _ => self,
+        };
+        Node::List(Elems { of, next: 0, spine, cons_spine })
     }
 }
 
@@ -367,6 +542,84 @@ mod tests {
         let s = p.to_sexpr().to_string();
         assert!(s.contains("(make-closure 24 cv-vals-$2)"), "{s}");
         assert!(s.starts_with("(define (sl-eval-$3 cv-vals-$1 cv-vals-$2)"), "{s}");
+    }
+
+    /// `to_source` of a one-procedure program, checked against
+    /// pe-sexpr's layout of the procedure built as an `Sexpr`.
+    fn printed(name: &str, params: &[&str], body: S0Tail) -> String {
+        let q = S0Proc {
+            name: name.into(),
+            params: params.iter().map(|&p| p.into()).collect(),
+            body,
+        };
+        let want = pe_sexpr::pretty(&q.to_sexpr()) + "\n";
+        let got = S0Program { entry: q.name.clone(), procs: vec![q] }.to_source();
+        assert_eq!(got, want);
+        got
+    }
+
+    fn call(callee: &str, args: Vec<S0Simple>) -> S0Tail {
+        S0Tail::TailCall(callee.into(), args)
+    }
+
+    fn konst(k: Constant) -> S0Simple {
+        S0Simple::Const(k)
+    }
+
+    fn pair(a: Constant, d: Constant) -> Constant {
+        Constant::Pair(a.into(), d.into())
+    }
+
+    #[test]
+    fn printing_in_place_matches_the_sexpr_layout() {
+        // `(define (f) (g a…a))` is 78 columns with 61 `a`s: one line.
+        let fits = printed("f", &[], call("g", vec![var(&"a".repeat(61))]));
+        assert_eq!(fits, format!("(define (f) (g {}))\n", "a".repeat(61)));
+        assert_eq!(fits.len(), 79);
+        // One more column breaks after the header.
+        let breaks = printed("f", &[], call("g", vec![var(&"a".repeat(62))]));
+        assert_eq!(breaks, format!("(define (f)\n  (g {}))\n", "a".repeat(62)));
+
+        // Nested conditionals past the indent clamp: no line is
+        // indented beyond 78 columns, and some reach it.
+        let mut body = S0Tail::Return(var("x"));
+        for i in 0..60 {
+            body = S0Tail::If(var(&format!("condition-{i}")), Box::new(call("f", vec![])), Box::new(body));
+        }
+        let deep = printed("f", &["x"], body);
+        let indents: Vec<usize> =
+            deep.lines().map(|l| l.len() - l.trim_start().len()).collect();
+        assert_eq!(indents.iter().max(), Some(&78), "{deep}");
+
+        // Escapes in a `%fail` message, named and wide characters.
+        printed("f", &[], S0Tail::Fail("say \"hi\" \\ then\nbye".into()));
+        let chars = [' ', '\n', '\t', 'λ'].map(|c| konst(Constant::Char(c)));
+        let text = printed("f", &[], call("g", chars.to_vec()));
+        assert!(text.contains("(g #\\space #\\newline #\\tab #\\λ)"), "{text}");
+
+        // Quoted constants: a symbol, `()`, a list, a nested list and
+        // an improper chain.
+        let int = Constant::Int;
+        let sym = |s: &str| Constant::Sym(s.into());
+        let list = pair(int(1), pair(int(2), pair(int(3), Constant::Nil)));
+        let nested = pair(pair(sym("a"), Constant::Nil), pair(sym("b"), Constant::Nil));
+        let improper = pair(int(1), pair(int(2), int(3)));
+        let quoted = [sym("foo"), Constant::Nil, list, nested, improper].map(konst);
+        let text = printed("f", &[], call("g", quoted.to_vec()));
+        assert_eq!(
+            text,
+            "(define (f)\n  (g\n    (quote foo)\n    (quote ())\n    (quote (1 2 3))\n    \
+             (quote ((a) b))\n    (quote (cons-spine 1 2 3))))\n"
+        );
+        // The same constants past the line width break inside the quote.
+        let long = [sym(&"s".repeat(40)), pair(sym(&"t".repeat(40)), pair(int(7), int(8)))];
+        printed("f", &[], call("g", long.map(konst).to_vec()));
+
+        // The head rule applies to any head, procedure names included.
+        let wide = || var(&"w".repeat(30));
+        for name in ["if", "define", "lambda", "let", "other"] {
+            printed(name, &["a", "b"], call(name, vec![wide(), wide(), wide()]));
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! pass 2 checks `closure-freeval` indices and dispatch chains against
 //! the shapes through [`eval`].
 
-use crate::s0::{S0Program, S0Simple, S0Tail};
+use crate::s0::{ParamRows, S0Program, S0Simple, S0Tail};
 use pe_governor::{Fuel, Trap};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -70,17 +70,26 @@ impl AbsVal {
 pub type Env<'a> = HashMap<&'a str, AbsVal>;
 /// What enclosing dispatch tests established about their subjects,
 /// innermost last.
-pub type Refinements = Vec<(S0Simple, AbsVal)>;
+pub type Refinements<'a> = Vec<(&'a S0Simple, AbsVal)>;
 
 /// Abstract evaluation of `e` under `env`, honouring the refinements of
 /// enclosing dispatch tests.
 #[must_use]
-pub fn eval(e: &S0Simple, env: &Env<'_>, refines: &Refinements) -> AbsVal {
-    if let Some((_, v)) = refines.iter().rev().find(|(s, _)| s == e) {
+pub fn eval(e: &S0Simple, env: &Env<'_>, refines: &[(&S0Simple, AbsVal)]) -> AbsVal {
+    eval_in(e, |v| env.get(v).cloned(), refines)
+}
+
+/// [`eval`] with the variables' values read through `var`.
+fn eval_in(
+    e: &S0Simple,
+    var: impl Fn(&str) -> Option<AbsVal>,
+    refines: &[(&S0Simple, AbsVal)],
+) -> AbsVal {
+    if let Some((_, v)) = refines.iter().rev().find(|(s, _)| *s == e) {
         return v.clone();
     }
     match e {
-        S0Simple::Var(v) => env.get(v.as_str()).cloned().unwrap_or_else(AbsVal::unknown),
+        S0Simple::Var(v) => var(v).unwrap_or_else(AbsVal::unknown),
         S0Simple::Const(_) | S0Simple::ClosureLabel(_) => AbsVal::bottom(),
         S0Simple::Prim(_, _) | S0Simple::ClosureFreeval(_, _) => AbsVal::unknown(),
         S0Simple::MakeClosure(l, _) => AbsVal::of_label(*l),
@@ -88,33 +97,33 @@ pub fn eval(e: &S0Simple, env: &Env<'_>, refines: &Refinements) -> AbsVal {
 }
 
 /// Walks a tail, maintaining dispatch refinements, calling `f` on every
-/// node (tails before their children).
+/// node (tails before their children); `var` reads the variables.
 fn walk_refined<'p>(
     t: &'p S0Tail,
-    env: &Env<'_>,
-    refines: &mut Refinements,
-    f: &mut impl FnMut(&'p S0Tail, &Refinements),
+    var: &impl Fn(&str) -> Option<AbsVal>,
+    refines: &mut Refinements<'p>,
+    f: &mut impl FnMut(&'p S0Tail, &Refinements<'p>),
 ) {
     f(t, refines);
     if let S0Tail::If(c, a, b) = t {
         if let Some((subj, k)) = c.dispatch_test() {
-            let sv = eval(subj, env, refines);
-            refines.push((subj.clone(), AbsVal::of_label(k)));
-            walk_refined(a, env, refines, f);
+            let sv = eval_in(subj, var, refines);
+            refines.push((subj, AbsVal::of_label(k)));
+            walk_refined(a, var, refines, f);
             refines.pop();
-            refines.push((subj.clone(), sv.without(k)));
-            walk_refined(b, env, refines, f);
+            refines.push((subj, sv.without(k)));
+            walk_refined(b, var, refines, f);
             refines.pop();
         } else {
-            walk_refined(a, env, refines, f);
-            walk_refined(b, env, refines, f);
+            walk_refined(a, var, refines, f);
+            walk_refined(b, var, refines, f);
         }
     }
 }
 
 /// Everything arm folding, pass 6's arm lint and verify's closure-shape
 /// pass need to know.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotAnalysis {
     /// Abstract parameter values per procedure name, sized by the
     /// name's first definition.
@@ -130,27 +139,32 @@ pub struct SlotAnalysis {
 ///
 /// [`Trap::OutOfFuel`] when the budget is exhausted before convergence.
 pub fn analyze(p: &S0Program, fuel: &mut Fuel) -> Result<SlotAnalysis, Trap> {
-    let mut shapes = p.param_rows(AbsVal::bottom());
-    if let Some(e) = shapes.get_mut(&p.entry) {
-        e.iter_mut().for_each(|v| *v = AbsVal::unknown());
+    let first = p.first_definitions();
+    let ParamRows { mut rows, row_of, envs } = p.param_rows(&first, AbsVal::bottom());
+    if let Some(&e) = first.get(p.entry.as_str()) {
+        rows[e].iter_mut().for_each(|v| *v = AbsVal::unknown());
     }
-    // Fixpoint on parameter shapes.
+    // Fixpoint on parameter shapes: each procedure's flows are gathered
+    // from the rows as they stand, then joined in.
+    let mut flows: Vec<(usize, usize, AbsVal)> = Vec::new();
     loop {
         fuel.step()?;
         let mut changed = false;
-        for q in &p.procs {
+        for (i, q) in p.procs.iter().enumerate() {
             fuel.step()?;
-            let env = param_env(q, &shapes);
-            let mut flows: Vec<(String, usize, AbsVal)> = Vec::new();
-            walk_refined(&q.body, &env, &mut Vec::new(), &mut |t, refines| {
+            let row = &rows[row_of[i]];
+            let var = |v: &str| envs[i].get(v).map(|&k| row[k].clone());
+            walk_refined(&q.body, &var, &mut Vec::new(), &mut |t, refines| {
                 if let S0Tail::TailCall(callee, args) = t {
-                    for (i, a) in args.iter().enumerate() {
-                        flows.push((callee.clone(), i, eval(a, &env, refines)));
+                    if let Some(&r) = first.get(callee.as_str()) {
+                        for (k, a) in args.iter().enumerate() {
+                            flows.push((r, k, eval_in(a, var, refines)));
+                        }
                     }
                 }
             });
-            for (callee, i, v) in flows {
-                if let Some(slot) = shapes.get_mut(&callee).and_then(|r| r.get_mut(i)) {
+            for (r, k, v) in flows.drain(..) {
+                if let Some(slot) = rows[r].get_mut(k) {
                     changed |= slot.join_from(&v);
                 }
             }
@@ -159,6 +173,7 @@ pub fn analyze(p: &S0Program, fuel: &mut Fuel) -> Result<SlotAnalysis, Trap> {
             break;
         }
     }
+    let shapes = p.named_rows(&first, rows);
     let mut min_captures = BTreeMap::new();
     for q in &p.procs {
         fuel.step()?;
@@ -204,34 +219,44 @@ pub struct ArmFinding {
 
 /// Folds statically decidable dispatch arms (variable subjects only:
 /// folding must not drop a faulting test).  Returns the rewritten
-/// program and the arms folded; the findings alone are available via
-/// [`arm_findings`].
+/// program, the arms folded, and the label analysis of the input
+/// program, which is also that of the output when nothing folded; the
+/// findings alone are available via [`arm_findings`].  Only procedures
+/// with a decided arm are rebuilt.
 ///
 /// # Errors
 ///
 /// [`Trap::OutOfFuel`] when the analysis budget is exhausted.
-pub fn fold_arms(p: S0Program, fuel: &mut Fuel) -> Result<(S0Program, usize), Trap> {
+pub fn fold_arms(
+    mut p: S0Program,
+    fuel: &mut Fuel,
+) -> Result<(S0Program, usize, SlotAnalysis), Trap> {
     let sa = analyze(&p, fuel)?;
-    let mut findings = Vec::new();
-    let mut procs = Vec::with_capacity(p.procs.len());
-    for q in &p.procs {
+    let mut folded = 0;
+    for q in &mut p.procs {
         fuel.step()?;
+        let env = param_env(q, &sa.shapes);
+        let mut findings = Vec::new();
+        let (leaf, node) = (&mut |_| (), &mut |_, (), ()| ());
+        fold_tail(&q.body, &env, &mut Vec::new(), &q.name, &mut findings, leaf, node);
+        // Only a procedure with a decided arm is rebuilt.
+        if findings.is_empty() {
+            continue;
+        }
+        folded += findings.len();
         let body = fold_tail(
             &q.body,
-            &param_env(q, &sa.shapes),
+            &env,
             &mut Vec::new(),
             &q.name,
-            &mut findings,
+            &mut Vec::new(),
             &mut |t| t.clone(),
             &mut |c, a, b| S0Tail::If(c.clone(), Box::new(a), Box::new(b)),
         );
-        procs.push(crate::s0::S0Proc {
-            name: q.name.clone(),
-            params: q.params.clone(),
-            body,
-        });
+        drop(env);
+        q.body = body;
     }
-    Ok((S0Program { procs, entry: p.entry }, findings.len()))
+    Ok((p, folded, sa))
 }
 
 /// Reports the dispatch arms [`fold_arms`] would fold, in its order,
@@ -274,7 +299,7 @@ fn param_env<'q>(q: &'q crate::s0::S0Proc, shapes: &HashMap<String, Vec<AbsVal>>
 fn fold_tail<'t, R>(
     t: &'t S0Tail,
     env: &Env<'_>,
-    refines: &mut Refinements,
+    refines: &mut Refinements<'t>,
     owner: &str,
     findings: &mut Vec<ArmFinding>,
     leaf: &mut impl FnMut(&'t S0Tail) -> R,
@@ -302,15 +327,15 @@ fn fold_tail<'t, R>(
     if let Some(always) = decided {
         findings.push(ArmFinding { proc: owner.to_string(), label: k, always });
         let (refined, kept) = if always { (AbsVal::of_label(k), a) } else { (sv.without(k), b) };
-        refines.push((subj.clone(), refined));
+            refines.push((subj, refined));
         let out = fold_tail(kept, env, refines, owner, findings, leaf, node);
         refines.pop();
         return out;
     }
-    refines.push((subj.clone(), AbsVal::of_label(k)));
+    refines.push((subj, AbsVal::of_label(k)));
     let a2 = fold_tail(a, env, refines, owner, findings, leaf, node);
     refines.pop();
-    refines.push((subj.clone(), sv.without(k)));
+    refines.push((subj, sv.without(k)));
     let b2 = fold_tail(b, env, refines, owner, findings, leaf, node);
     refines.pop();
     node(c, a2, b2)
@@ -405,7 +430,7 @@ mod tests {
                 },
             ],
         };
-        let (q, n) = fold_arms(p, &mut fuel()).unwrap();
+        let (q, n, _) = fold_arms(p, &mut fuel()).unwrap();
         assert_eq!(n, 1);
         let k = q.proc("k").unwrap();
         assert!(
@@ -442,7 +467,7 @@ mod tests {
                 },
             ],
         };
-        let (q, n) = fold_arms(p, &mut fuel()).unwrap();
+        let (q, n, _) = fold_arms(p, &mut fuel()).unwrap();
         assert_eq!(n, 1);
         assert!(matches!(&q.proc("k").unwrap().body, S0Tail::Return(_)));
     }

@@ -233,9 +233,9 @@ impl Pipeline {
         snapshot: bool,
         sink: &mut dyn Sink,
     ) -> Result<CompileReport, PipelineError> {
-        let out = pe_core::run(&self.dprog, entry, None, opts, warm, snapshot, sink)?;
+        let mut out = pe_core::run(&self.dprog, entry, None, opts, warm, snapshot, sink)?;
         let t = pe_trace::begin(sink, Phase::Verify);
-        let mut report = pe_verify::verify_with(&out.program, sink);
+        let mut report = pe_verify::verify_with(&out.program, out.labels.take(), sink);
         // Pass 7 is the one check that is not per-procedure: it gets an
         // `<audit>` attribution row of its own, so the verify phase's
         // books stay balanced.

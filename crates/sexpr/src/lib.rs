@@ -21,7 +21,7 @@ mod print;
 mod reader;
 
 pub use pe_governor::Limits;
-pub use print::{pretty, pretty_width};
+pub use print::{pretty, pretty_width, write_pretty, Atom, Layout, Node};
 pub use reader::{
     read, read_one, read_one_with, read_positioned, read_positioned_with, read_with, ReadError,
     ReadErrorKind,
@@ -159,66 +159,8 @@ impl fmt::Debug for Sexpr {
 
 impl fmt::Display for Sexpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_flat(self, f)
+        print::write_flat(self, f, usize::MAX, &mut Vec::new()).map(drop)
     }
-}
-
-/// Writes the single-line form of `e` using an explicit work stack, so
-/// printing is total: residual programs from the specializer can nest
-/// hundreds of thousands of levels deep, and a recursive `Display` would
-/// overflow the host stack exactly where the reader (iterative since the
-/// governor change) no longer does.  `Display` and the pretty printer
-/// both funnel through here.
-pub(crate) fn write_flat<W: fmt::Write>(e: &Sexpr, f: &mut W) -> fmt::Result {
-    enum Step<'a> {
-        Node(&'a Sexpr),
-        Text(&'static str),
-    }
-    let mut work = vec![Step::Node(e)];
-    while let Some(step) = work.pop() {
-        let e = match step {
-            Step::Text(s) => {
-                f.write_str(s)?;
-                continue;
-            }
-            Step::Node(e) => e,
-        };
-        match e {
-            Sexpr::Sym(s) => f.write_str(s)?,
-            Sexpr::Int(n) => write!(f, "{n}")?,
-            Sexpr::Bool(true) => f.write_str("#t")?,
-            Sexpr::Bool(false) => f.write_str("#f")?,
-            Sexpr::Char(c) => match c {
-                ' ' => f.write_str("#\\space")?,
-                '\n' => f.write_str("#\\newline")?,
-                '\t' => f.write_str("#\\tab")?,
-                c => write!(f, "#\\{c}")?,
-            },
-            Sexpr::Str(s) => {
-                f.write_str("\"")?;
-                for c in s.chars() {
-                    match c {
-                        '"' => f.write_str("\\\"")?,
-                        '\\' => f.write_str("\\\\")?,
-                        '\n' => f.write_str("\\n")?,
-                        c => write!(f, "{c}")?,
-                    }
-                }
-                f.write_str("\"")?;
-            }
-            Sexpr::List(xs) => {
-                f.write_str("(")?;
-                work.push(Step::Text(")"));
-                for (i, x) in xs.iter().enumerate().rev() {
-                    work.push(Step::Node(x));
-                    if i > 0 {
-                        work.push(Step::Text(" "));
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 impl From<i64> for Sexpr {

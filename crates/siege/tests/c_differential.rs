@@ -359,16 +359,19 @@ fn text_edge_cases_agree_with_the_vm() {
     }
     // Strings, symbols and characters that the C tables must hold with
     // C escapes and the C must print as the VM does: a tab, quotes, a
-    // backslash, a newline, control characters and non-ASCII text.  NUL
-    // is left out: a C string ends at it.
+    // backslash, a newline, control characters, non-ASCII text, and a
+    // NUL inside a string, which the string table's lengths keep.  A
+    // symbol holding NUL is left out: its C string ends there.
     let text = "(define (f s)
                   (cons s (cons \"tab\\there \\\"q\\\" back\\\\slash\\nline \u{1}\u{7f}\u{2028} é\"
                     (cons 'sym\u{7f}λ '()))))";
     let chars = "(define (g c) (cons c (cons #\\é (cons #\\→ (cons #\\a '())))))";
+    let nul = "(define (f x) (cons x \"a\u{0}b\"))";
     let cases = || {
         vec![
             Case::new("text", text, "f", &["\"λ\\\"\""]),
             Case::new("chars", chars, "g", &["#\\λ"]),
+            Case::new("nul", nul, "f", &["1"]),
         ]
     };
     let results = check(cases, "text");
@@ -376,6 +379,7 @@ fn text_edge_cases_agree_with_the_vm() {
     let expected = [
         "(\"λ\\\"\" \"tab\there \\\"q\\\" back\\\\slash\\nline \u{1}\u{7f}\u{2028} é\" sym\u{7f}λ)",
         "(#\\λ #\\é #\\→ #\\a)",
+        "(1 . \"a\u{0}b\")",
     ];
     for ((case, verdict), want) in results.iter().zip(expected) {
         assert_eq!(

@@ -10,12 +10,17 @@
 //! * a starved fuel budget traps instead of looping or returning a
 //!   program;
 //! * dead-parameter analysis never names a parameter its body reads
-//!   outside call arguments.
+//!   outside call arguments;
+//! * `to_source` lays every residual out exactly as pe-sexpr's printer
+//!   lays out its procedures built as `Sexpr`s;
+//! * the label analysis the optimizer hands over is that of the program
+//!   it returns.
 
 mod common;
 
 use common::{desugared, for_programs, generated};
 use pe_core::{compile, eval, CompileOptions, GenStrategy, S0Program, S0Tail};
+use pe_trace::NullSink;
 use pe_governor::{Fuel, Limits};
 use pe_interp::Datum;
 use pe_siege::Case;
@@ -68,7 +73,7 @@ fn optimize_preserves_meaning(postprocess: bool) {
     let lim = Limits::builder().with_fuel(1_000_000).build();
     let rewrites = Cell::new(0);
     for_residuals(0xF10_5EED, postprocess, |case, s0| {
-        let (opt, stats) = pe_flow::optimize(s0.clone(), &mut Fuel::new(&Limits::default()))
+        let (opt, stats, _) = pe_flow::optimize(s0.clone(), &mut Fuel::new(&Limits::default()))
             .unwrap_or_else(|trap| panic!("{}: {trap:?}", case.name));
         assert!(opt.size() <= s0.size(), "{}: grew {} -> {}", case.name, s0.size(), opt.size());
         assert!(stats.cfg_nodes > 0, "{}", case.name);
@@ -118,7 +123,7 @@ fn disagreeing_constants_stay_dynamic() {
                 ..CompileOptions::default()
             };
             let s0 = compile(&desugared(DISAGREEING_SITES), "main", &opts).expect("compiles");
-            let (opt, _) = pe_flow::optimize(s0.clone(), &mut Fuel::new(&Limits::default()))
+            let (opt, _, _) = pe_flow::optimize(s0.clone(), &mut Fuel::new(&Limits::default()))
                 .expect("optimizes in budget");
             for a0 in [0, 5] {
                 let args = [Datum::Int(a0), Datum::Int(3)];
@@ -172,5 +177,62 @@ fn no_read_parameter_is_dead() {
             }
         });
         assert!(found.get() > 0, "no dead parameter in any raw residual");
+    });
+}
+
+/// Every printed procedure must read exactly as pe-sexpr's printer lays
+/// out the procedure's `Sexpr` form.
+fn assert_prints_as_sexpr(name: &str, p: &S0Program) {
+    let want: String = p.procs.iter().map(|q| pe_sexpr::pretty(&q.to_sexpr()) + "\n").collect();
+    assert_eq!(p.to_source(), want, "{name}");
+}
+
+#[test]
+fn to_source_is_the_sexpr_layout() {
+    realistic_pe::with_big_stack(|| {
+        let strategies = [GenStrategy::Offline, GenStrategy::Online];
+        for strategy in strategies {
+            for (postprocess, flow) in [(false, false), (true, false), (false, true), (true, true)] {
+                let opts = CompileOptions { strategy, postprocess, flow, ..CompileOptions::default() };
+                for b in suite::SUITE {
+                    let s0 = compile(&desugared(b.source), b.entry, &opts).expect("the suite compiles");
+                    assert_prints_as_sexpr(b.name, &s0);
+                }
+            }
+        }
+        for_programs(0xF10_9417, CASES, generated, |case| {
+            let dp = desugared(&case.source);
+            let mut compiled = false;
+            for strategy in strategies {
+                let opts = CompileOptions { strategy, ..CompileOptions::default() };
+                if let Ok(s0) = compile(&dp, &case.entry, &opts) {
+                    assert_prints_as_sexpr(&case.name, &s0);
+                    compiled = true;
+                }
+            }
+            compiled
+        });
+    });
+}
+
+#[test]
+fn the_handed_over_analysis_is_that_of_the_result() {
+    realistic_pe::with_big_stack(|| {
+        for_programs(0xF10_1AB3, CASES, generated, |case| {
+            let dp = desugared(&case.source);
+            let mut compiled = false;
+            for strategy in [GenStrategy::Offline, GenStrategy::Online] {
+                let opts = CompileOptions { strategy, ..CompileOptions::default() };
+                let Ok(out) = pe_core::run(&dp, &case.entry, None, &opts, None, false, &mut NullSink)
+                else {
+                    continue;
+                };
+                let own = pe_flow::slots::analyze(&out.program, &mut Fuel::new(&Limits::default()))
+                    .expect("analyzes in budget");
+                assert_eq!(out.labels, Some(own), "{strategy:?}\n{}", out.program);
+                compiled = true;
+            }
+            compiled
+        });
     });
 }

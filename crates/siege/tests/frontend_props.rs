@@ -26,6 +26,7 @@ use pe_siege::oracle::oracle_limits;
 use pe_siege::rng::Rng;
 use pe_siege::Case;
 use realistic_pe::with_big_stack;
+use std::cell::Cell;
 
 /// Cases per reader property.
 const TREES: usize = 2_000;
@@ -96,11 +97,32 @@ fn pretty_read_roundtrip() {
     });
 }
 
+/// Reader input: up to 64 draws, each printable ASCII, a [`WIDE`]
+/// character, a newline, or `#\` as one draw — so a character literal
+/// meets every kind of character often, wide ones included.
+fn reader_input(rng: &mut Rng) -> String {
+    let alphabet = 1 + 95 + WIDE.len() as u64 + 1;
+    let mut s = String::new();
+    for _ in 0..rng.below(65) {
+        match rng.below(alphabet) {
+            0 => s.push_str("#\\"),
+            c @ 1..=95 => s.push(char::from(b' ' + (c - 1) as u8)),
+            c if c < 96 + WIDE.len() as u64 => s.push(WIDE[c as usize - 96]),
+            _ => s.push('\n'),
+        }
+    }
+    s
+}
+
 #[test]
 fn read_never_panics() {
-    for_all(0x5E_0003, 4 * TREES, |rng| text(rng, 64, true), |s| {
+    let wide_literals = Cell::new(0);
+    for_all(0x5E_0003, 4 * TREES, reader_input, |s| {
         let _ = read(s);
+        let wide = WIDE.iter().any(|w| s.contains(&format!("#\\{w}")));
+        wide_literals.set(wide_literals.get() + usize::from(wide));
     });
+    assert!(wide_literals.get() >= 50, "{} inputs with #\\ before a wide character", wide_literals.get());
 }
 
 #[test]

@@ -263,7 +263,7 @@ fn verify_text(pipe: &Pipeline, entry: &str, seen: &mut Seen) -> String {
     };
     let mut s = format!("flow: false\n{}\n", render(&base, seen));
     let (opt, st) = match pe_flow::optimize(base, &mut Fuel::new(&opts.limits)) {
-        Ok(r) => r,
+        Ok((opt, st, _)) => (opt, st),
         Err(trap) => return format!("{s}optimize: {trap:?}"),
     };
     let _ = writeln!(

@@ -56,10 +56,10 @@ fn fmt_labels(labels: &BTreeSet<u32>) -> String {
     labels.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ")
 }
 
-fn check_tail(
-    t: &S0Tail,
+fn check_tail<'t>(
+    t: &'t S0Tail,
     env: &Env<'_>,
-    refines: &mut Refinements,
+    refines: &mut Refinements<'t>,
     shapes: &SlotAnalysis,
     owner: &str,
     out: &mut Vec<Diagnostic>,
@@ -92,7 +92,7 @@ fn check_tail(
                         ),
                     ));
                 }
-                refines.push((subj.clone(), AbsVal::of_label(k)));
+                refines.push((subj, AbsVal::of_label(k)));
                 check_tail(a, env, refines, shapes, owner, out);
                 refines.pop();
                 let rest = v.without(k);
@@ -106,7 +106,7 @@ fn check_tail(
                         ),
                     ));
                 }
-                refines.push((subj.clone(), rest));
+                refines.push((subj, rest));
                 check_tail(b, env, refines, shapes, owner, out);
                 refines.pop();
             } else {
@@ -120,7 +120,7 @@ fn check_tail(
 fn check_simple(
     s: &S0Simple,
     env: &Env<'_>,
-    refines: &Refinements,
+    refines: &Refinements<'_>,
     shapes: &SlotAnalysis,
     owner: &str,
     out: &mut Vec<Diagnostic>,

@@ -57,27 +57,49 @@ pub use report::{Diagnostic, Pass, Report, Severity};
 pub use residual::verify_program;
 
 use pe_core::S0Program;
+use pe_flow::slots::SlotAnalysis;
 use pe_governor::{Fuel, Limits};
 use pe_unmix::Division;
 
 /// Runs every S₀ pass (well-formed, closure-shape, preservation, lints,
 /// flow) over `p` and collects the findings.
 pub fn verify(p: &S0Program) -> Report {
-    verify_with(p, &mut pe_trace::NullSink)
+    verify_with(p, None, &mut pe_trace::NullSink)
 }
 
 /// [`verify`] with per-residual-procedure cost attribution: the passes
 /// are whole-program analyses, so their summed wall time is spread over
 /// the program's procedures by node share and emitted as `Event::Attr`
-/// rows under `Phase::Verify`.  With a disabled sink this is exactly
-/// [`verify`] — no clock reads.
-pub fn verify_with(p: &S0Program, sink: &mut dyn pe_trace::Sink) -> Report {
+/// rows under `Phase::Verify`.  With a disabled sink this reads no
+/// clock.
+///
+/// Passes 2 and 6 read `labels` when given: the closure-label analysis
+/// of exactly `p`, as the flow optimizer hands it over
+/// ([`pe_core::Compiled::labels`]).  Otherwise they solve it here, with
+/// the default budget.  Debug builds check a handed analysis against
+/// their own solve.
+pub fn verify_with(
+    p: &S0Program,
+    labels: Option<SlotAnalysis>,
+    sink: &mut dyn pe_trace::Sink,
+) -> Report {
     let t0 = sink.enabled().then(std::time::Instant::now);
     let mut diagnostics = wellformed::check(p);
     // The deeper passes assume basic well-formedness (e.g. bound
     // variables); run them anyway — they are robust — but order the
     // report by pass.  Passes 2 and 6 share one label analysis.
-    let shapes = pe_flow::slots::analyze(p, &mut Fuel::new(&Limits::default()));
+    let analyze = || pe_flow::slots::analyze(p, &mut Fuel::new(&Limits::default()));
+    let shapes = match labels {
+        Some(sa) => {
+            if cfg!(debug_assertions) {
+                if let Ok(own) = analyze() {
+                    assert_eq!(sa, own, "the handed label analysis is not that of the program");
+                }
+            }
+            Ok(sa)
+        }
+        None => analyze(),
+    };
     diagnostics.extend(closure::check(p, &shapes));
     diagnostics.extend(preservation::check(p));
     diagnostics.extend(lints::check(p));

@@ -19,9 +19,26 @@
 //!   objects, and small integers come from one static table.
 //!
 //! The paper uses the Boehm collector with "no cooperation between the
-//! translation and the garbage collector"; allocation strategy being
-//! orthogonal, the emitted runtime uses a self-contained bump arena
-//! (documented substitution — benchmarks are sized for it).
+//! translation and the garbage collector".  The emitted runtime instead
+//! cooperates with the translation: it is a precise two-space copying
+//! (Cheney) collector that runs only at procedure labels.  A body
+//! allocates a bounded number of bytes on any path, and the emitter
+//! counts them as it writes each allocating call.  Each label checks,
+//! before its prologue copies, that the free space holds its body's
+//! bound, and collects when it does not.  At a label no temporary is
+//! live, so the roots are exactly the global parameter variables the
+//! label's body names; the collector resets every other global to a
+//! static object, so none dangles into a reused space and none keeps
+//! garbage alive.  The first space is 64 KiB, or larger when the entry
+//! arguments need it; the spaces double when live data plus the largest
+//! bound passes half of one, up to `RT_HEAP_CAP`, past which the program
+//! dies with `heap exhausted`.  A program without tail calls runs one
+//! body and allocates from its first space, with no collector and no
+//! checks.
+//!
+//! The runtime header holds only what the program uses: the emitter
+//! records each runtime function or table as it writes a call to it
+//! (`Rt`), and the header holds those and what they call.
 //!
 //! Strings and symbols live in C string tables, written with C escapes
 //! (`c_string`), and print as the VM prints them: a string with the
@@ -38,6 +55,14 @@ use pe_interp::Datum;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
+
+/// Bytes of one heap object: `sizeof(Obj)` on LP64, and no less than it
+/// on ILP32, so a bound counted in these is never short.
+const OBJ_BYTES: usize = 24;
+/// Bytes of one captured value, stored after its closure record.
+const CAPTURE_BYTES: usize = 8;
+/// The first space's size, unless the entry arguments need more.
+const FIRST_SPACE: usize = 64 << 10;
 
 /// Options for the C translation.
 #[derive(Debug, Clone)]
@@ -75,6 +100,268 @@ impl CProgram {
     }
 }
 
+/// A piece of the runtime header: a table or a function.  The header
+/// holds a piece only when the emitted code, or a piece it holds,
+/// reaches it; [`Rt::ALL`] is the order they are written in, each after
+/// the pieces it calls.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[rustfmt::skip]
+enum Rt {
+    Consts, Ints, Die, Heap, New, Int, Bool, Char, Str, Cons, Truthy, Car, Cdr, NullP, PairP, Not,
+    SymbolP, NumberP, BooleanP, Ival, Checked, Add, Sub, Mul, Add1, Sub1, Quotient, Remainder,
+    NumEq, Lt, Gt, Le, Ge, ZeroP, EqRaw, EqP, EqualRaw, EqualP, Closure, Label, ClosureLabel,
+    LabelIs, ClosureFreeval,
+}
+
+impl Rt {
+    #[rustfmt::skip]
+    const ALL: [Rt; 43] = {
+        use Rt::*;
+        [
+            Consts, Ints, Die, Heap, New, Int, Bool, Char, Str, Cons, Truthy, Car, Cdr, NullP,
+            PairP, Not, SymbolP, NumberP, BooleanP, Ival, Checked, Add, Sub, Mul, Add1, Sub1,
+            Quotient, Remainder, NumEq, Lt, Gt, Le, Ge, ZeroP, EqRaw, EqP, EqualRaw, EqualP,
+            Closure, Label, ClosureLabel, LabelIs, ClosureFreeval,
+        ]
+    };
+
+    fn bit(self) -> u64 {
+        1 << self as u32
+    }
+
+    /// The pieces this one calls, and its C text.  [`Rt::Heap`]'s text
+    /// depends on whether the program collects; the header writes it.
+    fn piece(self) -> (&'static [Rt], &'static str) {
+        match self {
+            Rt::Consts => (
+                &[],
+                "static Obj rt_consts[3] = {{T_BOOL, 0, {0}}, {T_BOOL, 0, {1}}, {T_NIL, 0, {0}}};
+#define RT_FALSE (&rt_consts[0])
+#define RT_TRUE (&rt_consts[1])
+#define RT_NIL (&rt_consts[2])
+",
+            ),
+            Rt::Ints => (&[], "static Obj rt_ints[272];\n"),
+            Rt::Die => (
+                &[],
+                r#"static void rt_die(const char *msg) {
+  fprintf(stderr, "runtime error: %s\n", msg);
+  exit(1);
+}
+"#,
+            ),
+            Rt::Heap => (&[Rt::Die], ""),
+            Rt::New => (
+                &[Rt::Heap],
+                "static Obj *rt_new(int tag) {
+  Obj *o = (Obj *)rt_hp;
+  rt_hp += sizeof(Obj);
+  o->tag = tag;
+  return o;
+}
+",
+            ),
+            Rt::Int => (
+                &[Rt::Ints, Rt::New],
+                "static Obj *rt_int(long n) {
+  Obj *o;
+  if ((unsigned long)n + 16 < 272) return &rt_ints[n + 16];
+  o = rt_new(T_INT); o->u.i = n; return o;
+}
+",
+            ),
+            Rt::Bool => (&[Rt::Consts], "static Obj *rt_bool(int b) { return b ? RT_TRUE : RT_FALSE; }\n"),
+            Rt::Char => (
+                &[Rt::New],
+                "static Obj *rt_char(long c) { Obj *o = rt_new(T_CHAR); o->u.i = c; return o; }\n",
+            ),
+            Rt::Str => (
+                &[Rt::New],
+                "static Obj *rt_str(long i) { Obj *o = rt_new(T_STR); o->u.i = i; return o; }\n",
+            ),
+            // Out of line: a body that conses a large tree in one
+            // expression would otherwise leave `cc -O2` one huge block
+            // of inlined stores to optimize, at no gain in run time.
+            Rt::Cons => (
+                &[Rt::New],
+                "__attribute__((noinline)) static Obj *rt_cons(Obj *a, Obj *d) {
+  Obj *o = rt_new(T_PAIR); o->u.pair.car = a; o->u.pair.cdr = d; return o;
+}
+",
+            ),
+            Rt::Truthy => (&[Rt::Consts], "static int rt_truthy(Obj *o) { return o != RT_FALSE; }\n"),
+            Rt::Car => (
+                &[Rt::Die],
+                "static Obj *rt_car(Obj *o) { if (o->tag != T_PAIR) rt_die(\"car: not a pair\"); return o->u.pair.car; }\n",
+            ),
+            Rt::Cdr => (
+                &[Rt::Die],
+                "static Obj *rt_cdr(Obj *o) { if (o->tag != T_PAIR) rt_die(\"cdr: not a pair\"); return o->u.pair.cdr; }\n",
+            ),
+            Rt::NullP => (&[Rt::Bool], "static Obj *rt_nullp(Obj *o) { return rt_bool(o->tag == T_NIL); }\n"),
+            Rt::PairP => (&[Rt::Bool], "static Obj *rt_pairp(Obj *o) { return rt_bool(o->tag == T_PAIR); }\n"),
+            Rt::Not => (
+                &[Rt::Bool, Rt::Truthy],
+                "static Obj *rt_not(Obj *o) { return rt_bool(!rt_truthy(o)); }\n",
+            ),
+            Rt::SymbolP => (&[Rt::Bool], "static Obj *rt_symbolp(Obj *o) { return rt_bool(o->tag == T_SYM); }\n"),
+            Rt::NumberP => (&[Rt::Bool], "static Obj *rt_numberp(Obj *o) { return rt_bool(o->tag == T_INT); }\n"),
+            Rt::BooleanP => (
+                &[Rt::Bool],
+                "static Obj *rt_booleanp(Obj *o) { return rt_bool(o->tag == T_BOOL); }\n",
+            ),
+            Rt::Ival => (
+                &[Rt::Die],
+                "static long rt_ival(Obj *o) { if (o->tag != T_INT) rt_die(\"expected number\"); return o->u.i; }\n",
+            ),
+            Rt::Checked => (
+                &[Rt::Ival, Rt::Int],
+                "#define RT_CHECKED(op, x, y, name) \\
+  long r; if (__builtin_##op##_overflow(x, y, &r)) rt_die(name \": fixnum overflow\"); return rt_int(r)
+",
+            ),
+            Rt::Add => (
+                &[Rt::Checked],
+                "static Obj *rt_add(Obj *a, Obj *b) { RT_CHECKED(add, rt_ival(a), rt_ival(b), \"+\"); }\n",
+            ),
+            Rt::Sub => (
+                &[Rt::Checked],
+                "static Obj *rt_sub(Obj *a, Obj *b) { RT_CHECKED(sub, rt_ival(a), rt_ival(b), \"-\"); }\n",
+            ),
+            Rt::Mul => (
+                &[Rt::Checked],
+                "static Obj *rt_mul(Obj *a, Obj *b) { RT_CHECKED(mul, rt_ival(a), rt_ival(b), \"*\"); }\n",
+            ),
+            Rt::Add1 => (
+                &[Rt::Checked],
+                "static Obj *rt_add1(Obj *o) { RT_CHECKED(add, rt_ival(o), 1L, \"add1\"); }\n",
+            ),
+            Rt::Sub1 => (
+                &[Rt::Checked],
+                "static Obj *rt_sub1(Obj *o) { RT_CHECKED(sub, rt_ival(o), 1L, \"sub1\"); }\n",
+            ),
+            Rt::Quotient => (
+                &[Rt::Ival, Rt::Int],
+                r#"static Obj *rt_quotient(Obj *a, Obj *b) {
+  long n = rt_ival(a), d = rt_ival(b);
+  if (d == 0) rt_die("quotient: division by zero");
+  if (d == -1 && n == LONG_MIN) rt_die("quotient: fixnum overflow");
+  return rt_int(n / d);
+}
+"#,
+            ),
+            Rt::Remainder => (
+                &[Rt::Ival, Rt::Int],
+                r#"static Obj *rt_remainder(Obj *a, Obj *b) {
+  long n = rt_ival(a), d = rt_ival(b);
+  if (d == 0) rt_die("remainder: division by zero");
+  if (d == -1 && n == LONG_MIN) rt_die("remainder: fixnum overflow");
+  return rt_int(n % d);
+}
+"#,
+            ),
+            Rt::NumEq => (
+                &[Rt::Bool, Rt::Ival],
+                "static Obj *rt_numeq(Obj *a, Obj *b) { return rt_bool(rt_ival(a) == rt_ival(b)); }\n",
+            ),
+            Rt::Lt => (
+                &[Rt::Bool, Rt::Ival],
+                "static Obj *rt_lt(Obj *a, Obj *b) { return rt_bool(rt_ival(a) < rt_ival(b)); }\n",
+            ),
+            Rt::Gt => (
+                &[Rt::Bool, Rt::Ival],
+                "static Obj *rt_gt(Obj *a, Obj *b) { return rt_bool(rt_ival(a) > rt_ival(b)); }\n",
+            ),
+            Rt::Le => (
+                &[Rt::Bool, Rt::Ival],
+                "static Obj *rt_le(Obj *a, Obj *b) { return rt_bool(rt_ival(a) <= rt_ival(b)); }\n",
+            ),
+            Rt::Ge => (
+                &[Rt::Bool, Rt::Ival],
+                "static Obj *rt_ge(Obj *a, Obj *b) { return rt_bool(rt_ival(a) >= rt_ival(b)); }\n",
+            ),
+            Rt::ZeroP => (
+                &[Rt::Bool, Rt::Ival],
+                "static Obj *rt_zerop(Obj *o) { return rt_bool(rt_ival(o) == 0); }\n",
+            ),
+            Rt::EqRaw => (
+                &[],
+                "static int rt_eq_raw(Obj *a, Obj *b) {
+  if (a == b) return 1;
+  if (a->tag != b->tag) return 0;
+  switch (a->tag) {
+    case T_INT: case T_BOOL: case T_CHAR: case T_SYM: case T_STR: return a->u.i == b->u.i;
+    case T_NIL: return 1;
+    default: return 0;
+  }
+}
+",
+            ),
+            Rt::EqP => (
+                &[Rt::EqRaw, Rt::Bool],
+                "static Obj *rt_eqp(Obj *a, Obj *b) { return rt_bool(rt_eq_raw(a, b)); }\n",
+            ),
+            Rt::EqualRaw => (
+                &[Rt::EqRaw],
+                "static int rt_equal_raw(Obj *a, Obj *b) {
+  if (rt_eq_raw(a, b)) return 1;
+  if (a->tag == T_PAIR && b->tag == T_PAIR)
+    return rt_equal_raw(a->u.pair.car, b->u.pair.car) &&
+           rt_equal_raw(a->u.pair.cdr, b->u.pair.cdr);
+  return 0;
+}
+",
+            ),
+            Rt::EqualP => (
+                &[Rt::EqualRaw, Rt::Bool],
+                "static Obj *rt_equalp(Obj *a, Obj *b) { return rt_bool(rt_equal_raw(a, b)); }\n",
+            ),
+            Rt::Closure => (
+                &[Rt::Heap],
+                "static Obj *rt_closure(long label, int n, ...) {
+  __builtin_va_list ap;
+  Obj *o = (Obj *)rt_hp;
+  int i;
+  rt_hp += sizeof(Obj) + sizeof(Obj *) * n;
+  o->tag = T_CLO;
+  o->n = n;
+  o->u.i = label;
+  __builtin_va_start(ap, n);
+  for (i = 0; i < n; i++) RT_FV(o)[i] = __builtin_va_arg(ap, Obj *);
+  __builtin_va_end(ap);
+  return o;
+}
+",
+            ),
+            Rt::Label => (
+                &[Rt::Die],
+                "static long rt_label(Obj *o) {
+  if (o->tag != T_CLO) rt_die(\"closure-label: not a closure\");
+  return o->u.i;
+}
+",
+            ),
+            Rt::ClosureLabel => (
+                &[Rt::Label, Rt::Int],
+                "static Obj *rt_closure_label(Obj *o) { return rt_int(rt_label(o)); }\n",
+            ),
+            Rt::LabelIs => (
+                &[Rt::Label],
+                "static int rt_label_is(Obj *o, long l) { return rt_label(o) == l; }\n",
+            ),
+            Rt::ClosureFreeval => (
+                &[Rt::Die],
+                "static Obj *rt_closure_freeval(Obj *o, int i) {
+  if (o->tag != T_CLO) rt_die(\"closure-freeval: not a closure\");
+  if (i >= o->n) rt_die(\"closure-freeval: index out of range\");
+  return RT_FV(o)[i];
+}
+",
+            ),
+        }
+    }
+}
+
 struct Emitter {
     /// S₀ name → sanitized unique C label.
     labels: HashMap<String, String>,
@@ -89,13 +376,17 @@ struct Emitter {
     max_arity: usize,
     elide: bool,
     moves_elided: usize,
+    /// The runtime pieces the emitted code calls, one [`Rt::bit`] each.
+    rt: u64,
+    /// Bytes the path being emitted allocates so far.
+    bytes: usize,
 }
 
 /// What translating one procedure body consults and records.
 struct ProcScope<'a> {
     /// Procedure name → one flag per parameter, `true` when its body
     /// never reads it.
-    dead: &'a HashMap<&'a str, Vec<bool>>,
+    dead: &'a HashMap<&'a str, &'a [bool]>,
     /// The current procedure's parameter name → position; parameter *i*
     /// is the C variable `pᵢ`.
     index: HashMap<&'a str, usize>,
@@ -146,31 +437,51 @@ impl Emitter {
         t
     }
 
+    /// Records a call to `piece` that allocates `bytes` on the heap.
+    fn call(&mut self, piece: Rt, bytes: usize) {
+        self.rt |= piece.bit();
+        self.bytes += bytes;
+    }
+
     /// Emits a constant as a C expression.  Only a quoted pair, a
     /// character, a string or an integer outside the small-integer
     /// table allocates.
     fn constant(&mut self, k: &Constant) -> String {
         match k {
-            Constant::Int(i64::MIN) => "rt_int(LONG_MIN)".to_string(),
-            Constant::Int(n) => format!("rt_int({n}L)"),
-            Constant::Bool(true) => "RT_TRUE".to_string(),
-            Constant::Bool(false) => "RT_FALSE".to_string(),
+            Constant::Int(i64::MIN) => {
+                self.call(Rt::Int, OBJ_BYTES);
+                "rt_int(LONG_MIN)".to_string()
+            }
+            Constant::Int(n) => {
+                self.call(Rt::Int, if (-16..256).contains(n) { 0 } else { OBJ_BYTES });
+                format!("rt_int({n}L)")
+            }
+            Constant::Bool(b) => {
+                self.call(Rt::Consts, 0);
+                if *b { "RT_TRUE" } else { "RT_FALSE" }.to_string()
+            }
             Constant::Char(c) => {
                 self.wide_chars |= !c.is_ascii();
+                self.call(Rt::Char, OBJ_BYTES);
                 format!("rt_char({})", *c as u32)
             }
-            Constant::Nil => "RT_NIL".to_string(),
+            Constant::Nil => {
+                self.call(Rt::Consts, 0);
+                "RT_NIL".to_string()
+            }
             Constant::Sym(s) => {
                 let i = self.sym_index(s);
                 format!("&rt_syms[{i}]")
             }
             Constant::Str(s) => {
                 let i = self.str_index(s);
+                self.call(Rt::Str, OBJ_BYTES);
                 format!("rt_str({i})")
             }
             Constant::Pair(a, d) => {
                 let a = self.constant(a);
                 let d = self.constant(d);
+                self.call(Rt::Cons, OBJ_BYTES);
                 format!("rt_cons({a}, {d})")
             }
         }
@@ -192,6 +503,7 @@ impl Emitter {
             S0Simple::Var(v) => {
                 let Some(&i) = scope.index.get(v.as_str()) else {
                     self.unbound.push(v.clone());
+                    self.call(Rt::Consts, 0);
                     return "RT_NIL".to_string();
                 };
                 scope.read[i] = true;
@@ -200,16 +512,20 @@ impl Emitter {
             // A constant has no effect to sequence.
             S0Simple::Const(k) => return self.constant(k),
             S0Simple::Prim(..) if s.dispatch_test().is_some() => {
+                self.call(Rt::Bool, 0);
                 format!("rt_bool({})", self.condition(s, scope, temps))
             }
             S0Simple::Prim(op, args) => {
                 let xs: Vec<String> =
                     args.iter().map(|a| self.simple(a, scope, temps)).collect();
-                prim_call(*op, &xs)
+                let (piece, name, boxes) = prim(*op);
+                self.call(piece, if boxes { OBJ_BYTES } else { 0 });
+                format!("{name}({})", xs.join(", "))
             }
             S0Simple::MakeClosure(l, args) => {
                 let xs: Vec<String> =
                     args.iter().map(|a| self.simple(a, scope, temps)).collect();
+                self.call(Rt::Closure, OBJ_BYTES + CAPTURE_BYTES * xs.len());
                 let mut call = format!("rt_closure({l}, {}", xs.len());
                 for x in &xs {
                     let _ = write!(call, ", {x}");
@@ -219,10 +535,12 @@ impl Emitter {
             }
             S0Simple::ClosureLabel(a) => {
                 let x = self.simple(a, scope, temps);
+                self.call(Rt::ClosureLabel, OBJ_BYTES);
                 format!("rt_closure_label({x})")
             }
             S0Simple::ClosureFreeval(a, i) => {
                 let x = self.simple(a, scope, temps);
+                self.call(Rt::ClosureFreeval, 0);
                 format!("rt_closure_freeval({x}, {i})")
             }
         };
@@ -243,12 +561,19 @@ impl Emitter {
         match c.dispatch_test() {
             Some((subject, label)) => {
                 let x = self.simple(subject, scope, temps);
+                self.call(Rt::LabelIs, 0);
                 format!("rt_label_is({x}, {label})")
             }
-            None => format!("rt_truthy({})", self.simple(c, scope, temps)),
+            None => {
+                let x = self.simple(c, scope, temps);
+                self.call(Rt::Truthy, 0);
+                format!("rt_truthy({x})")
+            }
         }
     }
 
+    /// Translates a tail expression; [`Emitter::bytes`] ends at the
+    /// most any path through it allocates, on top of what it was.
     fn tail(
         &mut self,
         t: &S0Tail,
@@ -266,9 +591,12 @@ impl Emitter {
             S0Tail::If(c, a, b) => {
                 let e = self.condition(c, scope, temps);
                 let _ = writeln!(body, "{pad}if ({e}) {{");
+                let before = self.bytes;
                 self.tail(a, scope, temps, indent + 1, body);
+                let then_bytes = std::mem::replace(&mut self.bytes, before);
                 let _ = writeln!(body, "{pad}}} else {{");
                 self.tail(b, scope, temps, indent + 1, body);
+                self.bytes = self.bytes.max(then_bytes);
                 let _ = writeln!(body, "{pad}}}");
             }
             S0Tail::TailCall(callee, args) => {
@@ -284,7 +612,7 @@ impl Emitter {
                 //   parameter *i*, and the argument is a variable or
                 //   constant, so skipping its evaluation cannot suppress a
                 //   runtime error.
-                let dead_target = scope.dead.get(callee.as_str());
+                let dead_target = scope.dead.get(callee.as_str()).copied();
                 for (i, a) in args.iter().enumerate() {
                     if self.elide {
                         let identity = matches!(a, S0Simple::Var(v)
@@ -304,40 +632,52 @@ impl Emitter {
                 let _ = writeln!(body, "{pad}goto {l};");
             }
             S0Tail::Fail(m) => {
+                self.call(Rt::Die, 0);
                 let _ = writeln!(body, "{pad}rt_die({});", c_string(m));
             }
         }
     }
 }
 
-fn prim_call(op: Prim, args: &[String]) -> String {
-    let f = match op {
-        Prim::Cons => "rt_cons",
-        Prim::Car => "rt_car",
-        Prim::Cdr => "rt_cdr",
-        Prim::NullP => "rt_nullp",
-        Prim::PairP => "rt_pairp",
-        Prim::Not => "rt_not",
-        Prim::EqP | Prim::EqvP => "rt_eqp",
-        Prim::EqualP => "rt_equalp",
-        Prim::Add => "rt_add",
-        Prim::Sub => "rt_sub",
-        Prim::Mul => "rt_mul",
-        Prim::Quotient => "rt_quotient",
-        Prim::Remainder => "rt_remainder",
-        Prim::NumEq => "rt_numeq",
-        Prim::Lt => "rt_lt",
-        Prim::Gt => "rt_gt",
-        Prim::Le => "rt_le",
-        Prim::Ge => "rt_ge",
-        Prim::ZeroP => "rt_zerop",
-        Prim::Add1 => "rt_add1",
-        Prim::Sub1 => "rt_sub1",
-        Prim::SymbolP => "rt_symbolp",
-        Prim::NumberP => "rt_numberp",
-        Prim::BooleanP => "rt_booleanp",
-    };
-    format!("{f}({})", args.join(", "))
+/// A primitive's runtime piece, C function, and whether its result may
+/// be a fresh heap object (a pair, or an integer outside the
+/// small-integer table).
+fn prim(op: Prim) -> (Rt, &'static str, bool) {
+    match op {
+        Prim::Cons => (Rt::Cons, "rt_cons", true),
+        Prim::Car => (Rt::Car, "rt_car", false),
+        Prim::Cdr => (Rt::Cdr, "rt_cdr", false),
+        Prim::NullP => (Rt::NullP, "rt_nullp", false),
+        Prim::PairP => (Rt::PairP, "rt_pairp", false),
+        Prim::Not => (Rt::Not, "rt_not", false),
+        Prim::EqP | Prim::EqvP => (Rt::EqP, "rt_eqp", false),
+        Prim::EqualP => (Rt::EqualP, "rt_equalp", false),
+        Prim::Add => (Rt::Add, "rt_add", true),
+        Prim::Sub => (Rt::Sub, "rt_sub", true),
+        Prim::Mul => (Rt::Mul, "rt_mul", true),
+        Prim::Quotient => (Rt::Quotient, "rt_quotient", true),
+        Prim::Remainder => (Rt::Remainder, "rt_remainder", true),
+        Prim::NumEq => (Rt::NumEq, "rt_numeq", false),
+        Prim::Lt => (Rt::Lt, "rt_lt", false),
+        Prim::Gt => (Rt::Gt, "rt_gt", false),
+        Prim::Le => (Rt::Le, "rt_le", false),
+        Prim::Ge => (Rt::Ge, "rt_ge", false),
+        Prim::ZeroP => (Rt::ZeroP, "rt_zerop", false),
+        Prim::Add1 => (Rt::Add1, "rt_add1", true),
+        Prim::Sub1 => (Rt::Sub1, "rt_sub1", true),
+        Prim::SymbolP => (Rt::SymbolP, "rt_symbolp", false),
+        Prim::NumberP => (Rt::NumberP, "rt_numberp", false),
+        Prim::BooleanP => (Rt::BooleanP, "rt_booleanp", false),
+    }
+}
+
+/// Whether a body makes a tail call, and so may enter another label.
+fn calls(t: &S0Tail) -> bool {
+    match t {
+        S0Tail::TailCall(..) => true,
+        S0Tail::If(_, a, b) => calls(a) || calls(b),
+        S0Tail::Return(_) | S0Tail::Fail(_) => false,
+    }
 }
 
 /// The constant a first-order entry argument denotes.
@@ -371,52 +711,64 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
         max_arity: p.procs.iter().map(|q| q.params.len()).max().unwrap_or(0),
         elide: opts.elide_moves,
         moves_elided: 0,
+        rt: 0,
+        bytes: 0,
     };
 
-    // Parameter positions each body never reads, computed once up
-    // front: they drive dead-target move elision.  S₀ binds only at
-    // procedure entry, so the body's variable set is what is live there.
-    let dead: HashMap<&str, Vec<bool>> = if opts.elide_moves {
-        p.procs
-            .iter()
-            .map(|q| {
-                let mut read = HashSet::new();
-                q.body.vars(&mut read);
-                (q.name.as_str(), q.params.iter().map(|v| !read.contains(v)).collect())
-            })
-            .collect()
-    } else {
-        HashMap::new()
-    };
+    // Parameter positions each body never names, computed once up
+    // front.  S₀ binds only at procedure entry, so the body's variable
+    // set is what is live there: the named positions are the roots of a
+    // collection at the procedure's label, and the others drive
+    // dead-target move elision.
+    let dead: Vec<Vec<bool>> = p
+        .procs
+        .iter()
+        .map(|q| {
+            let mut read = HashSet::new();
+            q.body.vars(&mut read);
+            q.params.iter().map(|v| !read.contains(v)).collect()
+        })
+        .collect();
+    let by_name: HashMap<&str, &[bool]> =
+        p.procs.iter().zip(&dead).map(|(q, d)| (q.name.as_str(), d.as_slice())).collect();
+    // Only a program whose bodies make tail calls enters a second
+    // label; otherwise its one body allocates from the first space.
+    let collects = p.procs.iter().any(|q| calls(&q.body));
 
     // Bodies first, so the symbol/string tables fill up.
     let mut bodies = String::new();
-    for q in &p.procs {
+    let mut max_need = 0;
+    for (q, dead) in p.procs.iter().zip(&dead) {
         let label = e.label_of(&q.name);
         let mut scope = ProcScope {
-            dead: &dead,
+            dead: &by_name,
             index: q.params.iter().enumerate().map(|(i, v)| (v.as_str(), i)).collect(),
             read: vec![false; q.params.len()],
         };
         let mut temps = Vec::new();
         let mut body = String::new();
+        e.bytes = 0;
         e.tail(&q.body, &mut scope, &mut temps, 1, &mut body);
+        max_need = max_need.max(e.bytes);
         let _ = writeln!(bodies, "{label}: {{");
+        // Before the prologue copies: room for the body's worst path,
+        // or a collection whose roots are the globals the body names
+        // (`1` per named position; the rest are reset).
+        if collects && e.bytes > 0 {
+            let n = dead.iter().rposition(|d| !d).map_or(0, |i| i + 1);
+            let live: String = dead[..n].iter().map(|&d| if d { '0' } else { '1' }).collect();
+            let _ = writeln!(bodies, "  RT_NEED({}, \"{live}\");", e.bytes);
+        }
         // Fresh scope: copy the globals into private parameter
         // variables — only the ones the body reads.  A parameter the
         // body never reads, or whose only reads were elided identity
         // moves, needs no copy.
-        let mut copied = 0usize;
         for (i, &read) in scope.read.iter().enumerate() {
             if e.elide && !read {
                 e.moves_elided += 1;
                 continue;
             }
             let _ = writeln!(bodies, "  Obj *p{i} = g{i};");
-            copied += 1;
-        }
-        if copied == 0 {
-            let _ = writeln!(bodies, "  ;");
         }
         if !temps.is_empty() {
             let _ = writeln!(bodies, "  Obj *{};", temps.join(", *"));
@@ -425,20 +777,29 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
         let _ = writeln!(bodies, "}}");
     }
 
+    e.bytes = 0;
     let mut main_args = String::new();
     for (i, a) in args.iter().enumerate() {
         let a = e.constant(&datum_constant(a));
         let _ = writeln!(main_args, "  g{i} = {a};");
     }
+    // The first space holds the entry arguments with half of it still
+    // free for the largest bound, as after every collection.
+    let mut space = FIRST_SPACE;
+    while e.bytes + max_need > space / 2 {
+        space *= 2;
+    }
+    let heap = Heap {
+        globals: e.max_arity.max(args.len()),
+        collects: collects && max_need > 0,
+        max_need,
+        space,
+    };
 
     // Now assemble the file.
-    let mut out = runtime_header(&e.symbols, &e.strings, e.wide_chars);
+    let mut out = e.runtime(&heap);
     for v in &e.unbound {
         let _ = writeln!(out, "#error {}", c_string(&format!("unbound variable {v}")));
-    }
-    let _ = writeln!(out, "/* global parameter variables (§5.1) */");
-    for i in 0..e.max_arity.max(args.len()) {
-        let _ = writeln!(out, "static Obj *g{i};");
     }
     let _ = writeln!(out, "\nstatic Obj *program(void) {{");
     let entry_label = e.label_of(&p.entry);
@@ -446,7 +807,9 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
     out.push_str(&bodies);
     let _ = writeln!(out, "}}");
     let _ = writeln!(out, "\nint main(void) {{");
-    let _ = writeln!(out, "  rt_init();");
+    if e.rt & (Rt::Heap.bit() | Rt::Ints.bit()) != 0 {
+        let _ = writeln!(out, "  rt_init();");
+    }
     out.push_str(&main_args);
     let _ = writeln!(out, "  rt_print(program());");
     let _ = writeln!(out, "  printf(\"\\n\");");
@@ -479,59 +842,153 @@ fn c_string(s: &str) -> String {
     out
 }
 
-fn runtime_header(symbols: &[String], strings: &[String], wide_chars: bool) -> String {
-    let mut h = String::from(
-        r#"/* generated by pe-backend-c — S0-to-C translation (Sperber/Thiemann §5.1) */
+/// How the emitted program manages its heap.
+struct Heap {
+    /// Global parameter variables: the widest procedure or entry.
+    globals: usize,
+    /// Whether labels check for room and collect.
+    collects: bool,
+    /// The largest bound of any body, in bytes.
+    max_need: usize,
+    /// The first space's size in bytes.
+    space: usize,
+}
+
+/// The collector.  A label's `RT_NEED` calls `rt_gc` when the free
+/// space is short of its body's bound.  `rt_gc` resets every global its
+/// `live` string does not mark `1`, copies what the globals reach into
+/// the spare space (`rt_copy`, breadth first, forwarding through
+/// `rt_fwd`), and doubles the spaces while live data plus the largest
+/// bound, `{max_need}`, passes half of one.
+const COLLECTOR: &str = r#"
+/* Cheney collector, run at labels: the roots are the globals the body names. */
+#include <string.h>
+#define RT_HEAP_CAP (256UL << 20)
+#define RT_NEED(n, live) if ((unsigned long)(rt_lim - rt_hp) < (n)) rt_gc(n, live)
+#define RT_BYTES(o) (sizeof(Obj) + ((o)->tag == T_CLO ? sizeof(Obj *) * (o)->n : 0))
+static Obj *rt_fwd(Obj *o) {
+  Obj *c = (Obj *)rt_hp;
+  if ((size_t)o - (size_t)rt_lo >= (size_t)(rt_hi - rt_lo)) return o;
+  if (o->tag == T_FWD) return o->u.pair.car;
+  rt_hp += RT_BYTES(o);
+  memcpy(c, o, RT_BYTES(o));
+  o->tag = T_FWD;
+  o->u.pair.car = c;
+  return c;
+}
+static void rt_copy(char *to) {
+  char *scan = to;
+  unsigned i;
+  rt_lo = rt_base;
+  rt_hi = rt_hp;
+  rt_base = rt_hp = to;
+  for (i = 0; i < sizeof rt_g / sizeof *rt_g; i++) rt_g[i] = rt_fwd(rt_g[i]);
+  for (; scan < rt_hp; scan += RT_BYTES((Obj *)scan)) {
+    Obj *o = (Obj *)scan;
+    int j;
+    if (o->tag == T_PAIR) {
+      o->u.pair.car = rt_fwd(o->u.pair.car);
+      o->u.pair.cdr = rt_fwd(o->u.pair.cdr);
+    } else if (o->tag == T_CLO) {
+      for (j = 0; j < o->n; j++) RT_FV(o)[j] = rt_fwd(RT_FV(o)[j]);
+    }
+  }
+}
+__attribute__((noinline, cold)) static void rt_gc(unsigned long need, const char *live) {
+  char *old = rt_base;
+  unsigned long size = rt_size;
+  unsigned i;
+  for (i = 0; i < sizeof rt_g / sizeof *rt_g; i++, live += *live != 0)
+    if (*live != '1') rt_g[i] = RT_NIL;
+  rt_copy(rt_spare);
+  rt_spare = old;
+  while (size < RT_HEAP_CAP && (unsigned long)(rt_hp - rt_base) + {max_need} > size / 2) size *= 2;
+  if (size > rt_size) {
+    old = rt_base;
+    free(rt_spare);
+    rt_copy(rt_space(size));
+    free(old);
+    rt_spare = rt_space(size);
+    rt_size = size;
+  }
+  rt_lim = rt_base + rt_size;
+  if ((unsigned long)(rt_lim - rt_hp) < need) rt_die("heap exhausted");
+}
+"#;
+
+impl Emitter {
+    /// The runtime header for what the emitted code calls, and the
+    /// global parameter variables.  Marks in [`Emitter::rt`] every piece
+    /// it writes.
+    fn runtime(&mut self, heap: &Heap) -> String {
+        if heap.collects {
+            self.rt |= Rt::Heap.bit() | Rt::Consts.bit();
+        }
+        // Every piece comes after the pieces it calls, so one backward
+        // sweep closes the set.
+        for r in Rt::ALL.iter().rev() {
+            if self.rt & r.bit() != 0 {
+                for d in r.piece().0 {
+                    self.rt |= d.bit();
+                }
+            }
+        }
+        let has = |r: Rt| self.rt & r.bit() != 0;
+        let mut h = String::from(
+            r#"/* generated by pe-backend-c — S0-to-C translation (Sperber/Thiemann §5.1) */
 #include <limits.h>
 #include <stdio.h>
 #include <stdlib.h>
 
-enum { T_INT, T_BOOL, T_CHAR, T_NIL, T_SYM, T_STR, T_PAIR, T_CLO };
+enum { T_INT, T_BOOL, T_CHAR, T_NIL, T_SYM, T_STR, T_PAIR, T_CLO, T_FWD };
 
+/* A closure's label is u.i; its n captured values follow it (RT_FV). */
 typedef struct Obj Obj;
 struct Obj {
-  int tag;
+  int tag, n;
   union {
     long i;
     struct { Obj *car, *cdr; } pair;
-    struct { long label; int n; Obj **fv; } clo;
   } u;
 };
+#define RT_FV(o) ((Obj **)((o) + 1))
 
 /* Values without identity are static: #t, #f, '(), symbols, integers -16..255. */
-static Obj rt_consts[3] = {{T_BOOL, {0}}, {T_BOOL, {1}}, {T_NIL, {0}}};
-#define RT_FALSE (&rt_consts[0])
-#define RT_TRUE (&rt_consts[1])
-#define RT_NIL (&rt_consts[2])
-static Obj rt_ints[272];
 "#,
-    );
-    // A table, and its print case, exists only when it has entries: a
-    // program without symbols (strings) has no object to print from it,
-    // and `printf("%s")` on a sentinel-only table warns at -O2.  So do
-    // the string printer and the UTF-8 character printer, which only
-    // programs with strings (characters outside ASCII) need.
-    let mut print_tables = String::new();
-    if !symbols.is_empty() {
-        let _ = writeln!(h, "static const char *rt_symbols[] = {{");
-        for s in symbols {
-            let _ = writeln!(h, "  {},", c_string(s));
+        );
+        for r in [Rt::Consts, Rt::Ints] {
+            if has(r) {
+                h.push_str(r.piece().1);
+            }
         }
-        let _ = writeln!(h, "}};");
-        let objs: Vec<String> = (0..symbols.len()).map(|i| format!("{{T_SYM, {{{i}}}}}")).collect();
-        let _ = writeln!(h, "static Obj rt_syms[] = {{{}}};", objs.join(", "));
-        print_tables.push_str("    case T_SYM: printf(\"%s\", rt_symbols[o->u.i]); break;\n");
-    }
-    if !strings.is_empty() {
-        let _ = writeln!(h, "static const char *rt_strings[] = {{");
-        for s in strings {
-            let _ = writeln!(h, "  {},", c_string(s));
+        // A table, and its print case, exists only when it has entries: a
+        // program without symbols (strings) has no object to print from it,
+        // and `printf("%s")` on a sentinel-only table warns at -O2.  So do
+        // the string printer and the UTF-8 character printer, which only
+        // programs with strings (characters outside ASCII) need.
+        let mut print_tables = String::new();
+        if !self.symbols.is_empty() {
+            let _ = writeln!(h, "static const char *rt_symbols[] = {{");
+            for s in &self.symbols {
+                let _ = writeln!(h, "  {},", c_string(s));
+            }
+            let _ = writeln!(h, "}};");
+            let objs: Vec<String> =
+                (0..self.symbols.len()).map(|i| format!("{{T_SYM, 0, {{{i}}}}}")).collect();
+            let _ = writeln!(h, "static Obj rt_syms[] = {{{}}};", objs.join(", "));
+            print_tables.push_str("    case T_SYM: printf(\"%s\", rt_symbols[o->u.i]); break;\n");
         }
-        let _ = writeln!(h, "}};");
-        let lens: Vec<String> = strings.iter().map(|s| s.len().to_string()).collect();
-        let _ = writeln!(h, "static const unsigned long rt_string_lens[] = {{{}}};", lens.join(", "));
-        h.push_str(
-            r#"static void rt_print_str(const char *s, unsigned long n) {
+        if !self.strings.is_empty() {
+            let _ = writeln!(h, "static const char *rt_strings[] = {{");
+            for s in &self.strings {
+                let _ = writeln!(h, "  {},", c_string(s));
+            }
+            let _ = writeln!(h, "}};");
+            let lens: Vec<String> = self.strings.iter().map(|s| s.len().to_string()).collect();
+            let _ =
+                writeln!(h, "static const unsigned long rt_string_lens[] = {{{}}};", lens.join(", "));
+            h.push_str(
+                r#"static void rt_print_str(const char *s, unsigned long n) {
   putchar('"');
   for (; n; n--, s++) {
     if (*s == '"' || *s == '\\') putchar('\\');
@@ -540,14 +997,14 @@ static Obj rt_ints[272];
   putchar('"');
 }
 "#,
-        );
-        print_tables.push_str(
-            "    case T_STR: rt_print_str(rt_strings[o->u.i], rt_string_lens[o->u.i]); break;\n",
-        );
-    }
-    let print_char = if wide_chars {
-        h.push_str(
-            r##"static void rt_print_char(unsigned long c) {
+            );
+            print_tables.push_str(
+                "    case T_STR: rt_print_str(rt_strings[o->u.i], rt_string_lens[o->u.i]); break;\n",
+            );
+        }
+        let print_char = if self.wide_chars {
+            h.push_str(
+                r##"static void rt_print_char(unsigned long c) {
   static const int lead[] = {0, 0xC0, 0xE0, 0xF0};
   int n = c < 0x80 ? 0 : c < 0x800 ? 1 : c < 0x10000 ? 2 : 3;
   fputs("#\\", stdout);
@@ -555,132 +1012,82 @@ static Obj rt_ints[272];
   while (n--) putchar(0x80 | (c >> 6 * n & 0x3F));
 }
 "##,
-        );
-        "rt_print_char(o->u.i)"
-    } else {
-        "printf(\"#\\\\%c\", (char)o->u.i)"
-    };
-    let _ = write!(
-        h,
-        r##"
-/* Bump arena: substitution for the Boehm collector (see DESIGN.md). */
-#define RT_ARENA_BYTES (256L << 20)
-static char *rt_free_ptr, *rt_end;
-static void rt_init(void) {{
-  int i;
-  rt_free_ptr = (char *)malloc(RT_ARENA_BYTES);
-  if (!rt_free_ptr) {{ fprintf(stderr, "arena allocation failed\n"); exit(2); }}
-  rt_end = rt_free_ptr + RT_ARENA_BYTES;
-  for (i = 0; i < 272; i++) {{ rt_ints[i].tag = T_INT; rt_ints[i].u.i = i - 16; }}
-}}
-static void rt_die(const char *msg) {{
-  fprintf(stderr, "runtime error: %s\n", msg);
-  exit(1);
-}}
-static void *rt_alloc(size_t n) {{
-  n = (n + 15) & ~(size_t)15;
-  if ((size_t)(rt_end - rt_free_ptr) < n) rt_die("arena exhausted");
-  {{ void *p = rt_free_ptr; rt_free_ptr += n; return p; }}
-}}
-static Obj *rt_new(int tag) {{
-  Obj *o = (Obj *)rt_alloc(sizeof(Obj));
-  o->tag = tag;
-  return o;
-}}
-static Obj *rt_int(long n) {{
-  Obj *o;
-  if ((unsigned long)n + 16 < 272) return &rt_ints[n + 16];
-  o = rt_new(T_INT); o->u.i = n; return o;
-}}
-static Obj *rt_bool(int b) {{ return b ? RT_TRUE : RT_FALSE; }}
-static Obj *rt_char(long c) {{ Obj *o = rt_new(T_CHAR); o->u.i = c; return o; }}
-static Obj *rt_str(long i) {{ Obj *o = rt_new(T_STR); o->u.i = i; return o; }}
-static Obj *rt_cons(Obj *a, Obj *d) {{
-  Obj *o = rt_new(T_PAIR); o->u.pair.car = a; o->u.pair.cdr = d; return o;
-}}
-static int rt_truthy(Obj *o) {{ return o != RT_FALSE; }}
-static Obj *rt_car(Obj *o) {{ if (o->tag != T_PAIR) rt_die("car: not a pair"); return o->u.pair.car; }}
-static Obj *rt_cdr(Obj *o) {{ if (o->tag != T_PAIR) rt_die("cdr: not a pair"); return o->u.pair.cdr; }}
-static Obj *rt_nullp(Obj *o) {{ return rt_bool(o->tag == T_NIL); }}
-static Obj *rt_pairp(Obj *o) {{ return rt_bool(o->tag == T_PAIR); }}
-static Obj *rt_not(Obj *o) {{ return rt_bool(!rt_truthy(o)); }}
-static Obj *rt_symbolp(Obj *o) {{ return rt_bool(o->tag == T_SYM); }}
-static Obj *rt_numberp(Obj *o) {{ return rt_bool(o->tag == T_INT); }}
-static Obj *rt_booleanp(Obj *o) {{ return rt_bool(o->tag == T_BOOL); }}
-static long rt_ival(Obj *o) {{ if (o->tag != T_INT) rt_die("expected number"); return o->u.i; }}
-#define RT_CHECKED(op, x, y, name) \
-  long r; if (__builtin_##op##_overflow(x, y, &r)) rt_die(name ": fixnum overflow"); return rt_int(r)
-static Obj *rt_add(Obj *a, Obj *b) {{ RT_CHECKED(add, rt_ival(a), rt_ival(b), "+"); }}
-static Obj *rt_sub(Obj *a, Obj *b) {{ RT_CHECKED(sub, rt_ival(a), rt_ival(b), "-"); }}
-static Obj *rt_mul(Obj *a, Obj *b) {{ RT_CHECKED(mul, rt_ival(a), rt_ival(b), "*"); }}
-static Obj *rt_add1(Obj *o) {{ RT_CHECKED(add, rt_ival(o), 1L, "add1"); }}
-static Obj *rt_sub1(Obj *o) {{ RT_CHECKED(sub, rt_ival(o), 1L, "sub1"); }}
-static Obj *rt_quotient(Obj *a, Obj *b) {{
-  long n = rt_ival(a), d = rt_ival(b);
-  if (d == 0) rt_die("quotient: division by zero");
-  if (d == -1 && n == LONG_MIN) rt_die("quotient: fixnum overflow");
-  return rt_int(n / d);
-}}
-static Obj *rt_remainder(Obj *a, Obj *b) {{
-  long n = rt_ival(a), d = rt_ival(b);
-  if (d == 0) rt_die("remainder: division by zero");
-  if (d == -1 && n == LONG_MIN) rt_die("remainder: fixnum overflow");
-  return rt_int(n % d);
-}}
-static Obj *rt_numeq(Obj *a, Obj *b) {{ return rt_bool(rt_ival(a) == rt_ival(b)); }}
-static Obj *rt_lt(Obj *a, Obj *b) {{ return rt_bool(rt_ival(a) < rt_ival(b)); }}
-static Obj *rt_gt(Obj *a, Obj *b) {{ return rt_bool(rt_ival(a) > rt_ival(b)); }}
-static Obj *rt_le(Obj *a, Obj *b) {{ return rt_bool(rt_ival(a) <= rt_ival(b)); }}
-static Obj *rt_ge(Obj *a, Obj *b) {{ return rt_bool(rt_ival(a) >= rt_ival(b)); }}
-static Obj *rt_zerop(Obj *o) {{ return rt_bool(rt_ival(o) == 0); }}
-static int rt_eq_raw(Obj *a, Obj *b) {{
-  if (a == b) return 1;
-  if (a->tag != b->tag) return 0;
-  switch (a->tag) {{
-    case T_INT: case T_BOOL: case T_CHAR: case T_SYM: case T_STR: return a->u.i == b->u.i;
-    case T_NIL: return 1;
-    default: return 0;
-  }}
-}}
-static Obj *rt_eqp(Obj *a, Obj *b) {{ return rt_bool(rt_eq_raw(a, b)); }}
-static int rt_equal_raw(Obj *a, Obj *b) {{
-  if (rt_eq_raw(a, b)) return 1;
-  if (a->tag == T_PAIR && b->tag == T_PAIR)
-    return rt_equal_raw(a->u.pair.car, b->u.pair.car) &&
-           rt_equal_raw(a->u.pair.cdr, b->u.pair.cdr);
-  return 0;
-}}
-static Obj *rt_equalp(Obj *a, Obj *b) {{ return rt_bool(rt_equal_raw(a, b)); }}
-static Obj *rt_closure(long label, int n, ...) {{
-  __builtin_va_list ap;
-  Obj *o = rt_new(T_CLO);
-  int i;
-  o->u.clo.label = label;
-  o->u.clo.n = n;
-  o->u.clo.fv = (Obj **)rt_alloc(sizeof(Obj *) * (n ? n : 1));
-  __builtin_va_start(ap, n);
-  for (i = 0; i < n; i++) o->u.clo.fv[i] = __builtin_va_arg(ap, Obj *);
-  __builtin_va_end(ap);
-  return o;
-}}
-static long rt_label(Obj *o) {{
-  if (o->tag != T_CLO) rt_die("closure-label: not a closure");
-  return o->u.clo.label;
-}}
-static Obj *rt_closure_label(Obj *o) {{ return rt_int(rt_label(o)); }}
-static int rt_label_is(Obj *o, long l) {{ return rt_label(o) == l; }}
-static Obj *rt_closure_freeval(Obj *o, int i) {{
-  if (o->tag != T_CLO) rt_die("closure-freeval: not a closure");
-  if (i >= o->u.clo.n) rt_die("closure-freeval: index out of range");
-  return o->u.clo.fv[i];
-}}
-static void rt_print(Obj *o) {{
+            );
+            "rt_print_char(o->u.i)"
+        } else {
+            "printf(\"#\\\\%c\", (char)o->u.i)"
+        };
+
+        let _ = writeln!(h, "\n/* global parameter variables (§5.1) */");
+        if heap.collects {
+            // An array, so the collector can walk them.
+            let _ = writeln!(h, "static Obj *rt_g[{}];", heap.globals.max(1));
+            for i in 0..heap.globals {
+                let _ = writeln!(h, "#define g{i} rt_g[{i}]");
+            }
+        } else {
+            for i in 0..heap.globals {
+                let _ = writeln!(h, "static Obj *g{i};");
+            }
+        }
+        h.push('\n');
+        for r in &Rt::ALL[2..] {
+            if !has(*r) {
+                continue;
+            }
+            if *r != Rt::Heap {
+                h.push_str(r.piece().1);
+            } else {
+                h.push_str(if heap.collects {
+                    "static char *rt_hp, *rt_lim, *rt_base, *rt_spare, *rt_lo, *rt_hi;\n\
+                     static unsigned long rt_size;\n"
+                } else {
+                    "static char *rt_hp;\n"
+                });
+                h.push_str(
+                    "static char *rt_space(unsigned long n) {
+  char *s = (char *)malloc(n);
+  if (!s) rt_die(\"heap exhausted\");
+  return s;
+}
+",
+                );
+            }
+        }
+        if heap.collects {
+            h.push_str(&COLLECTOR.replace("{max_need}", &heap.max_need.to_string()));
+        }
+        if has(Rt::Heap) || has(Rt::Ints) {
+            h.push_str("static void rt_init(void) {\n");
+            if has(Rt::Ints) {
+                h.push_str(
+                    "  int i;\n  for (i = 0; i < 272; i++) { rt_ints[i].tag = T_INT; rt_ints[i].u.i = i - 16; }\n",
+                );
+            }
+            if heap.collects {
+                let _ = write!(
+                    h,
+                    "  rt_size = {};
+  rt_base = rt_hp = rt_space(rt_size);
+  rt_spare = rt_space(rt_size);
+  rt_lim = rt_hp + rt_size;
+",
+                    heap.space
+                );
+            } else if has(Rt::Heap) {
+                let _ = writeln!(h, "  rt_hp = rt_space({});", heap.space);
+            }
+            h.push_str("}\n");
+        }
+        let _ = write!(
+            h,
+            r##"static void rt_print(Obj *o) {{
   switch (o->tag) {{
     case T_INT: printf("%ld", o->u.i); break;
     case T_BOOL: printf(o->u.i ? "#t" : "#f"); break;
     case T_CHAR: {print_char}; break;
     case T_NIL: printf("()"); break;
-{print_tables}    case T_CLO: printf("#<procedure %ld>", o->u.clo.label); break;
+{print_tables}    case T_CLO: printf("#<procedure %ld>", o->u.i); break;
     case T_PAIR: {{
       printf("(");
       for (;;) {{
@@ -695,10 +1102,10 @@ static void rt_print(Obj *o) {{
     }}
   }}
 }}
-
 "##
-    );
-    h
+        );
+        h
+    }
 }
 
 #[cfg(test)]
@@ -931,6 +1338,116 @@ mod tests {
             assert!(!out.status.success());
             assert!(String::from_utf8_lossy(&out.stderr).contains("unbound variable y"));
         }
+    }
+
+    /// The arguments of the `RT_NEED` check that opens `label`'s block.
+    fn need_at(c: &CProgram, label: &str) -> Option<String> {
+        let block = c.source.split(&format!("\n{label}: {{\n")).nth(1)?;
+        let line = block.lines().next()?.trim();
+        line.strip_prefix("RT_NEED(")?.strip_suffix(");").map(str::to_string)
+    }
+
+    #[test]
+    fn each_label_checks_its_worst_path_and_names_its_roots() {
+        use pe_core::{S0Proc, S0Program};
+        let v = |x: &str| S0Simple::Var(x.into());
+        let k = |c: Constant| S0Simple::Const(c);
+        let op = |p: Prim, args: Vec<S0Simple>| S0Simple::Prim(p, args);
+        // `main` allocates a pair and a two-capture closure on one path
+        // (24 + 24 + 2 * 8 bytes) and a boxed 1000 on the other; `walk`
+        // allocates four objects on one path and two on the other, and
+        // never names its middle parameter, so a collection there resets
+        // `g1` instead of tracing it.
+        let p = S0Program {
+            entry: "main".into(),
+            procs: vec![
+                S0Proc {
+                    name: "main".into(),
+                    params: vec!["a".into(), "b".into(), "c".into()],
+                    body: S0Tail::If(
+                        op(Prim::NullP, vec![v("a")]),
+                        Box::new(S0Tail::TailCall(
+                            "walk".into(),
+                            vec![
+                                op(Prim::Car, vec![op(Prim::Cons, vec![v("c"), v("b")])]),
+                                S0Simple::MakeClosure(1, vec![v("a"), v("b")]),
+                                k(Constant::Int(9)),
+                            ],
+                        )),
+                        Box::new(S0Tail::TailCall(
+                            "walk".into(),
+                            vec![k(Constant::Int(1000)), v("c"), v("c")],
+                        )),
+                    ),
+                },
+                S0Proc {
+                    name: "walk".into(),
+                    params: vec!["x".into(), "y".into(), "z".into()],
+                    body: S0Tail::If(
+                        op(Prim::ZeroP, vec![v("z")]),
+                        Box::new(S0Tail::Return(op(
+                            Prim::Cons,
+                            vec![
+                                v("x"),
+                                op(
+                                    Prim::Cons,
+                                    vec![k(Constant::Str("s".into())), k(Constant::Char('a'))],
+                                ),
+                            ],
+                        ))),
+                        Box::new(S0Tail::TailCall(
+                            "walk".into(),
+                            vec![
+                                op(Prim::Add1, vec![v("x")]),
+                                k(Constant::Int(5)),
+                                op(Prim::Sub1, vec![v("z")]),
+                            ],
+                        )),
+                    ),
+                },
+            ],
+        };
+        for elide_moves in [true, false] {
+            let c = emit_c(&p, &[Datum::Nil, Datum::Int(2), Datum::Int(3)], &COptions { elide_moves });
+            assert_eq!(need_at(&c, "L_main").as_deref(), Some("64, \"111\""), "{}", c.source);
+            assert_eq!(need_at(&c, "L_walk").as_deref(), Some("96, \"101\""), "{}", c.source);
+            assert!(c.source.contains("rt_size = 65536;"), "{}", c.source);
+            if cc_available() {
+                assert_eq!(run_c(&c, &format!("bounds-{elide_moves}")), "(12 \"s\" . #\\a)");
+            }
+        }
+        // Entry arguments past a quarter of the first space double it:
+        // 3,000 boxed integers and their pairs take 144,000 bytes.
+        let big = Datum::parse(&format!("({})", vec!["1000"; 3000].join(" "))).unwrap();
+        let c = emit_c(&p, &[big, Datum::Int(2), Datum::Int(3)], &COptions::default());
+        assert!(c.source.contains("rt_size = 524288;"), "{}", c.source);
+    }
+
+    #[test]
+    fn the_header_holds_only_what_the_program_uses() {
+        // The header's one backward sweep closes the set of pieces only
+        // if each piece comes after every piece it calls.
+        for (i, r) in Rt::ALL.iter().enumerate() {
+            assert_eq!(1 << i, r.bit(), "{r:?} out of order");
+            for d in r.piece().0 {
+                assert!(Rt::ALL[..i].contains(d), "{r:?} calls {d:?}, written after it");
+            }
+        }
+        // One body and no tail call: no collector, no label checks, no
+        // static booleans or pairs; arithmetic boxes from one space.
+        let c = emit("(define (f x) (+ x 1))", "f", &[Datum::Int(1)]);
+        for absent in ["rt_gc", "RT_NEED", "rt_consts", "rt_cons", "rt_closure", "rt_car", "rt_g["] {
+            assert!(!c.source.contains(absent), "{absent} in:\n{}", c.source);
+        }
+        for present in ["static Obj *rt_add(", "rt_hp = rt_space(65536);", "static Obj *g0;"] {
+            assert!(c.source.contains(present), "{present} missing:\n{}", c.source);
+        }
+        // A loop collects: its globals are an array the collector walks.
+        let c = emit(CPS_APPEND, "append", &[Datum::parse("(1 2)").unwrap(), Datum::Nil]);
+        for present in ["static void rt_gc(", "RT_NEED(", "static Obj *rt_g[", "#define g0 rt_g[0]"] {
+            assert!(c.source.contains(present), "{present} missing:\n{}", c.source);
+        }
+        assert!(!c.source.contains("rt_mul"), "{}", c.source);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! Two metric families, two tolerance regimes:
 //!
-//! * **timing** (`compile_ms`, each engine's `min_ms`) is noisy across
+//! * **timing** (`compile_ms`, each engine's `min_ms`, the C engine's
+//!   when the candidate had a C compiler) is noisy across
 //!   machines and CI load, so the gate only trips on a large multiple
 //!   of the baseline plus an absolute slack — it catches "the compiler
 //!   got 3× slower", not jitter;
@@ -309,6 +310,11 @@ pub fn check_regressions(
         timing("vm min_ms", &["engines", "vm", "min_ms"]);
         timing("tail min_ms", &["engines", "tail", "min_ms"]);
         timing("hobbit min_ms", &["engines", "hobbit", "min_ms"]);
+        // A run on a host without a C compiler records why it has no C
+        // column; that is the host, not a regression.
+        if crow.get("engines").and_then(|e| e.get("c")).and_then(|c| c.get("absent")).is_none() {
+            timing("c min_ms", &["engines", "c", "min_ms"]);
+        }
         let mut size = |label: &str, path: &[&str]| {
             check_metric(brow, crow, name, label, path, tol.size_ratio, 0.0, &mut regressions);
         };
@@ -371,6 +377,7 @@ mod tests {
             "unfold_steps": 13
           },
           "engines": {
+            "c": {"min_ms": 0.6, "runs": 3},
             "hobbit": {"min_ms": 0.5, "runs": 3},
             "tail": {"min_ms": 0.8, "runs": 3},
             "vm": {"min_ms": 0.2, "runs": 3}
@@ -443,6 +450,21 @@ mod tests {
             assert_eq!(r.len(), 1, "{r:?}");
             assert!(r[0].contains(what), "{r:?}");
         }
+        // The C engine is gated like the others: 0.6ms -> 60ms fails.
+        let slow_c = DOC.replace("\"min_ms\": 0.6,", "\"min_ms\": 60.0,");
+        let r = check_regressions(DOC, &slow_c, &tol).unwrap();
+        assert_eq!(r.len(), 1, "{r:?}");
+        assert!(r[0].contains("tak: c min_ms regressed"), "{r:?}");
+        // A host without cc says so, and its missing column passes; a
+        // column missing without a reason does not.
+        let no_cc = DOC.replace(
+            "\"c\": {\"min_ms\": 0.6, \"runs\": 3}",
+            "\"c\": {\"absent\": \"no C compiler\"}",
+        );
+        assert_eq!(check_regressions(DOC, &no_cc, &tol).unwrap(), Vec::<String>::new());
+        let dropped = DOC.replace("\"c\": {\"min_ms\": 0.6, \"runs\": 3},", "");
+        let r = check_regressions(DOC, &dropped, &tol).unwrap();
+        assert!(r.iter().any(|m| m.contains("c min_ms missing")), "{r:?}");
         // A benchmark that vanished is a regression, not a skip.
         let gone = DOC.replace("\"name\": \"tak\"", "\"name\": \"renamed\"");
         let r = check_regressions(DOC, &gone, &tol).unwrap();

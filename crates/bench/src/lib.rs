@@ -13,7 +13,10 @@
 //! * `tail` — the Fig. 6 tail-recursive interpreter, the engine the
 //!   compiler is a specializer-projection of (the interpretive
 //!   overhead the paper's §2 speedup claim is measured against);
-//! * `hobbit` — the §6 Hobbit-like native-stack baseline.
+//! * `hobbit` — the §6 Hobbit-like native-stack baseline;
+//! * `c` — the same residual as the §5.1 C translation, built with
+//!   `cc -O2` and timed spawn to exit; without a C compiler the row
+//!   records why the column is absent.
 //!
 //! Use `cargo run --release -p pe-bench` (full mode: `bench_args`) or
 //! `-- --quick` (test-sized inputs, for CI).  The output schema is
@@ -23,6 +26,8 @@ use realistic_pe::{
     with_big_stack, Benchmark, COptions, CompileOptions, Datum, Fuel, Limits, NullSink, Pipeline,
     SUITE,
 };
+use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::time::Instant;
 
 pub mod check;
@@ -147,6 +152,9 @@ pub struct BenchRow {
     pub tail: EngineTiming,
     /// The Hobbit-like baseline.
     pub hobbit: EngineTiming,
+    /// The emitted C as a `cc -O2` binary, spawn to exit; `Err` says
+    /// why the column is absent.
+    pub c: Result<EngineTiming, String>,
     /// The paper's Fig. 8 "ours" timing (ms on a PowerPC/250).
     pub paper_ours_ms: u32,
     /// The paper's Fig. 8 Hobbit timing (ms).
@@ -191,37 +199,67 @@ pub fn time_min_ms(reps: u32, mut f: impl FnMut()) -> f64 {
 /// engine disagrees with the expected result — a benchmark that computes
 /// the wrong answer must never be timed.
 pub fn run_suite(cfg: &BenchConfig) -> Result<Vec<BenchRow>, String> {
+    let dir = std::env::temp_dir().join(format!("pe-bench-c-{}", std::process::id()));
+    let cc = cc_version().and_then(|()| {
+        std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))
+    });
+    let rows = run_suite_in(cfg, cc.map(|()| dir.as_path()));
+    let _ = std::fs::remove_dir_all(&dir);
+    rows
+}
+
+/// [`run_suite`], building the C binaries in `c_dir` (`Err`: why there
+/// is no C column).
+fn run_suite_in(cfg: &BenchConfig, c_dir: Result<&Path, String>) -> Result<Vec<BenchRow>, String> {
     // Phase 1 — compile every benchmark in parallel and gate on
-    // correctness (each engine must reproduce `test_expect`).  No
-    // timing happens here — parallel workers compete for cores, so
-    // anything measured in this phase would be contention noise.
-    std::thread::scope(|scope| {
+    // correctness (each engine must reproduce `test_expect`), and build
+    // each timed input's C binary.  No timing happens here — parallel
+    // workers compete for cores, so anything measured in this phase
+    // would be contention noise.
+    let binaries = std::thread::scope(|scope| {
         let workers: Vec<_> = SUITE
             .iter()
             .map(|b| {
+                let c_dir = c_dir.clone();
                 std::thread::Builder::new()
                     .name(format!("pe-bench-compile-{}", b.name))
                     // Host-stack engines (Hobbit) recurse by design.
                     .stack_size(1 << 28)
-                    .spawn_scoped(scope, move || compile_and_check(b))
+                    .spawn_scoped(scope, move || compile_and_check(b, cfg, c_dir))
                     .expect("spawn compile worker")
             })
             .collect();
         workers
             .into_iter()
             .map(|w| w.join().expect("compile worker panicked"))
-            .collect::<Result<Vec<()>, String>>()
+            .collect::<Result<Vec<Result<PathBuf, String>>, String>>()
     })?;
 
     // Phase 2 — every timed number (compile and run) is measured
     // sequentially on one big-stack worker, min of `reps`.
     let cfg = cfg.clone();
-    with_big_stack(move || SUITE.iter().map(|b| time_benchmark(b, &cfg)).collect())
+    with_big_stack(move || {
+        SUITE.iter().zip(binaries).map(|(b, bin)| time_benchmark(b, &cfg, bin)).collect()
+    })
+}
+
+/// `Ok` when `cc` runs, else why the C column is absent.
+fn cc_version() -> Result<(), String> {
+    match Command::new("cc").arg("--version").output() {
+        Ok(out) if out.status.success() => Ok(()),
+        Ok(out) => Err(format!("cc --version exited with {}", out.status)),
+        Err(e) => Err(format!("no C compiler: cc: {e}")),
+    }
 }
 
 /// Phase 1 body: compile for every engine and check every engine
-/// against `test_expect`.
-fn compile_and_check(b: &Benchmark) -> Result<(), String> {
+/// against `test_expect`; then emit the C for the timed inputs and
+/// build it with `cc -O2` in `c_dir` (`Err`: why there is no binary).
+fn compile_and_check(
+    b: &Benchmark,
+    cfg: &BenchConfig,
+    c_dir: Result<&Path, String>,
+) -> Result<Result<PathBuf, String>, String> {
     let fail = |stage: &str, e: &dyn std::fmt::Display| format!("{}: {stage}: {e}", b.name);
     let pipe = Pipeline::new(b.source).map_err(|e| fail("parse", &e))?;
     let opts = CompileOptions::default();
@@ -243,11 +281,44 @@ fn compile_and_check(b: &Benchmark) -> Result<(), String> {
     check("vm", vm.run(&args, lim).map_err(|e| fail("vm run", &e))?.0)?;
     check("tail", pipe.run_tail(b.entry, &args, lim).map_err(|e| fail("tail run", &e))?)?;
     check("hobbit", hob.run(b.entry, &args, lim).map_err(|e| fail("hobbit run", &e))?)?;
-    Ok(())
+
+    let Ok(dir) = c_dir else {
+        return Ok(c_dir.map(Path::to_path_buf));
+    };
+    let timed = if cfg.quick { b.test_inputs() } else { b.bench_inputs() };
+    let c = pipe
+        .emit_c(b.entry, &timed, &opts, &mut NullSink)
+        .map_err(|e| fail("emit C", &e))?;
+    let (src, bin) = (dir.join(format!("{}.c", b.name)), dir.join(b.name));
+    std::fs::write(&src, &c.source).map_err(|e| fail("write C", &e))?;
+    let out = Command::new("cc")
+        .args(["-O2", "-o"])
+        .arg(&bin)
+        .arg(&src)
+        .output()
+        .map_err(|e| fail("cc", &e))?;
+    if !out.status.success() {
+        return Err(fail("cc", &String::from_utf8_lossy(&out.stderr)));
+    }
+    Ok(Ok(bin))
+}
+
+/// One spawn-to-exit run of `bin`: its trimmed standard output, or why
+/// it failed.
+fn run_binary(bin: &Path) -> Result<String, String> {
+    let out = Command::new(bin).output().map_err(|e| e.to_string())?;
+    if !out.status.success() {
+        return Err(format!("{}: {}", out.status, String::from_utf8_lossy(&out.stderr).trim()));
+    }
+    Ok(String::from_utf8_lossy(&out.stdout).trim().to_string())
 }
 
 /// Phase 2 body: min-of-N timing of every engine on one benchmark.
-fn time_benchmark(b: &Benchmark, cfg: &BenchConfig) -> Result<BenchRow, String> {
+fn time_benchmark(
+    b: &Benchmark,
+    cfg: &BenchConfig,
+    c_bin: Result<PathBuf, String>,
+) -> Result<BenchRow, String> {
     let fail = |stage: &str, e: &dyn std::fmt::Display| format!("{}: {stage}: {e}", b.name);
     let pipe = Pipeline::new(b.source).map_err(|e| fail("parse", &e))?;
     let opts = CompileOptions::default();
@@ -341,6 +412,12 @@ fn time_benchmark(b: &Benchmark, cfg: &BenchConfig) -> Result<BenchRow, String> 
     if tail0 != expect || hob0 != expect {
         return Err(format!("{}: engines disagree on timed inputs", b.name));
     }
+    if let Ok(bin) = &c_bin {
+        let printed = run_binary(bin).map_err(|e| fail("C run", &e))?;
+        if printed != expect.to_string() {
+            return Err(format!("{}: C printed {printed}, the VM {expect}", b.name));
+        }
+    }
 
     let reps = cfg.reps;
     let vm_t = time_min_ms(reps, || {
@@ -352,6 +429,12 @@ fn time_benchmark(b: &Benchmark, cfg: &BenchConfig) -> Result<BenchRow, String> 
     let hob_t = time_min_ms(reps, || {
         hob.run(b.entry, &args, lim).expect("hobbit rep");
     });
+    let c = c_bin.map(|bin| EngineTiming {
+        min_ms: time_min_ms(reps, || {
+            run_binary(&bin).expect("C rep");
+        }),
+        runs: reps,
+    });
 
     Ok(BenchRow {
         name: b.name,
@@ -361,6 +444,7 @@ fn time_benchmark(b: &Benchmark, cfg: &BenchConfig) -> Result<BenchRow, String> 
         vm: EngineTiming { min_ms: vm_t, runs: reps },
         tail: EngineTiming { min_ms: tail_t, runs: reps },
         hobbit: EngineTiming { min_ms: hob_t, runs: reps },
+        c,
         paper_ours_ms: b.paper_ours_ms,
         paper_hobbit_ms: b.paper_hobbit_ms,
         phases,
@@ -428,6 +512,13 @@ pub fn to_json_with_serve(
         }
         s.push_str("},\n");
         s.push_str("      \"engines\": {\n");
+        match &r.c {
+            Ok(t) => s.push_str(&format!(
+                "        \"c\": {{\"min_ms\": {:.3}, \"runs\": {}}},\n",
+                t.min_ms, t.runs
+            )),
+            Err(why) => s.push_str(&format!("        \"c\": {{\"absent\": {}}},\n", json_str(why))),
+        }
         let engines = [("hobbit", r.hobbit), ("tail", r.tail), ("vm", r.vm)];
         for (j, (name, t)) in engines.iter().enumerate() {
             s.push_str(&format!(
@@ -573,6 +664,7 @@ mod tests {
             vm: EngineTiming { min_ms: 0.25, runs: 3 },
             tail: EngineTiming { min_ms: 0.75, runs: 3 },
             hobbit: EngineTiming { min_ms: 0.5, runs: 3 },
+            c: Ok(EngineTiming { min_ms: 0.125, runs: 3 }),
             paper_ours_ms: 100,
             paper_hobbit_ms: 200,
             phases: vec![("cfa".to_string(), 0.1), ("specialize".to_string(), 0.4)],
@@ -625,7 +717,7 @@ mod tests {
                 "\"sct\"",
                 "\"work\"",
             ],
-            vec!["\"hobbit\"", "\"tail\"", "\"vm\""],
+            vec!["\"c\"", "\"hobbit\"", "\"tail\"", "\"vm\""],
             vec!["\"memo_hits\"", "\"memo_lookups\""],
             vec![
                 "\"c_bytes_base\"",
@@ -655,6 +747,12 @@ mod tests {
         assert!(a.find("\"tak\"").unwrap() < a.find("\"queens\"").unwrap());
         // Strings are escaped.
         assert!(a.contains(r#""(a \"b\")""#));
+        // Without a C compiler the column says why it is absent.
+        let mut row = fake_row("tak");
+        row.c = Err("no C compiler: cc: \"not found\"".to_string());
+        let absent = to_json(&cfg, &[row]);
+        assert!(absent.contains(r#""c": {"absent": "no C compiler: cc: \"not found\""},"#), "{absent}");
+        assert!(check::Json::parse(&absent).is_ok());
     }
 
     #[test]
@@ -742,13 +840,16 @@ mod tests {
     }
 
     #[test]
-    fn quick_suite_measures_every_benchmark_on_three_engines() {
+    fn quick_suite_measures_every_benchmark_on_every_engine() {
         let cfg = BenchConfig { quick: true, reps: 1 };
         let rows = run_suite(&cfg).expect("quick suite runs");
         assert_eq!(rows.len(), SUITE.len());
+        let cc = cc_version().is_ok();
         for (row, b) in rows.iter().zip(SUITE) {
             assert_eq!(row.name, b.name, "fixed Fig. 8 order");
-            for t in [row.vm, row.tail, row.hobbit] {
+            // The C column is present exactly when a C compiler is.
+            assert_eq!(row.c.is_ok(), cc, "{}: {:?}", row.name, row.c);
+            for t in [row.vm, row.tail, row.hobbit].into_iter().chain(row.c.clone()) {
                 assert!(t.min_ms.is_finite() && t.min_ms >= 0.0, "{}", row.name);
                 assert_eq!(t.runs, 1);
             }

@@ -44,7 +44,8 @@ fn main() -> ExitCode {
                 println!(
                     "usage: pe-bench [--quick | --full] [--reps N] [--out PATH] [--no-serve] [--check BASELINE]\n\
                      Times every Fig. 8 benchmark on the S0 VM, the tail\n\
-                     interpreter and the Hobbit baseline, plus the pe-serve\n\
+                     interpreter, the Hobbit baseline and the emitted C\n\
+                     (cc -O2), plus the pe-serve\n\
                      many-request workload; writes PATH (default BENCH_pe.json).\n\
                      With --check, compares the fresh run against BASELINE\n\
                      and exits non-zero on any perf or size regression."
@@ -68,20 +69,25 @@ fn main() -> ExitCode {
     };
 
     println!(
-        "{:<11} {:>10} {:>10} {:>10} {:>10} {:>9} {:>12}",
-        "benchmark", "compile", "vm ms", "tail ms", "hobbit ms", "tail/vm", "s0 nodes"
+        "{:<11} {:>10} {:>10} {:>10} {:>10} {:>10} {:>9} {:>12}",
+        "benchmark", "compile", "vm ms", "tail ms", "hobbit ms", "c ms", "tail/vm", "s0 nodes"
     );
     for r in &rows {
+        let c = r.c.as_ref().map_or_else(|_| "-".to_string(), |t| format!("{:.3}", t.min_ms));
         println!(
-            "{:<11} {:>10.2} {:>10.3} {:>10.3} {:>10.3} {:>9.2} {:>12}",
+            "{:<11} {:>10.2} {:>10.3} {:>10.3} {:>10.3} {:>10} {:>9.2} {:>12}",
             r.name,
             r.compile_ms,
             r.vm.min_ms,
             r.tail.min_ms,
             r.hobbit.min_ms,
+            c,
             r.tail.min_ms / r.vm.min_ms,
             format!("{}→{}", r.residual.nodes_base, r.residual.nodes_flow)
         );
+    }
+    if let Some(Err(why)) = rows.first().map(|r| &r.c) {
+        println!("(no C column: {why})");
     }
 
     let serve = if with_serve {

@@ -176,7 +176,13 @@ pub fn run(
             sink.counter(Counter::WarmStarts, 1);
         }
     }
-    let r = spec.run(entry, slots, snapshot, sink);
+    let (r, attributed) = spec.run_attributed(entry, slots, snapshot, sink);
+    // The span's time outside the per-procedure rows (setting up the
+    // specializer, the worklist between procedures) gets a row of its
+    // own, so the phase's books balance by construction.
+    if let Some(ns) = t.elapsed_ns() {
+        sink.attr(Phase::Specialize, "<rest>", ns.saturating_sub(attributed), 0);
+    }
     pe_trace::end(sink, t);
     let mut out = r?;
     out.audit.stats = stats;

@@ -477,18 +477,35 @@ impl<'p> Spec<'p> {
     ///
     /// See [`SpecError`].
     pub fn run(
-        mut self,
+        self,
         entry: &str,
         slots: Option<&[Option<Datum>]>,
         snapshot: bool,
         sink: &mut dyn pe_trace::Sink,
     ) -> Result<Compiled, SpecError> {
+        self.run_attributed(entry, slots, snapshot, sink).0
+    }
+
+    /// [`Spec::run`], also returning the nanoseconds its per-procedure
+    /// cost rows attribute (0 when `sink` is disabled).
+    pub(crate) fn run_attributed(
+        mut self,
+        entry: &str,
+        slots: Option<&[Option<Datum>]>,
+        snapshot: bool,
+        sink: &mut dyn pe_trace::Sink,
+    ) -> (Result<Compiled, SpecError>, u64) {
         let r = self.run_entry(entry, slots, sink.enabled());
         self.counters.flush(sink);
+        let mut attributed = 0u64;
         for (name, ns, nodes) in &self.attrs {
             sink.attr(pe_trace::Phase::Specialize, name, *ns, *nodes);
+            attributed = attributed.saturating_add(*ns);
         }
-        let program = r?;
+        let program = match r {
+            Ok(program) => program,
+            Err(e) => return (Err(e), attributed),
+        };
         let snapshot = snapshot.then(|| MemoSnapshot {
             memo: std::mem::take(&mut self.memo),
             // Everything but the entry wrapper: those are the procedures
@@ -507,7 +524,7 @@ impl<'p> Spec<'p> {
             stats: pe_sct::SctStats::default(),
             events: self.events,
         };
-        Ok(Compiled { program, audit, snapshot, labels: None })
+        (Ok(Compiled { program, audit, snapshot, labels: None }), attributed)
     }
 
     /// [`Spec::run`] with every parameter dynamic, returning the program

@@ -177,6 +177,7 @@ fn golden_jsonl_shape_for_a_tiny_program() -> R {
         r#"{"type":"counter","name":"unfold_steps","delta":1}"#,
         r#"{"type":"attr","phase":"specialize","label":"id","ns":"#,
         r#"{"type":"attr","phase":"specialize","label":"sl-eval-$1","ns":"#,
+        r#"{"type":"attr","phase":"specialize","label":"<rest>","ns":"#,
         r#"{"type":"span_close","phase":"specialize","depth":0,"dur_ns":"#,
         r#"{"type":"span_open","phase":"post","depth":0}"#,
         r#"{"type":"attr","phase":"post","label":"id","ns":"#,

@@ -45,14 +45,20 @@
 //! S-expression printer's escapes, a symbol as its bytes, a character
 //! as its UTF-8.  The string table carries each string's length, so a
 //! string prints every byte, NUL included; a symbol prints up to its
-//! first NUL byte, where its C string ends.  A program that
-//! reads an unbound variable, which the VM refuses to load, becomes a
-//! file that `#error` makes cc refuse.
+//! first NUL byte, where its C string ends.
+//!
+//! S₀ holds positions: parameter *k* of a procedure is the C variable
+//! `pₖ` (and the global `gₖ`), and a callee position names its
+//! procedure's label.  A program with a position past its list — a
+//! variable past its procedure's parameters, a callee or the entry past
+//! the procedures — which the VM refuses to load, becomes a file whose
+//! `#error` line, written where the position is used, makes cc refuse
+//! it.
 
 use pe_core::{S0Program, S0Simple, S0Tail};
 use pe_frontend::ast::{Constant, Prim};
 use pe_interp::Datum;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -363,15 +369,15 @@ impl Rt {
 }
 
 struct Emitter {
-    /// S₀ name → sanitized unique C label.
-    labels: HashMap<String, String>,
-    used: HashMap<String, usize>,
+    /// Each procedure's C label, by position ([`labels`]).
+    labels: Vec<String>,
+    /// Each procedure's parameters, by position: `true` where its body
+    /// never reads the parameter.
+    dead: Vec<Vec<bool>>,
     symbols: Vec<String>,
     strings: Vec<String>,
     /// Whether a character constant lies outside ASCII.
     wide_chars: bool,
-    /// Variables read where no parameter binds them, in reading order.
-    unbound: Vec<String>,
     next_temp: usize,
     max_arity: usize,
     elide: bool,
@@ -382,24 +388,21 @@ struct Emitter {
     bytes: usize,
 }
 
-/// What translating one procedure body consults and records.
-struct ProcScope<'a> {
-    /// Procedure name → one flag per parameter, `true` when its body
-    /// never reads it.
-    dead: &'a HashMap<&'a str, &'a [bool]>,
-    /// The current procedure's parameter name → position; parameter *i*
-    /// is the C variable `pᵢ`.
-    index: HashMap<&'a str, usize>,
-    /// Positions the emitted body reads: the prologue copies only these.
-    read: Vec<bool>,
-}
-
-impl Emitter {
-    fn label_of(&mut self, name: &str) -> String {
-        if let Some(l) = self.labels.get(name) {
-            return l.clone();
+/// Each procedure's C label, by position: its name with every
+/// character outside `[A-Za-z0-9]` made `_`, after `L_` (and `p_` when
+/// it starts with a digit), numbered `_1`, `_2`, … apart from an earlier
+/// label of the same spelling.  Labels are numbered in the order the
+/// emitter meets them: each procedure's own, then its callees' in its
+/// body's order.
+fn labels(p: &S0Program) -> Vec<String> {
+    let mut labels = vec![String::new(); p.procs.len()];
+    let mut used: HashMap<String, usize> = HashMap::new();
+    let mut label = |i: usize, labels: &mut [String]| {
+        if labels.get(i).is_none_or(|l| !l.is_empty()) {
+            return;
         }
-        let base: String = name
+        let base: String = p.procs[i]
+            .name
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
             .collect();
@@ -408,13 +411,18 @@ impl Emitter {
         } else {
             base
         };
-        let n = self.used.entry(base.clone()).or_insert(0);
-        let unique = if *n == 0 { format!("L_{base}") } else { format!("L_{base}_{n}") };
+        let n = used.entry(base.clone()).or_insert(0);
+        labels[i] = if *n == 0 { format!("L_{base}") } else { format!("L_{base}_{n}") };
         *n += 1;
-        self.labels.insert(name.to_string(), unique.clone());
-        unique
+    };
+    for (i, q) in p.procs.iter().enumerate() {
+        label(i, &mut labels);
+        q.body.calls(&mut |callee| label(callee, &mut labels));
     }
+    labels
+}
 
+impl Emitter {
     fn sym_index(&mut self, s: &str) -> usize {
         if let Some(i) = self.symbols.iter().position(|x| x == s) {
             return i;
@@ -492,39 +500,37 @@ impl Emitter {
     /// sequenced with the comma operator (§5.1), and evaluates to the
     /// final temporary; a variable or constant is emitted in place.
     /// Temporary declarations accumulate in `temps`, and every
-    /// parameter read is marked in `scope`.
-    fn simple(
-        &mut self,
-        s: &S0Simple,
-        scope: &mut ProcScope<'_>,
-        temps: &mut Vec<String>,
-    ) -> String {
+    /// parameter read is marked in `read`, one flag per parameter of the
+    /// procedure; parameter *k* is the C variable `pₖ`.  A variable
+    /// past the parameters is an `#error` line in the expression.
+    fn simple(&mut self, s: &S0Simple, read: &mut [bool], temps: &mut Vec<String>) -> String {
         let expr = match s {
-            S0Simple::Var(v) => {
-                let Some(&i) = scope.index.get(v.as_str()) else {
-                    self.unbound.push(v.clone());
+            S0Simple::Var(k) => {
+                let Some(r) = read.get_mut(*k) else {
                     self.call(Rt::Consts, 0);
-                    return "RT_NIL".to_string();
+                    let n = read.len();
+                    let msg = format!("unbound variable at position {k} ({n} parameter(s))");
+                    return format!("\n#error {}\nRT_NIL", c_string(&msg));
                 };
-                scope.read[i] = true;
-                return format!("p{i}");
+                *r = true;
+                return format!("p{k}");
             }
             // A constant has no effect to sequence.
             S0Simple::Const(k) => return self.constant(k),
             S0Simple::Prim(..) if s.dispatch_test().is_some() => {
                 self.call(Rt::Bool, 0);
-                format!("rt_bool({})", self.condition(s, scope, temps))
+                format!("rt_bool({})", self.condition(s, read, temps))
             }
             S0Simple::Prim(op, args) => {
                 let xs: Vec<String> =
-                    args.iter().map(|a| self.simple(a, scope, temps)).collect();
+                    args.iter().map(|a| self.simple(a, read, temps)).collect();
                 let (piece, name, boxes) = prim(*op);
                 self.call(piece, if boxes { OBJ_BYTES } else { 0 });
                 format!("{name}({})", xs.join(", "))
             }
             S0Simple::MakeClosure(l, args) => {
                 let xs: Vec<String> =
-                    args.iter().map(|a| self.simple(a, scope, temps)).collect();
+                    args.iter().map(|a| self.simple(a, read, temps)).collect();
                 self.call(Rt::Closure, OBJ_BYTES + CAPTURE_BYTES * xs.len());
                 let mut call = format!("rt_closure({l}, {}", xs.len());
                 for x in &xs {
@@ -534,12 +540,12 @@ impl Emitter {
                 call
             }
             S0Simple::ClosureLabel(a) => {
-                let x = self.simple(a, scope, temps);
+                let x = self.simple(a, read, temps);
                 self.call(Rt::ClosureLabel, OBJ_BYTES);
                 format!("rt_closure_label({x})")
             }
             S0Simple::ClosureFreeval(a, i) => {
-                let x = self.simple(a, scope, temps);
+                let x = self.simple(a, read, temps);
                 self.call(Rt::ClosureFreeval, 0);
                 format!("rt_closure_freeval({x}, {i})")
             }
@@ -552,20 +558,15 @@ impl Emitter {
     /// Translates a condition into a C truth value.  A closure-dispatch
     /// test (`S0Simple::dispatch_test`) compares the label unboxed;
     /// `rt_label_is` keeps `closure-label`'s type check.
-    fn condition(
-        &mut self,
-        c: &S0Simple,
-        scope: &mut ProcScope<'_>,
-        temps: &mut Vec<String>,
-    ) -> String {
+    fn condition(&mut self, c: &S0Simple, read: &mut [bool], temps: &mut Vec<String>) -> String {
         match c.dispatch_test() {
             Some((subject, label)) => {
-                let x = self.simple(subject, scope, temps);
+                let x = self.simple(subject, read, temps);
                 self.call(Rt::LabelIs, 0);
                 format!("rt_label_is({x}, {label})")
             }
             None => {
-                let x = self.simple(c, scope, temps);
+                let x = self.simple(c, read, temps);
                 self.call(Rt::Truthy, 0);
                 format!("rt_truthy({x})")
             }
@@ -577,7 +578,7 @@ impl Emitter {
     fn tail(
         &mut self,
         t: &S0Tail,
-        scope: &mut ProcScope<'_>,
+        read: &mut [bool],
         temps: &mut Vec<String>,
         indent: usize,
         body: &mut String,
@@ -585,17 +586,17 @@ impl Emitter {
         let pad = "  ".repeat(indent);
         match t {
             S0Tail::Return(s) => {
-                let e = self.simple(s, scope, temps);
+                let e = self.simple(s, read, temps);
                 let _ = writeln!(body, "{pad}return {e};");
             }
             S0Tail::If(c, a, b) => {
-                let e = self.condition(c, scope, temps);
+                let e = self.condition(c, read, temps);
                 let _ = writeln!(body, "{pad}if ({e}) {{");
                 let before = self.bytes;
-                self.tail(a, scope, temps, indent + 1, body);
+                self.tail(a, read, temps, indent + 1, body);
                 let then_bytes = std::mem::replace(&mut self.bytes, before);
                 let _ = writeln!(body, "{pad}}} else {{");
-                self.tail(b, scope, temps, indent + 1, body);
+                self.tail(b, read, temps, indent + 1, body);
                 self.bytes = self.bytes.max(then_bytes);
                 let _ = writeln!(body, "{pad}}}");
             }
@@ -612,24 +613,39 @@ impl Emitter {
                 //   parameter *i*, and the argument is a variable or
                 //   constant, so skipping its evaluation cannot suppress a
                 //   runtime error.
-                let dead_target = scope.dead.get(callee.as_str()).copied();
+                //
+                // Neither applies to a variable past the parameters,
+                // which must reach its `#error`.
+                let arity = read.len();
                 for (i, a) in args.iter().enumerate() {
                     if self.elide {
-                        let identity = matches!(a, S0Simple::Var(v)
-                            if scope.index.get(v.as_str()) == Some(&i));
-                        let dead = dead_target
-                            .is_some_and(|d| d.get(i).copied().unwrap_or(false))
-                            && matches!(a, S0Simple::Var(_) | S0Simple::Const(_));
+                        let identity = matches!(a, S0Simple::Var(k) if *k == i && *k < arity);
+                        let trivial = match a {
+                            S0Simple::Var(k) => *k < arity,
+                            a => matches!(a, S0Simple::Const(_)),
+                        };
+                        let dead = trivial
+                            && self.dead.get(*callee).and_then(|d| d.get(i)) == Some(&true);
                         if identity || dead {
                             self.moves_elided += 1;
                             continue;
                         }
                     }
-                    let x = self.simple(a, scope, temps);
+                    let x = self.simple(a, read, temps);
                     let _ = writeln!(body, "{pad}g{i} = {x};");
                 }
-                let l = self.label_of(callee);
-                let _ = writeln!(body, "{pad}goto {l};");
+                match self.labels.get(*callee) {
+                    Some(l) => {
+                        let _ = writeln!(body, "{pad}goto {l};");
+                    }
+                    None => {
+                        let n = self.labels.len();
+                        let msg = format!(
+                            "call to undefined procedure at position {callee} ({n} procedure(s))"
+                        );
+                        let _ = writeln!(body, "#error {}", c_string(&msg));
+                    }
+                }
             }
             S0Tail::Fail(m) => {
                 self.call(Rt::Die, 0);
@@ -700,13 +716,30 @@ fn datum_constant(d: &Datum) -> Constant {
 /// runs the entry procedure on `args` and prints the result as an
 /// S-expression.
 pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
+    // Parameter positions each body never names, computed once up
+    // front.  S₀ binds only at procedure entry, so the body's variable
+    // set is what is live there: the named positions are the roots of a
+    // collection at the procedure's label, and the others drive
+    // dead-target move elision.
+    let dead = p
+        .procs
+        .iter()
+        .map(|q| {
+            let mut dead = vec![true; q.params.len()];
+            q.body.vars(&mut |k| {
+                if let Some(d) = dead.get_mut(k) {
+                    *d = false;
+                }
+            });
+            dead
+        })
+        .collect();
     let mut e = Emitter {
-        labels: HashMap::new(),
-        used: HashMap::new(),
+        labels: labels(p),
+        dead,
         symbols: Vec::new(),
         strings: Vec::new(),
         wide_chars: false,
-        unbound: Vec::new(),
         next_temp: 0,
         max_arity: p.procs.iter().map(|q| q.params.len()).max().unwrap_or(0),
         elide: opts.elide_moves,
@@ -715,22 +748,6 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
         bytes: 0,
     };
 
-    // Parameter positions each body never names, computed once up
-    // front.  S₀ binds only at procedure entry, so the body's variable
-    // set is what is live there: the named positions are the roots of a
-    // collection at the procedure's label, and the others drive
-    // dead-target move elision.
-    let dead: Vec<Vec<bool>> = p
-        .procs
-        .iter()
-        .map(|q| {
-            let mut read = HashSet::new();
-            q.body.vars(&mut read);
-            q.params.iter().map(|v| !read.contains(v)).collect()
-        })
-        .collect();
-    let by_name: HashMap<&str, &[bool]> =
-        p.procs.iter().zip(&dead).map(|(q, d)| (q.name.as_str(), d.as_slice())).collect();
     // Only a program whose bodies make tail calls enters a second
     // label; otherwise its one body allocates from the first space.
     let collects = p.procs.iter().any(|q| calls(&q.body));
@@ -738,23 +755,19 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
     // Bodies first, so the symbol/string tables fill up.
     let mut bodies = String::new();
     let mut max_need = 0;
-    for (q, dead) in p.procs.iter().zip(&dead) {
-        let label = e.label_of(&q.name);
-        let mut scope = ProcScope {
-            dead: &by_name,
-            index: q.params.iter().enumerate().map(|(i, v)| (v.as_str(), i)).collect(),
-            read: vec![false; q.params.len()],
-        };
+    for (i, q) in p.procs.iter().enumerate() {
+        let mut read = vec![false; q.params.len()];
         let mut temps = Vec::new();
         let mut body = String::new();
         e.bytes = 0;
-        e.tail(&q.body, &mut scope, &mut temps, 1, &mut body);
+        e.tail(&q.body, &mut read, &mut temps, 1, &mut body);
         max_need = max_need.max(e.bytes);
-        let _ = writeln!(bodies, "{label}: {{");
+        let _ = writeln!(bodies, "{}: {{", e.labels[i]);
         // Before the prologue copies: room for the body's worst path,
         // or a collection whose roots are the globals the body names
         // (`1` per named position; the rest are reset).
         if collects && e.bytes > 0 {
+            let dead = &e.dead[i];
             let n = dead.iter().rposition(|d| !d).map_or(0, |i| i + 1);
             let live: String = dead[..n].iter().map(|&d| if d { '0' } else { '1' }).collect();
             let _ = writeln!(bodies, "  RT_NEED({}, \"{live}\");", e.bytes);
@@ -763,7 +776,7 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
         // variables — only the ones the body reads.  A parameter the
         // body never reads, or whose only reads were elided identity
         // moves, needs no copy.
-        for (i, &read) in scope.read.iter().enumerate() {
+        for (i, &read) in read.iter().enumerate() {
             if e.elide && !read {
                 e.moves_elided += 1;
                 continue;
@@ -798,12 +811,18 @@ pub fn emit_c(p: &S0Program, args: &[Datum], opts: &COptions) -> CProgram {
 
     // Now assemble the file.
     let mut out = e.runtime(&heap);
-    for v in &e.unbound {
-        let _ = writeln!(out, "#error {}", c_string(&format!("unbound variable {v}")));
-    }
     let _ = writeln!(out, "\nstatic Obj *program(void) {{");
-    let entry_label = e.label_of(&p.entry);
-    let _ = writeln!(out, "  goto {entry_label};");
+    match e.labels.get(p.entry) {
+        Some(l) => {
+            let _ = writeln!(out, "  goto {l};");
+        }
+        None => {
+            let n = p.procs.len();
+            let msg =
+                format!("entry procedure at position {} is not defined ({n} procedure(s))", p.entry);
+            let _ = writeln!(out, "#error {}", c_string(&msg));
+        }
+    }
     out.push_str(&bodies);
     let _ = writeln!(out, "}}");
     let _ = writeln!(out, "\nint main(void) {{");
@@ -1282,23 +1301,20 @@ mod tests {
         // skipped, and the constant argument's move is elided outright.
         // The effectful `cons` argument still evaluates into the global.
         let p = S0Program {
-            entry: "main".into(),
+            entry: 0,
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["x".into()],
                     body: S0Tail::TailCall(
-                        "sink".into(),
-                        vec![
-                            S0Simple::Var("x".into()),
-                            S0Simple::Const(pe_frontend::ast::Constant::Int(9)),
-                        ],
+                        1,
+                        vec![S0Simple::Var(0), S0Simple::Const(pe_frontend::ast::Constant::Int(9))],
                     ),
                 },
                 S0Proc {
                     name: "sink".into(),
                     params: vec!["v".into(), "junk".into()],
-                    body: S0Tail::Return(S0Simple::Var("v".into())),
+                    body: S0Tail::Return(S0Simple::Var(0)),
                 },
             ],
         };
@@ -1311,32 +1327,43 @@ mod tests {
         }
     }
 
+    /// Whether cc refuses `c`, printing `message`; true without cc.
+    fn cc_refuses(c: &CProgram, message: &str, tag: &str) -> bool {
+        if !cc_available() {
+            return true;
+        }
+        let dir = std::env::temp_dir().join(format!("pe-backend-c-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let src = dir.join("prog.c");
+        std::fs::write(&src, &c.source).unwrap();
+        let out = Command::new("cc").arg("-fsyntax-only").arg(&src).output().expect("cc runs");
+        let _ = std::fs::remove_dir_all(&dir);
+        !out.status.success() && String::from_utf8_lossy(&out.stderr).contains(message)
+    }
+
     #[test]
     fn an_unbound_variable_is_a_cc_error() {
         use pe_core::{S0Proc, S0Program};
-        // The VM refuses to load this program; the emitted file carries
-        // an `#error` that makes cc refuse it too.
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![S0Proc {
-                name: "main".into(),
-                params: vec!["x".into()],
-                body: S0Tail::Return(S0Simple::Var("y".into())),
-            }],
-        };
-        let c = emit_c(&p, &[Datum::Int(1)], &COptions::default());
-        assert!(c.source.contains("\n#error \"unbound variable y\"\n"), "{}", c.source);
-        if cc_available() {
-            let dir =
-                std::env::temp_dir().join(format!("pe-backend-c-unbound-{}", std::process::id()));
-            std::fs::create_dir_all(&dir).unwrap();
-            let src = dir.join("prog.c");
-            std::fs::write(&src, &c.source).unwrap();
-            let out =
-                Command::new("cc").arg("-fsyntax-only").arg(&src).output().expect("cc runs");
-            let _ = std::fs::remove_dir_all(&dir);
-            assert!(!out.status.success());
-            assert!(String::from_utf8_lossy(&out.stderr).contains("unbound variable y"));
+        // The VM refuses to load these programs; each emitted file
+        // carries an `#error` that makes cc refuse it too: a variable
+        // past its procedure's parameters, even where the move would
+        // otherwise be elided, a call past the procedures and an entry
+        // past them.
+        let main = |body| S0Proc { name: "main".into(), params: vec!["x".into()], body };
+        let unbound = "unbound variable at position 1 (1 parameter(s))";
+        let callee = "call to undefined procedure at position 3 (1 procedure(s))";
+        let entry = "entry procedure at position 2 is not defined (1 procedure(s))";
+        let cases = [
+            (0, S0Tail::Return(S0Simple::Var(1)), unbound),
+            (0, S0Tail::TailCall(0, vec![S0Simple::Var(1)]), unbound),
+            (0, S0Tail::TailCall(3, vec![S0Simple::Var(0)]), callee),
+            (2, S0Tail::Return(S0Simple::Var(0)), entry),
+        ];
+        for (i, (entry, body, message)) in cases.into_iter().enumerate() {
+            let p = S0Program { entry, procs: vec![main(body)] };
+            let c = emit_c(&p, &[Datum::Int(1)], &COptions::default());
+            assert!(c.source.contains(&format!("\n#error \"{message}\"\n")), "{}", c.source);
+            assert!(cc_refuses(&c, message, &format!("unbound-{i}")), "{}", c.source);
         }
     }
 
@@ -1350,7 +1377,7 @@ mod tests {
     #[test]
     fn each_label_checks_its_worst_path_and_names_its_roots() {
         use pe_core::{S0Proc, S0Program};
-        let v = |x: &str| S0Simple::Var(x.into());
+        let v = S0Simple::Var;
         let k = |c: Constant| S0Simple::Const(c);
         let op = |p: Prim, args: Vec<S0Simple>| S0Simple::Prim(p, args);
         // `main` allocates a pair and a two-capture closure on one path
@@ -1359,24 +1386,24 @@ mod tests {
         // never names its middle parameter, so a collection there resets
         // `g1` instead of tracing it.
         let p = S0Program {
-            entry: "main".into(),
+            entry: 0,
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["a".into(), "b".into(), "c".into()],
                     body: S0Tail::If(
-                        op(Prim::NullP, vec![v("a")]),
+                        op(Prim::NullP, vec![v(0)]),
                         Box::new(S0Tail::TailCall(
-                            "walk".into(),
+                            1,
                             vec![
-                                op(Prim::Car, vec![op(Prim::Cons, vec![v("c"), v("b")])]),
-                                S0Simple::MakeClosure(1, vec![v("a"), v("b")]),
+                                op(Prim::Car, vec![op(Prim::Cons, vec![v(2), v(1)])]),
+                                S0Simple::MakeClosure(1, vec![v(0), v(1)]),
                                 k(Constant::Int(9)),
                             ],
                         )),
                         Box::new(S0Tail::TailCall(
-                            "walk".into(),
-                            vec![k(Constant::Int(1000)), v("c"), v("c")],
+                            1,
+                            vec![k(Constant::Int(1000)), v(2), v(2)],
                         )),
                     ),
                 },
@@ -1384,11 +1411,11 @@ mod tests {
                     name: "walk".into(),
                     params: vec!["x".into(), "y".into(), "z".into()],
                     body: S0Tail::If(
-                        op(Prim::ZeroP, vec![v("z")]),
+                        op(Prim::ZeroP, vec![v(2)]),
                         Box::new(S0Tail::Return(op(
                             Prim::Cons,
                             vec![
-                                v("x"),
+                                v(0),
                                 op(
                                     Prim::Cons,
                                     vec![k(Constant::Str("s".into())), k(Constant::Char('a'))],
@@ -1396,11 +1423,11 @@ mod tests {
                             ],
                         ))),
                         Box::new(S0Tail::TailCall(
-                            "walk".into(),
+                            1,
                             vec![
-                                op(Prim::Add1, vec![v("x")]),
+                                op(Prim::Add1, vec![v(0)]),
                                 k(Constant::Int(5)),
-                                op(Prim::Sub1, vec![v("z")]),
+                                op(Prim::Sub1, vec![v(2)]),
                             ],
                         )),
                     ),

@@ -295,7 +295,7 @@ mod tests {
     #[test]
     fn residualize_lifts_structure() -> Result<(), MissingCv> {
         let mut sigma = FxHashMap::default();
-        sigma.insert(0, S0Simple::Var("cv-vals-$1".into()));
+        sigma.insert(0, S0Simple::Var(0));
         let d = cons(1, ValDesc::Quote(Constant::Sym("foo".into())), cv(0));
         let e = d.residualize(&sigma)?;
         let s = format!("{:?}", e);
@@ -304,7 +304,7 @@ mod tests {
         let e = d.residualize(&sigma)?;
         assert!(
             matches!(&e, S0Simple::MakeClosure(5, args)
-                if args.len() == 2 && args[0] == S0Simple::Var("cv-vals-$1".into())),
+                if args.len() == 2 && args[0] == S0Simple::Var(0)),
             "expected make-closure, got {e:?}"
         );
         Ok(())

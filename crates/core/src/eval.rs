@@ -7,7 +7,6 @@
 //! crate, and the C back end in `pe-backend-c`.
 
 use pe_flow::s0::{S0Program, S0Simple, S0Tail};
-use pe_intern::FxHashMap;
 use pe_interp::value::{apply_prim, Value};
 use pe_interp::{Datum, Fuel, InterpError, Limits};
 use pe_frontend::Prim;
@@ -24,21 +23,13 @@ pub struct S0Closure {
 
 type V = Value<S0Closure>;
 
-/// The frame is the current procedure's parameter names (borrowed from
-/// the program — never cloned per call) beside their values.
-struct Frame<'p> {
-    params: &'p [String],
-    vals: Vec<V>,
-}
-
-fn eval_simple(s: &S0Simple, frame: &Frame<'_>, fuel: &mut Fuel) -> Result<V, InterpError> {
+/// `frame` holds the current procedure's parameter values by position.
+fn eval_simple(s: &S0Simple, frame: &[V], fuel: &mut Fuel) -> Result<V, InterpError> {
     match s {
-        S0Simple::Var(v) => frame
-            .params
-            .iter()
-            .rposition(|n| n == v)
-            .and_then(|i| frame.vals.get(i).cloned())
-            .ok_or_else(|| InterpError::Unbound(v.clone())),
+        S0Simple::Var(k) => frame
+            .get(*k)
+            .cloned()
+            .ok_or_else(|| InterpError::Unbound(format!("parameter position {k}"))),
         S0Simple::Const(k) => Ok(Value::from_constant(k)),
         S0Simple::Prim(op, args) => {
             let vals = args
@@ -113,26 +104,16 @@ pub fn run_with(
 }
 
 fn exec(p: &S0Program, args: &[Datum], fuel: &mut Fuel) -> Result<Datum, InterpError> {
-    let entry = p
-        .proc(&p.entry)
-        .ok_or_else(|| InterpError::NoSuchProc(p.entry.clone()))?;
+    let undefined = |i: usize| InterpError::NoSuchProc(format!("at position {i}"));
+    let entry = p.procs.get(p.entry).ok_or_else(|| undefined(p.entry))?;
     if entry.params.len() != args.len() {
         return Err(InterpError::EntryArity {
-            name: p.entry.clone(),
+            name: entry.name.clone(),
             expected: entry.params.len(),
             got: args.len(),
         });
     }
-    // Resolve callee names once up front: a tail call then costs one
-    // hash lookup instead of a string-comparing scan over every proc,
-    // and the frame borrows the callee's parameter names rather than
-    // cloning them on each call.
-    let index: FxHashMap<&str, &pe_flow::s0::S0Proc> =
-        p.procs.iter().map(|q| (q.name.as_str(), q)).collect();
-    let mut frame = Frame {
-        params: &entry.params,
-        vals: args.iter().map(Datum::embed).collect(),
-    };
+    let mut frame: Vec<V> = args.iter().map(Datum::embed).collect();
     let mut body = &entry.body;
     // A flat loop (tail calls never recurse into the host stack), so
     // only the fuel and heap budgets apply here.
@@ -147,14 +128,11 @@ fn exec(p: &S0Program, args: &[Datum], fuel: &mut Fuel) -> Result<Datum, InterpE
                 body = if eval_simple(c, &frame, fuel)?.is_truthy() { t } else { e };
             }
             S0Tail::TailCall(callee, cargs) => {
-                let def = *index
-                    .get(callee.as_str())
-                    .ok_or_else(|| InterpError::NoSuchProc(callee.clone()))?;
-                let vals = cargs
+                let def = p.procs.get(*callee).ok_or_else(|| undefined(*callee))?;
+                frame = cargs
                     .iter()
                     .map(|a| eval_simple(a, &frame, fuel))
                     .collect::<Result<Vec<_>, _>>()?;
-                frame = Frame { params: &def.params, vals };
                 body = &def.body;
             }
             S0Tail::Fail(msg) => return Err(InterpError::NotAProcedure(msg.clone())),
@@ -169,53 +147,38 @@ mod tests {
     use pe_frontend::ast::Constant;
     use pe_frontend::Prim;
 
+    fn main(params: &[&str], body: S0Tail) -> S0Program {
+        let params = params.iter().map(|&v| v.to_string()).collect();
+        S0Program { entry: 0, procs: vec![S0Proc { name: "main".into(), params, body }] }
+    }
+
     #[test]
     fn closures_roundtrip_through_make_and_freeval() {
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![S0Proc {
-                name: "main".into(),
-                params: vec!["x".into()],
-                body: S0Tail::Return(S0Simple::ClosureFreeval(
-                    Box::new(S0Simple::MakeClosure(
-                        7,
-                        vec![
-                            S0Simple::Const(Constant::Int(10)),
-                            S0Simple::Var("x".into()),
-                        ],
-                    )),
-                    1,
+        let p = main(
+            &["x"],
+            S0Tail::Return(S0Simple::ClosureFreeval(
+                Box::new(S0Simple::MakeClosure(
+                    7,
+                    vec![S0Simple::Const(Constant::Int(10)), S0Simple::Var(0)],
                 )),
-            }],
-        };
+                1,
+            )),
+        );
         assert_eq!(run(&p, &[Datum::Int(42)], Limits::default()), Ok(Datum::Int(42)));
     }
 
     #[test]
     fn closure_label_reads_back() {
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![S0Proc {
-                name: "main".into(),
-                params: vec![],
-                body: S0Tail::Return(S0Simple::ClosureLabel(Box::new(
-                    S0Simple::MakeClosure(24, vec![]),
-                ))),
-            }],
-        };
+        let p = main(
+            &[],
+            S0Tail::Return(S0Simple::ClosureLabel(Box::new(S0Simple::MakeClosure(24, vec![])))),
+        );
         assert_eq!(run(&p, &[], Limits::default()), Ok(Datum::Int(24)));
     }
 
     #[test]
     fn fail_faults() {
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![S0Proc {
-                name: "main".into(),
-                params: vec![],
-                body: S0Tail::Fail("boom".into()),
-            }],
-        };
+        let p = main(&[], S0Tail::Fail("boom".into()));
         assert!(matches!(
             run(&p, &[], Limits::default()),
             Err(InterpError::NotAProcedure(m)) if m == "boom"
@@ -224,24 +187,35 @@ mod tests {
 
     #[test]
     fn tail_loop_is_flat() {
-        let p = S0Program {
-            entry: "loop".into(),
-            procs: vec![S0Proc {
-                name: "loop".into(),
-                params: vec!["n".into()],
-                body: S0Tail::If(
-                    S0Simple::Prim(Prim::ZeroP, vec![S0Simple::Var("n".into())]),
-                    Box::new(S0Tail::Return(S0Simple::Const(Constant::Int(0)))),
-                    Box::new(S0Tail::TailCall(
-                        "loop".into(),
-                        vec![S0Simple::Prim(
-                            Prim::Sub,
-                            vec![S0Simple::Var("n".into()), S0Simple::Const(Constant::Int(1))],
-                        )],
-                    )),
-                ),
-            }],
-        };
+        let p = main(
+            &["n"],
+            S0Tail::If(
+                S0Simple::Prim(Prim::ZeroP, vec![S0Simple::Var(0)]),
+                Box::new(S0Tail::Return(S0Simple::Const(Constant::Int(0)))),
+                Box::new(S0Tail::TailCall(
+                    0,
+                    vec![S0Simple::Prim(
+                        Prim::Sub,
+                        vec![S0Simple::Var(0), S0Simple::Const(Constant::Int(1))],
+                    )],
+                )),
+            ),
+        );
         assert_eq!(run(&p, &[Datum::Int(2_000_000)], Limits::default()), Ok(Datum::Int(0)));
+    }
+
+    #[test]
+    fn positions_past_their_lists_are_errors() {
+        let unbound = main(&["x"], S0Tail::Return(S0Simple::Var(1)));
+        let callee = main(&[], S0Tail::TailCall(4, vec![]));
+        let entry = S0Program { entry: 2, ..main(&[], S0Tail::Fail("never".into())) };
+        for (p, want) in [
+            (unbound, InterpError::Unbound("parameter position 1".into())),
+            (callee, InterpError::NoSuchProc("at position 4".into())),
+            (entry, InterpError::NoSuchProc("at position 2".into())),
+        ] {
+            let args: Vec<Datum> = p.procs[0].params.iter().map(|_| Datum::Nil).collect();
+            assert_eq!(run(&p, &args, Limits::default()), Err(want));
+        }
     }
 }

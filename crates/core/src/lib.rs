@@ -247,16 +247,13 @@ fn finish(
         p
     };
     let (p, labels) = if opts.flow {
-        // Graceful degradation: an exhausted budget keeps the
-        // (already correct) unoptimized program instead of failing
-        // the compile.  The fallback clone happens before the span
-        // opens — the flow span must cover only optimizer time, so
-        // the per-procedure attribution can sum to it.
-        let fallback = p.clone();
+        // Graceful degradation: an exhausted budget keeps the program
+        // as the optimizer's last finished pass left it, correct like
+        // its input, instead of failing the compile.
         let t = pe_trace::begin(sink, Phase::Flow);
         let mut fuel = Fuel::new(&opts.limits);
         let (q, stats, labels) = pe_flow::optimize(p, &mut fuel)
-            .unwrap_or_else(|_| (fallback, pe_flow::FlowStats::default(), None));
+            .unwrap_or_else(|(_, q)| (q, pe_flow::FlowStats::default(), None));
         attribute_and_end(sink, t, Phase::Flow, &q);
         if sink.enabled() {
             sink.counter(Counter::CopiesPropagated, stats.copies_propagated as u64);

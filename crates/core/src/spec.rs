@@ -235,7 +235,8 @@ struct PendingProc<'p> {
 /// cannot detect.
 #[derive(Debug, Clone, Default)]
 pub struct MemoSnapshot {
-    memo: FxHashMap<Key, String>,
+    /// Each memoized point's residual procedure, by position.
+    memo: FxHashMap<Key, usize>,
     /// Residual procedures emitted for the memoized points (everything
     /// except the entry wrapper), in emission order.
     procs: Vec<S0Proc>,
@@ -357,7 +358,10 @@ pub struct Spec<'p> {
     flow: &'p FlowAnalysis,
     gen: &'p GenAnalysis,
     opts: CompileOptions,
-    memo: FxHashMap<Key, String>,
+    /// Each memoized point's residual procedure, by position: the
+    /// `n`-th point specialized is `sl-eval-$n`, at position `n`, after
+    /// the entry at 0.
+    memo: FxHashMap<Key, usize>,
     pending: VecDeque<PendingProc<'p>>,
     done: Vec<S0Proc>,
     next_cv: CvId,
@@ -580,7 +584,7 @@ impl<'p> Spec<'p> {
                 None => {
                     let cv = self.fresh_cv();
                     let name = unique_param_name(&self.dp.var_names[param.0 as usize], &params);
-                    sigma.insert(cv, S0Simple::Var(name.clone()));
+                    sigma.insert(cv, S0Simple::Var(params.len()));
                     params.push(name);
                     env.insert(
                         param,
@@ -595,7 +599,7 @@ impl<'p> Spec<'p> {
         let t0 = timed.then(std::time::Instant::now);
         let body =
             self.spec_point(&def.body, &env, &CtxStack::default(), &mut sigma)?;
-        let entry_proc = S0Proc { name: residual_name.clone(), params, body };
+        let entry_proc = S0Proc { name: residual_name, params, body };
         self.record_attr(t0, &entry_proc);
         let mut procs = vec![entry_proc];
         while let Some(p) = self.pending.pop_front() {
@@ -610,7 +614,7 @@ impl<'p> Spec<'p> {
             self.done.push(proc);
         }
         procs.append(&mut self.done);
-        Ok(S0Program { procs, entry: residual_name })
+        Ok(S0Program { procs, entry: 0 })
     }
 
     /// Records `proc`'s cost row when its specialization was timed.
@@ -960,17 +964,18 @@ impl<'p> Spec<'p> {
             .map(|cv| sigma.get(cv).cloned().ok_or(MissingCv(*cv)))
             .collect::<Result<_, _>>()?;
         self.counters.memo_lookups += 1;
-        if let Some(name) = self.memo.get(&key) {
+        if let Some(&at) = self.memo.get(&key) {
             self.counters.memo_hits += 1;
-            return Ok(S0Tail::TailCall(name.clone(), args));
+            return Ok(S0Tail::TailCall(at, args));
         }
         self.counters.memo_misses += 1;
         self.next_proc += 1;
-        let name = format!("sl-eval-${}", self.next_proc);
+        let at = self.next_proc as usize;
+        let name = format!("sl-eval-${at}");
         if std::env::var("PE_SPEC_DEBUG").is_ok() {
             eprintln!("[spec] {name} label={:?} params={} key={:?}", key.label, order.len(), key);
         }
-        self.memo.insert(key, name.clone());
+        self.memo.insert(key, at);
         if self.memo.len() > self.opts.limits.max_residual {
             return Err(SpecError::Budget { procs: self.opts.limits.max_residual });
         }
@@ -983,9 +988,8 @@ impl<'p> Spec<'p> {
         for (i, &old) in order.iter().enumerate() {
             let fresh = self.fresh_cv();
             rename.insert(old, fresh);
-            let pname = format!("cv-vals-${}", i + 1);
-            new_sigma.insert(fresh, S0Simple::Var(pname.clone()));
-            params.push(pname);
+            new_sigma.insert(fresh, S0Simple::Var(i));
+            params.push(format!("cv-vals-${}", i + 1));
         }
         let new_env: Env = env_live
             .iter()
@@ -1000,14 +1004,14 @@ impl<'p> Spec<'p> {
             dyn_rest: tau.dyn_rest.as_ref().map(|d| d.rename_cvs(&rename)).transpose()?,
         };
         self.pending.push_back(PendingProc {
-            name: name.clone(),
+            name,
             params,
             te,
             env: new_env,
             tau: new_tau,
             sigma: new_sigma,
         });
-        Ok(S0Tail::TailCall(name, args))
+        Ok(S0Tail::TailCall(at, args))
     }
 
     // ------------------------------------------------------------------

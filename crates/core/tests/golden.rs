@@ -31,7 +31,7 @@ fn tail_loop_compiles_to_itself() {
     let S0Tail::TailCall(callee, args) = &**f else {
         panic!("expected self tail call")
     };
-    assert_eq!(*callee, s0.procs[0].name);
+    assert_eq!(*callee, 0, "calls itself");
     assert_eq!(args.len(), 2);
     // No closure machinery at all: the program was already tail form.
     assert!(!s0.to_source().contains("closure"), "{s0}");
@@ -123,7 +123,8 @@ fn dispatcher_specialization_eliminates_table() {
 }
 
 /// Without post-processing the residual program uses the paper's
-/// generated names; with it the entry keeps the source name.
+/// generated names, each `sl-eval-$n` at position `n` after the entry;
+/// with it the entry keeps the source name.
 #[test]
 fn residual_naming_scheme() {
     let src = "(define (go l) (walk l))
@@ -133,11 +134,12 @@ fn residual_naming_scheme() {
         "go",
         &CompileOptions { postprocess: false, ..CompileOptions::default() },
     );
-    assert!(raw.procs.iter().skip(1).all(|p| p.name.starts_with("sl-eval-$")), "{raw}");
+    let at = |(i, p): (usize, &pe_core::S0Proc)| p.name == format!("sl-eval-${i}");
+    assert!(raw.procs.iter().enumerate().skip(1).all(at), "{raw}");
     assert!(raw
         .procs
         .iter()
         .skip(1)
         .all(|p| p.params.iter().all(|v| v.starts_with("cv-vals-$"))));
-    assert_eq!(raw.entry, "go");
+    assert_eq!(raw.procs[raw.entry].name, "go");
 }

@@ -535,19 +535,21 @@ mod tests {
         let s0 = pe_core::compile(&d, "append", &opts).map_err(|e| e.to_string())?;
 
         // A starved budget is a structured trap — no panic, no hang,
-        // and never a silently wrong program.
+        // and never a silently wrong program: the program handed back
+        // with the trap is the input, untouched.
         let r = no_panic(|| {
             let mut fuel = pe_governor::Fuel::new(&Limits::builder().with_fuel(1).build());
             pe_flow::optimize(s0.clone(), &mut fuel)
         })?;
-        assert!(
-            matches!(r, Err(pe_governor::Trap::OutOfFuel { .. })),
-            "expected OutOfFuel, got {r:?}"
-        );
+        match r {
+            Err((pe_governor::Trap::OutOfFuel { .. }, q)) => assert_eq!(q, s0),
+            r => panic!("expected OutOfFuel, got {r:?}"),
+        }
 
         // The pipeline never *fails* because the flow budget trapped:
-        // `compile` degrades to the unoptimized residual instead, and
-        // the result still runs and verifies.  (With the default budget
+        // `compile` degrades to the program as the optimizer's last
+        // finished pass left it, and the result still runs and
+        // verifies.  (With the default budget
         // the optimizer simply finishes; either way compile succeeds.)
         let compiled =
             no_panic(|| pe_core::compile(&d, "append", &CompileOptions::default()))?;
@@ -560,25 +562,34 @@ mod tests {
         Ok(())
     }
 
-    /// `main` calls `(f x x)`, and `f` is defined twice: `(f a b)` and
-    /// `(f a)`, the wider one first when `wide_first`.  Calls resolve
-    /// to the first definition.
+    /// Two procedures named `f`, `(f a b)` and `(f a)`, the wider one
+    /// first when `wide_first`; the first returns its `a` plus 1, the
+    /// second its `a` plus 2.  `main` calls the first (position 1) with
+    /// its `x`, padded to that arity.  Names change nothing that runs:
+    /// every engine runs the called position.
     fn duplicate_definitions(wide_first: bool) -> pe_core::S0Program {
         use pe_core::{S0Proc, S0Simple, S0Tail};
-        let f = |params: &[&str]| S0Proc {
+        use pe_frontend::ast::{Constant, Prim};
+        let f = |params: &[&str], n| S0Proc {
             name: "f".into(),
             params: params.iter().map(|&v| v.to_string()).collect(),
-            body: S0Tail::Return(S0Simple::Var("a".into())),
+            body: S0Tail::Return(S0Simple::Prim(
+                Prim::Add,
+                vec![S0Simple::Var(0), S0Simple::Const(Constant::Int(n))],
+            )),
         };
-        let (first, second) =
-            if wide_first { (f(&["a", "b"]), f(&["a"])) } else { (f(&["a"]), f(&["a", "b"])) };
-        let x = || S0Simple::Var("x".into());
+        let (first, second) = if wide_first {
+            (f(&["a", "b"], 1), f(&["a"], 2))
+        } else {
+            (f(&["a"], 1), f(&["a", "b"], 2))
+        };
+        let args = vec![S0Simple::Var(0); first.params.len()];
         let main = S0Proc {
             name: "main".into(),
             params: vec!["x".into()],
-            body: S0Tail::TailCall("f".into(), vec![x(), x()]),
+            body: S0Tail::TailCall(1, args),
         };
-        pe_core::S0Program { entry: "main".into(), procs: vec![main, first, second] }
+        pe_core::S0Program { entry: 0, procs: vec![main, first, second] }
     }
 
     #[test]
@@ -599,7 +610,77 @@ mod tests {
             let r = no_panic(|| {
                 pe_flow::optimize(p, &mut pe_governor::Fuel::new(&Limits::default()))
             })?;
-            assert!(r.is_ok(), "{r:?}");
+            let (q, _, _) = r.map_err(|(trap, _)| format!("{trap:?}"))?;
+            let got = pe_core::eval::run(&q, &[Datum::Int(40)], Limits::default());
+            assert_eq!(got, Ok(Datum::Int(41)), "{q}");
+        }
+        Ok(())
+    }
+
+    /// The S₀ evaluator, the VM and, where `cc` is installed, the
+    /// emitted C all run the first `f`, the one `main` calls.
+    #[test]
+    fn duplicate_definitions_run_the_called_procedure() -> R {
+        for wide_first in [true, false] {
+            let p = duplicate_definitions(wide_first);
+            let args = [Datum::Int(40)];
+            let eval = no_panic(|| pe_core::eval::run(&p, &args, Limits::default()))?;
+            assert_eq!(eval, Ok(Datum::Int(41)), "evaluator, wide first: {wide_first}");
+            let vm = no_panic(|| pe_vm::run_s0(&p, &args, Limits::default()))?;
+            assert_eq!(vm.map(|r| r.0), Ok(Datum::Int(41)), "VM, wide first: {wide_first}");
+            let c = realistic_pe::emit_c(&p, &args, &realistic_pe::COptions::default());
+            if let Some(out) = run_cc(&c.source, &format!("dup-{wide_first}")) {
+                assert_eq!(out.trim(), "41", "C, wide first: {wide_first}\n{}", c.source);
+            }
+        }
+        Ok(())
+    }
+
+    /// Builds `source` with `cc` and runs it: its standard output, or
+    /// `None` without `cc`.
+    fn run_cc(source: &str, tag: &str) -> Option<String> {
+        use std::process::Command;
+        Command::new("cc").arg("--version").output().ok()?;
+        let dir = std::env::temp_dir().join(format!("pe-faultline-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).ok()?;
+        let (src, bin) = (dir.join("prog.c"), dir.join("prog"));
+        std::fs::write(&src, source).ok()?;
+        let built = Command::new("cc").arg("-O1").arg("-o").arg(&bin).arg(&src).output().ok()?;
+        assert!(built.status.success(), "{}", String::from_utf8_lossy(&built.stderr));
+        let out = Command::new(&bin).output().ok()?;
+        let _ = std::fs::remove_dir_all(&dir);
+        Some(String::from_utf8_lossy(&out.stdout).into_owned())
+    }
+
+    /// Programs with a position past its list: a callee, a variable and
+    /// the entry.  Every consumer reports them; none panics.
+    #[test]
+    fn out_of_range_positions_are_reported_not_panics() -> R {
+        use pe_core::{S0Proc, S0Program, S0Simple, S0Tail};
+        let main = |body| S0Proc { name: "main".into(), params: vec!["x".into()], body };
+        let var = S0Simple::Var;
+        let cases = [
+            ("callee", S0Program { entry: 0, procs: vec![main(S0Tail::TailCall(5, vec![]))] }),
+            ("variable", S0Program { entry: 0, procs: vec![main(S0Tail::Return(var(3)))] }),
+            ("entry", S0Program { entry: 2, procs: vec![main(S0Tail::Return(var(0)))] }),
+        ];
+        for (what, p) in cases {
+            let errs = no_panic(|| pe_flow::check(&p))?;
+            assert_eq!(errs.len(), 1, "{what}: {errs:?}");
+            let loaded = no_panic(|| pe_vm::Vm::compile(&p).map(|_| ()))?;
+            assert!(loaded.is_err(), "{what}");
+            let c = no_panic(|| realistic_pe::emit_c(&p, &[Datum::Int(1)], &Default::default()))?;
+            assert!(c.source.contains("\n#error "), "{what}\n{}", c.source);
+            let ran = no_panic(|| pe_core::eval::run(&p, &[Datum::Int(1)], Limits::default()))?;
+            assert!(ran.is_err(), "{what}: {ran:?}");
+            no_panic(|| p.to_source())?;
+            no_panic(|| pe_flow::postprocess(p.clone()))?;
+            no_panic(|| {
+                let mut fuel = pe_governor::Fuel::new(&Limits::default());
+                let _ = pe_flow::optimize(p.clone(), &mut fuel);
+            })?;
+            let report = no_panic(|| pe_verify::verify(&p))?;
+            assert!(report.has_errors(), "{what}\n{report}");
         }
         Ok(())
     }
@@ -671,8 +752,8 @@ mod tests {
                 let s0 = pipe
                     .compile(b.entry, &CompileOptions::default())
                     .map_err(|e| e.to_string())?;
-                for p in &s0.procs {
-                    let e = p.to_sexpr();
+                for (i, p) in s0.procs.iter().enumerate() {
+                    let e = s0.proc_sexpr(i);
                     for width in [10, 40, 80] {
                         let printed = pe_sexpr::pretty_width(&e, width);
                         let back = pe_sexpr::read_one(&printed)

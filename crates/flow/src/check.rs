@@ -1,14 +1,16 @@
 //! The S₀ well-formedness check.
 //!
 //! One walk over a program establishes what every consumer of a
-//! residual assumes: the entry procedure exists, procedure names are
-//! unique, parameters are unique, every variable a body reads is bound,
-//! every call targets a defined procedure with matching arity, and every
-//! primitive application has the primitive's arity.  S₀ binds only at
-//! procedure entry and a body is a tree of tail expressions, so a
-//! variable is bound on every path reaching its read exactly when it is
-//! a parameter of its procedure.  A call resolves to the name's first
-//! definition, as everywhere.
+//! residual assumes: the entry position names a procedure, procedure
+//! names are unique, parameters are unique, every variable position a
+//! body reads names one of its procedure's parameters, every call's
+//! position names a procedure with matching arity, and every primitive
+//! application has the primitive's arity.  S₀ binds only at procedure
+//! entry and a body is a tree of tail expressions, so a variable is
+//! bound on every path reaching its read exactly when its position is
+//! one of its procedure's parameters.  Duplicate names change nothing
+//! that runs — every consumer reads positions — but the printed program
+//! must read back unambiguously, so they are errors too.
 //!
 //! pe-verify reports these findings as its pass 1; the optimizer's and
 //! pe-core's tests call [`check()`] directly.  The tail-form grammar
@@ -17,7 +19,7 @@
 //! pe-verify's preservation certificate.
 
 use crate::s0::{S0Program, S0Simple, S0Tail};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// One violation; every finding is an error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,26 +31,24 @@ pub struct FlowDiag {
 }
 
 /// Checks `p` and lists its violations: a missing entry first, then per
-/// procedure in program order a duplicate definition, its duplicate
-/// parameters, its unbound variables (sorted), and in pre-order over
-/// its body each call's target and arity and each primitive's arity.
+/// procedure in program order a repeated name, its duplicate
+/// parameters, its unbound variable positions (ascending), and in
+/// pre-order over its body each call's target and arity and each
+/// primitive's arity.
 #[must_use]
 pub fn check(p: &S0Program) -> Vec<FlowDiag> {
     let mut out = Vec::new();
-    // On duplicate definitions the *first* wins, matching lookup order;
-    // a later one is reported as a duplicate.
-    let first = p.first_definitions();
-    let arity = |name: &str| first.get(name).map(|&i| p.procs[i].params.len());
-    if arity(&p.entry).is_none() {
-        out.push(FlowDiag {
-            proc: None,
-            message: format!("entry procedure {} is not defined", p.entry),
-        });
+    let n = p.procs.len();
+    if p.entry >= n {
+        let message =
+            format!("entry procedure at position {} is not defined ({n} procedure(s))", p.entry);
+        out.push(FlowDiag { proc: None, message });
     }
-    for (i, q) in p.procs.iter().enumerate() {
+    let mut names = HashSet::new();
+    for q in &p.procs {
         let mut error =
             |message| out.push(FlowDiag { proc: Some(q.name.clone()), message });
-        if first[q.name.as_str()] != i {
+        if !names.insert(q.name.as_str()) {
             error("duplicate procedure definition".to_string());
         }
         let mut params = HashSet::new();
@@ -57,38 +57,41 @@ pub fn check(p: &S0Program) -> Vec<FlowDiag> {
                 error(format!("duplicate parameter {v}"));
             }
         }
-        let mut reads = HashSet::new();
-        q.body.vars(&mut reads);
-        let mut unbound: Vec<String> =
-            reads.into_iter().filter(|v| !params.contains(v.as_str())).collect();
-        unbound.sort();
-        for v in unbound {
-            error(format!("unbound variable {v}"));
+        let arity = q.params.len();
+        let mut unbound = BTreeSet::new();
+        q.body.vars(&mut |k| {
+            if k >= arity {
+                unbound.insert(k);
+            }
+        });
+        for k in unbound {
+            error(format!("unbound variable at position {k} ({arity} parameter(s))"));
         }
-        check_tail(&q.body, &arity, &mut error);
+        check_tail(&q.body, p, &mut error);
     }
     out
 }
 
-fn check_tail(
-    t: &S0Tail,
-    arity: &impl Fn(&str) -> Option<usize>,
-    error: &mut impl FnMut(String),
-) {
+fn check_tail(t: &S0Tail, p: &S0Program, error: &mut impl FnMut(String)) {
     match t {
         S0Tail::Return(s) => check_simple(s, error),
         S0Tail::Fail(_) => {}
         S0Tail::If(c, a, b) => {
             check_simple(c, error);
-            check_tail(a, arity, error);
-            check_tail(b, arity, error);
+            check_tail(a, p, error);
+            check_tail(b, p, error);
         }
         S0Tail::TailCall(callee, args) => {
-            match arity(callee) {
-                None => error(format!("call to undefined procedure {callee}")),
-                Some(n) if n != args.len() => error(format!(
-                    "call to {callee} with {} argument(s), expected {n}",
-                    args.len()
+            match p.procs.get(*callee) {
+                None => error(format!(
+                    "call to undefined procedure at position {callee} ({} procedure(s))",
+                    p.procs.len()
+                )),
+                Some(q) if q.params.len() != args.len() => error(format!(
+                    "call to {} with {} argument(s), expected {}",
+                    q.name,
+                    args.len(),
+                    q.params.len()
                 )),
                 Some(_) => {}
             }
@@ -122,8 +125,8 @@ mod tests {
     use pe_frontend::ast::Constant;
     use pe_frontend::Prim;
 
-    fn var(v: &str) -> S0Simple {
-        S0Simple::Var(v.into())
+    fn var(k: usize) -> S0Simple {
+        S0Simple::Var(k)
     }
 
     fn kint(n: i64) -> S0Simple {
@@ -143,11 +146,11 @@ mod tests {
     #[test]
     fn wellformed_program_is_clean() {
         let p = S0Program {
-            entry: "main".into(),
+            entry: 0,
             procs: vec![S0Proc {
                 name: "main".into(),
                 params: vec!["x".into()],
-                body: S0Tail::Return(var("x")),
+                body: S0Tail::Return(var(0)),
             }],
         };
         assert!(check(&p).is_empty());
@@ -156,23 +159,23 @@ mod tests {
     #[test]
     fn unbound_reads_and_bad_calls_are_errors() {
         let p = S0Program {
-            entry: "ghost-entry".into(),
+            entry: 3,
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["x".into(), "x".into()],
                     body: S0Tail::If(
-                        var("x"),
-                        Box::new(S0Tail::Return(S0Simple::Prim(Prim::Car, vec![var("ghost")]))),
-                        Box::new(S0Tail::TailCall("f".into(), vec![kint(1), kint(2)])),
+                        var(0),
+                        Box::new(S0Tail::Return(S0Simple::Prim(Prim::Car, vec![var(4)]))),
+                        Box::new(S0Tail::TailCall(1, vec![kint(1), kint(2)])),
                     ),
                 },
                 S0Proc {
                     name: "f".into(),
                     params: vec!["a".into()],
                     body: S0Tail::TailCall(
-                        "nowhere".into(),
-                        vec![S0Simple::Prim(Prim::Cons, vec![var("a")])],
+                        7,
+                        vec![S0Simple::Prim(Prim::Cons, vec![var(0)])],
                     ),
                 },
                 S0Proc { name: "f".into(), params: vec![], body: S0Tail::Fail("x".into()) },
@@ -181,11 +184,11 @@ mod tests {
         assert_eq!(
             messages(&p),
             [
-                "entry procedure ghost-entry is not defined",
+                "entry procedure at position 3 is not defined (3 procedure(s))",
                 "main: duplicate parameter x",
-                "main: unbound variable ghost",
+                "main: unbound variable at position 4 (2 parameter(s))",
                 "main: call to f with 2 argument(s), expected 1",
-                "f: call to undefined procedure nowhere",
+                "f: call to undefined procedure at position 7 (3 procedure(s))",
                 "f: primitive cons applied to 1 argument(s), expected 2",
                 "f: duplicate procedure definition",
             ]
@@ -196,19 +199,19 @@ mod tests {
     fn unreachable_nodes_carry_no_binding_obligation() {
         // A read behind a constant-false test is still a read: binding
         // is checked per tail expression, whatever the tests decide, so
-        // the unbound `phantom` is flagged.
+        // the unbound position is flagged.
         let p = S0Program {
-            entry: "main".into(),
+            entry: 0,
             procs: vec![S0Proc {
                 name: "main".into(),
                 params: vec![],
                 body: S0Tail::If(
                     S0Simple::Const(Constant::Bool(false)),
-                    Box::new(S0Tail::Return(var("phantom"))),
+                    Box::new(S0Tail::Return(var(0))),
                     Box::new(S0Tail::Return(kint(0))),
                 ),
             }],
         };
-        assert_eq!(messages(&p), ["main: unbound variable phantom"]);
+        assert_eq!(messages(&p), ["main: unbound variable at position 0 (0 parameter(s))"]);
     }
 }

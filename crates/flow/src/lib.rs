@@ -76,15 +76,12 @@ mod cfg {
         use pe_frontend::Prim;
         use pe_governor::{Fuel, Limits};
 
-        fn var(v: &str) -> S0Simple {
-            S0Simple::Var(v.into())
+        fn var(k: usize) -> S0Simple {
+            S0Simple::Var(k)
         }
 
         fn program(procs: Vec<S0Proc>) -> S0Program {
-            S0Program {
-                entry: procs[0].name.clone(),
-                procs,
-            }
+            S0Program { entry: 0, procs }
         }
 
         #[test]
@@ -92,7 +89,7 @@ mod cfg {
             let p = S0Proc {
                 name: "f".into(),
                 params: vec!["x".into()],
-                body: S0Tail::Return(var("x")),
+                body: S0Tail::Return(var(0)),
             };
             assert_eq!(nodes(&p.body).collect::<Vec<_>>(), vec![&p.body]);
             assert_eq!(counts(&program(vec![p])), (2, 1));
@@ -104,9 +101,9 @@ mod cfg {
                 name: "f".into(),
                 params: vec!["n".into()],
                 body: S0Tail::If(
-                    S0Simple::Prim(Prim::ZeroP, vec![var("n")]),
+                    S0Simple::Prim(Prim::ZeroP, vec![var(0)]),
                     Box::new(S0Tail::Return(S0Simple::Const(Constant::Int(0)))),
-                    Box::new(S0Tail::TailCall("f".into(), vec![var("n")])),
+                    Box::new(S0Tail::TailCall(0, vec![var(0)])),
                 ),
             };
             // entry, branch, return, call

@@ -12,24 +12,21 @@
 //! Each body is summarized once into its own parameter positions: the
 //! positions it reads outside call arguments, and for each call
 //! argument the callee slot it fills and the positions it reads.  The
-//! fixpoint then runs over rows of flags indexed by the position of
-//! each name's first definition, the one calls resolve to
-//! ([`S0Program::proc`]); a later duplicate definition reads and writes
-//! that row only up to its length.
+//! fixpoint then runs over one row of flags per procedure position,
+//! one flag per parameter position.
 //!
 //! [`dead_params`] reads the analysis off a borrowed program and
 //! [`drop_params`] rewrites by it: dead, non-sticky parameters of
 //! non-entry procedures are dropped together with every (effect-free)
-//! argument.  [`prune_dead_params`] runs the two in turn.
+//! argument, and each body's variables are renumbered to the positions
+//! that remain.  [`prune_dead_params`] runs the two in turn.
 
 use crate::opt::is_effect_free;
 use crate::s0::{S0Program, S0Simple, S0Tail};
 use pe_governor::{Fuel, Trap};
-use std::collections::HashMap;
 
-/// Result of the interprocedural parameter-liveness fixpoint.  Rows are
-/// indexed by procedure position; only a name's first definition has a
-/// row that anything reads.
+/// Result of the interprocedural parameter-liveness fixpoint, one row
+/// per procedure position.
 struct ParamLiveness {
     /// `live[i][k]` — may parameter `k` of procedure `i` affect
     /// execution?
@@ -37,9 +34,6 @@ struct ParamLiveness {
     /// `sticky[i][k]` — does some call site pass a non-effect-free
     /// argument there (so the slot cannot be dropped even when dead)?
     sticky: Vec<Vec<bool>>,
-    /// `row[i]` — the position of the first definition of procedure
-    /// `i`'s name, whose row its facts live in.
-    row: Vec<usize>,
 }
 
 /// One body summarized into its own parameter positions, once, for the
@@ -48,7 +42,7 @@ struct Uses {
     /// `direct[k]` — is parameter `k` read outside call arguments, or
     /// passed where the callee's slot is unknown?
     direct: Vec<bool>,
-    /// `(callee row, argument index, end in `reads`)` for each argument
+    /// `(callee, argument index, end in `reads`)` for each argument
     /// into a known slot that reads a parameter: its positions are
     /// `reads` from the previous flow's end to its own.
     flows: Vec<(usize, usize, usize)>,
@@ -56,49 +50,36 @@ struct Uses {
     reads: Vec<usize>,
 }
 
-/// Calls `f` on each position of `params` that `s` reads; a name that
-/// several parameters share reads all of them.
-fn reads(s: &S0Simple, params: &[String], f: &mut impl FnMut(usize)) {
-    match s {
-        S0Simple::Var(v) => {
-            params.iter().enumerate().filter(|(_, pm)| *pm == v).for_each(|(k, _)| f(k));
+/// Calls `f` on each parameter position below `arity` that `s` reads.
+fn reads(s: &S0Simple, arity: usize, f: &mut impl FnMut(usize)) {
+    s.vars(&mut |k| {
+        if k < arity {
+            f(k);
         }
-        S0Simple::Const(_) => {}
-        S0Simple::Prim(_, args) | S0Simple::MakeClosure(_, args) => {
-            args.iter().for_each(|a| reads(a, params, f));
-        }
-        S0Simple::ClosureLabel(a) | S0Simple::ClosureFreeval(a, _) => reads(a, params, f),
-    }
+    });
 }
 
-fn summarize(
-    t: &S0Tail,
-    p: &S0Program,
-    params: &[String],
-    first: &HashMap<&str, usize>,
-    u: &mut Uses,
-) {
+fn summarize(t: &S0Tail, p: &S0Program, arity: usize, u: &mut Uses) {
     match t {
-        S0Tail::Return(s) => reads(s, params, &mut |k| u.direct[k] = true),
+        S0Tail::Return(s) => reads(s, arity, &mut |k| u.direct[k] = true),
         S0Tail::Fail(_) => {}
         S0Tail::If(c, a, b) => {
-            reads(c, params, &mut |k| u.direct[k] = true);
-            summarize(a, p, params, first, u);
-            summarize(b, p, params, first, u);
+            reads(c, arity, &mut |k| u.direct[k] = true);
+            summarize(a, p, arity, u);
+            summarize(b, p, arity, u);
         }
         S0Tail::TailCall(callee, args) => {
-            let callee = first.get(callee.as_str()).copied();
+            let slots = p.procs.get(*callee).map_or(0, |q| q.params.len());
             for (i, a) in args.iter().enumerate() {
-                match callee {
-                    Some(r) if i < p.procs[r].params.len() => {
-                        let start = u.reads.len();
-                        reads(a, params, &mut |k| u.reads.push(k));
-                        if u.reads.len() > start {
-                            u.flows.push((r, i, u.reads.len()));
-                        }
+                if i < slots {
+                    let start = u.reads.len();
+                    reads(a, arity, &mut |k| u.reads.push(k));
+                    if u.reads.len() > start {
+                        u.flows.push((*callee, i, u.reads.len()));
                     }
+                } else {
                     // Unknown callee or arity overflow: be conservative.
-                    _ => reads(a, params, &mut |k| u.direct[k] = true),
+                    reads(a, arity, &mut |k| u.direct[k] = true);
                 }
             }
         }
@@ -111,8 +92,6 @@ fn summarize(
 ///
 /// [`Trap::OutOfFuel`] when the budget is exhausted before convergence.
 fn param_liveness(p: &S0Program, fuel: &mut Fuel) -> Result<ParamLiveness, Trap> {
-    let first = p.first_definitions();
-    let row: Vec<usize> = p.procs.iter().map(|q| first[q.name.as_str()]).collect();
     let rows = |init: bool| -> Vec<Vec<bool>> {
         p.procs.iter().map(|q| vec![init; q.params.len()]).collect()
     };
@@ -120,20 +99,20 @@ fn param_liveness(p: &S0Program, fuel: &mut Fuel) -> Result<ParamLiveness, Trap>
         .procs
         .iter()
         .map(|q| {
-            let mut u =
-                Uses { direct: vec![false; q.params.len()], flows: Vec::new(), reads: Vec::new() };
-            summarize(&q.body, p, &q.params, &first, &mut u);
+            let arity = q.params.len();
+            let mut u = Uses { direct: vec![false; arity], flows: Vec::new(), reads: Vec::new() };
+            summarize(&q.body, p, arity, &mut u);
             u
         })
         .collect();
     // Stickiness: any site passing a non-effect-free argument.
     let mut sticky = rows(false);
     for q in &p.procs {
-        mark_sticky(&q.body, &first, &mut sticky);
+        mark_sticky(&q.body, &mut sticky);
     }
     let mut live = rows(false);
-    if let Some(&e) = first.get(p.entry.as_str()) {
-        live[e].fill(true);
+    if let Some(row) = live.get_mut(p.entry) {
+        row.fill(true);
     }
     // Round-robin to fixpoint: mark a proc's parameter live when it is
     // read directly or flows into a live-or-sticky parameter slot.  A
@@ -153,7 +132,7 @@ fn param_liveness(p: &S0Program, fuel: &mut Fuel) -> Result<ParamLiveness, Trap>
                 }
                 start = end;
             }
-            for (slot, &m) in live[row[i]].iter_mut().zip(&marks) {
+            for (slot, &m) in live[i].iter_mut().zip(&marks) {
                 if m && !*slot {
                     *slot = true;
                     changed = true;
@@ -161,21 +140,21 @@ fn param_liveness(p: &S0Program, fuel: &mut Fuel) -> Result<ParamLiveness, Trap>
             }
         }
         if !changed {
-            return Ok(ParamLiveness { live, sticky, row });
+            return Ok(ParamLiveness { live, sticky });
         }
     }
 }
 
-fn mark_sticky(t: &S0Tail, first: &HashMap<&str, usize>, sticky: &mut [Vec<bool>]) {
+fn mark_sticky(t: &S0Tail, sticky: &mut [Vec<bool>]) {
     match t {
         S0Tail::Return(_) | S0Tail::Fail(_) => {}
         S0Tail::If(_, a, b) => {
-            mark_sticky(a, first, sticky);
-            mark_sticky(b, first, sticky);
+            mark_sticky(a, sticky);
+            mark_sticky(b, sticky);
         }
         S0Tail::TailCall(callee, args) => {
-            if let Some(&r) = first.get(callee.as_str()) {
-                for (s, a) in sticky[r].iter_mut().zip(args) {
+            if let Some(row) = sticky.get_mut(*callee) {
+                for (s, a) in row.iter_mut().zip(args) {
                     *s |= !is_effect_free(a);
                 }
             }
@@ -183,57 +162,65 @@ fn mark_sticky(t: &S0Tail, first: &HashMap<&str, usize>, sticky: &mut [Vec<bool>
     }
 }
 
-/// The dead, non-sticky parameters of each non-entry procedure, by
-/// position in ascending order; procedures with none are absent.
+/// The dead, non-sticky parameters of each procedure, by procedure
+/// position: parameter positions in ascending order, none for the
+/// entry.
 ///
 /// # Errors
 ///
 /// [`Trap::OutOfFuel`] when the analysis budget is exhausted.
-pub fn dead_params(p: &S0Program, fuel: &mut Fuel) -> Result<HashMap<String, Vec<usize>>, Trap> {
+pub fn dead_params(p: &S0Program, fuel: &mut Fuel) -> Result<Vec<Vec<usize>>, Trap> {
     let pl = param_liveness(p, fuel)?;
-    let mut drop: HashMap<String, Vec<usize>> = HashMap::new();
-    for (q, &r) in p.procs.iter().zip(&pl.row) {
-        if q.name == p.entry {
-            continue;
-        }
-        let (live, sticky) = (&pl.live[r], &pl.sticky[r]);
-        let idxs: Vec<usize> = (0..live.len()).filter(|&i| !live[i] && !sticky[i]).collect();
-        if !idxs.is_empty() {
-            drop.insert(q.name.clone(), idxs);
-        }
-    }
-    Ok(drop)
+    Ok(pl
+        .live
+        .iter()
+        .zip(&pl.sticky)
+        .enumerate()
+        .map(|(i, (live, sticky))| {
+            if i == p.entry {
+                return Vec::new();
+            }
+            (0..live.len()).filter(|&k| !live[k] && !sticky[k]).collect()
+        })
+        .collect())
 }
 
-/// Drops the parameters `drop` names together with the corresponding
-/// arguments at every call site, in place.
-pub fn drop_params(mut p: S0Program, drop: &HashMap<String, Vec<usize>>) -> S0Program {
-    if drop.is_empty() {
-        return p;
+/// Drops the parameters `drop` lists, by procedure position, together
+/// with the corresponding arguments at every call site, in place, and
+/// renumbers each body that lost a parameter to the positions that
+/// remain.  A variable past its procedure's parameters stays past them.
+pub fn drop_params(p: &mut S0Program, drop: &[Vec<usize>]) {
+    if drop.iter().all(Vec::is_empty) {
+        return;
     }
-    for q in &mut p.procs {
-        if let Some(idxs) = drop.get(&q.name) {
-            keep_except(&mut q.params, idxs);
-        }
+    for (i, q) in p.procs.iter_mut().enumerate() {
         drop_args(&mut q.body, drop);
+        let Some(idxs) = drop.get(i).filter(|d| !d.is_empty()) else { continue };
+        let arity = q.params.len();
+        // Each old position's new one: the positions below it that stay.
+        let mut to = Vec::with_capacity(arity);
+        let mut kept = 0;
+        for k in 0..arity {
+            to.push(kept);
+            kept += usize::from(!idxs.contains(&k));
+        }
+        let gone = arity - kept;
+        q.body = q.body.subst(&|k| S0Simple::Var(to.get(k).map_or_else(|| k - gone, |&j| j)));
+        keep_except(&mut q.params, idxs);
     }
-    p
 }
 
 /// Drops dead, non-sticky parameters of non-entry procedures together
 /// with the corresponding arguments at every call site.  Returns the
-/// rewritten program and the number of parameter bindings eliminated.
+/// number of parameter bindings eliminated; on a trap `p` is as it was.
 ///
 /// # Errors
 ///
 /// [`Trap::OutOfFuel`] when the analysis budget is exhausted.
-pub fn prune_dead_params(
-    p: S0Program,
-    fuel: &mut Fuel,
-) -> Result<(S0Program, usize), Trap> {
-    let drop = dead_params(&p, fuel)?;
-    let dropped: usize = drop.values().map(Vec::len).sum();
-    Ok((drop_params(p, &drop), dropped))
+pub fn prune_dead_params(p: &mut S0Program, fuel: &mut Fuel) -> Result<usize, Trap> {
+    let drop = dead_params(p, fuel)?;
+    drop_params(p, &drop);
+    Ok(drop.iter().map(Vec::len).sum())
 }
 
 /// Removes the elements of `xs` at positions `idxs`.
@@ -245,7 +232,7 @@ fn keep_except<T>(xs: &mut Vec<T>, idxs: &[usize]) {
     });
 }
 
-fn drop_args(t: &mut S0Tail, drop: &HashMap<String, Vec<usize>>) {
+fn drop_args(t: &mut S0Tail, drop: &[Vec<usize>]) {
     match t {
         S0Tail::Return(_) | S0Tail::Fail(_) => {}
         S0Tail::If(_, a, b) => {
@@ -253,7 +240,7 @@ fn drop_args(t: &mut S0Tail, drop: &HashMap<String, Vec<usize>>) {
             drop_args(b, drop);
         }
         S0Tail::TailCall(callee, args) => {
-            if let Some(idxs) = drop.get(callee) {
+            if let Some(idxs) = drop.get(*callee) {
                 keep_except(args, idxs);
             }
         }
@@ -268,8 +255,8 @@ mod tests {
     use pe_frontend::Prim;
     use pe_governor::Limits;
 
-    fn var(v: &str) -> S0Simple {
-        S0Simple::Var(v.into())
+    fn var(k: usize) -> S0Simple {
+        S0Simple::Var(k)
     }
 
     fn kint(n: i64) -> S0Simple {
@@ -284,83 +271,95 @@ mod tests {
     fn recursive_passthrough_param_is_dead() {
         // x only circulates through the recursive call: the syntactic
         // scan keeps it; the interprocedural fixpoint kills it.
-        let p = S0Program {
-            entry: "main".into(),
+        let mut p = S0Program {
+            entry: 0,
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["n".into()],
-                    body: S0Tail::TailCall("loop".into(), vec![var("n"), kint(7)]),
+                    body: S0Tail::TailCall(1, vec![kint(7), var(0)]),
                 },
                 S0Proc {
                     name: "loop".into(),
-                    params: vec!["n".into(), "x".into()],
+                    params: vec!["x".into(), "n".into()],
                     body: S0Tail::If(
-                        S0Simple::Prim(Prim::ZeroP, vec![var("n")]),
+                        S0Simple::Prim(Prim::ZeroP, vec![var(1)]),
                         Box::new(S0Tail::Return(kint(0))),
                         Box::new(S0Tail::TailCall(
-                            "loop".into(),
-                            vec![
-                                S0Simple::Prim(Prim::Sub, vec![var("n"), kint(1)]),
-                                var("x"),
-                            ],
+                            1,
+                            vec![var(0), S0Simple::Prim(Prim::Sub, vec![var(1), kint(1)])],
                         )),
                     ),
                 },
             ],
         };
-        let (q, dropped) = prune_dead_params(p, &mut fuel()).unwrap();
+        let dropped = prune_dead_params(&mut p, &mut fuel()).unwrap();
         assert_eq!(dropped, 1);
-        assert_eq!(q.proc("loop").unwrap().params, vec!["n".to_string()]);
+        // `n` moved from position 1 to 0, in the body and at both calls.
+        let lp = &p.procs[1];
+        assert_eq!(lp.params, vec!["n".to_string()]);
+        assert_eq!(
+            lp.body,
+            S0Tail::If(
+                S0Simple::Prim(Prim::ZeroP, vec![var(0)]),
+                Box::new(S0Tail::Return(kint(0))),
+                Box::new(S0Tail::TailCall(
+                    1,
+                    vec![S0Simple::Prim(Prim::Sub, vec![var(0), kint(1)])]
+                )),
+            )
+        );
+        assert_eq!(p.procs[0].body, S0Tail::TailCall(1, vec![var(0)]));
+        assert!(crate::check(&p).is_empty(), "{p}");
     }
 
     #[test]
-    fn a_read_name_keeps_every_position_it_names_live() {
-        // `f` binds `a` twice; reading `a` reads both positions, so only
-        // the unread `b` is dead.
+    fn a_read_position_stays_live_whatever_the_names() {
+        // `f` binds `a` twice; only the position read is live, so the
+        // second `a` and `b` are dead.
         let p = S0Program {
-            entry: "main".into(),
+            entry: 0,
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["x".into()],
-                    body: S0Tail::TailCall("f".into(), vec![var("x"), kint(1), kint(2)]),
+                    body: S0Tail::TailCall(1, vec![var(0), kint(1), kint(2)]),
                 },
                 S0Proc {
                     name: "f".into(),
                     params: vec!["a".into(), "a".into(), "b".into()],
-                    body: S0Tail::Return(var("a")),
+                    body: S0Tail::Return(var(0)),
                 },
             ],
         };
         let dead = dead_params(&p, &mut fuel()).unwrap();
-        assert_eq!(dead, HashMap::from([("f".to_string(), vec![2])]));
+        assert_eq!(dead, [vec![], vec![1, 2]]);
     }
 
     #[test]
     fn sticky_args_keep_dead_params() {
         // The dead slot receives (car x) somewhere: dropping the
         // argument would drop a potential fault, so the slot stays.
-        let p = S0Program {
-            entry: "main".into(),
+        let mut p = S0Program {
+            entry: 0,
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["x".into()],
                     body: S0Tail::TailCall(
-                        "f".into(),
-                        vec![S0Simple::Prim(Prim::Car, vec![var("x")]), var("x")],
+                        1,
+                        vec![S0Simple::Prim(Prim::Car, vec![var(0)]), var(0)],
                     ),
                 },
                 S0Proc {
                     name: "f".into(),
                     params: vec!["dead".into(), "live".into()],
-                    body: S0Tail::Return(var("live")),
+                    body: S0Tail::Return(var(1)),
                 },
             ],
         };
-        let (q, dropped) = prune_dead_params(p, &mut fuel()).unwrap();
+        let dropped = prune_dead_params(&mut p, &mut fuel()).unwrap();
         assert_eq!(dropped, 0);
-        assert_eq!(q.proc("f").unwrap().params.len(), 2);
+        assert_eq!(p.procs[1].params.len(), 2);
     }
 }

@@ -29,7 +29,7 @@
 use crate::s0::{S0Proc, S0Program, S0Simple, S0Tail};
 use crate::slots::SlotAnalysis;
 use pe_governor::{Fuel, Limits, Trap};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::slice;
 
 /// Runs all syntactic post passes to a fixpoint.
@@ -107,21 +107,21 @@ impl FlowStats {
 ///
 /// # Errors
 ///
-/// [`Trap::OutOfFuel`] when the analysis budget is exhausted; the
-/// input program is consumed, so callers wanting graceful degradation
-/// should keep a clone (as pe-core's compile does).
+/// [`Trap::OutOfFuel`] when the analysis budget is exhausted, together
+/// with the program as the last pass that finished left it: every pass
+/// analyzes before it rewrites, so a trapped pass has changed nothing,
+/// and the program handed back is as correct as the input.
 pub fn optimize(
     mut p: S0Program,
     fuel: &mut Fuel,
-) -> Result<(S0Program, FlowStats, Option<SlotAnalysis>), Trap> {
+) -> Result<(S0Program, FlowStats, Option<SlotAnalysis>), (Trap, S0Program)> {
     let mut stats = FlowStats::default();
     let mut labels = None;
     for _ in 0..MAX_ROUNDS {
-        fuel.step()?;
-        let (q, copies) = crate::constprop::propagate(p, fuel)?;
-        let (q, arms, sa) = crate::slots::fold_arms(q, fuel)?;
-        let (q, dead) = crate::liveness::prune_dead_params(q, fuel)?;
-        p = q;
+        let (copies, arms, dead, sa) = match round(&mut p, fuel) {
+            Ok(r) => r,
+            Err(trap) => return Err((trap, p)),
+        };
         stats.copies_propagated += copies;
         stats.arms_folded += arms;
         stats.dead_bindings += dead;
@@ -139,54 +139,55 @@ pub fn optimize(
     Ok((p, stats, labels))
 }
 
+/// One [`optimize`] round's flow passes, in place: the copies
+/// propagated, arms folded and bindings dropped, and the label analysis
+/// arm folding solved.
+fn round(p: &mut S0Program, fuel: &mut Fuel) -> Result<(usize, usize, usize, SlotAnalysis), Trap> {
+    fuel.step()?;
+    let copies = crate::constprop::propagate(p, fuel)?;
+    let (arms, sa) = crate::slots::fold_arms(p, fuel)?;
+    let dead = crate::liveness::prune_dead_params(p, fuel)?;
+    Ok((copies, arms, dead, sa))
+}
+
 /// [`optimize`] without the label analysis; `FlowOptions` has nothing
 /// left to choose.
 ///
 /// # Errors
 ///
-/// As [`optimize`].
+/// As [`optimize`], without the program.
 pub fn optimize_with(
     p: S0Program,
     _opts: &FlowOptions,
     fuel: &mut Fuel,
 ) -> Result<(S0Program, FlowStats), Trap> {
-    optimize(p, fuel).map(|(p, stats, _)| (p, stats))
+    optimize(p, fuel).map(|(p, stats, _)| (p, stats)).map_err(|(trap, _)| trap)
 }
 
 /// When the entry is a pure trampoline — its body forwards its own
-/// parameters, in order, to one other procedure — delete the wrapper and
-/// give the target the entry's public name.
+/// parameters, in order, to one other procedure of that arity — delete
+/// the wrapper and give the target the entry's public name.
 pub fn merge_entry(mut p: S0Program) -> S0Program {
-    let Some(entry) = p.proc(&p.entry) else { return p };
+    let e = p.entry;
+    let Some(entry) = p.procs.get(e) else { return p };
     let S0Tail::TailCall(target, args) = &entry.body else {
         return p;
     };
-    let target = target.clone();
-    if target == p.entry {
-        return p;
-    }
+    let target = *target;
     let forwards_params = args.len() == entry.params.len()
-        && entry
-            .params
-            .iter()
-            .zip(args)
-            .all(|(pm, a)| matches!(a, S0Simple::Var(v) if v == pm));
-    if !forwards_params {
+        && args.iter().enumerate().all(|(k, a)| *a == S0Simple::Var(k));
+    let arity = p.procs.get(target).map(|q| q.params.len());
+    if target == e || !forwards_params || arity != Some(args.len()) {
         return p;
     }
-    // The target must have the same arity (it does: the call above).
-    let entry_name = p.entry.clone();
-    p.procs.retain(|q| q.name != entry_name);
+    p.procs[target].name = std::mem::take(&mut p.procs[e].name);
+    // Calls to the wrapper go to the target, which it forwarded to.
     for q in &mut p.procs {
-        if q.name == target {
-            q.name = entry_name.clone();
-        }
-        q.body = rewrite_calls(&q.body, &mut |callee, args| {
-            let callee =
-                if callee == target { entry_name.clone() } else { callee.to_string() };
-            S0Tail::TailCall(callee, args.to_vec())
-        });
+        renumber(&mut q.body, &mut |c| if c == e { target } else { c });
     }
+    p.entry = target;
+    let keep: Vec<bool> = (0..p.procs.len()).map(|i| i != e).collect();
+    retain_procs(&mut p, &keep);
     p
 }
 
@@ -285,9 +286,45 @@ fn fingerprint(p: &S0Program) -> (usize, usize) {
 
 /// Drops procedures unreachable from the entry.
 pub fn drop_unreachable(mut p: S0Program) -> S0Program {
-    let mut reached = p.reachable().into_iter();
-    p.procs.retain(|_| reached.next().unwrap_or(false));
+    let reached = p.reachable();
+    retain_procs(&mut p, &reached);
     p
+}
+
+/// Keeps the procedures `keep` marks, in order, and renumbers every
+/// call and the entry to the positions that remain: the one helper of
+/// every pass that deletes procedures.  A call to a dropped procedure,
+/// or past the end, becomes a call past the new end.  `keep` holds one
+/// flag per procedure.
+fn retain_procs(p: &mut S0Program, keep: &[bool]) {
+    if keep.iter().all(|&k| k) {
+        return;
+    }
+    let mut to = Vec::with_capacity(keep.len());
+    let mut kept = 0;
+    for &k in keep {
+        to.push(k.then_some(kept));
+        kept += usize::from(k);
+    }
+    let at = |i: usize| to.get(i).copied().flatten().unwrap_or(kept);
+    let mut keep = keep.iter();
+    p.procs.retain(|_| keep.next().copied().unwrap_or(false));
+    for q in &mut p.procs {
+        renumber(&mut q.body, &mut |c| at(c));
+    }
+    p.entry = at(p.entry);
+}
+
+/// Replaces, in place, every call's callee `c` by `f(c)`.
+fn renumber(t: &mut S0Tail, f: &mut impl FnMut(usize) -> usize) {
+    match t {
+        S0Tail::Return(_) | S0Tail::Fail(_) => {}
+        S0Tail::If(_, a, b) => {
+            renumber(a, f);
+            renumber(b, f);
+        }
+        S0Tail::TailCall(callee, _) => *callee = f(*callee),
+    }
 }
 
 /// Transition and return compression in one rewrite of the reachable
@@ -300,96 +337,80 @@ pub fn drop_unreachable(mut p: S0Program) -> S0Program {
 /// name.
 ///
 /// The procedures kept are those reachable from the entry in the
-/// rewritten program (a later procedure sharing a reached name is kept,
-/// as by name).  Bodies are rewritten in place, and only at the calls
-/// that change.
+/// rewritten program.  Bodies are rewritten in place, and only at the
+/// calls that change.
 fn compress(mut p: S0Program) -> S0Program {
-    // name → (params, target call) of each trampoline, skipping
-    // self-loops, and name → (params, value) of each returner, as the
-    // input defines them: owned, so bodies can change under the chase.
-    type Trampoline = (Vec<String>, String, Vec<S0Simple>);
-    let mut trampolines: HashMap<&str, Trampoline> = HashMap::new();
-    let mut returners: HashMap<&str, (Vec<String>, S0Simple)> = HashMap::new();
-    // Each name's first definition, and each procedure's.
-    let mut index: HashMap<&str, usize> = HashMap::new();
-    let mut first = Vec::with_capacity(p.procs.len());
-    let mut bodies: Vec<&mut S0Tail> = Vec::with_capacity(p.procs.len());
-    for (i, q) in p.procs.iter_mut().enumerate() {
-        let name = q.name.as_str();
-        match &q.body {
-            S0Tail::TailCall(t, args) if t != name => {
-                trampolines
-                    .entry(name)
-                    .or_insert_with(|| (q.params.clone(), t.clone(), args.clone()));
-            }
-            S0Tail::Return(s) => {
-                returners.entry(name).or_insert_with(|| (q.params.clone(), s.clone()));
-            }
-            _ => {}
-        }
-        first.push(*index.entry(name).or_insert(i));
-        bodies.push(&mut q.body);
+    // The target call of each trampoline, skipping self-loops, and the
+    // value of each returner, by position, as the input defines them:
+    // owned, so bodies can change under the chase.
+    let mut trampolines: Vec<Option<(usize, Vec<S0Simple>)>> = Vec::with_capacity(p.procs.len());
+    let mut returners: Vec<Option<S0Simple>> = Vec::with_capacity(p.procs.len());
+    for (i, q) in p.procs.iter().enumerate() {
+        let (t, r) = match &q.body {
+            S0Tail::TailCall(t, args) if *t != i => (Some((*t, args.clone())), None),
+            S0Tail::Return(s) => (None, Some(s.clone())),
+            _ => (None, None),
+        };
+        trampolines.push(t);
+        returners.push(r);
     }
-    if trampolines.is_empty() && returners.is_empty() {
+    let chains = trampolines.iter().flatten().count();
+    if chains == 0 && returners.iter().all(Option::is_none) {
         return p;
     }
     // The rewritten call, or `None` when it stays as it is.
-    let mut chase = |callee: &str, args: &[S0Simple]| {
+    let mut chase = |callee: usize, args: &[S0Simple]| {
         let mut callee = callee;
         let mut moved: Option<Vec<S0Simple>> = None;
         // A mutual trampoline cycle would chase forever: stop after one
         // step more than there are trampolines.
         let mut steps = 0;
-        while let Some((params, target, targs)) = trampolines.get(callee) {
+        while let Some(Some((target, targs))) = trampolines.get(callee) {
             let args = moved.as_deref().unwrap_or(args);
-            if steps > trampolines.len() || duplicates(params, args, targs) {
+            if steps > chains || duplicates(args, targs) {
                 break;
             }
-            let map = bind(params, args);
-            moved = Some(targs.iter().map(|a| a.subst(&map)).collect());
-            callee = target;
+            moved = Some(targs.iter().map(|a| a.subst(&bind(args))).collect());
+            callee = *target;
             steps += 1;
         }
         let args = moved.as_deref().unwrap_or(args);
         match returners.get(callee) {
-            Some((params, value)) if !duplicates(params, args, slice::from_ref(value)) => {
-                Some(S0Tail::Return(value.subst(&bind(params, args))))
+            Some(Some(value)) if !duplicates(args, slice::from_ref(value)) => {
+                Some(S0Tail::Return(value.subst(&bind(args))))
             }
-            _ => moved.map(|args| S0Tail::TailCall(callee.to_string(), args)),
+            _ => moved.map(|args| S0Tail::TailCall(callee, args)),
         }
     };
-    let mut reached = vec![false; bodies.len()];
-    let mut work: Vec<usize> = index.get(p.entry.as_str()).copied().into_iter().collect();
+    let mut reached = vec![false; p.procs.len()];
+    let mut work = vec![p.entry];
     while let Some(i) = work.pop() {
-        if std::mem::replace(&mut reached[i], true) {
+        if reached.get(i).is_none_or(|&r| r) {
             continue;
         }
-        replace_calls(bodies[i], &mut chase);
-        bodies[i].calls(&mut |callee| work.extend(index.get(callee).copied()));
+        reached[i] = true;
+        let body = &mut p.procs[i].body;
+        replace_calls(body, &mut chase);
+        body.calls(&mut |callee| work.push(callee));
     }
-    let keep: Vec<bool> = first.iter().map(|&f| reached[f]).collect();
-    for (i, body) in bodies.into_iter().enumerate() {
-        if keep[i] && !reached[i] {
-            replace_calls(body, &mut chase);
-        }
-    }
-    let mut keep = keep.into_iter();
-    p.procs.retain(|_| keep.next().unwrap_or(false));
+    retain_procs(&mut p, &reached);
     p
 }
 
-/// Would binding `params` to `args` copy a non-trivial argument into
-/// more than one place of `exprs`?
-fn duplicates(params: &[String], args: &[S0Simple], exprs: &[S0Simple]) -> bool {
-    params.iter().zip(args).any(|(pm, a)| {
+/// Would binding the parameters to `args` copy a non-trivial argument
+/// into more than one place of `exprs`?
+fn duplicates(args: &[S0Simple], exprs: &[S0Simple]) -> bool {
+    args.iter().enumerate().any(|(k, a)| {
         !matches!(a, S0Simple::Var(_) | S0Simple::Const(_))
-            && exprs.iter().map(|e| occurrences(e, pm)).sum::<usize>() > 1
+            && exprs.iter().map(|e| occurrences(e, k)).sum::<usize>() > 1
     })
 }
 
-/// The substitution binding each parameter to its argument.
-fn bind(params: &[String], args: &[S0Simple]) -> HashMap<String, S0Simple> {
-    params.iter().cloned().zip(args.iter().cloned()).collect()
+/// The substitution binding each parameter position to its argument;
+/// a position without one reads past every procedure's parameters
+/// wherever the expression lands.
+fn bind(args: &[S0Simple]) -> impl Fn(usize) -> S0Simple + '_ {
+    |k| args.get(k).cloned().unwrap_or(S0Simple::Var(usize::MAX))
 }
 
 /// Inlines non-recursive procedures called from exactly one site.
@@ -403,8 +424,6 @@ fn bind(params: &[String], args: &[S0Simple]) -> HashMap<String, S0Simple> {
 /// the whole program would pick it.
 pub fn inline_once(mut p: S0Program) -> S0Program {
     let n = p.procs.len();
-    let index: HashMap<String, usize> =
-        p.first_definitions().into_iter().map(|(name, i)| (name.to_string(), i)).collect();
     let mut st = Inliner {
         counts: vec![0; n],
         caller: vec![0; n],
@@ -412,29 +431,27 @@ pub fn inline_once(mut p: S0Program) -> S0Program {
         alive: vec![true; n],
     };
     for (i, q) in p.procs.iter().enumerate() {
-        q.body.calls(&mut |c| {
-            if let Some(&j) = index.get(c) {
+        q.body.calls(&mut |j| {
+            if j < n {
                 if st.counts[j] == 0 {
                     st.caller[j] = i;
                 }
                 st.counts[j] += 1;
             }
         });
-        st.self_rec[i] = calls_self(q);
+        st.self_rec[i] = calls_self(q, i);
     }
     let mut eligible: BTreeSet<usize> = (0..n).filter(|&v| st.eligible(&p, v)).collect();
     while let Some(v) = eligible.pop_first() {
         let c = st.caller[v];
         st.alive[v] = false;
-        let vparams = std::mem::take(&mut p.procs[v].params);
         let vbody = std::mem::replace(&mut p.procs[v].body, S0Tail::Fail(String::new()));
-        let vname = std::mem::take(&mut p.procs[v].name);
         replace_calls(&mut p.procs[c].body, &mut |callee, args| {
-            (callee == vname).then(|| vbody.subst(&bind(&vparams, args)))
+            (callee == v).then(|| vbody.subst(&bind(args)))
         });
-        st.self_rec[c] = calls_self(&p.procs[c]);
+        st.self_rec[c] = calls_self(&p.procs[c], c);
         let mut touched = vec![c];
-        vbody.calls(&mut |x| touched.extend(index.get(x).copied()));
+        vbody.calls(&mut |x| touched.extend((x < n).then_some(x)));
         for &x in &touched[1..] {
             st.caller[x] = c;
         }
@@ -446,8 +463,7 @@ pub fn inline_once(mut p: S0Program) -> S0Program {
             }
         }
     }
-    let mut alive = st.alive.into_iter();
-    p.procs.retain(|_| alive.next().unwrap_or(false));
+    retain_procs(&mut p, &st.alive);
     p
 }
 
@@ -472,29 +488,30 @@ impl Inliner {
         let q = &p.procs[v];
         self.alive[v]
             && self.counts[v] == 1
-            && q.name != p.entry
+            && v != p.entry
             && !self.self_rec[v]
-            && call_args(&p.procs[self.caller[v]].body, &q.name).is_some_and(|args| {
-                q.params.iter().zip(args).all(|(pm, a)| {
+            && call_args(&p.procs[self.caller[v]].body, v).is_some_and(|args| {
+                args.iter().enumerate().all(|(k, a)| {
                     matches!(a, S0Simple::Var(_) | S0Simple::Const(_))
-                        || occurrences_tail(&q.body, pm) <= 1
+                        || occurrences_tail(&q.body, k) <= 1
                 })
             })
     }
 }
 
-fn calls_self(q: &S0Proc) -> bool {
+/// Does the procedure at position `i` call itself?
+fn calls_self(q: &S0Proc, i: usize) -> bool {
     let mut rec = false;
-    q.body.calls(&mut |c| rec |= c == q.name);
+    q.body.calls(&mut |c| rec |= c == i);
     rec
 }
 
 /// The arguments of the first call to `callee` in `t`.
-fn call_args<'t>(t: &'t S0Tail, callee: &str) -> Option<&'t [S0Simple]> {
+fn call_args(t: &S0Tail, callee: usize) -> Option<&[S0Simple]> {
     match t {
         S0Tail::Return(_) | S0Tail::Fail(_) => None,
         S0Tail::If(_, a, b) => call_args(a, callee).or_else(|| call_args(b, callee)),
-        S0Tail::TailCall(c, args) => (c == callee).then_some(args.as_slice()),
+        S0Tail::TailCall(c, args) => (*c == callee).then_some(args.as_slice()),
     }
 }
 
@@ -504,12 +521,12 @@ fn call_args<'t>(t: &'t S0Tail, callee: &str) -> Option<&'t [S0Simple]> {
 /// parameter that only circulates through recursive calls is dead here
 /// even though a syntactic scan sees a "use".  Infallible: on a fuel
 /// trap the input program is returned unchanged.
-pub fn drop_dead_params(p: S0Program) -> S0Program {
+pub fn drop_dead_params(mut p: S0Program) -> S0Program {
     let mut fuel = Fuel::new(&Limits::default());
-    match crate::liveness::dead_params(&p, &mut fuel) {
-        Ok(dead) => crate::liveness::drop_params(p, &dead),
-        Err(_) => p,
+    if let Ok(dead) = crate::liveness::dead_params(&p, &mut fuel) {
+        crate::liveness::drop_params(&mut p, &dead);
     }
+    p
 }
 
 /// A simple expression that can never fault at runtime.
@@ -530,30 +547,28 @@ pub fn is_effect_free(s: &S0Simple) -> bool {
     }
 }
 
-fn occurrences(s: &S0Simple, v: &str) -> usize {
-    match s {
-        S0Simple::Var(x) => usize::from(x == v),
-        S0Simple::Const(_) => 0,
-        S0Simple::Prim(_, args) | S0Simple::MakeClosure(_, args) => {
-            args.iter().map(|a| occurrences(a, v)).sum()
-        }
-        S0Simple::ClosureLabel(a) | S0Simple::ClosureFreeval(a, _) => occurrences(a, v),
-    }
+/// How many times `s` reads parameter position `k`.
+fn occurrences(s: &S0Simple, k: usize) -> usize {
+    let mut n = 0;
+    s.vars(&mut |j| n += usize::from(j == k));
+    n
 }
 
-fn occurrences_tail(t: &S0Tail, v: &str) -> usize {
+/// How many times a path through `t` reads parameter position `k`, at
+/// most.
+fn occurrences_tail(t: &S0Tail, k: usize) -> usize {
     match t {
-        S0Tail::Return(s) => occurrences(s, v),
+        S0Tail::Return(s) => occurrences(s, k),
         S0Tail::If(c, a, b) => {
-            occurrences(c, v) + occurrences_tail(a, v).max(occurrences_tail(b, v))
+            occurrences(c, k) + occurrences_tail(a, k).max(occurrences_tail(b, k))
         }
-        S0Tail::TailCall(_, args) => args.iter().map(|a| occurrences(a, v)).sum(),
+        S0Tail::TailCall(_, args) => args.iter().map(|a| occurrences(a, k)).sum(),
         S0Tail::Fail(_) => 0,
     }
 }
 
 /// Replaces, in place, every tail call for which `f` returns a body.
-fn replace_calls(t: &mut S0Tail, f: &mut impl FnMut(&str, &[S0Simple]) -> Option<S0Tail>) {
+fn replace_calls(t: &mut S0Tail, f: &mut impl FnMut(usize, &[S0Simple]) -> Option<S0Tail>) {
     match t {
         S0Tail::Return(_) | S0Tail::Fail(_) => {}
         S0Tail::If(_, a, b) => {
@@ -561,22 +576,10 @@ fn replace_calls(t: &mut S0Tail, f: &mut impl FnMut(&str, &[S0Simple]) -> Option
             replace_calls(b, f);
         }
         S0Tail::TailCall(callee, args) => {
-            if let Some(body) = f(callee, args) {
+            if let Some(body) = f(*callee, args) {
                 *t = body;
             }
         }
-    }
-}
-
-fn rewrite_calls(t: &S0Tail, f: &mut impl FnMut(&str, &[S0Simple]) -> S0Tail) -> S0Tail {
-    match t {
-        S0Tail::Return(_) | S0Tail::Fail(_) => t.clone(),
-        S0Tail::If(c, a, b) => S0Tail::If(
-            c.clone(),
-            Box::new(rewrite_calls(a, f)),
-            Box::new(rewrite_calls(b, f)),
-        ),
-        S0Tail::TailCall(p, args) => f(p, args),
     }
 }
 
@@ -586,8 +589,8 @@ mod tests {
     use pe_frontend::ast::Constant;
     use pe_frontend::Prim;
 
-    fn var(v: &str) -> S0Simple {
-        S0Simple::Var(v.into())
+    fn var(k: usize) -> S0Simple {
+        S0Simple::Var(k)
     }
 
     fn kint(n: i64) -> S0Simple {
@@ -604,93 +607,78 @@ mod tests {
         assert!(errs.is_empty(), "{errs:?}\n{q}");
     }
 
+    fn proc_(name: &str, params: &[&str], body: S0Tail) -> S0Proc {
+        S0Proc { name: name.into(), params: params.iter().map(|&p| p.into()).collect(), body }
+    }
+
+    fn call(callee: usize, args: Vec<S0Simple>) -> S0Tail {
+        S0Tail::TailCall(callee, args)
+    }
+
+    fn cons(a: S0Simple, d: S0Simple) -> S0Simple {
+        S0Simple::Prim(Prim::Cons, vec![a, d])
+    }
+
+    /// A program whose entry is its first procedure.
+    fn program(procs: Vec<S0Proc>) -> S0Program {
+        S0Program { entry: 0, procs }
+    }
+
+    fn names(p: &S0Program) -> Vec<&str> {
+        p.procs.iter().map(|q| q.name.as_str()).collect()
+    }
+
     #[test]
     fn unreachable_procs_are_dropped() {
+        let p = program(vec![
+            proc_("main", &[], S0Tail::Return(kint(1))),
+            proc_("junk", &[], S0Tail::Return(kint(2))),
+        ]);
+        let p = drop_unreachable(p);
+        assert_eq!(names(&p), ["main"]);
+        // Dropping a procedure before kept ones moves the calls and the
+        // entry down with them.
         let p = S0Program {
-            entry: "main".into(),
+            entry: 1,
             procs: vec![
-                S0Proc { name: "main".into(), params: vec![], body: S0Tail::Return(kint(1)) },
-                S0Proc { name: "junk".into(), params: vec![], body: S0Tail::Return(kint(2)) },
+                proc_("junk", &[], S0Tail::Return(kint(2))),
+                proc_("main", &["x"], call(2, vec![var(0)])),
+                proc_("helper", &["y"], S0Tail::Return(var(0))),
             ],
         };
-        let p = drop_unreachable(p);
-        assert_eq!(p.procs.len(), 1);
-        assert_eq!(p.procs[0].name, "main");
+        let q = drop_unreachable(p);
+        assert_eq!(names(&q), ["main", "helper"]);
+        assert_eq!(q.entry, 0);
+        assert_eq!(q.procs[0].body, call(1, vec![var(0)]));
+        assert_wellformed(&q);
     }
 
     #[test]
     fn transition_chains_are_compressed() {
         // main → a → b, both trampolines; main should call c directly.
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                S0Proc {
-                    name: "main".into(),
-                    params: vec!["x".into()],
-                    body: S0Tail::TailCall("a".into(), vec![var("x")]),
-                },
-                S0Proc {
-                    name: "a".into(),
-                    params: vec!["y".into()],
-                    body: S0Tail::TailCall(
-                        "b".into(),
-                        vec![S0Simple::Prim(Prim::Cons, vec![var("y"), kint(1)])],
-                    ),
-                },
-                S0Proc {
-                    name: "b".into(),
-                    params: vec!["z".into()],
-                    body: S0Tail::TailCall("c".into(), vec![var("z"), var("z")]),
-                },
-                S0Proc {
-                    name: "c".into(),
-                    params: vec!["u".into(), "v".into()],
-                    body: S0Tail::Return(var("u")),
-                },
-            ],
-        };
+        let p = program(vec![
+            proc_("main", &["x"], call(1, vec![var(0)])),
+            proc_("a", &["y"], call(2, vec![cons(var(0), kint(1))])),
+            proc_("b", &["z"], call(3, vec![var(0), var(0)])),
+            proc_("c", &["u", "v"], S0Tail::Return(var(0))),
+        ]);
         let p = compress(p);
-        let main = p.proc("main").unwrap();
         // The chase inlines a (and substitutes its cons into b's arg),
         // then stops: b would duplicate the non-trivial cons argument
-        // into c's two argument slots.
-        match &main.body {
-            S0Tail::TailCall(t, args) => {
-                assert_eq!(t, "b");
-                assert_eq!(args.len(), 1);
-            }
-            other => panic!("expected direct call to b, got {other:?}"),
-        }
-        assert!(p.proc("a").is_none(), "trampoline a removed");
-        assert!(p.proc("b").is_some(), "duplicating trampoline b kept");
+        // into c's two argument slots.  b's own call inlines c.
+        assert_eq!(names(&p), ["main", "b"], "trampoline a removed, b kept");
+        assert_eq!(p.procs[0].body, call(1, vec![cons(var(0), kint(1))]));
+        assert_eq!(p.procs[1].body, S0Tail::Return(var(0)));
     }
 
     #[test]
     fn transition_compression_never_duplicates_work() {
         // x → dup with a computed argument used twice: must not chase.
-        let p = S0Program {
-            entry: "x".into(),
-            procs: vec![
-                S0Proc {
-                    name: "x".into(),
-                    params: vec!["v".into()],
-                    body: S0Tail::TailCall(
-                        "dup".into(),
-                        vec![S0Simple::Prim(Prim::Cons, vec![var("v"), kint(1)])],
-                    ),
-                },
-                S0Proc {
-                    name: "dup".into(),
-                    params: vec!["w".into()],
-                    body: S0Tail::TailCall("use2".into(), vec![var("w"), var("w")]),
-                },
-                S0Proc {
-                    name: "use2".into(),
-                    params: vec!["a".into(), "b".into()],
-                    body: S0Tail::Return(S0Simple::Prim(Prim::Cons, vec![var("a"), var("b")])),
-                },
-            ],
-        };
+        let p = program(vec![
+            proc_("x", &["v"], call(1, vec![cons(var(0), kint(1))])),
+            proc_("dup", &["w"], call(2, vec![var(0), var(0)])),
+            proc_("use2", &["a", "b"], S0Tail::Return(cons(var(0), var(1)))),
+        ]);
         let before = p.size();
         let q = postprocess(p);
         assert_wellformed(&q);
@@ -702,44 +690,14 @@ mod tests {
     fn inline_once_merges_chains() {
         // The paper's append-$1 scenario: a chain of once-called procs
         // collapses into the entry.
-        let p = S0Program {
-            entry: "append-$1".into(),
-            procs: vec![
-                S0Proc {
-                    name: "append-$1".into(),
-                    params: vec!["y".into()],
-                    body: S0Tail::TailCall("sl-eval-$1".into(), vec![var("y")]),
-                },
-                S0Proc {
-                    name: "sl-eval-$1".into(),
-                    params: vec!["cv-vals-$1".into()],
-                    body: S0Tail::Return(S0Simple::Prim(
-                        Prim::Cons,
-                        vec![S0Simple::Const(Constant::Sym("foo".into())), var("cv-vals-$1")],
-                    )),
-                },
-            ],
-        };
+        let foo = S0Simple::Const(Constant::Sym("foo".into()));
+        let p = program(vec![
+            proc_("append-$1", &["y"], call(1, vec![var(0)])),
+            proc_("sl-eval-$1", &["cv-vals-$1"], S0Tail::Return(cons(foo.clone(), var(0)))),
+        ]);
         let p = postprocess(p);
-        assert_eq!(p.procs.len(), 1);
-        match &p.procs[0].body {
-            S0Tail::Return(S0Simple::Prim(Prim::Cons, args)) => {
-                assert_eq!(args[1], var("y"));
-            }
-            other => panic!("expected inlined cons, got {other:?}"),
-        }
-    }
-
-    fn proc_(name: &str, params: &[&str], body: S0Tail) -> S0Proc {
-        S0Proc { name: name.into(), params: params.iter().map(|&p| p.into()).collect(), body }
-    }
-
-    fn call(callee: &str, args: Vec<S0Simple>) -> S0Tail {
-        S0Tail::TailCall(callee.into(), args)
-    }
-
-    fn names(p: &S0Program) -> Vec<&str> {
-        p.procs.iter().map(|q| q.name.as_str()).collect()
+        assert_eq!(names(&p), ["append-$1"]);
+        assert_eq!(p.procs[0].body, S0Tail::Return(cons(foo, var(0))));
     }
 
     #[test]
@@ -747,31 +705,27 @@ mod tests {
         // `c` and `v` call each other once each.  `v` comes first, so it
         // is inlined into `c`, whose body then calls `c`: the caller is
         // now self-recursive and must not be inlined next.
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                proc_("main", &["x"], S0Tail::Return(var("x"))),
-                proc_("v", &["a"], call("c", vec![var("a")])),
-                proc_(
-                    "c",
-                    &["b"],
-                    S0Tail::If(
-                        var("b"),
-                        Box::new(S0Tail::Return(var("b"))),
-                        Box::new(call("v", vec![var("b")])),
-                    ),
+        let p = program(vec![
+            proc_("main", &["x"], S0Tail::Return(var(0))),
+            proc_("v", &["a"], call(2, vec![var(0)])),
+            proc_(
+                "c",
+                &["b"],
+                S0Tail::If(
+                    var(0),
+                    Box::new(S0Tail::Return(var(0))),
+                    Box::new(call(1, vec![var(0)])),
                 ),
-            ],
-        };
+            ),
+        ]);
         let q = inline_once(p);
         assert_eq!(names(&q), ["main", "c"], "{q}");
-        let c = q.proc("c").unwrap();
         assert_eq!(
-            c.body,
+            q.procs[1].body,
             S0Tail::If(
-                var("b"),
-                Box::new(S0Tail::Return(var("b"))),
-                Box::new(call("c", vec![var("b")])),
+                var(0),
+                Box::new(S0Tail::Return(var(0))),
+                Box::new(call(1, vec![var(0)])),
             )
         );
     }
@@ -782,22 +736,28 @@ mod tests {
         // the variable `y` — inlinable on its own.  `v` comes first and
         // is inlined into `main`, which substitutes `(car x)` for `y`:
         // inlining `w` now would duplicate the `car`, so `w` must stay.
-        let car_x = S0Simple::Prim(Prim::Car, vec![var("x")]);
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                proc_("main", &["x"], call("v", vec![car_x.clone()])),
-                proc_("v", &["y"], call("w", vec![var("y")])),
-                proc_(
-                    "w",
-                    &["z"],
-                    S0Tail::Return(S0Simple::Prim(Prim::Cons, vec![var("z"), var("z")])),
-                ),
-            ],
-        };
+        let car_x = S0Simple::Prim(Prim::Car, vec![var(0)]);
+        let p = program(vec![
+            proc_("main", &["x"], call(1, vec![car_x.clone()])),
+            proc_("v", &["y"], call(2, vec![var(0)])),
+            proc_("w", &["z"], S0Tail::Return(cons(var(0), var(0)))),
+        ]);
         let q = inline_once(p);
         assert_eq!(names(&q), ["main", "w"], "{q}");
-        assert_eq!(q.proc("main").unwrap().body, call("w", vec![car_x]));
+        assert_eq!(q.procs[0].body, call(1, vec![car_x]));
+    }
+
+    #[test]
+    fn inlining_substitutes_the_callees_parameters() {
+        // `v` is inlined into `main`, whose parameters come in the other
+        // order: `v`'s `b` (its position 1) is `main`'s `x` (position 0).
+        let p = program(vec![
+            proc_("main", &["x", "y"], call(1, vec![var(1), var(0)])),
+            proc_("v", &["a", "b"], S0Tail::Return(cons(var(1), kint(0)))),
+        ]);
+        let q = inline_once(p);
+        assert_eq!(names(&q), ["main"], "{q}");
+        assert_eq!(q.procs[0].body, S0Tail::Return(cons(var(0), kint(0))));
     }
 
     #[test]
@@ -805,46 +765,41 @@ mod tests {
         // main → l0 → l1 → … → l1999 → end: every link is a trampoline,
         // and the returner at the end is inlined too.
         let n = 2000;
-        let mut procs = vec![proc_("main", &["x"], call("l0", vec![var("x")]))];
+        let mut procs = vec![proc_("main", &["x"], call(1, vec![var(0)]))];
         for i in 0..n {
-            let next = if i + 1 < n { format!("l{}", i + 1) } else { "end".into() };
-            procs.push(proc_(&format!("l{i}"), &["y"], call(&next, vec![var("y")])));
+            procs.push(proc_(&format!("l{i}"), &["y"], call(i + 2, vec![var(0)])));
         }
-        procs.push(proc_("end", &["z"], S0Tail::Return(var("z"))));
-        let q = compress(S0Program { entry: "main".into(), procs });
+        procs.push(proc_("end", &["z"], S0Tail::Return(var(0))));
+        let q = compress(program(procs));
         assert_eq!(names(&q), ["main"]);
-        assert_eq!(q.proc("main").unwrap().body, S0Tail::Return(var("x")));
+        assert_eq!(q.procs[0].body, S0Tail::Return(var(0)));
     }
 
     #[test]
     fn duplication_guard_keeps_a_call_to_a_returner() {
         // `r` uses its parameter twice: inlining it at a call passing
         // `(car x)` would evaluate the `car` twice, a variable is fine.
-        let car_x = S0Simple::Prim(Prim::Car, vec![var("x")]);
-        let twice = |v: &str| S0Simple::Prim(Prim::Cons, vec![var(v), var(v)]);
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                proc_(
-                    "main",
-                    &["x"],
-                    S0Tail::If(
-                        var("x"),
-                        Box::new(call("r", vec![car_x.clone()])),
-                        Box::new(call("r", vec![var("x")])),
-                    ),
+        let car_x = S0Simple::Prim(Prim::Car, vec![var(0)]);
+        let p = program(vec![
+            proc_(
+                "main",
+                &["x"],
+                S0Tail::If(
+                    var(0),
+                    Box::new(call(1, vec![car_x.clone()])),
+                    Box::new(call(1, vec![var(0)])),
                 ),
-                proc_("r", &["y"], S0Tail::Return(twice("y"))),
-            ],
-        };
+            ),
+            proc_("r", &["y"], S0Tail::Return(cons(var(0), var(0)))),
+        ]);
         let q = compress(p);
         assert_eq!(names(&q), ["main", "r"], "{q}");
         assert_eq!(
-            q.proc("main").unwrap().body,
+            q.procs[0].body,
             S0Tail::If(
-                var("x"),
-                Box::new(call("r", vec![car_x])),
-                Box::new(S0Tail::Return(twice("x"))),
+                var(0),
+                Box::new(call(1, vec![car_x])),
+                Box::new(S0Tail::Return(cons(var(0), var(0)))),
             )
         );
     }
@@ -855,138 +810,101 @@ mod tests {
         // `a` hands `b` a cons that `b` would pass twice, so the chase
         // from main stops at `b`; `b` is still reachable and its own call
         // chases through `c` and inlines `end`.
-        let cons_y = S0Simple::Prim(Prim::Cons, vec![var("y"), kint(1)]);
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                proc_("main", &["x"], call("a", vec![var("x")])),
-                proc_("a", &["y"], call("b", vec![cons_y])),
-                proc_("b", &["z"], call("c", vec![var("z"), var("z")])),
-                proc_("c", &["u", "w"], call("end", vec![var("w"), var("u")])),
-                proc_(
-                    "end",
-                    &["s", "t"],
-                    S0Tail::Return(S0Simple::Prim(Prim::Cons, vec![var("s"), var("t")])),
-                ),
-            ],
-        };
+        let p = program(vec![
+            proc_("main", &["x"], call(1, vec![var(0)])),
+            proc_("a", &["y"], call(2, vec![cons(var(0), kint(1))])),
+            proc_("b", &["z"], call(3, vec![var(0), var(0)])),
+            proc_("c", &["u", "w"], call(4, vec![var(1), var(0)])),
+            proc_("end", &["s", "t"], S0Tail::Return(cons(var(0), var(1)))),
+        ]);
         let q = compress(p);
         assert_eq!(names(&q), ["main", "b"], "{q}");
-        assert_eq!(
-            q.proc("main").unwrap().body,
-            call("b", vec![S0Simple::Prim(Prim::Cons, vec![var("x"), kint(1)])])
-        );
-        assert_eq!(
-            q.proc("b").unwrap().body,
-            S0Tail::Return(S0Simple::Prim(Prim::Cons, vec![var("z"), var("z")]))
-        );
+        assert_eq!(q.procs[0].body, call(1, vec![cons(var(0), kint(1))]));
+        assert_eq!(q.procs[1].body, S0Tail::Return(cons(var(0), var(0))));
         assert_wellformed(&q);
     }
 
     #[test]
     fn recursive_procs_are_not_inlined() {
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                S0Proc {
-                    name: "main".into(),
-                    params: vec!["n".into()],
-                    body: S0Tail::TailCall("loop".into(), vec![var("n")]),
-                },
-                S0Proc {
-                    name: "loop".into(),
-                    params: vec!["n".into()],
-                    body: S0Tail::If(
-                        S0Simple::Prim(Prim::ZeroP, vec![var("n")]),
-                        Box::new(S0Tail::Return(kint(0))),
-                        Box::new(S0Tail::TailCall(
-                            "loop".into(),
-                            vec![S0Simple::Prim(Prim::Sub, vec![var("n"), kint(1)])],
-                        )),
-                    ),
-                },
-            ],
-        };
-        let q = postprocess(p.clone());
-        // merge_entry renames the loop to the public entry name; the
-        // self-recursive loop itself must survive under either name.
-        let survivor = q.proc("loop").or_else(|| q.proc("main")).expect("loop survives");
+        let p = program(vec![
+            proc_("main", &["n"], call(1, vec![var(0)])),
+            proc_(
+                "loop",
+                &["n"],
+                S0Tail::If(
+                    S0Simple::Prim(Prim::ZeroP, vec![var(0)]),
+                    Box::new(S0Tail::Return(kint(0))),
+                    Box::new(call(1, vec![S0Simple::Prim(Prim::Sub, vec![var(0), kint(1)])])),
+                ),
+            ),
+        ]);
+        let q = postprocess(p);
+        // merge_entry gives the loop the public entry name; the
+        // self-recursive loop itself must survive as the entry.
+        assert_eq!(names(&q), ["main"], "{q}");
         let mut recursive = false;
-        survivor.body.calls(&mut |c| recursive |= c == survivor.name);
+        q.procs[q.entry].body.calls(&mut |c| recursive |= c == q.entry);
         assert!(recursive, "{q}");
         assert_wellformed(&q);
     }
 
     #[test]
     fn dead_params_are_dropped_when_safe() {
-        let p2 = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                S0Proc {
-                    name: "main".into(),
-                    params: vec!["x".into()],
-                    body: S0Tail::TailCall("f".into(), vec![kint(1), var("x")]),
-                },
-                S0Proc {
-                    name: "f".into(),
-                    params: vec!["dead".into(), "live".into()],
-                    body: S0Tail::Return(var("live")),
-                },
-            ],
-        };
+        let p2 = program(vec![
+            proc_("main", &["x"], call(1, vec![kint(1), var(0)])),
+            proc_("f", &["dead", "live"], S0Tail::Return(var(1))),
+        ]);
         let q = drop_dead_params(p2);
-        let f = q.proc("f").unwrap();
-        assert_eq!(f.params, vec!["live".to_string()]);
+        assert_eq!(q.procs[1].params, vec!["live".to_string()]);
+        assert_eq!(q.procs[1].body, S0Tail::Return(var(0)));
+        assert_eq!(q.procs[0].body, call(1, vec![var(0)]));
         assert_wellformed(&q);
 
         // The unsafe case: argument can fault, parameter must stay.
-        let p3 = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                S0Proc {
-                    name: "main".into(),
-                    params: vec!["x".into()],
-                    body: S0Tail::TailCall(
-                        "f".into(),
-                        vec![S0Simple::Prim(Prim::Car, vec![var("x")]), var("x")],
-                    ),
-                },
-                S0Proc {
-                    name: "f".into(),
-                    params: vec!["dead".into(), "live".into()],
-                    body: S0Tail::Return(var("live")),
-                },
-            ],
-        };
+        let p3 = program(vec![
+            proc_("main", &["x"], call(1, vec![S0Simple::Prim(Prim::Car, vec![var(0)]), var(0)])),
+            proc_("f", &["dead", "live"], S0Tail::Return(var(1))),
+        ]);
         let q = drop_dead_params(p3);
-        assert_eq!(q.proc("f").unwrap().params.len(), 2, "faulting arg must stay");
+        assert_eq!(q.procs[1].params.len(), 2, "faulting arg must stay");
     }
 
     #[test]
     fn postprocess_preserves_wellformedness() {
-        let p = S0Program {
-            entry: "e".into(),
-            procs: vec![
-                S0Proc {
-                    name: "e".into(),
-                    params: vec!["a".into()],
-                    body: S0Tail::TailCall("t1".into(), vec![var("a")]),
-                },
-                S0Proc {
-                    name: "t1".into(),
-                    params: vec!["b".into()],
-                    body: S0Tail::TailCall("t2".into(), vec![var("b"), kint(9)]),
-                },
-                S0Proc {
-                    name: "t2".into(),
-                    params: vec!["c".into(), "d".into()],
-                    body: S0Tail::Return(S0Simple::Prim(Prim::Cons, vec![var("c"), var("d")])),
-                },
-            ],
-        };
+        let p = program(vec![
+            proc_("e", &["a"], call(1, vec![var(0)])),
+            proc_("t1", &["b"], call(2, vec![var(0), kint(9)])),
+            proc_("t2", &["c", "d"], S0Tail::Return(cons(var(0), var(1)))),
+        ]);
         let q = postprocess(p);
         assert_wellformed(&q);
         assert_eq!(q.procs.len(), 1, "everything inlined into the entry");
+    }
+
+    #[test]
+    fn merging_the_entry_redirects_calls_to_it() {
+        // `main` forwards to `loop`, which calls `main` back: the merged
+        // entry is `loop` under the public name, calling itself.
+        let p = program(vec![
+            proc_("main", &["n"], call(1, vec![var(0)])),
+            proc_(
+                "loop",
+                &["n"],
+                S0Tail::If(
+                    var(0),
+                    Box::new(S0Tail::Return(kint(0))),
+                    Box::new(call(0, vec![kint(1)])),
+                ),
+            ),
+        ]);
+        let q = merge_entry(p);
+        assert_eq!(names(&q), ["main"]);
+        assert_eq!(q.entry, 0);
+        assert_eq!(
+            q.procs[0].body,
+            S0Tail::If(var(0), Box::new(S0Tail::Return(kint(0))), Box::new(call(0, vec![kint(1)])))
+        );
+        assert_wellformed(&q);
     }
 
     /// A constant circulating through a recursive loop: propagation
@@ -994,36 +912,25 @@ mod tests {
     /// clean-up pass folds the exposed constants.
     #[test]
     fn optimize_combines_propagation_and_dead_params() {
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                S0Proc {
-                    name: "main".into(),
-                    params: vec!["n".into()],
-                    body: S0Tail::TailCall("loop".into(), vec![var("n"), kint(7)]),
-                },
-                S0Proc {
-                    name: "loop".into(),
-                    params: vec!["n".into(), "x".into()],
-                    body: S0Tail::If(
-                        S0Simple::Prim(Prim::ZeroP, vec![var("n")]),
-                        Box::new(S0Tail::Return(var("x"))),
-                        Box::new(S0Tail::TailCall(
-                            "loop".into(),
-                            vec![
-                                S0Simple::Prim(Prim::Sub, vec![var("n"), kint(1)]),
-                                var("x"),
-                            ],
-                        )),
-                    ),
-                },
-            ],
-        };
+        let p = program(vec![
+            proc_("main", &["n"], call(1, vec![var(0), kint(7)])),
+            proc_(
+                "loop",
+                &["n", "x"],
+                S0Tail::If(
+                    S0Simple::Prim(Prim::ZeroP, vec![var(0)]),
+                    Box::new(S0Tail::Return(var(1))),
+                    Box::new(call(
+                        1,
+                        vec![S0Simple::Prim(Prim::Sub, vec![var(0), kint(1)]), var(1)],
+                    )),
+                ),
+            ),
+        ]);
         let (q, stats, labels) = optimize(p, &mut fuel()).unwrap();
         assert_eq!(stats.copies_propagated, 2, "{stats:?}");
         assert_eq!(stats.dead_bindings, 1, "{stats:?}");
-        let lp = q.proc("loop").unwrap();
-        assert_eq!(lp.params, vec!["n".to_string()]);
+        assert_eq!(q.procs[1].params, vec!["n".to_string()]);
         assert_wellformed(&q);
         assert!(stats.cfg_nodes > 0 && stats.cfg_edges > 0);
         // The first round changed the program; the second, which
@@ -1034,15 +941,11 @@ mod tests {
 
     #[test]
     fn optimize_respects_fuel() {
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![S0Proc {
-                name: "main".into(),
-                params: vec![],
-                body: S0Tail::Return(kint(1)),
-            }],
-        };
+        let p = program(vec![proc_("main", &[], S0Tail::Return(kint(1)))]);
         let mut tiny = Fuel::new(&Limits { fuel: 1, ..Limits::default() });
-        assert!(matches!(optimize(p, &mut tiny), Err(Trap::OutOfFuel { .. })));
+        match optimize(p.clone(), &mut tiny) {
+            Err((Trap::OutOfFuel { .. }, q)) => assert_eq!(q, p),
+            other => panic!("{other:?}"),
+        }
     }
 }

@@ -14,20 +14,30 @@
 //! `closure-label` and `closure-freeval`; back ends pick the flat-vector
 //! representation.
 //!
+//! A variable is bound only at procedure entry and every call targets a
+//! top-level procedure, so the tree holds positions, not names: a
+//! variable is a position in its procedure's parameter list and a
+//! callee (like the entry) a position in the program's procedure list.
+//! Every consumer reads them directly.  The names in [`S0Proc`] only
+//! print the program, name the C labels and name procedures in
+//! diagnostics.  A position past the end of its list is an ill-formed
+//! program, which [`check`](crate::check()) reports; it prints as
+//! `%unbound` (a variable) or `%undefined` (a callee).
+//!
 //! The definitions live in `pe-flow` (below `pe-core`) so the dataflow
 //! analyses can see them without a dependency cycle; pe-core re-exports
 //! the four types at its root (`pe_core::S0Program` and the rest).
 
 use pe_frontend::ast::{Constant, Prim};
 use pe_sexpr::{Atom, Layout, Node, Sexpr};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A simple expression: evaluates to a value without any calls.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum S0Simple {
-    /// Variable reference.
-    Var(String),
+    /// Variable reference: a position in the enclosing procedure's
+    /// `params`.
+    Var(usize),
     /// Constant.
     Const(Constant),
     /// Primitive application.
@@ -47,8 +57,9 @@ pub enum S0Tail {
     Return(S0Simple),
     /// Conditional with simple condition.
     If(S0Simple, Box<S0Tail>, Box<S0Tail>),
-    /// Tail call of another procedure.
-    TailCall(String, Vec<S0Simple>),
+    /// Tail call of the procedure at this position of the program's
+    /// `procs`.
+    TailCall(usize, Vec<S0Simple>),
     /// A runtime failure discovered during specialization (e.g. applying
     /// a non-procedure on a path the program may never take).
     Fail(String),
@@ -57,9 +68,10 @@ pub enum S0Tail {
 /// A first-order procedure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct S0Proc {
-    /// Procedure name.
+    /// Procedure name: printed, and names the C label and the procedure
+    /// in diagnostics and cost rows.
     pub name: String,
-    /// Parameter names.
+    /// Parameter names, printed; a variable is a position in this list.
     pub params: Vec<String>,
     /// Body in tail form.
     pub body: S0Tail,
@@ -70,8 +82,8 @@ pub struct S0Proc {
 pub struct S0Program {
     /// All procedures; the entry comes first by convention.
     pub procs: Vec<S0Proc>,
-    /// Name of the entry procedure.
-    pub entry: String,
+    /// Position of the entry procedure in `procs`.
+    pub entry: usize,
 }
 
 impl S0Simple {
@@ -104,42 +116,41 @@ impl S0Simple {
         u32::try_from(k).ok().map(|k| (subject, k))
     }
 
-    /// Collects free variable names.
-    pub fn vars(&self, out: &mut HashSet<String>) {
+    /// Calls `f` on the position of every variable read, in pre-order.
+    pub fn vars(&self, f: &mut impl FnMut(usize)) {
         match self {
-            S0Simple::Var(v) => {
-                out.insert(v.clone());
-            }
+            S0Simple::Var(k) => f(*k),
             S0Simple::Const(_) => {}
             S0Simple::Prim(_, args) | S0Simple::MakeClosure(_, args) => {
-                args.iter().for_each(|a| a.vars(out));
+                args.iter().for_each(|a| a.vars(f));
             }
-            S0Simple::ClosureLabel(a) | S0Simple::ClosureFreeval(a, _) => a.vars(out),
+            S0Simple::ClosureLabel(a) | S0Simple::ClosureFreeval(a, _) => a.vars(f),
         }
     }
 
-    /// Substitutes variables by expressions (capture is impossible in S₀:
-    /// there are no binders inside expressions).
-    pub fn subst(&self, map: &HashMap<String, S0Simple>) -> S0Simple {
+    /// Replaces each variable by `var` of its position (capture is
+    /// impossible in S₀: there are no binders inside expressions).
+    pub fn subst(&self, var: &impl Fn(usize) -> S0Simple) -> S0Simple {
         match self {
-            S0Simple::Var(v) => map.get(v).cloned().unwrap_or_else(|| self.clone()),
+            S0Simple::Var(k) => var(*k),
             S0Simple::Const(_) => self.clone(),
             S0Simple::Prim(op, args) => {
-                S0Simple::Prim(*op, args.iter().map(|a| a.subst(map)).collect())
+                S0Simple::Prim(*op, args.iter().map(|a| a.subst(var)).collect())
             }
             S0Simple::MakeClosure(l, args) => {
-                S0Simple::MakeClosure(*l, args.iter().map(|a| a.subst(map)).collect())
+                S0Simple::MakeClosure(*l, args.iter().map(|a| a.subst(var)).collect())
             }
-            S0Simple::ClosureLabel(a) => S0Simple::ClosureLabel(Box::new(a.subst(map))),
+            S0Simple::ClosureLabel(a) => S0Simple::ClosureLabel(Box::new(a.subst(var))),
             S0Simple::ClosureFreeval(a, i) => {
-                S0Simple::ClosureFreeval(Box::new(a.subst(map)), *i)
+                S0Simple::ClosureFreeval(Box::new(a.subst(var)), *i)
             }
         }
     }
 
-    fn to_sexpr(&self) -> Sexpr {
+    /// The printed form, with variables named by `params`.
+    fn to_sexpr(&self, params: &[String]) -> Sexpr {
         match self {
-            S0Simple::Var(v) => Sexpr::sym_of(v),
+            S0Simple::Var(k) => Sexpr::sym_of(params.get(*k).map_or(UNBOUND, String::as_str)),
             S0Simple::Const(k) => match k {
                 Constant::Int(n) => Sexpr::Int(*n),
                 Constant::Bool(b) => Sexpr::Bool(*b),
@@ -149,25 +160,30 @@ impl S0Simple {
             },
             S0Simple::Prim(op, args) => {
                 let mut xs = vec![Sexpr::sym_of(op.name())];
-                xs.extend(args.iter().map(S0Simple::to_sexpr));
+                xs.extend(args.iter().map(|a| a.to_sexpr(params)));
                 Sexpr::List(xs)
             }
             S0Simple::MakeClosure(l, args) => {
                 let mut xs = vec![Sexpr::sym_of("make-closure"), Sexpr::Int(i64::from(*l))];
-                xs.extend(args.iter().map(S0Simple::to_sexpr));
+                xs.extend(args.iter().map(|a| a.to_sexpr(params)));
                 Sexpr::List(xs)
             }
             S0Simple::ClosureLabel(a) => {
-                Sexpr::list_of([Sexpr::sym_of("closure-label"), a.to_sexpr()])
+                Sexpr::list_of([Sexpr::sym_of("closure-label"), a.to_sexpr(params)])
             }
             S0Simple::ClosureFreeval(a, i) => Sexpr::list_of([
                 Sexpr::sym_of("closure-freeval"),
-                a.to_sexpr(),
+                a.to_sexpr(params),
                 Sexpr::Int(*i as i64),
             ]),
         }
     }
 }
+
+/// How a variable position past its procedure's parameters prints.
+const UNBOUND: &str = "%unbound";
+/// How a callee position past the program's procedures prints.
+const UNDEFINED: &str = "%undefined";
 
 impl S0Tail {
     /// Counts AST nodes.
@@ -180,58 +196,61 @@ impl S0Tail {
         }
     }
 
-    /// Calls `f` on every tail call's procedure name.
-    pub fn calls(&self, f: &mut impl FnMut(&str)) {
+    /// Calls `f` on every tail call's callee position, the then arm's
+    /// calls before the else arm's.
+    pub fn calls(&self, f: &mut impl FnMut(usize)) {
         match self {
             S0Tail::Return(_) | S0Tail::Fail(_) => {}
             S0Tail::If(_, t, e) => {
                 t.calls(f);
                 e.calls(f);
             }
-            S0Tail::TailCall(p, _) => f(p),
+            S0Tail::TailCall(p, _) => f(*p),
         }
     }
 
-    /// Collects free variable names.
-    pub fn vars(&self, out: &mut HashSet<String>) {
+    /// Calls `f` on the position of every variable read, in pre-order.
+    pub fn vars(&self, f: &mut impl FnMut(usize)) {
         match self {
-            S0Tail::Return(s) => s.vars(out),
+            S0Tail::Return(s) => s.vars(f),
             S0Tail::If(c, t, e) => {
-                c.vars(out);
-                t.vars(out);
-                e.vars(out);
+                c.vars(f);
+                t.vars(f);
+                e.vars(f);
             }
-            S0Tail::TailCall(_, args) => args.iter().for_each(|a| a.vars(out)),
+            S0Tail::TailCall(_, args) => args.iter().for_each(|a| a.vars(f)),
             S0Tail::Fail(_) => {}
         }
     }
 
-    /// Substitutes variables by simple expressions throughout.
-    pub fn subst(&self, map: &HashMap<String, S0Simple>) -> S0Tail {
+    /// Replaces each variable by `var` of its position throughout.
+    pub fn subst(&self, var: &impl Fn(usize) -> S0Simple) -> S0Tail {
         match self {
-            S0Tail::Return(s) => S0Tail::Return(s.subst(map)),
+            S0Tail::Return(s) => S0Tail::Return(s.subst(var)),
             S0Tail::If(c, t, e) => {
-                S0Tail::If(c.subst(map), Box::new(t.subst(map)), Box::new(e.subst(map)))
+                S0Tail::If(c.subst(var), Box::new(t.subst(var)), Box::new(e.subst(var)))
             }
             S0Tail::TailCall(p, args) => {
-                S0Tail::TailCall(p.clone(), args.iter().map(|a| a.subst(map)).collect())
+                S0Tail::TailCall(*p, args.iter().map(|a| a.subst(var)).collect())
             }
             S0Tail::Fail(m) => S0Tail::Fail(m.clone()),
         }
     }
 
-    fn to_sexpr(&self) -> Sexpr {
+    /// The printed form, with callees named by `procs` and variables by
+    /// `params`.
+    fn to_sexpr(&self, procs: &[S0Proc], params: &[String]) -> Sexpr {
         match self {
-            S0Tail::Return(s) => s.to_sexpr(),
+            S0Tail::Return(s) => s.to_sexpr(params),
             S0Tail::If(c, t, e) => Sexpr::list_of([
                 Sexpr::sym_of("if"),
-                c.to_sexpr(),
-                t.to_sexpr(),
-                e.to_sexpr(),
+                c.to_sexpr(params),
+                t.to_sexpr(procs, params),
+                e.to_sexpr(procs, params),
             ]),
             S0Tail::TailCall(p, args) => {
-                let mut xs = vec![Sexpr::sym_of(p)];
-                xs.extend(args.iter().map(S0Simple::to_sexpr));
+                let mut xs = vec![Sexpr::sym_of(procs.get(*p).map_or(UNDEFINED, |q| &q.name))];
+                xs.extend(args.iter().map(|a| a.to_sexpr(params)));
                 Sexpr::List(xs)
             }
             S0Tail::Fail(m) => {
@@ -242,13 +261,6 @@ impl S0Tail {
 }
 
 impl S0Proc {
-    /// Renders as a `(define …)` form.
-    pub fn to_sexpr(&self) -> Sexpr {
-        let mut head = vec![Sexpr::sym_of(&self.name)];
-        head.extend(self.params.iter().map(|p| Sexpr::sym_of(p)));
-        Sexpr::list_of([Sexpr::sym_of("define"), Sexpr::List(head), self.body.to_sexpr()])
-    }
-
     /// Counts AST nodes.
     pub fn size(&self) -> usize {
         1 + self.params.len() + self.body.size()
@@ -256,72 +268,35 @@ impl S0Proc {
 }
 
 impl S0Program {
-    /// Finds a procedure by name.
-    pub fn proc(&self, name: &str) -> Option<&S0Proc> {
-        self.procs.iter().find(|p| p.name == name)
+    /// The procedure at position `i` as a `(define …)` form.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is not a position of `procs`.
+    #[must_use]
+    pub fn proc_sexpr(&self, i: usize) -> Sexpr {
+        let q = &self.procs[i];
+        let mut head = vec![Sexpr::sym_of(&q.name)];
+        head.extend(q.params.iter().map(|p| Sexpr::sym_of(p)));
+        Sexpr::list_of([
+            Sexpr::sym_of("define"),
+            Sexpr::List(head),
+            q.body.to_sexpr(&self.procs, &q.params),
+        ])
     }
 
-    /// Each name's first definition, by position: the procedure
-    /// [`S0Program::proc`] finds and a call to the name runs.
-    pub(crate) fn first_definitions(&self) -> HashMap<&str, usize> {
-        let mut first = HashMap::new();
-        for (i, q) in self.procs.iter().enumerate() {
-            first.entry(q.name.as_str()).or_insert(i);
-        }
-        first
-    }
-
-    /// Which procedures, by position, a run from the entry can reach:
-    /// a call resolves to its name's first definition, and every
-    /// definition of a reached name counts as reached.
+    /// Which procedures, by position, a run from the entry can reach.
     #[must_use]
     pub fn reachable(&self) -> Vec<bool> {
-        let first = self.first_definitions();
         let mut reached = vec![false; self.procs.len()];
-        let mut work: Vec<usize> = first.get(self.entry.as_str()).copied().into_iter().collect();
+        let mut work = vec![self.entry];
         while let Some(i) = work.pop() {
-            if !std::mem::replace(&mut reached[i], true) {
-                self.procs[i].body.calls(&mut |callee| work.extend(first.get(callee)));
+            if reached.get(i).is_some_and(|&r| !r) {
+                reached[i] = true;
+                self.procs[i].body.calls(&mut |callee| work.push(callee));
             }
         }
-        self.procs.iter().map(|q| reached[first[q.name.as_str()]]).collect()
-    }
-
-    /// Where the interprocedural analyses keep their facts: one row of
-    /// `init` per procedure position, one entry per parameter, of which
-    /// only the rows of first definitions — the ones
-    /// [`S0Program::proc`] and calls resolve to — are read and written;
-    /// each procedure's row position; and each procedure's parameters
-    /// as positions in that row, up to its length, a repeated name
-    /// taking its last position (as an environment map would).
-    pub(crate) fn param_rows<T: Clone>(
-        &self,
-        first: &HashMap<&str, usize>,
-        init: T,
-    ) -> ParamRows<'_, T> {
-        let rows: Vec<Vec<T>> =
-            self.procs.iter().map(|q| vec![init.clone(); q.params.len()]).collect();
-        let row_of: Vec<usize> = self.procs.iter().map(|q| first[q.name.as_str()]).collect();
-        let envs = self
-            .procs
-            .iter()
-            .zip(&row_of)
-            .map(|(q, &r)| {
-                let n = q.params.len().min(rows[r].len());
-                q.params[..n].iter().enumerate().map(|(k, pm)| (pm.as_str(), k)).collect()
-            })
-            .collect();
-        ParamRows { rows, row_of, envs }
-    }
-
-    /// The rows of [`S0Program::param_rows`] keyed by procedure name:
-    /// each name's first definition's.
-    pub(crate) fn named_rows<T>(
-        &self,
-        first: &HashMap<&str, usize>,
-        mut rows: Vec<Vec<T>>,
-    ) -> HashMap<String, Vec<T>> {
-        first.iter().map(|(&name, &i)| (name.to_string(), std::mem::take(&mut rows[i]))).collect()
+        reached
     }
 
     /// Total AST node count (for the §8 code-size experiment).
@@ -348,26 +323,16 @@ impl S0Program {
     }
 
     /// Renders the program as concrete syntax: each procedure as
-    /// pe-sexpr's printer lays out its [`S0Proc::to_sexpr`] form, on a
-    /// line of its own, without building that form.
+    /// pe-sexpr's printer lays out its [`S0Program::proc_sexpr`] form,
+    /// on a line of its own, without building that form.
     pub fn to_source(&self) -> String {
         let mut out = String::new();
         for p in &self.procs {
-            pe_sexpr::write_pretty(Doc::Proc(p), &mut out);
+            pe_sexpr::write_pretty(Doc::Proc(p, &self.procs), &mut out);
             out.push('\n');
         }
         out
     }
-}
-
-/// The facts rows of [`S0Program::param_rows`].
-pub(crate) struct ParamRows<'p, T> {
-    /// One row per procedure position.
-    pub rows: Vec<Vec<T>>,
-    /// Each procedure's row: its name's first definition's position.
-    pub row_of: Vec<usize>,
-    /// Each procedure's parameters by name, as positions in its row.
-    pub envs: Vec<HashMap<&'p str, usize>>,
 }
 
 impl fmt::Display for S0Program {
@@ -378,16 +343,18 @@ impl fmt::Display for S0Program {
 
 /// A node of an S₀ procedure's printed form, viewed in place for
 /// pe-sexpr's printer: the [`Layout`] of exactly the tree
-/// [`S0Proc::to_sexpr`] builds.
+/// [`S0Program::proc_sexpr`] builds.  A tail carries the program's
+/// procedures, which name its callees, and a tail or simple expression
+/// its procedure's parameters, which name its variables.
 #[derive(Clone, Copy)]
 enum Doc<'a> {
     Atom(Atom<'a>),
     /// `(define (P V*) T)`.
-    Proc(&'a S0Proc),
+    Proc(&'a S0Proc, &'a [S0Proc]),
     /// `(P V*)`.
     Header(&'a S0Proc),
-    Tail(&'a S0Tail),
-    Simple(&'a S0Simple),
+    Tail(&'a S0Tail, &'a [S0Proc], &'a [String]),
+    Simple(&'a S0Simple, &'a [String]),
     /// A constant under `quote`, as [`Constant::to_sexpr`] renders it.
     Datum(&'a Constant),
 }
@@ -431,26 +398,42 @@ impl<'a> Iterator for Elems<'a> {
                 xs.get(i - 1).map(f)
             }
         }
+        let simple = |params| move |s| Doc::Simple(s, params);
         match self.of {
-            Doc::Proc(q) => [sym("define"), Doc::Header(q), Doc::Tail(&q.body)].get(i).copied(),
-            Doc::Header(q) => listed(i, sym(&q.name), &q.params, |v| sym(v)),
-            Doc::Tail(S0Tail::If(c, a, b)) => {
-                [sym("if"), Doc::Simple(c), Doc::Tail(a), Doc::Tail(b)].get(i).copied()
+            Doc::Proc(q, procs) => {
+                let body = Doc::Tail(&q.body, procs, &q.params);
+                [sym("define"), Doc::Header(q), body].get(i).copied()
             }
-            Doc::Tail(S0Tail::TailCall(p, args)) => listed(i, sym(p), args, Doc::Simple),
-            Doc::Tail(S0Tail::Fail(m)) => [sym("%fail"), Doc::Atom(Atom::Str(m))].get(i).copied(),
-            Doc::Simple(S0Simple::Const(k)) => [sym("quote"), Doc::Datum(k)].get(i).copied(),
-            Doc::Simple(S0Simple::Prim(op, args)) => listed(i, sym(op.name()), args, Doc::Simple),
-            Doc::Simple(S0Simple::MakeClosure(l, args)) => match i {
+            Doc::Header(q) => listed(i, sym(&q.name), &q.params, |v| sym(v)),
+            Doc::Tail(S0Tail::If(c, a, b), procs, params) => [
+                sym("if"),
+                Doc::Simple(c, params),
+                Doc::Tail(a, procs, params),
+                Doc::Tail(b, procs, params),
+            ]
+            .get(i)
+            .copied(),
+            Doc::Tail(S0Tail::TailCall(p, args), procs, params) => {
+                let callee = procs.get(*p).map_or(UNDEFINED, |q| &q.name);
+                listed(i, sym(callee), args, simple(params))
+            }
+            Doc::Tail(S0Tail::Fail(m), ..) => {
+                [sym("%fail"), Doc::Atom(Atom::Str(m))].get(i).copied()
+            }
+            Doc::Simple(S0Simple::Const(k), _) => [sym("quote"), Doc::Datum(k)].get(i).copied(),
+            Doc::Simple(S0Simple::Prim(op, args), params) => {
+                listed(i, sym(op.name()), args, simple(params))
+            }
+            Doc::Simple(S0Simple::MakeClosure(l, args), params) => match i {
                 0 => Some(sym("make-closure")),
                 1 => Some(int(i64::from(*l))),
-                _ => args.get(i - 2).map(Doc::Simple),
+                _ => args.get(i - 2).map(simple(params)),
             },
-            Doc::Simple(S0Simple::ClosureLabel(a)) => {
-                [sym("closure-label"), Doc::Simple(a)].get(i).copied()
+            Doc::Simple(S0Simple::ClosureLabel(a), params) => {
+                [sym("closure-label"), Doc::Simple(a, params)].get(i).copied()
             }
-            Doc::Simple(S0Simple::ClosureFreeval(a, k)) => {
-                [sym("closure-freeval"), Doc::Simple(a), int(*k as i64)].get(i).copied()
+            Doc::Simple(S0Simple::ClosureFreeval(a, k), params) => {
+                [sym("closure-freeval"), Doc::Simple(a, params), int(*k as i64)].get(i).copied()
             }
             Doc::Datum(Constant::Pair(..)) if std::mem::take(&mut self.cons_spine) => {
                 Some(sym("cons-spine"))
@@ -486,9 +469,11 @@ impl<'a> Layout<'a> for Doc<'a> {
         let (mut spine, mut cons_spine) = (None, false);
         let of = match self {
             Doc::Atom(a) => return atom(a),
-            Doc::Tail(S0Tail::Return(s)) => return Doc::Simple(s).node(),
-            Doc::Simple(S0Simple::Var(v)) => return atom(Atom::Sym(v)),
-            Doc::Simple(S0Simple::Const(k)) => match constant(k) {
+            Doc::Tail(S0Tail::Return(s), _, params) => return Doc::Simple(s, params).node(),
+            Doc::Simple(S0Simple::Var(k), params) => {
+                return atom(Atom::Sym(params.get(*k).map_or(UNBOUND, String::as_str)))
+            }
+            Doc::Simple(S0Simple::Const(k), _) => match constant(k) {
                 Some(a) => return atom(a),
                 None => self,
             },
@@ -518,48 +503,56 @@ impl<'a> Layout<'a> for Doc<'a> {
 mod tests {
     use super::*;
 
-    fn var(v: &str) -> S0Simple {
-        S0Simple::Var(v.to_string())
+    fn var(k: usize) -> S0Simple {
+        S0Simple::Var(k)
     }
 
     #[test]
     fn print_shape_matches_paper_style() {
-        let p = S0Proc {
-            name: "sl-eval-$3".into(),
-            params: vec!["cv-vals-$1".into(), "cv-vals-$2".into()],
-            body: S0Tail::If(
-                S0Simple::Prim(Prim::NullP, vec![var("cv-vals-$1")]),
-                Box::new(S0Tail::Return(var("cv-vals-$2"))),
-                Box::new(S0Tail::TailCall(
-                    "sl-eval-$3".into(),
-                    vec![
-                        S0Simple::Prim(Prim::Cdr, vec![var("cv-vals-$1")]),
-                        S0Simple::MakeClosure(24, vec![var("cv-vals-$2")]),
-                    ],
-                )),
-            ),
+        let p = S0Program {
+            entry: 0,
+            procs: vec![S0Proc {
+                name: "sl-eval-$3".into(),
+                params: vec!["cv-vals-$1".into(), "cv-vals-$2".into()],
+                body: S0Tail::If(
+                    S0Simple::Prim(Prim::NullP, vec![var(0)]),
+                    Box::new(S0Tail::Return(var(1))),
+                    Box::new(S0Tail::TailCall(
+                        0,
+                        vec![
+                            S0Simple::Prim(Prim::Cdr, vec![var(0)]),
+                            S0Simple::MakeClosure(24, vec![var(1)]),
+                        ],
+                    )),
+                ),
+            }],
         };
-        let s = p.to_sexpr().to_string();
+        let s = p.proc_sexpr(0).to_string();
         assert!(s.contains("(make-closure 24 cv-vals-$2)"), "{s}");
+        assert!(s.contains("(sl-eval-$3 (cdr cv-vals-$1)"), "{s}");
         assert!(s.starts_with("(define (sl-eval-$3 cv-vals-$1 cv-vals-$2)"), "{s}");
     }
 
     /// `to_source` of a one-procedure program, checked against
-    /// pe-sexpr's layout of the procedure built as an `Sexpr`.
+    /// pe-sexpr's layout of the procedure built as an `Sexpr`.  A call
+    /// names `callee` at position 1, whose body is `%fail`; only the
+    /// first procedure's line is returned.
     fn printed(name: &str, params: &[&str], body: S0Tail) -> String {
         let q = S0Proc {
             name: name.into(),
             params: params.iter().map(|&p| p.into()).collect(),
             body,
         };
-        let want = pe_sexpr::pretty(&q.to_sexpr()) + "\n";
-        let got = S0Program { entry: q.name.clone(), procs: vec![q] }.to_source();
-        assert_eq!(got, want);
-        got
+        let callee = S0Proc { name: "g".into(), params: vec![], body: S0Tail::Fail(String::new()) };
+        let p = S0Program { entry: 0, procs: vec![q, callee] };
+        let want = pe_sexpr::pretty(&p.proc_sexpr(0)) + "\n";
+        let got = p.to_source();
+        assert_eq!(got, format!("{want}(define (g) (%fail \"\"))\n"));
+        want
     }
 
-    fn call(callee: &str, args: Vec<S0Simple>) -> S0Tail {
-        S0Tail::TailCall(callee.into(), args)
+    fn call(args: Vec<S0Simple>) -> S0Tail {
+        S0Tail::TailCall(1, args)
     }
 
     fn konst(k: Constant) -> S0Simple {
@@ -572,21 +565,25 @@ mod tests {
 
     #[test]
     fn printing_in_place_matches_the_sexpr_layout() {
-        // `(define (f) (g a…a))` is 78 columns with 61 `a`s: one line.
-        let fits = printed("f", &[], call("g", vec![var(&"a".repeat(61))]));
-        assert_eq!(fits, format!("(define (f) (g {}))\n", "a".repeat(61)));
+        // `(define (f a…a) (g a…a))` is 78 columns with 30 `a`s: one line.
+        let a = "a".repeat(30);
+        let fits = printed("f", &[&a], call(vec![var(0)]));
+        assert_eq!(fits, format!("(define (f {a}) (g {a}))\n"));
         assert_eq!(fits.len(), 79);
         // One more column breaks after the header.
-        let breaks = printed("f", &[], call("g", vec![var(&"a".repeat(62))]));
-        assert_eq!(breaks, format!("(define (f)\n  (g {}))\n", "a".repeat(62)));
+        let a = "a".repeat(31);
+        let breaks = printed("f", &[&a], call(vec![var(0)]));
+        assert_eq!(breaks, format!("(define (f {a})\n  (g {a}))\n"));
 
         // Nested conditionals past the indent clamp: no line is
         // indented beyond 78 columns, and some reach it.
-        let mut body = S0Tail::Return(var("x"));
+        let names: Vec<String> = (0..=60).map(|i| format!("condition-{i}")).collect();
+        let params: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut body = S0Tail::Return(var(60));
         for i in 0..60 {
-            body = S0Tail::If(var(&format!("condition-{i}")), Box::new(call("f", vec![])), Box::new(body));
+            body = S0Tail::If(var(i), Box::new(call(vec![])), Box::new(body));
         }
-        let deep = printed("f", &["x"], body);
+        let deep = printed("f", &params, body);
         let indents: Vec<usize> =
             deep.lines().map(|l| l.len() - l.trim_start().len()).collect();
         assert_eq!(indents.iter().max(), Some(&78), "{deep}");
@@ -594,7 +591,7 @@ mod tests {
         // Escapes in a `%fail` message, named and wide characters.
         printed("f", &[], S0Tail::Fail("say \"hi\" \\ then\nbye".into()));
         let chars = [' ', '\n', '\t', 'λ'].map(|c| konst(Constant::Char(c)));
-        let text = printed("f", &[], call("g", chars.to_vec()));
+        let text = printed("f", &[], call(chars.to_vec()));
         assert!(text.contains("(g #\\space #\\newline #\\tab #\\λ)"), "{text}");
 
         // Quoted constants: a symbol, `()`, a list, a nested list and
@@ -605,7 +602,7 @@ mod tests {
         let nested = pair(pair(sym("a"), Constant::Nil), pair(sym("b"), Constant::Nil));
         let improper = pair(int(1), pair(int(2), int(3)));
         let quoted = [sym("foo"), Constant::Nil, list, nested, improper].map(konst);
-        let text = printed("f", &[], call("g", quoted.to_vec()));
+        let text = printed("f", &[], call(quoted.to_vec()));
         assert_eq!(
             text,
             "(define (f)\n  (g\n    (quote foo)\n    (quote ())\n    (quote (1 2 3))\n    \
@@ -613,36 +610,55 @@ mod tests {
         );
         // The same constants past the line width break inside the quote.
         let long = [sym(&"s".repeat(40)), pair(sym(&"t".repeat(40)), pair(int(7), int(8)))];
-        printed("f", &[], call("g", long.map(konst).to_vec()));
+        printed("f", &[], call(long.map(konst).to_vec()));
 
         // The head rule applies to any head, procedure names included.
-        let wide = || var(&"w".repeat(30));
+        let w = "w".repeat(30);
         for name in ["if", "define", "lambda", "let", "other"] {
-            printed(name, &["a", "b"], call(name, vec![wide(), wide(), wide()]));
+            let q = S0Proc {
+                name: name.into(),
+                params: vec![w.clone()],
+                body: S0Tail::TailCall(0, vec![var(0), var(0), var(0)]),
+            };
+            let p = S0Program { entry: 0, procs: vec![q] };
+            assert_eq!(p.to_source(), pe_sexpr::pretty(&p.proc_sexpr(0)) + "\n");
         }
     }
 
     #[test]
+    fn positions_past_their_lists_print_as_markers() {
+        // Variable 1 of a one-parameter procedure, and a call to
+        // position 5 of a one-procedure program.
+        let q = S0Proc {
+            name: "f".into(),
+            params: vec!["x".into()],
+            body: S0Tail::If(
+                var(1),
+                Box::new(S0Tail::TailCall(5, vec![var(0)])),
+                Box::new(S0Tail::Return(var(0))),
+            ),
+        };
+        let p = S0Program { entry: 3, procs: vec![q] };
+        let text = p.to_source();
+        assert_eq!(text, "(define (f x) (if %unbound (%undefined x) x))\n");
+        assert_eq!(text, pe_sexpr::pretty(&p.proc_sexpr(0)) + "\n");
+        assert_eq!(p.reachable(), [false], "an entry past the end reaches nothing");
+    }
+
+    #[test]
     fn subst_replaces_free_vars() {
-        let t = S0Tail::TailCall("f".into(), vec![var("x"), S0Simple::Prim(Prim::Car, vec![var("y")])]);
-        let mut m = HashMap::new();
-        m.insert("x".to_string(), S0Simple::Const(Constant::Int(1)));
-        let t2 = t.subst(&m);
-        assert_eq!(
-            t2,
-            S0Tail::TailCall(
-                "f".into(),
-                vec![
-                    S0Simple::Const(Constant::Int(1)),
-                    S0Simple::Prim(Prim::Car, vec![var("y")])
-                ]
-            )
-        );
+        let t = S0Tail::TailCall(2, vec![var(0), S0Simple::Prim(Prim::Car, vec![var(1)])]);
+        let one = S0Simple::Const(Constant::Int(1));
+        let t2 = t.subst(&|k| if k == 0 { one.clone() } else { var(k + 5) });
+        assert_eq!(t2, S0Tail::TailCall(2, vec![one, S0Simple::Prim(Prim::Car, vec![var(6)])]));
+        let mut read = Vec::new();
+        t2.vars(&mut |k| read.push(k));
+        assert_eq!(read, [6]);
     }
 
     #[test]
     fn sizes_are_positive_and_additive() {
-        let s = S0Simple::Prim(Prim::Cons, vec![var("a"), var("b")]);
+        let s = S0Simple::Prim(Prim::Cons, vec![var(0), var(1)]);
         assert_eq!(s.size(), 3);
         let t = S0Tail::Return(s);
         assert_eq!(t.size(), 3);

@@ -22,9 +22,9 @@
 //! pass 2 checks `closure-freeval` indices and dispatch chains against
 //! the shapes through [`eval`].
 
-use crate::s0::{ParamRows, S0Program, S0Simple, S0Tail};
+use crate::s0::{S0Program, S0Simple, S0Tail};
 use pe_governor::{Fuel, Trap};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// An abstract closure value: a may-set of labels plus "anything else".
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -66,30 +66,20 @@ impl AbsVal {
     }
 }
 
-/// Abstract values of a procedure's parameters, by name.
-pub type Env<'a> = HashMap<&'a str, AbsVal>;
 /// What enclosing dispatch tests established about their subjects,
 /// innermost last.
 pub type Refinements<'a> = Vec<(&'a S0Simple, AbsVal)>;
 
-/// Abstract evaluation of `e` under `env`, honouring the refinements of
-/// enclosing dispatch tests.
+/// Abstract evaluation of `e`, whose procedure's parameters have the
+/// values `params` by position, honouring the refinements of enclosing
+/// dispatch tests.  A variable past `params` may be anything.
 #[must_use]
-pub fn eval(e: &S0Simple, env: &Env<'_>, refines: &[(&S0Simple, AbsVal)]) -> AbsVal {
-    eval_in(e, |v| env.get(v).cloned(), refines)
-}
-
-/// [`eval`] with the variables' values read through `var`.
-fn eval_in(
-    e: &S0Simple,
-    var: impl Fn(&str) -> Option<AbsVal>,
-    refines: &[(&S0Simple, AbsVal)],
-) -> AbsVal {
+pub fn eval(e: &S0Simple, params: &[AbsVal], refines: &[(&S0Simple, AbsVal)]) -> AbsVal {
     if let Some((_, v)) = refines.iter().rev().find(|(s, _)| *s == e) {
         return v.clone();
     }
     match e {
-        S0Simple::Var(v) => var(v).unwrap_or_else(AbsVal::unknown),
+        S0Simple::Var(k) => params.get(*k).cloned().unwrap_or_else(AbsVal::unknown),
         S0Simple::Const(_) | S0Simple::ClosureLabel(_) => AbsVal::bottom(),
         S0Simple::Prim(_, _) | S0Simple::ClosureFreeval(_, _) => AbsVal::unknown(),
         S0Simple::MakeClosure(l, _) => AbsVal::of_label(*l),
@@ -97,26 +87,27 @@ fn eval_in(
 }
 
 /// Walks a tail, maintaining dispatch refinements, calling `f` on every
-/// node (tails before their children); `var` reads the variables.
+/// node (tails before their children); `params` are the values of the
+/// procedure's parameters.
 fn walk_refined<'p>(
     t: &'p S0Tail,
-    var: &impl Fn(&str) -> Option<AbsVal>,
+    params: &[AbsVal],
     refines: &mut Refinements<'p>,
     f: &mut impl FnMut(&'p S0Tail, &Refinements<'p>),
 ) {
     f(t, refines);
     if let S0Tail::If(c, a, b) = t {
         if let Some((subj, k)) = c.dispatch_test() {
-            let sv = eval_in(subj, var, refines);
+            let sv = eval(subj, params, refines);
             refines.push((subj, AbsVal::of_label(k)));
-            walk_refined(a, var, refines, f);
+            walk_refined(a, params, refines, f);
             refines.pop();
             refines.push((subj, sv.without(k)));
-            walk_refined(b, var, refines, f);
+            walk_refined(b, params, refines, f);
             refines.pop();
         } else {
-            walk_refined(a, var, refines, f);
-            walk_refined(b, var, refines, f);
+            walk_refined(a, params, refines, f);
+            walk_refined(b, params, refines, f);
         }
     }
 }
@@ -125,9 +116,9 @@ fn walk_refined<'p>(
 /// pass need to know.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotAnalysis {
-    /// Abstract parameter values per procedure name, sized by the
-    /// name's first definition.
-    pub shapes: HashMap<String, Vec<AbsVal>>,
+    /// `shapes[i][k]` — the abstract value of parameter `k` of the
+    /// procedure at position `i`.
+    pub shapes: Vec<Vec<AbsVal>>,
     /// Per allocated label, the fewest values any of its allocation
     /// sites captures.
     pub min_captures: BTreeMap<u32, usize>,
@@ -139,10 +130,10 @@ pub struct SlotAnalysis {
 ///
 /// [`Trap::OutOfFuel`] when the budget is exhausted before convergence.
 pub fn analyze(p: &S0Program, fuel: &mut Fuel) -> Result<SlotAnalysis, Trap> {
-    let first = p.first_definitions();
-    let ParamRows { mut rows, row_of, envs } = p.param_rows(&first, AbsVal::bottom());
-    if let Some(&e) = first.get(p.entry.as_str()) {
-        rows[e].iter_mut().for_each(|v| *v = AbsVal::unknown());
+    let mut shapes: Vec<Vec<AbsVal>> =
+        p.procs.iter().map(|q| vec![AbsVal::bottom(); q.params.len()]).collect();
+    if let Some(row) = shapes.get_mut(p.entry) {
+        row.fill(AbsVal::unknown());
     }
     // Fixpoint on parameter shapes: each procedure's flows are gathered
     // from the rows as they stand, then joined in.
@@ -152,19 +143,16 @@ pub fn analyze(p: &S0Program, fuel: &mut Fuel) -> Result<SlotAnalysis, Trap> {
         let mut changed = false;
         for (i, q) in p.procs.iter().enumerate() {
             fuel.step()?;
-            let row = &rows[row_of[i]];
-            let var = |v: &str| envs[i].get(v).map(|&k| row[k].clone());
-            walk_refined(&q.body, &var, &mut Vec::new(), &mut |t, refines| {
+            let params = &shapes[i];
+            walk_refined(&q.body, params, &mut Vec::new(), &mut |t, refines| {
                 if let S0Tail::TailCall(callee, args) = t {
-                    if let Some(&r) = first.get(callee.as_str()) {
-                        for (k, a) in args.iter().enumerate() {
-                            flows.push((r, k, eval_in(a, var, refines)));
-                        }
+                    for (k, a) in args.iter().enumerate() {
+                        flows.push((*callee, k, eval(a, params, refines)));
                     }
                 }
             });
             for (r, k, v) in flows.drain(..) {
-                if let Some(slot) = rows[r].get_mut(k) {
+                if let Some(slot) = shapes.get_mut(r).and_then(|row| row.get_mut(k)) {
                     changed |= slot.join_from(&v);
                 }
             }
@@ -173,7 +161,6 @@ pub fn analyze(p: &S0Program, fuel: &mut Fuel) -> Result<SlotAnalysis, Trap> {
             break;
         }
     }
-    let shapes = p.named_rows(&first, rows);
     let mut min_captures = BTreeMap::new();
     for q in &p.procs {
         fuel.step()?;
@@ -208,7 +195,7 @@ fn record_sites(s: &S0Simple, min: &mut BTreeMap<u32, usize>) {
 /// One statically decidable dispatch arm.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArmFinding {
-    /// Procedure containing the dispatch.
+    /// Name of the procedure containing the dispatch.
     pub proc: String,
     /// The label tested against.
     pub label: u32,
@@ -217,46 +204,44 @@ pub struct ArmFinding {
     pub always: bool,
 }
 
-/// Folds statically decidable dispatch arms (variable subjects only:
-/// folding must not drop a faulting test).  Returns the rewritten
-/// program, the arms folded, and the label analysis of the input
-/// program, which is also that of the output when nothing folded; the
-/// findings alone are available via [`arm_findings`].  Only procedures
-/// with a decided arm are rebuilt.
+/// Folds statically decidable dispatch arms in place (variable subjects
+/// only: folding must not drop a faulting test).  Returns the arms
+/// folded and the label analysis of the input program, which is also
+/// that of the output when nothing folded; the findings alone are
+/// available via [`arm_findings`].  Only procedures with a decided arm
+/// are rebuilt, after every procedure has been searched, so a trap
+/// leaves `p` as it was.
 ///
 /// # Errors
 ///
 /// [`Trap::OutOfFuel`] when the analysis budget is exhausted.
-pub fn fold_arms(
-    mut p: S0Program,
-    fuel: &mut Fuel,
-) -> Result<(S0Program, usize, SlotAnalysis), Trap> {
-    let sa = analyze(&p, fuel)?;
-    let mut folded = 0;
-    for q in &mut p.procs {
+pub fn fold_arms(p: &mut S0Program, fuel: &mut Fuel) -> Result<(usize, SlotAnalysis), Trap> {
+    let sa = analyze(p, fuel)?;
+    let mut decided = Vec::with_capacity(p.procs.len());
+    for (q, params) in p.procs.iter().zip(&sa.shapes) {
         fuel.step()?;
-        let env = param_env(q, &sa.shapes);
         let mut findings = Vec::new();
         let (leaf, node) = (&mut |_| (), &mut |_, (), ()| ());
-        fold_tail(&q.body, &env, &mut Vec::new(), &q.name, &mut findings, leaf, node);
-        // Only a procedure with a decided arm is rebuilt.
-        if findings.is_empty() {
+        fold_tail(&q.body, params, &mut Vec::new(), &q.name, &mut findings, leaf, node);
+        decided.push(findings.len());
+    }
+    let mut folded = 0;
+    for ((q, params), n) in p.procs.iter_mut().zip(&sa.shapes).zip(decided) {
+        if n == 0 {
             continue;
         }
-        folded += findings.len();
-        let body = fold_tail(
+        folded += n;
+        q.body = fold_tail(
             &q.body,
-            &env,
+            params,
             &mut Vec::new(),
             &q.name,
             &mut Vec::new(),
             &mut |t| t.clone(),
             &mut |c, a, b| S0Tail::If(c.clone(), Box::new(a), Box::new(b)),
         );
-        drop(env);
-        q.body = body;
     }
-    Ok((p, folded, sa))
+    Ok((folded, sa))
 }
 
 /// Reports the dispatch arms [`fold_arms`] would fold, in its order,
@@ -271,11 +256,11 @@ pub fn arm_findings(
     fuel: &mut Fuel,
 ) -> Result<Vec<ArmFinding>, Trap> {
     let mut findings = Vec::new();
-    for q in &p.procs {
+    for (q, params) in p.procs.iter().zip(&sa.shapes) {
         fuel.step()?;
         fold_tail(
             &q.body,
-            &param_env(q, &sa.shapes),
+            params,
             &mut Vec::new(),
             &q.name,
             &mut findings,
@@ -286,19 +271,13 @@ pub fn arm_findings(
     Ok(findings)
 }
 
-/// The abstract parameter values of `q` as an environment, read from
-/// its name's row of `shapes` up to the row's length.
-fn param_env<'q>(q: &'q crate::s0::S0Proc, shapes: &HashMap<String, Vec<AbsVal>>) -> Env<'q> {
-    q.params.iter().zip(&shapes[&q.name]).map(|(pm, v)| (pm.as_str(), v.clone())).collect()
-}
-
 /// Walks `t` as arm folding does — a decidable dispatch keeps only its
 /// surviving branch — recording each decided arm in `findings` and
 /// folding the kept tree with `leaf` (tails other than `If`) and `node`
 /// (an `If` whose test stays).
 fn fold_tail<'t, R>(
     t: &'t S0Tail,
-    env: &Env<'_>,
+    params: &[AbsVal],
     refines: &mut Refinements<'t>,
     owner: &str,
     findings: &mut Vec<ArmFinding>,
@@ -309,11 +288,11 @@ fn fold_tail<'t, R>(
         return leaf(t);
     };
     let Some((subj, k)) = c.dispatch_test() else {
-        let a2 = fold_tail(a, env, refines, owner, findings, leaf, node);
-        let b2 = fold_tail(b, env, refines, owner, findings, leaf, node);
+        let a2 = fold_tail(a, params, refines, owner, findings, leaf, node);
+        let b2 = fold_tail(b, params, refines, owner, findings, leaf, node);
         return node(c, a2, b2);
     };
-    let sv = eval(subj, env, refines);
+    let sv = eval(subj, params, refines);
     let definite = matches!(subj, S0Simple::Var(_)) && !sv.other && !sv.labels.is_empty();
     let decided = if !definite {
         None
@@ -327,16 +306,16 @@ fn fold_tail<'t, R>(
     if let Some(always) = decided {
         findings.push(ArmFinding { proc: owner.to_string(), label: k, always });
         let (refined, kept) = if always { (AbsVal::of_label(k), a) } else { (sv.without(k), b) };
-            refines.push((subj, refined));
-        let out = fold_tail(kept, env, refines, owner, findings, leaf, node);
+        refines.push((subj, refined));
+        let out = fold_tail(kept, params, refines, owner, findings, leaf, node);
         refines.pop();
         return out;
     }
     refines.push((subj, AbsVal::of_label(k)));
-    let a2 = fold_tail(a, env, refines, owner, findings, leaf, node);
+    let a2 = fold_tail(a, params, refines, owner, findings, leaf, node);
     refines.pop();
     refines.push((subj, sv.without(k)));
-    let b2 = fold_tail(b, env, refines, owner, findings, leaf, node);
+    let b2 = fold_tail(b, params, refines, owner, findings, leaf, node);
     refines.pop();
     node(c, a2, b2)
 }
@@ -348,8 +327,8 @@ mod tests {
     use pe_frontend::ast::{Constant, Prim};
     use pe_governor::Limits;
 
-    fn var(v: &str) -> S0Simple {
-        S0Simple::Var(v.into())
+    fn var(k: usize) -> S0Simple {
+        S0Simple::Var(k)
     }
 
     fn kint(n: i64) -> S0Simple {
@@ -360,11 +339,27 @@ mod tests {
         Fuel::new(&Limits::default())
     }
 
-    fn dispatch(subj: &str, k: i64) -> S0Simple {
+    fn dispatch(subj: usize, k: i64) -> S0Simple {
         S0Simple::Prim(
             Prim::EqualP,
             vec![kint(k), S0Simple::ClosureLabel(Box::new(var(subj)))],
         )
+    }
+
+    /// `main a` calls `k` (position 1) with `(make-closure 2 a)`; `k c`
+    /// runs `body`.
+    fn calls_k(body: S0Tail) -> S0Program {
+        S0Program {
+            entry: 0,
+            procs: vec![
+                S0Proc {
+                    name: "main".into(),
+                    params: vec!["a".into()],
+                    body: S0Tail::TailCall(1, vec![S0Simple::MakeClosure(2, vec![var(0)])]),
+                },
+                S0Proc { name: "k".into(), params: vec!["c".into()], body },
+            ],
+        }
     }
 
     #[test]
@@ -372,15 +367,12 @@ mod tests {
         // Label 3 is allocated with two captures and, nested in a
         // capture of label 5 under a primitive, with one.
         let p = S0Program {
-            entry: "main".into(),
+            entry: 0,
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["a".into(), "b".into()],
-                    body: S0Tail::TailCall(
-                        "k".into(),
-                        vec![S0Simple::MakeClosure(3, vec![var("a"), var("b")])],
-                    ),
+                    body: S0Tail::TailCall(1, vec![S0Simple::MakeClosure(3, vec![var(0), var(1)])]),
                 },
                 S0Proc {
                     name: "k".into(),
@@ -388,11 +380,8 @@ mod tests {
                     body: S0Tail::Return(S0Simple::Prim(
                         Prim::Cons,
                         vec![
-                            S0Simple::MakeClosure(
-                                5,
-                                vec![S0Simple::MakeClosure(3, vec![var("c")])],
-                            ),
-                            S0Simple::ClosureFreeval(Box::new(var("c")), 1),
+                            S0Simple::MakeClosure(5, vec![S0Simple::MakeClosure(3, vec![var(0)])]),
+                            S0Simple::ClosureFreeval(Box::new(var(0)), 1),
                         ],
                     )),
                 },
@@ -400,75 +389,31 @@ mod tests {
         };
         let sa = analyze(&p, &mut fuel()).unwrap();
         assert_eq!(sa.min_captures, BTreeMap::from([(3, 1), (5, 1)]));
-        assert_eq!(sa.shapes["k"], [AbsVal::of_label(3)]);
+        assert_eq!(sa.shapes[1], [AbsVal::of_label(3)]);
     }
 
     #[test]
     fn impossible_dispatch_arm_folds_to_else() {
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                S0Proc {
-                    name: "main".into(),
-                    params: vec!["a".into()],
-                    body: S0Tail::TailCall(
-                        "k".into(),
-                        vec![S0Simple::MakeClosure(2, vec![var("a")])],
-                    ),
-                },
-                S0Proc {
-                    name: "k".into(),
-                    params: vec!["c".into()],
-                    body: S0Tail::If(
-                        dispatch("c", 9),
-                        Box::new(S0Tail::Fail("unreachable arm".into())),
-                        Box::new(S0Tail::Return(S0Simple::ClosureFreeval(
-                            Box::new(var("c")),
-                            0,
-                        ))),
-                    ),
-                },
-            ],
-        };
-        let (q, n, _) = fold_arms(p, &mut fuel()).unwrap();
+        let mut p = calls_k(S0Tail::If(
+            dispatch(0, 9),
+            Box::new(S0Tail::Fail("unreachable arm".into())),
+            Box::new(S0Tail::Return(S0Simple::ClosureFreeval(Box::new(var(0)), 0))),
+        ));
+        let (n, _) = fold_arms(&mut p, &mut fuel()).unwrap();
         assert_eq!(n, 1);
-        let k = q.proc("k").unwrap();
-        assert!(
-            matches!(&k.body, S0Tail::Return(_)),
-            "arm folded to else: {:?}",
-            k.body
-        );
+        let k = &p.procs[1];
+        assert!(matches!(&k.body, S0Tail::Return(_)), "arm folded to else: {:?}", k.body);
     }
 
     #[test]
     fn singleton_dispatch_folds_to_then() {
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![
-                S0Proc {
-                    name: "main".into(),
-                    params: vec!["a".into()],
-                    body: S0Tail::TailCall(
-                        "k".into(),
-                        vec![S0Simple::MakeClosure(2, vec![var("a")])],
-                    ),
-                },
-                S0Proc {
-                    name: "k".into(),
-                    params: vec!["c".into()],
-                    body: S0Tail::If(
-                        dispatch("c", 2),
-                        Box::new(S0Tail::Return(S0Simple::ClosureFreeval(
-                            Box::new(var("c")),
-                            0,
-                        ))),
-                        Box::new(S0Tail::Fail("no such label".into())),
-                    ),
-                },
-            ],
-        };
-        let (q, n, _) = fold_arms(p, &mut fuel()).unwrap();
+        let mut p = calls_k(S0Tail::If(
+            dispatch(0, 2),
+            Box::new(S0Tail::Return(S0Simple::ClosureFreeval(Box::new(var(0)), 0))),
+            Box::new(S0Tail::Fail("no such label".into())),
+        ));
+        let (n, _) = fold_arms(&mut p, &mut fuel()).unwrap();
         assert_eq!(n, 1);
-        assert!(matches!(&q.proc("k").unwrap().body, S0Tail::Return(_)));
+        assert!(matches!(&p.procs[1].body, S0Tail::Return(_)));
     }
 }

@@ -25,7 +25,7 @@ fn compilation_produces_closure_converted_tail_code() {
     // The identity continuation's closure has no free values: there is a
     // make-closure with only a label argument.
     assert!(
-        s0.procs.iter().any(|p| format!("{}", p.to_sexpr()).contains("(make-closure ")),
+        (0..s0.procs.len()).any(|i| format!("{}", s0.proc_sexpr(i)).contains("(make-closure ")),
         "{text}"
     );
     // Dispatch is sequential: an equal? test against a closure label.
@@ -57,7 +57,7 @@ fn specialization_matches_paper_output() {
     .unwrap();
     // Exactly one residual procedure with exactly the paper's body.
     assert_eq!(s0.procs.len(), 1, "{s0}");
-    let text = s0.procs[0].to_sexpr().to_string();
+    let text = s0.proc_sexpr(0).to_string();
     assert_eq!(
         text,
         "(define (append-$1 y) (cons (quote foo) (cons (quote bar) y)))"

@@ -203,7 +203,7 @@ mod tests {
     fn art(n: u128) -> Artifact {
         Artifact {
             fingerprint: Fingerprint(n),
-            s0: S0Program { procs: Vec::new(), entry: format!("e{n}") },
+            s0: S0Program { procs: Vec::new(), entry: n as usize },
             residual_source: format!("src{n}"),
             procs: 0,
             nodes: 0,

@@ -493,8 +493,8 @@ fn collector_sources() -> Vec<([Case; 2], String)> {
     ]
 }
 
-fn var(v: &str) -> S0Simple {
-    S0Simple::Var(v.into())
+fn var(k: usize) -> S0Simple {
+    S0Simple::Var(k)
 }
 
 fn int(n: i64) -> S0Simple {
@@ -524,22 +524,22 @@ fn def(name: &str, params: &[&str], body: S0Tail) -> S0Proc {
 /// the unnamed globals keeps the collector off that pointer.  Prints
 /// 4501710: `fin`'s sum of 1..3000 plus the 1..20 the closures hold.
 fn stale_global() -> S0Program {
-    let call = |f: &str, args: Vec<S0Simple>| S0Tail::TailCall(f.into(), args);
+    let call = S0Tail::TailCall;
     let nil = S0Simple::Const(Constant::Nil);
     let cons = |a: S0Simple, d: S0Simple| op(Prim::Cons, vec![a, d]);
     S0Program {
-        entry: "main".into(),
+        entry: 0,
         procs: vec![
             def(
                 "main",
                 &["n"],
                 call(
-                    "mkl",
+                    1,
                     vec![
                         nil.clone(),
                         int(20),
-                        var("n"),
-                        cons(op(Prim::Add, vec![var("n"), int(1000)]), cons(var("n"), nil.clone())),
+                        var(0),
+                        cons(op(Prim::Add, vec![var(0), int(1000)]), cons(var(0), nil.clone())),
                     ],
                 ),
             ),
@@ -547,15 +547,15 @@ fn stale_global() -> S0Program {
                 "mkl",
                 &["l", "i", "n", "p"],
                 S0Tail::If(
-                    op(Prim::ZeroP, vec![var("i")]),
-                    Box::new(call("churn", vec![var("l"), var("n")])),
+                    op(Prim::ZeroP, vec![var(1)]),
+                    Box::new(call(2, vec![var(0), var(2)])),
                     Box::new(call(
-                        "mkl",
+                        1,
                         vec![
-                            cons(S0Simple::MakeClosure(0, vec![var("i")]), var("l")),
-                            op(Prim::Sub1, vec![var("i")]),
-                            var("n"),
-                            var("p"),
+                            cons(S0Simple::MakeClosure(0, vec![var(1)]), var(0)),
+                            op(Prim::Sub1, vec![var(1)]),
+                            var(2),
+                            var(3),
                         ],
                     )),
                 ),
@@ -564,15 +564,15 @@ fn stale_global() -> S0Program {
                 "churn",
                 &["l", "n"],
                 S0Tail::If(
-                    op(Prim::ZeroP, vec![var("n")]),
-                    Box::new(call("fin", vec![var("l"), int(3000), int(0), int(7)])),
+                    op(Prim::ZeroP, vec![var(1)]),
+                    Box::new(call(3, vec![var(0), int(3000), int(0), int(7)])),
                     Box::new(call(
-                        "churn",
+                        2,
                         vec![
-                            var("l"),
+                            var(0),
                             op(
                                 Prim::Car,
-                                vec![cons(op(Prim::Sub1, vec![var("n")]), cons(var("n"), nil.clone()))],
+                                vec![cons(op(Prim::Sub1, vec![var(1)]), cons(var(1), nil.clone()))],
                             ),
                         ],
                     )),
@@ -582,18 +582,18 @@ fn stale_global() -> S0Program {
                 "fin",
                 &["l", "k", "s", "junk"],
                 S0Tail::If(
-                    op(Prim::ZeroP, vec![var("k")]),
-                    Box::new(call("sum-l", vec![var("l"), var("s")])),
+                    op(Prim::ZeroP, vec![var(1)]),
+                    Box::new(call(4, vec![var(0), var(2)])),
                     Box::new(call(
-                        "fin",
+                        3,
                         vec![
-                            var("l"),
-                            op(Prim::Sub1, vec![var("k")]),
+                            var(0),
+                            op(Prim::Sub1, vec![var(1)]),
                             op(
                                 Prim::Add,
                                 vec![
-                                    var("s"),
-                                    op(Prim::Car, vec![cons(var("k"), cons(var("s"), nil.clone()))]),
+                                    var(2),
+                                    op(Prim::Car, vec![cons(var(1), cons(var(2), nil.clone()))]),
                                 ],
                             ),
                             int(7),
@@ -605,18 +605,18 @@ fn stale_global() -> S0Program {
                 "sum-l",
                 &["l", "s"],
                 S0Tail::If(
-                    op(Prim::NullP, vec![var("l")]),
-                    Box::new(S0Tail::Return(var("s"))),
+                    op(Prim::NullP, vec![var(0)]),
+                    Box::new(S0Tail::Return(var(1))),
                     Box::new(call(
-                        "sum-l",
+                        4,
                         vec![
-                            op(Prim::Cdr, vec![var("l")]),
+                            op(Prim::Cdr, vec![var(0)]),
                             op(
                                 Prim::Add,
                                 vec![
-                                    var("s"),
+                                    var(1),
                                     S0Simple::ClosureFreeval(
-                                        Box::new(op(Prim::Car, vec![var("l")])),
+                                        Box::new(op(Prim::Car, vec![var(0)])),
                                         0,
                                     ),
                                 ],

@@ -7,8 +7,10 @@
 //!   Fig. 8 programs' decidable dispatch arms are);
 //! * constant propagation keeps no constant that two call sites
 //!   disagree on (a pinned generated program);
-//! * a starved fuel budget traps instead of looping or returning a
-//!   program;
+//! * a starved fuel budget traps instead of looping, handing back the
+//!   program unchanged, and at every budget short of completion the
+//!   optimizer hands back a well-formed program that gives the Fig. 8
+//!   answers on the VM;
 //! * dead-parameter analysis never names a parameter its body reads
 //!   outside call arguments;
 //! * `to_source` lays every residual out exactly as pe-sexpr's printer
@@ -20,6 +22,7 @@ mod common;
 
 use common::{desugared, for_programs, generated};
 use pe_core::{compile, eval, CompileOptions, GenStrategy, S0Program, S0Tail};
+use pe_governor::Trap;
 use pe_trace::NullSink;
 use pe_governor::{Fuel, Limits};
 use pe_interp::Datum;
@@ -140,17 +143,56 @@ fn starved_fuel_traps_cleanly() {
     realistic_pe::with_big_stack(|| {
         for_residuals(0xF10_57A2, false, |case, s0| {
             let mut fuel = Fuel::new(&Limits::builder().with_fuel(1).build());
-            assert!(pe_flow::optimize(s0, &mut fuel).is_err(), "{}", case.name);
+            match pe_flow::optimize(s0.clone(), &mut fuel) {
+                Err((Trap::OutOfFuel { .. }, q)) => assert_eq!(q, s0, "{}", case.name),
+                other => panic!("{}: {other:?}", case.name),
+            }
         });
     });
 }
 
-/// Variables `t` reads outside call arguments.
-fn direct_reads(t: &S0Tail, out: &mut HashSet<String>) {
+/// Each Fig. 8 program's residual without the flow optimizer, optimized
+/// at every fuel budget from 1 up to the first that completes: each
+/// trapped run hands back a well-formed program with the residual's
+/// answers on the VM.
+#[test]
+fn a_trapped_optimizer_hands_back_a_correct_program() {
+    realistic_pe::with_big_stack(|| {
+        let lim = Limits::builder().with_fuel(10_000_000).build();
+        for b in suite::SUITE {
+            let s0 = unoptimized(b.source, b.entry, true).expect("the suite compiles");
+            let vm = pe_vm::Vm::compile(&s0).expect("the residual loads");
+            let args = b.test_inputs();
+            let want = vm.run(&args, lim).map(|r| r.0);
+            let mut trapped = 0;
+            for budget in 1.. {
+                let mut fuel = Fuel::new(&Limits::builder().with_fuel(budget).build());
+                let q = match pe_flow::optimize(s0.clone(), &mut fuel) {
+                    Ok(_) => break,
+                    Err((_, q)) => q,
+                };
+                trapped += 1;
+                let errs = pe_flow::check(&q);
+                assert!(errs.is_empty(), "{} at fuel {budget}: {errs:?}\n{q}", b.name);
+                let vm = pe_vm::Vm::compile(&q).expect("the handed-back program loads");
+                let got = vm.run(&args, lim).map(|r| r.0);
+                assert_eq!(got, want, "{} at fuel {budget}\n{q}", b.name);
+            }
+            assert!(trapped > 0, "{}", b.name);
+        }
+    });
+}
+
+/// Parameter positions `t` reads outside call arguments.
+fn direct_reads(t: &S0Tail, out: &mut HashSet<usize>) {
     match t {
-        S0Tail::Return(s) => s.vars(out),
+        S0Tail::Return(s) => s.vars(&mut |k| {
+            out.insert(k);
+        }),
         S0Tail::If(c, a, b) => {
-            c.vars(out);
+            c.vars(&mut |k| {
+                out.insert(k);
+            });
             direct_reads(a, out);
             direct_reads(b, out);
         }
@@ -165,13 +207,12 @@ fn no_read_parameter_is_dead() {
         for_residuals(0xF10_DEAD, false, |case, s0| {
             let dead = pe_flow::liveness::dead_params(&s0, &mut Fuel::new(&Limits::default()))
                 .unwrap_or_else(|trap| panic!("{}: {trap:?}", case.name));
-            for q in &s0.procs {
-                let Some(idxs) = dead.get(&q.name) else { continue };
+            for (q, idxs) in s0.procs.iter().zip(&dead) {
                 let mut read = HashSet::new();
                 direct_reads(&q.body, &mut read);
                 for &i in idxs {
                     let p = &q.params[i];
-                    assert!(!read.contains(p), "{}: dead {p} is read\n{s0}", q.name);
+                    assert!(!read.contains(&i), "{}: dead {p} is read\n{s0}", q.name);
                 }
                 found.set(found.get() + idxs.len());
             }
@@ -183,7 +224,8 @@ fn no_read_parameter_is_dead() {
 /// Every printed procedure must read exactly as pe-sexpr's printer lays
 /// out the procedure's `Sexpr` form.
 fn assert_prints_as_sexpr(name: &str, p: &S0Program) {
-    let want: String = p.procs.iter().map(|q| pe_sexpr::pretty(&q.to_sexpr()) + "\n").collect();
+    let want: String =
+        (0..p.procs.len()).map(|i| pe_sexpr::pretty(&p.proc_sexpr(i)) + "\n").collect();
     assert_eq!(p.to_source(), want, "{name}");
 }
 

@@ -22,7 +22,7 @@
 
 use crate::report::{Diagnostic, Pass};
 use pe_core::{S0Program, S0Simple, S0Tail};
-use pe_flow::slots::{eval, AbsVal, Env, Refinements, SlotAnalysis};
+use pe_flow::slots::{eval, AbsVal, Refinements, SlotAnalysis};
 use pe_governor::Trap;
 use std::collections::BTreeSet;
 
@@ -40,14 +40,9 @@ pub fn check(p: &S0Program, shapes: &Result<SlotAnalysis, Trap>) -> Vec<Diagnost
         }
     };
     let mut out = Vec::new();
-    for pr in &p.procs {
-        let env: Env<'_> = pr
-            .params
-            .iter()
-            .map(String::as_str)
-            .zip(shapes.shapes[&pr.name].iter().cloned())
-            .collect();
-        check_tail(&pr.body, &env, &mut Vec::new(), shapes, &pr.name, &mut out);
+    for (i, pr) in p.procs.iter().enumerate() {
+        let params = shapes.shapes.get(i).map_or(&[][..], Vec::as_slice);
+        check_tail(&pr.body, params, &mut Vec::new(), shapes, &pr.name, &mut out);
     }
     out
 }
@@ -58,24 +53,24 @@ fn fmt_labels(labels: &BTreeSet<u32>) -> String {
 
 fn check_tail<'t>(
     t: &'t S0Tail,
-    env: &Env<'_>,
+    params: &[AbsVal],
     refines: &mut Refinements<'t>,
     shapes: &SlotAnalysis,
     owner: &str,
     out: &mut Vec<Diagnostic>,
 ) {
     match t {
-        S0Tail::Return(s) => check_simple(s, env, refines, shapes, owner, out),
+        S0Tail::Return(s) => check_simple(s, params, refines, shapes, owner, out),
         S0Tail::Fail(_) => {}
         S0Tail::TailCall(_, args) => {
             for a in args {
-                check_simple(a, env, refines, shapes, owner, out);
+                check_simple(a, params, refines, shapes, owner, out);
             }
         }
         S0Tail::If(c, a, b) => {
-            check_simple(c, env, refines, shapes, owner, out);
+            check_simple(c, params, refines, shapes, owner, out);
             if let Some((subj, k)) = c.dispatch_test() {
-                let v = eval(subj, env, refines);
+                let v = eval(subj, params, refines);
                 if !shapes.min_captures.contains_key(&k) {
                     out.push(Diagnostic::warning(
                         Pass::ClosureShape,
@@ -93,7 +88,7 @@ fn check_tail<'t>(
                     ));
                 }
                 refines.push((subj, AbsVal::of_label(k)));
-                check_tail(a, env, refines, shapes, owner, out);
+                check_tail(a, params, refines, shapes, owner, out);
                 refines.pop();
                 let rest = v.without(k);
                 if matches!(&**b, S0Tail::Fail(_)) && !rest.other && !rest.labels.is_empty() {
@@ -107,11 +102,11 @@ fn check_tail<'t>(
                     ));
                 }
                 refines.push((subj, rest));
-                check_tail(b, env, refines, shapes, owner, out);
+                check_tail(b, params, refines, shapes, owner, out);
                 refines.pop();
             } else {
-                check_tail(a, env, refines, shapes, owner, out);
-                check_tail(b, env, refines, shapes, owner, out);
+                check_tail(a, params, refines, shapes, owner, out);
+                check_tail(b, params, refines, shapes, owner, out);
             }
         }
     }
@@ -119,7 +114,7 @@ fn check_tail<'t>(
 
 fn check_simple(
     s: &S0Simple,
-    env: &Env<'_>,
+    params: &[AbsVal],
     refines: &Refinements<'_>,
     shapes: &SlotAnalysis,
     owner: &str,
@@ -129,13 +124,13 @@ fn check_simple(
         S0Simple::Var(_) | S0Simple::Const(_) => {}
         S0Simple::Prim(_, args) | S0Simple::MakeClosure(_, args) => {
             for a in args {
-                check_simple(a, env, refines, shapes, owner, out);
+                check_simple(a, params, refines, shapes, owner, out);
             }
         }
-        S0Simple::ClosureLabel(a) => check_simple(a, env, refines, shapes, owner, out),
+        S0Simple::ClosureLabel(a) => check_simple(a, params, refines, shapes, owner, out),
         S0Simple::ClosureFreeval(a, i) => {
-            check_simple(a, env, refines, shapes, owner, out);
-            let v = eval(a, env, refines);
+            check_simple(a, params, refines, shapes, owner, out);
+            let v = eval(a, params, refines);
             // Labels with no `make-closure` site in the program cannot
             // occur at run time (closures are an abstract type only this
             // program can create) — a dispatch arm refined to such a
@@ -177,8 +172,8 @@ mod tests {
         pe_flow::slots::analyze(p, &mut pe_governor::Fuel::new(&pe_governor::Limits::default()))
     }
 
-    fn var(v: &str) -> S0Simple {
-        S0Simple::Var(v.into())
+    fn var(k: usize) -> S0Simple {
+        S0Simple::Var(k)
     }
 
     fn int(n: i64) -> S0Simple {
@@ -195,21 +190,21 @@ mod tests {
     /// entry(x): calls k with (make-closure 7 x); k(c) dispatches on c.
     fn two_proc_program(arm: S0Tail, else_: S0Tail, tested: u32) -> S0Program {
         S0Program {
-            entry: "entry".into(),
+            entry: 0,
             procs: vec![
                 S0Proc {
                     name: "entry".into(),
                     params: vec!["x".into()],
                     body: S0Tail::TailCall(
-                        "k".into(),
-                        vec![S0Simple::MakeClosure(7, vec![var("x")])],
+                        1,
+                        vec![S0Simple::MakeClosure(7, vec![var(0)])],
                     ),
                 },
                 S0Proc {
                     name: "k".into(),
                     params: vec!["c".into()],
                     body: S0Tail::If(
-                        dispatch(tested, var("c")),
+                        dispatch(tested, var(0)),
                         Box::new(arm),
                         Box::new(else_),
                     ),
@@ -221,7 +216,7 @@ mod tests {
     #[test]
     fn freeval_in_range_is_clean() {
         let p = two_proc_program(
-            S0Tail::Return(S0Simple::ClosureFreeval(Box::new(var("c")), 0)),
+            S0Tail::Return(S0Simple::ClosureFreeval(Box::new(var(0)), 0)),
             S0Tail::Fail("no arm".into()),
             7,
         );
@@ -232,7 +227,7 @@ mod tests {
     #[test]
     fn freeval_out_of_range_is_an_error() {
         let p = two_proc_program(
-            S0Tail::Return(S0Simple::ClosureFreeval(Box::new(var("c")), 1)),
+            S0Tail::Return(S0Simple::ClosureFreeval(Box::new(var(0)), 1)),
             S0Tail::Fail("no arm".into()),
             7,
         );
@@ -271,22 +266,22 @@ mod tests {
     fn refinement_distinguishes_arms() {
         // Two labels with different capture counts; each arm accesses
         // only what its own label captures — clean thanks to refinement.
-        let subj = var("c");
+        let subj = var(0);
         let p = S0Program {
-            entry: "entry".into(),
+            entry: 0,
             procs: vec![
                 S0Proc {
                     name: "entry".into(),
                     params: vec!["x".into()],
                     body: S0Tail::If(
-                        S0Simple::Prim(Prim::NullP, vec![var("x")]),
+                        S0Simple::Prim(Prim::NullP, vec![var(0)]),
                         Box::new(S0Tail::TailCall(
-                            "k".into(),
-                            vec![S0Simple::MakeClosure(1, vec![var("x"), var("x")])],
+                            1,
+                            vec![S0Simple::MakeClosure(1, vec![var(0), var(0)])],
                         )),
                         Box::new(S0Tail::TailCall(
-                            "k".into(),
-                            vec![S0Simple::MakeClosure(2, vec![var("x")])],
+                            1,
+                            vec![S0Simple::MakeClosure(2, vec![var(0)])],
                         )),
                     ),
                 },

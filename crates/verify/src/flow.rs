@@ -56,17 +56,14 @@ mod tests {
 
     #[test]
     fn decidable_dispatch_arms_are_warnings() {
-        let c = || Box::new(S0Simple::Var("c".into()));
+        let c = || Box::new(S0Simple::Var(0));
         let p = S0Program {
-            entry: "main".into(),
+            entry: 0,
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["a".into()],
-                    body: S0Tail::TailCall(
-                        "k".into(),
-                        vec![S0Simple::MakeClosure(2, vec![S0Simple::Var("a".into())])],
-                    ),
+                    body: S0Tail::TailCall(1, vec![S0Simple::MakeClosure(2, vec![S0Simple::Var(0)])]),
                 },
                 S0Proc {
                     name: "k".into(),
@@ -93,11 +90,11 @@ mod tests {
     #[test]
     fn clean_program_produces_no_flow_diagnostics() {
         let p = S0Program {
-            entry: "main".into(),
+            entry: 0,
             procs: vec![S0Proc {
                 name: "main".into(),
                 params: vec!["x".into()],
-                body: S0Tail::Return(S0Simple::Var("x".into())),
+                body: S0Tail::Return(S0Simple::Var(0)),
             }],
         };
         assert!(check(&p, &analyze(&p)).is_empty());

@@ -160,7 +160,7 @@ mod tests {
     #[test]
     fn a_trapped_label_analysis_is_one_warning_in_passes_2_and_6() {
         let p = S0Program {
-            entry: "main".into(),
+            entry: 0,
             procs: vec![pe_core::S0Proc {
                 name: "main".into(),
                 params: vec![],

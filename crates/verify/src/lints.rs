@@ -8,29 +8,32 @@
 
 use crate::report::{Diagnostic, Pass};
 use pe_core::{S0Program, S0Tail};
-use std::collections::HashSet;
 
-/// Runs the pass.  Reachability is [`S0Program::reachable`]: a call
-/// resolves to its name's first definition, as pass 1, pe-flow and the
-/// VM resolve it.
+/// Runs the pass.  Reachability is [`S0Program::reachable`], over the
+/// call positions.
 pub fn check(p: &S0Program) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let warn = |proc_name: &str, msg: String| Diagnostic::warning(Pass::Lint, Some(proc_name), msg);
-
-    for (pr, reached) in p.procs.iter().zip(p.reachable()) {
+    let entry = match p.procs.get(p.entry) {
+        Some(q) => q.name.clone(),
+        None => format!("at position {}", p.entry),
+    };
+    for (i, (pr, reached)) in p.procs.iter().zip(p.reachable()).enumerate() {
         if !reached {
-            out.push(warn(&pr.name, format!("unreachable from entry {}", p.entry)));
+            out.push(warn(&pr.name, format!("unreachable from entry {entry}")));
         }
         if matches!(pr.body, S0Tail::Fail(_)) {
             out.push(warn(&pr.name, "body is only %fail".to_string()));
         }
-        if pr.name != p.entry {
-            let mut used = HashSet::new();
-            pr.body.vars(&mut used);
-            for prm in &pr.params {
-                if !used.contains(prm.as_str()) {
-                    out.push(warn(&pr.name, format!("dead parameter {prm}")));
+        if i != p.entry {
+            let mut used = vec![false; pr.params.len()];
+            pr.body.vars(&mut |k| {
+                if let Some(u) = used.get_mut(k) {
+                    *u = true;
                 }
+            });
+            for (prm, _) in pr.params.iter().zip(used).filter(|(_, u)| !u) {
+                out.push(warn(&pr.name, format!("dead parameter {prm}")));
             }
         }
     }
@@ -45,17 +48,17 @@ mod tests {
     #[test]
     fn flags_unreachable_dead_param_and_fail_only() {
         let prog = S0Program {
-            entry: "main".into(),
+            entry: 0,
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["x".into()],
-                    body: S0Tail::TailCall("helper".into(), vec![S0Simple::Var("x".into())]),
+                    body: S0Tail::TailCall(1, vec![S0Simple::Var(0)]),
                 },
                 S0Proc {
                     name: "helper".into(),
                     params: vec!["x".into(), "unused".into()],
-                    body: S0Tail::Return(S0Simple::Var("x".into())),
+                    body: S0Tail::Return(S0Simple::Var(0)),
                 },
                 S0Proc {
                     name: "orphan".into(),
@@ -76,20 +79,22 @@ mod tests {
 
     #[test]
     fn a_duplicated_name_resolves_to_its_first_definition() {
-        let call = |callee: &str| S0Tail::TailCall(callee.into(), vec![]);
+        // `main` calls the first `f` (position 1), which calls `helper`;
+        // the second `f` is unreachable whatever its name.
+        let call = |callee| S0Tail::TailCall(callee, vec![]);
         let ret = |n| S0Tail::Return(S0Simple::Const(pe_frontend::ast::Constant::Int(n)));
         let proc_ = |name: &str, body| S0Proc { name: name.into(), params: vec![], body };
         let prog = S0Program {
-            entry: "main".into(),
+            entry: 0,
             procs: vec![
-                proc_("main", call("f")),
-                proc_("f", call("helper")),
+                proc_("main", call(1)),
+                proc_("f", call(3)),
                 proc_("f", ret(1)),
                 proc_("helper", ret(2)),
             ],
         };
         let text: Vec<String> = check(&prog).iter().map(ToString::to_string).collect();
-        assert!(text.is_empty(), "{text:?}");
+        assert_eq!(text, ["warning[lint] f: unreachable from entry main"]);
         let pass1: Vec<String> =
             crate::wellformed::check(&prog).iter().map(ToString::to_string).collect();
         assert!(

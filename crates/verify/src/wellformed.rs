@@ -26,22 +26,22 @@ mod tests {
     use pe_core::{S0Proc, S0Simple, S0Tail};
     use pe_frontend::ast::{Constant, Prim};
 
-    fn var(v: &str) -> S0Simple {
-        S0Simple::Var(v.into())
+    fn var(k: usize) -> S0Simple {
+        S0Simple::Var(k)
     }
 
     #[test]
     fn catches_all_basic_violations() {
         let prog = S0Program {
-            entry: "ghost-entry".into(),
+            entry: 2,
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["x".into(), "x".into()],
                     body: S0Tail::If(
-                        var("y"),
-                        Box::new(S0Tail::TailCall("nope".into(), vec![])),
-                        Box::new(S0Tail::TailCall("main".into(), vec![var("x")])),
+                        var(2),
+                        Box::new(S0Tail::TailCall(5, vec![])),
+                        Box::new(S0Tail::TailCall(0, vec![var(0)])),
                     ),
                 },
                 S0Proc {
@@ -53,10 +53,10 @@ mod tests {
         };
         let msgs: Vec<String> = check(&prog).iter().map(ToString::to_string).collect();
         let text = msgs.join("\n");
-        assert!(text.contains("entry procedure ghost-entry is not defined"), "{text}");
+        assert!(text.contains("entry procedure at position 2 is not defined"), "{text}");
         assert!(text.contains("main: duplicate parameter x"), "{text}");
-        assert!(text.contains("main: unbound variable y"), "{text}");
-        assert!(text.contains("main: call to undefined procedure nope"), "{text}");
+        assert!(text.contains("main: unbound variable at position 2 (2 parameter(s))"), "{text}");
+        assert!(text.contains("main: call to undefined procedure at position 5"), "{text}");
         assert!(text.contains("main: call to main with 1 argument(s), expected 2"), "{text}");
         assert!(text.contains("main: duplicate procedure definition"), "{text}");
         assert!(text.contains("main: primitive car applied to 0 argument(s), expected 1"), "{text}");
@@ -65,18 +65,18 @@ mod tests {
     #[test]
     fn accepts_wellformed_loop() {
         let prog = S0Program {
-            entry: "loop".into(),
+            entry: 0,
             procs: vec![S0Proc {
                 name: "loop".into(),
                 params: vec!["n".into()],
                 body: S0Tail::If(
-                    S0Simple::Prim(Prim::ZeroP, vec![var("n")]),
+                    S0Simple::Prim(Prim::ZeroP, vec![var(0)]),
                     Box::new(S0Tail::Return(S0Simple::Const(Constant::Int(0)))),
                     Box::new(S0Tail::TailCall(
-                        "loop".into(),
+                        0,
                         vec![S0Simple::Prim(
                             Prim::Sub,
-                            vec![var("n"), S0Simple::Const(Constant::Int(1))],
+                            vec![var(0), S0Simple::Const(Constant::Int(1))],
                         )],
                     )),
                 ),

@@ -35,7 +35,7 @@ fn assert_caught_by(report: &Report, passes: &[Pass], who: &str) {
     );
 }
 
-fn first_call_mut(t: &mut S0Tail) -> Option<(&mut String, &mut Vec<S0Simple>)> {
+fn first_call_mut(t: &mut S0Tail) -> Option<(&mut usize, &mut Vec<S0Simple>)> {
     match t {
         S0Tail::Return(_) | S0Tail::Fail(_) => None,
         S0Tail::If(_, a, b) => first_call_mut(a).or_else(|| first_call_mut(b)),
@@ -89,31 +89,22 @@ fn corrupt_arity_is_caught_by_wellformed() {
 
 #[test]
 fn unbound_variable_is_caught_by_wellformed() {
-    fn poison(t: &mut S0Tail) -> bool {
-        match t {
-            S0Tail::Return(_) | S0Tail::Fail(_) => false,
-            S0Tail::If(_, a, b) => poison(a) || poison(b),
-            S0Tail::TailCall(_, args) => match args.first_mut() {
-                Some(slot) => {
-                    *slot = S0Simple::Var("phantom".into());
-                    true
-                }
-                None => false,
-            },
-        }
-    }
+    // The first call's first argument reads position 5 of a procedure
+    // with fewer parameters.
     let mut s0 = compile_append();
     let victim = s0
         .procs
         .iter_mut()
-        .find_map(|pr| poison(&mut pr.body).then(|| pr.name.clone()))
+        .find_map(|pr| {
+            let (_, args) = first_call_mut(&mut pr.body).filter(|(_, args)| !args.is_empty())?;
+            args[0] = S0Simple::Var(5);
+            Some((pr.name.clone(), pr.params.len()))
+        })
         .expect("some call has arguments");
     let report = verify(&s0);
-    assert_caught_by(&report, &[Pass::WellFormed], &victim);
-    assert!(
-        report.errors().any(|e| e.message.contains("unbound variable phantom")),
-        "{report}"
-    );
+    assert_caught_by(&report, &[Pass::WellFormed], &victim.0);
+    let message = format!("unbound variable at position 5 ({} parameter(s))", victim.1);
+    assert!(report.errors().any(|e| e.message == message), "{report}");
 }
 
 #[test]
@@ -125,7 +116,7 @@ fn broken_tail_form_is_caught_by_preservation() {
     let mutant = format!(
         "{}\n(define (mutant a b) (cons ({} a b) a))",
         s0.to_source(),
-        s0.entry
+        s0.procs[s0.entry].name
     );
     let report = verify_source(&mutant);
     assert_caught_by(&report, &[Pass::Preservation], "mutant");
@@ -222,18 +213,18 @@ fn golden_report_rendering() {
 
     use pe_core::S0Proc;
     let prog = S0Program {
-        entry: "main".into(),
+        entry: 0,
         procs: vec![S0Proc {
             name: "main".into(),
             params: vec!["x".into()],
-            body: S0Tail::TailCall("ghost".into(), vec![S0Simple::Var("y".into())]),
+            body: S0Tail::TailCall(7, vec![S0Simple::Var(1)]),
         }],
     };
     let report = verify(&prog);
     assert_eq!(
         report.to_string(),
-        "error[well-formed] main: unbound variable y\n\
-         error[well-formed] main: call to undefined procedure ghost\n\
-         error[preservation] main: unknown operator ghost"
+        "error[well-formed] main: unbound variable at position 1 (1 parameter(s))\n\
+         error[well-formed] main: call to undefined procedure at position 7 (1 procedure(s))\n\
+         error[preservation] main: unknown operator %undefined"
     );
 }

@@ -47,7 +47,6 @@
 use pe_core::{S0Program, S0Simple, S0Tail};
 use pe_frontend::ast::{Constant, Prim};
 use pe_governor::Trap;
-use pe_intern::{Symbol, SymbolMap, SymbolTable};
 use pe_interp::value::{apply_prim1, apply_prim2, Value};
 use pe_interp::{Datum, Fuel, InterpError, Limits};
 use std::borrow::Cow;
@@ -80,22 +79,25 @@ pub struct VmStats {
 /// An error while compiling S₀ to the register machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VmError {
-    /// A call targets an undefined procedure.
-    UndefinedProc(String),
+    /// A call in `proc_name` targets a position past the procedures.
+    UndefinedProc { proc_name: String, callee: usize },
     /// A call has the wrong number of arguments.
     Arity { name: String, expected: usize, got: usize },
     /// A primitive is applied to the wrong number of arguments.
     PrimArity { proc_name: String, prim: Prim, expected: usize, got: usize },
-    /// A variable is not a parameter of its procedure.
-    UnboundVar { proc_name: String, var: String },
-    /// The entry procedure is missing.
-    NoEntry(String),
+    /// A variable's position is past its procedure's parameters.
+    UnboundVar { proc_name: String, var: usize },
+    /// The entry position is past the procedures.
+    NoEntry(usize),
 }
 
 impl fmt::Display for VmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            VmError::UndefinedProc(p) => write!(f, "vm: call to undefined procedure {p}"),
+            VmError::UndefinedProc { proc_name, callee } => write!(
+                f,
+                "vm: call to undefined procedure at position {callee} in {proc_name}"
+            ),
             VmError::Arity { name, expected, got } => {
                 write!(f, "vm: {name} expects {expected} argument(s), got {got}")
             }
@@ -104,9 +106,9 @@ impl fmt::Display for VmError {
                 "vm: primitive {prim} in {proc_name} expects {expected} argument(s), got {got}"
             ),
             VmError::UnboundVar { proc_name, var } => {
-                write!(f, "vm: unbound variable {var} in {proc_name}")
+                write!(f, "vm: unbound variable at position {var} in {proc_name}")
             }
-            VmError::NoEntry(e) => write!(f, "vm: entry {e} not defined"),
+            VmError::NoEntry(e) => write!(f, "vm: entry at position {e} not defined"),
         }
     }
 }
@@ -175,51 +177,30 @@ pub struct Vm {
 }
 
 impl Vm {
-    /// Resolves names to indices, checking S₀ well-formedness: every
-    /// variable is a parameter of its procedure, every call names a
-    /// procedure with that many parameters, and every primitive gets
-    /// its arity.
+    /// Loads `p`, checking S₀ well-formedness on the way: the entry and
+    /// every callee is a position of a procedure, every call passes that
+    /// procedure's number of arguments, every variable is a position of
+    /// a parameter of its procedure, and every primitive gets its
+    /// arity.  A callee position is the block's index and a variable
+    /// position its frame slot.
     ///
     /// # Errors
     ///
     /// Returns a [`VmError`] naming the first violation.
     pub fn compile(p: &S0Program) -> Result<Vm, VmError> {
-        // Every name is interned exactly once; from then on, procedure
-        // and parameter resolution is integer-indexed ([`SymbolMap`] /
-        // [`SlotFrame`]) and never re-hashes a string.  Residual
-        // programs repeat the same specialized names thousands of
-        // times, so this is the resolver's hot path.
-        let mut syms = SymbolTable::new();
-        let mut index: SymbolMap<usize> = SymbolMap::with_capacity(p.procs.len());
-        for (i, q) in p.procs.iter().enumerate() {
-            index.insert(syms.intern(&q.name), i);
-        }
-        let entry = syms
-            .get(p.entry.as_str())
-            .and_then(|s| index.get(s).copied())
-            .ok_or_else(|| VmError::NoEntry(p.entry.clone()))?;
-        let mut r = Resolver {
-            program: p,
-            syms,
-            index,
-            slots: SlotFrame::default(),
-            consts: Vec::new(),
-            owner: "",
-        };
+        let entry = p.procs.get(p.entry).ok_or(VmError::NoEntry(p.entry))?;
+        let mut l = Loader { program: p, consts: Vec::new(), owner: "", arity: 0 };
         let mut blocks = Vec::with_capacity(p.procs.len());
         let mut names = Vec::with_capacity(p.procs.len());
         for q in &p.procs {
-            r.slots.begin();
-            for (i, v) in q.params.iter().enumerate() {
-                let sym = r.syms.intern(v);
-                r.slots.set(sym, i);
-            }
-            r.owner = &q.name;
-            blocks.push(Block { arity: q.params.len(), body: r.tail(&q.body)? });
+            l.owner = &q.name;
+            l.arity = q.params.len();
+            blocks.push(Block { arity: q.params.len(), body: l.tail(&q.body)? });
             names.push(q.name.clone());
         }
         let width = blocks.iter().map(|b| b.arity).max().unwrap_or(0);
-        Ok(Vm { blocks, names, consts: r.consts, entry, entry_name: p.entry.clone(), width })
+        let entry_name = entry.name.clone();
+        Ok(Vm { blocks, names, consts: l.consts, entry: p.entry, entry_name, width })
     }
 
     /// The name of the block at `pc`, as reported in traps.
@@ -586,64 +567,24 @@ fn bad_dispatch(pc: usize, detail: fmt::Arguments<'_>) -> InterpError {
     InterpError::Trap(Trap::BadDispatch { pc, detail: detail.to_string() })
 }
 
-/// The parameter slots of the procedure currently being resolved, keyed
-/// by interned [`Symbol`].  One allocation serves every procedure:
-/// [`SlotFrame::begin`] bumps an epoch instead of clearing, so per-proc
-/// setup costs only its own parameter count.
-#[derive(Default)]
-struct SlotFrame {
-    stamp: Vec<u32>,
-    slot: Vec<usize>,
-    epoch: u32,
-}
-
-impl SlotFrame {
-    fn begin(&mut self) {
-        self.epoch += 1;
-    }
-
-    fn set(&mut self, sym: Symbol, slot: usize) {
-        let i = sym.index();
-        if i >= self.stamp.len() {
-            self.stamp.resize(i + 1, 0);
-            self.slot.resize(i + 1, 0);
-        }
-        self.stamp[i] = self.epoch;
-        self.slot[i] = slot;
-    }
-
-    fn get(&self, sym: Symbol) -> Option<usize> {
-        let i = sym.index();
-        if self.stamp.get(i) == Some(&self.epoch) {
-            Some(self.slot[i])
-        } else {
-            None
-        }
-    }
-}
-
-/// Name resolution for one program: the procedure index, the current
-/// procedure's parameter slots, and the constant table being built.
-struct Resolver<'p> {
+/// Loading one program: the constant table being built, and the
+/// procedure being loaded.
+struct Loader<'p> {
     program: &'p S0Program,
-    syms: SymbolTable,
-    index: SymbolMap<usize>,
-    slots: SlotFrame,
     consts: Vec<Constant>,
-    /// The procedure being resolved, for error messages.
+    /// The procedure being loaded, for error messages.
     owner: &'p str,
+    /// Its parameter count: the variable positions it may read.
+    arity: usize,
 }
 
-impl Resolver<'_> {
+impl Loader<'_> {
     fn simple(&mut self, s: &S0Simple) -> Result<RSimple, VmError> {
         Ok(match s {
-            S0Simple::Var(v) => match self.syms.get(v).and_then(|sym| self.slots.get(sym)) {
-                Some(slot) => RSimple::Slot(slot),
-                None => {
-                    let proc_name = self.owner.to_string();
-                    return Err(VmError::UnboundVar { proc_name, var: v.clone() });
-                }
-            },
+            S0Simple::Var(k) if *k < self.arity => RSimple::Slot(*k),
+            S0Simple::Var(k) => {
+                return Err(VmError::UnboundVar { proc_name: self.owner.to_string(), var: *k })
+            }
             S0Simple::Const(k) => {
                 self.consts.push(k.clone());
                 RSimple::Const(self.consts.len() - 1)
@@ -680,16 +621,16 @@ impl Resolver<'_> {
                 _ => RTail::If(self.simple(c)?, Box::new(self.tail(a)?), Box::new(self.tail(b)?)),
             },
             S0Tail::TailCall(callee, args) => {
-                let target = *self
-                    .syms
-                    .get(callee)
-                    .and_then(|sym| self.index.get(sym))
-                    .ok_or_else(|| VmError::UndefinedProc(callee.clone()))?;
-                let expected = self.program.procs[target].params.len();
+                let Some(target) = self.program.procs.get(*callee) else {
+                    let proc_name = self.owner.to_string();
+                    return Err(VmError::UndefinedProc { proc_name, callee: *callee });
+                };
+                let expected = target.params.len();
                 if expected != args.len() {
-                    return Err(VmError::Arity { name: callee.clone(), expected, got: args.len() });
+                    let name = target.name.clone();
+                    return Err(VmError::Arity { name, expected, got: args.len() });
                 }
-                RTail::Goto(target, self.simples(args)?)
+                RTail::Goto(*callee, self.simples(args)?)
             }
             S0Tail::Fail(m) => RTail::Fail(m.clone()),
         })
@@ -896,45 +837,46 @@ mod tests {
         Ok(())
     }
 
+    /// A program of one procedure `main` with `params` and `body`,
+    /// entered at `entry`.
+    fn main(entry: usize, params: &[&str], body: S0Tail) -> pe_core::S0Program {
+        let params = params.iter().map(|&v| v.to_string()).collect();
+        let main = pe_core::S0Proc { name: "main".into(), params, body };
+        pe_core::S0Program { entry, procs: vec![main] }
+    }
+
     #[test]
     fn vm_compile_rejects_bad_programs() {
-        use pe_core::{S0Proc, S0Program, S0Simple, S0Tail};
-        let bad = S0Program {
-            entry: "main".into(),
-            procs: vec![S0Proc {
-                name: "main".into(),
-                params: vec![],
-                body: S0Tail::TailCall("ghost".into(), vec![]),
-            }],
-        };
-        assert!(matches!(Vm::compile(&bad), Err(VmError::UndefinedProc(_))));
-        let bad = S0Program {
-            entry: "main".into(),
-            procs: vec![S0Proc {
-                name: "main".into(),
-                params: vec![],
-                body: S0Tail::Return(S0Simple::Var("x".into())),
-            }],
-        };
-        assert!(matches!(Vm::compile(&bad), Err(VmError::UnboundVar { .. })));
-        let bad = S0Program { entry: "nope".into(), procs: vec![] };
-        assert!(matches!(Vm::compile(&bad), Err(VmError::NoEntry(_))));
+        // Positions past their lists: a callee, a variable, the entry.
+        let bad = main(0, &[], S0Tail::TailCall(1, vec![]));
+        assert_eq!(
+            Vm::compile(&bad).err(),
+            Some(VmError::UndefinedProc { proc_name: "main".into(), callee: 1 })
+        );
+        let bad = main(0, &["x"], S0Tail::Return(var(1)));
+        assert_eq!(
+            Vm::compile(&bad).err(),
+            Some(VmError::UnboundVar { proc_name: "main".into(), var: 1 })
+        );
+        let bad = main(1, &[], S0Tail::Fail("never".into()));
+        assert_eq!(Vm::compile(&bad).err(), Some(VmError::NoEntry(1)));
+        let bad = pe_core::S0Program { entry: 0, procs: vec![] };
+        assert!(matches!(Vm::compile(&bad), Err(VmError::NoEntry(0))));
+        // A call's argument count is checked against its callee's.
+        let bad = main(0, &["x"], S0Tail::TailCall(0, vec![]));
+        assert_eq!(
+            Vm::compile(&bad).err(),
+            Some(VmError::Arity { name: "main".into(), expected: 1, got: 0 })
+        );
         // A primitive's argument count is checked at load, not when the
         // node first runs.
-        for (prim, args) in [(Prim::Car, vec![var("x"), var("x")]), (Prim::Add, vec![var("x")])] {
+        for (prim, args) in [(Prim::Car, vec![var(0), var(0)]), (Prim::Add, vec![var(0)])] {
             let got = args.len();
-            let bad = S0Program {
-                entry: "main".into(),
-                procs: vec![S0Proc {
-                    name: "main".into(),
-                    params: vec!["x".into()],
-                    body: S0Tail::If(
-                        var("x"),
-                        ret(1),
-                        Box::new(S0Tail::Return(S0Simple::Prim(prim, args))),
-                    ),
-                }],
-            };
+            let bad = main(
+                0,
+                &["x"],
+                S0Tail::If(var(0), ret(1), Box::new(S0Tail::Return(S0Simple::Prim(prim, args)))),
+            );
             assert_eq!(
                 Vm::compile(&bad).err(),
                 Some(VmError::PrimArity {
@@ -949,20 +891,12 @@ mod tests {
 
     #[test]
     fn run_s0_separates_compile_and_run_errors() {
-        use pe_core::{S0Proc, S0Program};
-        let bad = S0Program { entry: "nope".into(), procs: vec![] };
+        let bad = main(3, &[], S0Tail::Fail("never".into()));
         assert!(matches!(
             run_s0(&bad, &[], Limits::default()),
-            Err(S0RunError::Compile(VmError::NoEntry(_)))
+            Err(S0RunError::Compile(VmError::NoEntry(3)))
         ));
-        let diverge = S0Program {
-            entry: "f".into(),
-            procs: vec![S0Proc {
-                name: "f".into(),
-                params: vec![],
-                body: S0Tail::TailCall("f".into(), vec![]),
-            }],
-        };
+        let diverge = main(0, &[], S0Tail::TailCall(0, vec![]));
         let lim = Limits { fuel: 100, ..Limits::default() };
         assert_eq!(
             run_s0(&diverge, &[], lim),
@@ -999,20 +933,9 @@ mod tests {
 
     #[test]
     fn closure_misuse_is_a_dispatch_trap() -> R {
-        use pe_core::{S0Proc, S0Program};
         // closure-freeval on an int: compiles (S₀ is untyped) but must
         // trap with a pc, not panic.
-        let p = S0Program {
-            entry: "main".into(),
-            procs: vec![S0Proc {
-                name: "main".into(),
-                params: vec!["x".into()],
-                body: S0Tail::Return(S0Simple::ClosureFreeval(
-                    Box::new(S0Simple::Var("x".into())),
-                    0,
-                )),
-            }],
-        };
+        let p = main(0, &["x"], S0Tail::Return(S0Simple::ClosureFreeval(Box::new(var(0)), 0)));
         let vm = Vm::compile(&p)?;
         let r = vm.run(&[Datum::Int(7)], Limits::default());
         assert!(
@@ -1023,8 +946,8 @@ mod tests {
         Ok(())
     }
 
-    fn var(v: &str) -> S0Simple {
-        S0Simple::Var(v.into())
+    fn var(k: usize) -> S0Simple {
+        S0Simple::Var(k)
     }
 
     fn ret(n: i64) -> Box<S0Tail> {
@@ -1039,17 +962,17 @@ mod tests {
     }
 
     /// `main x` jumps to `go k x` with `k = (make-closure label x)`;
-    /// `go` (block 1) runs `body`.
+    /// `go` (block 1) runs `body`, where `k` is variable 0 and `x` is 1.
     fn with_closure(label: u32, body: S0Tail) -> S0Program {
         use pe_core::S0Proc;
-        let k = S0Simple::MakeClosure(label, vec![var("x")]);
+        let k = S0Simple::MakeClosure(label, vec![var(0)]);
         S0Program {
-            entry: "main".into(),
+            entry: 0,
             procs: vec![
                 S0Proc {
                     name: "main".into(),
                     params: vec!["x".into()],
-                    body: S0Tail::TailCall("go".into(), vec![k, var("x")]),
+                    body: S0Tail::TailCall(1, vec![k, var(0)]),
                 },
                 S0Proc { name: "go".into(), params: vec!["k".into(), "x".into()], body },
             ],
@@ -1090,7 +1013,7 @@ mod tests {
     #[test]
     fn dispatch_chain_charges_every_test_it_skips() -> R {
         // Label 1 twice: the first arm wins, the third is dead.
-        let k = var("k");
+        let k = var(0);
         let body =
             on_label(1, &k, ret(10), on_label(2, &k, ret(20), on_label(1, &k, ret(30), ret(99))));
         let chain = |l| with_closure(l, (*body).clone());
@@ -1109,10 +1032,11 @@ mod tests {
 
     #[test]
     fn dispatch_on_a_non_closure_traps_as_the_first_test_would() -> R {
-        let k = var("k");
+        let k = var(0);
         let mut p = with_closure(1, *on_label(1, &k, ret(10), on_label(2, &k, ret(20), ret(99))));
         p.procs.swap(0, 1);
-        p.entry = "go".into();
+        p.procs[1].body = S0Tail::TailCall(0, vec![S0Simple::MakeClosure(1, vec![var(0)]), var(0)]);
+        p.entry = 0;
         let vm = Vm::compile(&p)?;
         assert_eq!(dispatch_nodes(&vm), 1);
         let r = vm.run(&[Datum::Int(7), Datum::Nil], Limits::default());
@@ -1126,8 +1050,8 @@ mod tests {
 
     #[test]
     fn a_non_dispatch_test_ends_the_chain() -> R {
-        let k = var("k");
-        let null_x = S0Simple::Prim(Prim::NullP, vec![var("x")]);
+        let k = var(0);
+        let null_x = S0Simple::Prim(Prim::NullP, vec![var(1)]);
         let body = on_label(
             1,
             &k,
@@ -1142,7 +1066,7 @@ mod tests {
         assert_eq!(branches, (1, 2));
         // So does a test on another subject: here the int `x`, whose
         // label test traps once `k`'s test has failed.
-        let body = on_label(1, &k, ret(10), on_label(2, &var("x"), ret(20), ret(99)));
+        let body = on_label(1, &k, ret(10), on_label(2, &var(1), ret(20), ret(99)));
         let vm = Vm::compile(&with_closure(2, *body))?;
         assert_eq!(dispatch_nodes(&vm), 2);
         let detail = "closure-label of non-closure 5".to_string();
@@ -1156,8 +1080,8 @@ mod tests {
     #[test]
     fn an_allocating_subject_stays_a_chain_of_ifs() -> R {
         let consed =
-            S0Simple::Prim(Prim::Car, vec![S0Simple::Prim(Prim::Cons, vec![var("k"), var("x")])]);
-        let made = S0Simple::MakeClosure(2, vec![var("x")]);
+            S0Simple::Prim(Prim::Car, vec![S0Simple::Prim(Prim::Cons, vec![var(0), var(1)])]);
+        let made = S0Simple::MakeClosure(2, vec![var(1)]);
         for subject in [consed, made] {
             let body = on_label(1, &subject, ret(10), on_label(2, &subject, ret(20), ret(99)));
             let vm = Vm::compile(&with_closure(2, *body))?;
